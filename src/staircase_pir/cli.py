@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
     failed |= not rank.ok
 
     if args.all or args.exhaustive:
-        space = params.q ** (params.randomness_count * params.x_length)
+        space = verify.exhaustive_space(params)
         if space <= verify.EXHAUSTIVE_CAP:
             exh = verify.verify_privacy_exhaustive(params, V)
             print(verify.report_text(exh.rows()))

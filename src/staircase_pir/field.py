@@ -9,7 +9,8 @@ no tolerance concept anywhere in this module.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+import struct
+from typing import Iterable, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -33,6 +34,28 @@ def is_prime(q: int) -> bool:
             return False
         d += 2
     return True
+
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def ints_to_bytes(values: Sequence[int], width: int) -> bytes:
+    """Non-negative ints as consecutive `width`-byte little-endian fields."""
+    code = _STRUCT_CODES.get(width)
+    if code is not None:
+        return struct.pack(f"<{len(values)}{code}", *values)
+    return b"".join(v.to_bytes(width, "little") for v in values)
+
+
+def ints_from_bytes(data: bytes, width: int, count: int, offset: int = 0) -> Tuple[int, ...]:
+    """Inverse of ints_to_bytes for `count` fields starting at `offset`."""
+    code = _STRUCT_CODES.get(width)
+    if code is not None:
+        return struct.unpack_from(f"<{count}{code}", data, offset)
+    return tuple(
+        int.from_bytes(data[pos : pos + width], "little")
+        for pos in range(offset, offset + count * width, width)
+    )
 
 
 class PrimeField:

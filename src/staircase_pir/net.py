@@ -29,7 +29,7 @@ class _Handler(socketserver.BaseRequestHandler):
         try:
             while True:
                 try:
-                    msg_type, payload = wire.read_frame(reader)
+                    msg_type, payload = wire.read_frame(reader, srv.max_payload)
                 except StaircasePIRError:
                     break
                 try:
@@ -53,14 +53,16 @@ class _Handler(socketserver.BaseRequestHandler):
             sessions[session_id] = protocol.Query(
                 server_id=server_id, subqueries=subqueries, fingerprint=fingerprint
             )
-            return wire.encode_response(session_id, [])
+            return wire.encode_response(session_id, [], srv.params.q)
         if msg_type == wire.MSG_FETCH:
             session_id, columns = wire.decode_fetch(payload)
             query = sessions.get(session_id)
             if query is None:
                 return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
             slabs = protocol.server_respond(srv.database, query, columns)
-            return wire.encode_response(session_id, [slabs[c] for c in columns])
+            return wire.encode_response(
+                session_id, [slabs[c] for c in columns], srv.params.q
+            )
         return wire.encode_error(wire.ERR_MALFORMED, f"unexpected type {msg_type}")
 
 
@@ -75,6 +77,8 @@ class PIRServer(socketserver.ThreadingTCPServer):
         self.params = params
         self.V = V
         self.fingerprint = protocol.matrix_fingerprint(params, V)
+        # Frames announcing more than this are refused unread.
+        self.max_payload = wire.max_request_payload(params)
         self.session_counter = itertools.count(1)
 
 
@@ -114,15 +118,15 @@ class _ServerConn:
             if code == wire.ERR_HANDSHAKE:
                 raise HandshakeMismatch(message)
             raise StaircasePIRError(message)
-        session_id, _ = wire.decode_response(payload, 0)
+        session_id, _ = wire.decode_response(payload, 0, params.q)
         self.session_id = session_id
 
-    def fetch(self, columns: Sequence[int], s: int) -> List[tuple]:
+    def fetch(self, columns: Sequence[int], params: SchemeParams) -> List[tuple]:
         self.sock.sendall(wire.encode_fetch(self.session_id, columns))
         msg_type, payload = wire.read_frame(self.reader)
         if msg_type == wire.MSG_ERROR:
             raise StaircasePIRError(wire.decode_error(payload)[1])
-        _, slabs = wire.decode_response(payload, s)
+        _, slabs = wire.decode_response(payload, params.s, params.q)
         return slabs
 
     def close(self):
@@ -212,7 +216,7 @@ def retrieve(
     plan = protocol.plan_download(params, responders)
     responses = {}
     for sid in responders:
-        slabs = conns[sid].fetch(list(range(plan.prefix_cols)), params.s)
+        slabs = conns[sid].fetch(list(range(plan.prefix_cols)), params)
         responses[sid] = dict(enumerate(slabs))
     decoded = protocol.decode_file(params, V, plan, responses)
     wait_s = max(arrived[sid] for sid in responders)

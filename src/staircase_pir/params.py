@@ -21,9 +21,10 @@ from .errors import NotPrime
 class SchemeParams:
     """Parameters of an (n, k, t) scheme over GF(q) with m files.
 
-    s is the batch width: each file part is a slab of s field symbols,
-    so responses are s symbols per sub-query. s=1 gives one symbol per
-    part.
+    s is the response width: each file part is a slab of s field symbols,
+    so a server answers every sub-query with s symbols. Queries do not
+    grow with s: a sub-query has one coefficient per slab, alpha' * m of
+    them, whatever s is. s=1 gives one symbol per part.
     """
 
     n: int
@@ -97,6 +98,11 @@ class SchemeParams:
     @property
     def randomness_count(self) -> int:
         return self.t * self.alpha
+
+    @property
+    def query_length(self) -> int:
+        """Coefficients per sub-query: one per slab, alpha' * m."""
+        return self.alpha_prime * self.m
 
     @property
     def x_length(self) -> int:

@@ -11,13 +11,14 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from . import staircase
 from .errors import (
     ColumnOutOfRange,
+    DimensionMismatch,
     FieldTooSmall,
     FileIndexOutOfRange,
     InsufficientResponders,
     InvalidThreshold,
     MissingResponse,
 )
-from .field import Matrix, vandermonde
+from .field import Matrix, ints_from_bytes, ints_to_bytes, vandermonde
 from .params import SchemeParams
 
 
@@ -44,6 +45,11 @@ class Database:
 
     Part c of file i occupies the s-symbol slab ((c-1)*m + i-1); this is
     exactly the layout the part selectors index into.
+
+    For projection each slab is also held as one int of s lanes, lane
+    `off` holding symbol `off` of the slab. A lane is wide enough for a
+    sum of query_length products of two symbols, so a linear combination
+    of slabs with coefficients in GF(q) never carries between lanes.
     """
 
     def __init__(self, params: SchemeParams, x: Sequence[int]):
@@ -51,6 +57,9 @@ class Database:
             raise ValueError(f"x must have {params.x_length} symbols, got {len(x)}")
         self.params = params
         self.x = [v % params.q for v in x]
+        bound = params.query_length * (params.q - 1) ** 2
+        self._lane_bytes = (bound.bit_length() + 7) // 8
+        self._slabs = None  # packed on the first projection
 
     @classmethod
     def from_files(cls, params: SchemeParams, files: Sequence[Sequence[int]]) -> "Database":
@@ -77,18 +86,37 @@ class Database:
             out.extend(self.x[base : base + self.params.s])
         return out
 
+    def _packed_slabs(self) -> List[int]:
+        slabs = self._slabs
+        if slabs is None:
+            # Handler threads may race here; each builds the same list and
+            # the attribute is assigned once, whole.
+            raw = ints_to_bytes(self.x, self._lane_bytes)
+            step = self.params.s * self._lane_bytes
+            slabs = [
+                int.from_bytes(raw[pos : pos + step], "little")
+                for pos in range(0, len(raw), step)
+            ]
+            self._slabs = slabs
+        return slabs
+
     def project(self, qvec: Sequence[int]) -> Tuple[int, ...]:
-        """Slab-wise projection of x on one sub-query: s symbols."""
+        """Slab-wise projection of x on one sub-query: s symbols.
+
+        out[off] = sum_j qvec[j] * x[j*s + off] mod q, over the
+        query_length slabs j.
+        """
         p = self.params
-        q = p.q
-        out = [0] * p.s
-        for slab in range(p.alpha_prime * p.m):
-            base = slab * p.s
-            for off in range(p.s):
-                coef = qvec[base + off]
-                if coef:
-                    out[off] = (out[off] + coef * self.x[base + off]) % q
-        return tuple(out)
+        if len(qvec) != p.query_length:
+            raise DimensionMismatch(
+                f"sub-query must have {p.query_length} coefficients, got {len(qvec)}"
+            )
+        q, width = p.q, self._lane_bytes
+        total = sum(
+            (coef % q) * slab for coef, slab in zip(qvec, self._packed_slabs()) if coef
+        )
+        lanes = ints_from_bytes(total.to_bytes(p.s * width, "little"), width, p.s)
+        return tuple(v % q for v in lanes)
 
 
 @dataclass

@@ -134,8 +134,11 @@ def grid_layout(params: SchemeParams, row_order: str = DEFAULT_ROW_ORDER) -> Gri
 def generate_randomness(
     params: SchemeParams, seed, width: Optional[int] = None
 ) -> List[List[int]]:
-    """t*alpha vectors with entries uniform over GF(q); deterministic in seed."""
-    width = params.x_length if width is None else width
+    """t*alpha vectors with entries uniform over GF(q); deterministic in seed.
+
+    The default width is one entry per slab, the length of a sub-query.
+    """
+    width = params.query_length if width is None else width
     rng = random.Random(seed)
     q = params.q
     return [
@@ -147,15 +150,13 @@ def generate_randomness(
 def expand_unit(params: SchemeParams, part: int, i: int) -> List[int]:
     """Concrete selector vector for part `part` (1-based) of file i.
 
-    Picks out the s-symbol slab of that part: ones across the slab so the
-    slab-wise projection returns the part's s symbols.
+    The unit vector at that part's slab: the slab-wise projection on it
+    returns the part's s symbols.
     """
     if not 1 <= i <= params.m:
         raise FileIndexOutOfRange(f"file index {i} outside [1, {params.m}]")
-    vec = [0] * params.x_length
-    base = params.slab_index(part, i) * params.s
-    for off in range(params.s):
-        vec[base + off] = 1
+    vec = [0] * params.query_length
+    vec[params.slab_index(part, i)] = 1
     return vec
 
 

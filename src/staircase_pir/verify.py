@@ -84,9 +84,15 @@ def report_text(rows: List[tuple]) -> str:
 def _symbolic_queries(params, V, row_order):
     """Symbolic Q = V*M rows; independent of the file index and randomness."""
     # Payload content is irrelevant for the symbolic view; use file 1.
-    randomness = [[0] * params.x_length] * params.randomness_count
+    randomness = [[0] * params.query_length] * params.randomness_count
     grid = staircase.build_message_grid(params, 1, randomness, row_order)
     return staircase.encode_shares(params, V, grid).sym_rows
+
+
+def exhaustive_space(params: SchemeParams) -> int:
+    """Randomness assignments the exhaustive oracle enumerates:
+    q^(t*alpha * alpha'*m), independent of s."""
+    return params.q ** (params.randomness_count * params.query_length)
 
 
 def verify_privacy_exhaustive(
@@ -100,48 +106,32 @@ def verify_privacy_exhaustive(
     mutate_zero_randomness forces randomness vector u (0-based) to zero in
     every assignment -- a mutation control that must break the verdict.
     """
-    q = params.q
-    rand_vecs = params.randomness_count
-    vec_len = params.x_length
-    space = q ** (rand_vecs * vec_len)
+    space = exhaustive_space(params)
     if space > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(f"{space} assignments exceed cap {EXHAUSTIVE_CAP}")
     sym = _symbolic_queries(params, V, row_order)
-    ap = params.alpha_prime
-    s = params.s
+    rand_vecs = params.randomness_count
+    vec_len = params.query_length
+    zeros = [(0,) * vec_len] * rand_vecs
 
     report = PrivacyReport(params=params, mode="exhaustive", histograms={})
     for subset in itertools.combinations(range(1, params.n + 1), params.t):
         hists = {}
         for i in range(1, params.m + 1):
-            # Selector expansion for this file index.
-            bases = [params.slab_index(c + 1, i) * s for c in range(ap)]
+            grid = staircase.build_message_grid(params, i, zeros, row_order)
             counter: Dict[tuple, int] = {}
-            for flat in itertools.product(range(q), repeat=rand_vecs * vec_len):
+            for flat in itertools.product(range(params.q), repeat=rand_vecs * vec_len):
                 rvecs = [
                     flat[u * vec_len : (u + 1) * vec_len] for u in range(rand_vecs)
                 ]
                 if mutate_zero_randomness is not None:
-                    rvecs = list(rvecs)
-                    rvecs[mutate_zero_randomness] = (0,) * vec_len
-                key = []
-                for sid in subset:
-                    for coeffs in sym[sid - 1]:
-                        vec = [0] * vec_len
-                        for c in range(ap):
-                            coef = coeffs[c]
-                            if coef:
-                                for off in range(s):
-                                    pos = bases[c] + off
-                                    vec[pos] = (vec[pos] + coef) % q
-                        for u in range(rand_vecs):
-                            coef = coeffs[ap + u]
-                            if coef:
-                                rv = rvecs[u]
-                                for pos in range(vec_len):
-                                    vec[pos] = (vec[pos] + coef * rv[pos]) % q
-                        key.append(tuple(vec))
-                key = tuple(key)
+                    rvecs[mutate_zero_randomness] = zeros[0]
+                grid.randomness = rvecs  # same grid, this assignment's randomness
+                key = tuple(
+                    tuple(grid.expand(coeffs))
+                    for sid in subset
+                    for coeffs in sym[sid - 1]
+                )
                 counter[key] = counter.get(key, 0) + 1
             hists[i] = counter
         first = hists[1]

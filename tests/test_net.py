@@ -1,9 +1,12 @@
 import random
+import socket
+import struct
 from fractions import Fraction
 
 import pytest
 
 from staircase_pir.errors import HandshakeMismatch, InsufficientResponders
+from staircase_pir import wire
 from staircase_pir.net import retrieve, serve
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import Database, default_encoding_matrix
@@ -89,3 +92,16 @@ def test_endpoint_count_checked(cluster321):
     params, V, _, _, endpoints = cluster321
     with pytest.raises(ValueError):
         retrieve(endpoints[:2], params, V, 1)
+
+
+@pytest.mark.parametrize("excess", [1, 2**40])
+def test_server_refuses_oversized_frame(cluster321, excess):
+    params, V, files, _, endpoints = cluster321
+    length = wire.max_request_payload(params) + excess
+    with socket.create_connection(endpoints[0], timeout=2) as sock:
+        # A QUERY header announcing more than the largest legitimate frame,
+        # and no payload: the server closes without waiting for one.
+        sock.sendall(struct.pack("<4sBBQ", wire.MAGIC, wire.VERSION, wire.MSG_QUERY, length))
+        assert sock.recv(1) == b""
+    decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
+    assert decoded == files[0]

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircase_pir.errors import (
     ColumnOutOfRange,
+    DimensionMismatch,
     InsufficientResponders,
     InvalidThreshold,
     MissingResponse,
@@ -46,6 +49,55 @@ class TestDatabase:
         vec = [3, 1, 0, 2]
         expected = sum(a * b for a, b in zip(vec, db.x)) % 5
         assert db.project(vec) == (expected,)
+
+
+PROJECTION_FIELDS = [2, 3, 5, 257, 65537, 2**31 - 1]
+PROJECTION_WIDTHS = [1, 2, 17]
+
+
+def naive_project(db, qvec):
+    """out[off] = sum_j qvec[j] * x[j*s + off] mod q, slab by slab."""
+    p = db.params
+    return tuple(
+        sum(qvec[j] * db.x[j * p.s + off] for j in range(p.query_length)) % p.q
+        for off in range(p.s)
+    )
+
+
+class TestProjection:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_naive_reference(self, data):
+        q = data.draw(st.sampled_from(PROJECTION_FIELDS))
+        s = data.draw(st.sampled_from(PROJECTION_WIDTHS))
+        m = data.draw(st.integers(1, 3))
+        params = SchemeParams(n=3, k=2, t=1, m=m, q=q, s=s)
+        symbol = st.integers(0, q - 1)
+        x = data.draw(st.lists(symbol, min_size=params.x_length, max_size=params.x_length))
+        db = Database(params, x)
+        for _ in range(2):  # the second call reuses the packed slabs
+            qvec = data.draw(
+                st.lists(symbol, min_size=params.query_length, max_size=params.query_length)
+            )
+            assert db.project(qvec) == naive_project(db, qvec)
+
+    @pytest.mark.parametrize("s", PROJECTION_WIDTHS)
+    @pytest.mark.parametrize("q", PROJECTION_FIELDS)
+    def test_worst_case_fills_guard_bits(self, q, s):
+        # Every symbol and every coefficient q-1: each lane reaches its bound
+        # query_length * (q-1)^2 before reduction.
+        params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=s)
+        db = Database(params, [q - 1] * params.x_length)
+        qvec = [q - 1] * params.query_length
+        expected = (params.query_length * (q - 1) ** 2) % q
+        assert db.project(qvec) == (expected,) * s == naive_project(db, qvec)
+
+    def test_rejects_wrong_length(self):
+        params = SchemeParams(n=3, k=2, t=1, m=2, q=5, s=2)
+        db, _ = random_db(params, 1)
+        for length in (params.query_length - 1, params.query_length + 1, params.x_length):
+            with pytest.raises(DimensionMismatch):
+                db.project([1] * length)
 
 
 class TestRetrieval:

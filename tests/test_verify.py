@@ -8,6 +8,7 @@ from staircase_pir.protocol import default_encoding_matrix
 from staircase_pir.staircase import RANDOMNESS_FIRST
 from staircase_pir.verify import (
     EXHAUSTIVE_CAP,
+    exhaustive_space,
     report_csv,
     report_text,
     verify_privacy_exhaustive,
@@ -48,6 +49,17 @@ class TestExhaustivePrivacy:
         params = SchemeParams(n=3, k=2, t=1, m=1, q=3)
         _, V = small_instance()
         assert verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST).ok
+
+    def test_space_does_not_grow_with_s(self):
+        # Queries have one coefficient per slab, so s=3 enumerates the same
+        # 3^8 assignments as s=1 (per-symbol queries would need 3^24).
+        base, V = small_instance()
+        params = SchemeParams(n=3, k=2, t=1, m=2, q=3, s=3)
+        assert exhaustive_space(params) == exhaustive_space(base) == 3**8
+        assert verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST).ok
+        assert not verify_privacy_exhaustive(
+            params, V, RANDOMNESS_FIRST, mutate_zero_randomness=0
+        ).ok
 
     def test_large_space_rejected(self):
         params, V, _ = example2()
