@@ -20,7 +20,6 @@ from .protocol import (
     default_encoding_matrix,
     make_queries,
     plan_download,
-    rate_achieved,
     server_respond,
 )
 from .staircase import (
@@ -30,7 +29,6 @@ from .staircase import (
     encode_shares,
     generate_randomness,
     peel_decode,
-    prefix_columns,
     ss_reconstruct,
     ss_share,
     validate_encoding_matrix,
@@ -55,8 +53,6 @@ __all__ = [
     "make_queries",
     "peel_decode",
     "plan_download",
-    "prefix_columns",
-    "rate_achieved",
     "server_respond",
     "ss_reconstruct",
     "ss_share",

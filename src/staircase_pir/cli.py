@@ -108,7 +108,7 @@ def cmd_demo(args) -> int:
         }
         decoded = protocol.decode_file(params, V, plan, responses, row_order)
         ok = decoded == db.file_content(args.i)
-        rate = protocol.rate_achieved(plan)
+        rate = plan.rate
         print(f"\nmu = {mu}: downloaded {plan.total_symbols} symbols from "
               f"servers {responders}, decode {'ok' if ok else 'FAILED'}, "
               f"rate {rate}")

@@ -77,33 +77,16 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.q})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, self.q - 2, self.q)
 
-    def div(self, a: int, b: int) -> int:
-        if b % self.q == 0:
-            raise DivisionByZero("division by 0")
-        return (a * self.inv(b)) % self.q
-
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
 
 
 class Matrix:

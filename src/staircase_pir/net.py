@@ -25,7 +25,8 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         srv = self.server
         reader = self.request.makefile("rb")
-        sessions: Dict[int, protocol.Query] = {}
+        # One session per connection: (id, query) of its latest QUERY.
+        self.session: Optional[Tuple[int, protocol.Query]] = None
         try:
             while True:
                 try:
@@ -33,7 +34,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 except StaircasePIRError:
                     break
                 try:
-                    reply = self._dispatch(srv, sessions, msg_type, payload)
+                    reply = self._dispatch(srv, msg_type, payload)
+                except HandshakeMismatch as exc:
+                    reply = wire.encode_error(wire.ERR_HANDSHAKE, str(exc))
                 except StaircasePIRError as exc:
                     reply = wire.encode_error(wire.ERR_MALFORMED, str(exc))
                 self.request.sendall(reply)
@@ -42,24 +45,17 @@ class _Handler(socketserver.BaseRequestHandler):
         finally:
             reader.close()
 
-    def _dispatch(self, srv, sessions, msg_type, payload):
+    def _dispatch(self, srv, msg_type, payload):
         if msg_type == wire.MSG_QUERY:
-            params, fingerprint, server_id, subqueries = wire.decode_query(payload)
-            if params != srv.params or fingerprint != srv.fingerprint:
-                return wire.encode_error(
-                    wire.ERR_HANDSHAKE, "scheme parameters or matrix mismatch"
-                )
-            session_id = next(srv.session_counter)
-            sessions[session_id] = protocol.Query(
-                server_id=server_id, subqueries=subqueries, fingerprint=fingerprint
-            )
-            return wire.encode_response(session_id, [], srv.params.q)
+            server_id, subqueries = wire.decode_query(payload, srv.params, srv.fingerprint)
+            query = protocol.Query(server_id, subqueries, srv.fingerprint)
+            self.session = (next(srv.session_counter), query)
+            return wire.encode_response(self.session[0], [], srv.params.q)
         if msg_type == wire.MSG_FETCH:
             session_id, columns = wire.decode_fetch(payload)
-            query = sessions.get(session_id)
-            if query is None:
+            if self.session is None or self.session[0] != session_id:
                 return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
-            slabs = protocol.server_respond(srv.database, query, columns)
+            slabs = protocol.server_respond(srv.database, self.session[1], columns)
             return wire.encode_response(
                 session_id, [slabs[c] for c in columns], srv.params.q
             )
@@ -163,21 +159,26 @@ def retrieve(
     conns: Dict[int, _ServerConn] = {}
     arrived: Dict[int, float] = {}
     lock = threading.Lock()
+    finished = threading.Event()  # set once retrieve has closed `conns`
     start = time.monotonic()
     handshake_error: List[Exception] = []
 
     def worker(sid: int, endpoint):
         try:
             conn = _ServerConn(endpoint, connect_timeout)
-            conn.handshake(
-                params, fingerprint, sid, queries[sid - 1].subqueries
-            )
-        except HandshakeMismatch as exc:
-            handshake_error.append(exc)
+        except OSError:
             return
-        except (OSError, StaircasePIRError):
+        try:
+            conn.handshake(params, fingerprint, sid, queries[sid - 1].subqueries)
+        except (OSError, StaircasePIRError) as exc:
+            conn.close()
+            if isinstance(exc, HandshakeMismatch):
+                handshake_error.append(exc)
             return
         with lock:
+            if finished.is_set():
+                conn.close()
+                return
             conns[sid] = conn
             arrived[sid] = time.monotonic() - start
 
@@ -188,43 +189,45 @@ def retrieve(
     for th in threads:
         th.start()
 
-    target = wait_for if strategy == "wait_for" else params.n
-    deadline = start + deadline_s
-    while time.monotonic() < deadline:
+    try:
+        target = wait_for if strategy == "wait_for" else params.n
+        deadline = start + deadline_s
+        while time.monotonic() < deadline:
+            with lock:
+                count = len(arrived)
+            if strategy == "wait_for" and count >= target:
+                break
+            if count == params.n:
+                break
+            time.sleep(0.005)
+        if handshake_error:
+            raise handshake_error[0]
+
         with lock:
-            count = len(arrived)
-        if strategy == "wait_for" and count >= target:
-            break
-        if count == params.n:
-            break
-        time.sleep(0.005)
-    if handshake_error:
-        raise handshake_error[0]
+            responders = sorted(arrived)
+        if strategy == "wait_for" and wait_for is not None and len(responders) > wait_for:
+            # Keep the earliest wait_for responders.
+            responders = sorted(sorted(arrived, key=arrived.get)[:wait_for])
+        if len(responders) < params.k:
+            raise InsufficientResponders(
+                f"only {len(responders)} servers responded, need {params.k}"
+            )
 
-    with lock:
-        responders = sorted(arrived)
-    if strategy == "wait_for" and wait_for is not None and len(responders) > wait_for:
-        # Keep the earliest wait_for responders.
-        responders = sorted(sorted(arrived, key=arrived.get)[:wait_for])
-    if len(responders) < params.k:
-        for conn in conns.values():
-            conn.close()
-        raise InsufficientResponders(
-            f"only {len(responders)} servers responded, need {params.k}"
+        plan = protocol.plan_download(params, responders)
+        responses = {}
+        for sid in responders:
+            slabs = conns[sid].fetch(list(range(plan.prefix_cols)), params)
+            responses[sid] = dict(enumerate(slabs))
+        decoded = protocol.decode_file(params, V, plan, responses)
+        wait_s = max(arrived[sid] for sid in responders)
+        return decoded, RetrievalMetrics(
+            realized_mu=len(responders),
+            wait_s=wait_s,
+            symbols=plan.total_symbols,
+            rate=plan.rate,
         )
-
-    plan = protocol.plan_download(params, responders)
-    responses = {}
-    for sid in responders:
-        slabs = conns[sid].fetch(list(range(plan.prefix_cols)), params)
-        responses[sid] = dict(enumerate(slabs))
-    decoded = protocol.decode_file(params, V, plan, responses)
-    wait_s = max(arrived[sid] for sid in responders)
-    for conn in conns.values():
-        conn.close()
-    return decoded, RetrievalMetrics(
-        realized_mu=len(responders),
-        wait_s=wait_s,
-        symbols=plan.total_symbols,
-        rate=protocol.rate_achieved(plan),
-    )
+    finally:
+        with lock:
+            finished.set()
+            for conn in conns.values():
+                conn.close()

@@ -176,6 +176,7 @@ class DownloadPlan:
 
     @property
     def rate(self) -> Fraction:
+        """Downloaded-symbol rate; equals 1 - t/mu for this scheme."""
         return Fraction(self.params.file_symbols, self.total_symbols)
 
 
@@ -237,10 +238,3 @@ def capacity_asymptotic(t: int, k: int) -> Fraction:
     if not 1 <= t < k:
         raise InvalidThreshold(f"need 1 <= t < k, got t={t}, k={k}")
     return 1 - Fraction(t, k)
-
-
-def rate_achieved(plan: DownloadPlan, file_symbols: int = None) -> Fraction:
-    """Downloaded-symbol rate of a plan; equals 1 - t/mu for this scheme."""
-    if file_symbols is None:
-        file_symbols = plan.params.file_symbols
-    return Fraction(file_symbols, plan.total_symbols)

@@ -9,20 +9,15 @@ robust PIR at rate (mu-t)/mu for every responder count mu in [k, n].
 from __future__ import annotations
 
 import itertools
-import random
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import staircase
-from .errors import (
-    FileIndexOutOfRange,
-    InsufficientResponders,
-    NotEnoughShares,
-    OutOfRange,
-)
+from .errors import InsufficientResponders, NotEnoughShares, OutOfRange
 from .field import Matrix, vandermonde
 from .params import SchemeParams
+from .protocol import Database, default_encoding_matrix
 
 
 class LinearSecretSharingScheme(ABC):
@@ -69,16 +64,9 @@ class LinearSecretSharingScheme(ABC):
     def efficient_reconstruct(self, prefixes: Dict[int, Sequence[Sequence[int]]]):
         raise NotImplementedError
 
-    def generate_randomness(self, seed, width: int) -> List[List[int]]:
-        rng = random.Random(seed)
-        q = self.params.q
-        return [
-            [rng.randrange(q) for _ in range(width)]
-            for _ in range(self.randomness_count)
-        ]
-
     def share_with_seed(self, secret, seed):
-        return self.share(secret, self.generate_randomness(seed, len(secret[0])))
+        randomness = staircase.generate_randomness(self.params, seed, len(secret[0]))
+        return self.share(secret, randomness[: self.randomness_count])
 
 
 class RampScheme(LinearSecretSharingScheme):
@@ -119,19 +107,8 @@ class RampScheme(LinearSecretSharingScheme):
             raise ValueError(f"secret must have {self.secret_width} vectors")
         if len(randomness) != self.params.t:
             raise ValueError(f"need {self.params.t} randomness vectors")
-        q = self.params.q
-        msg = [list(v) for v in secret] + [list(v) for v in randomness]
-        width = len(msg[0])
-        shares = []
-        for l in range(self.params.n):
-            vrow = self.V.rows[l]
-            acc = [0] * width
-            for coef, vec in zip(vrow, msg):
-                if coef:
-                    for pos in range(width):
-                        acc[pos] = (acc[pos] + coef * vec[pos]) % q
-            shares.append([acc])
-        return shares
+        msg = Matrix(self.params.field, list(secret) + list(randomness))
+        return [[row] for row in self.V.mul(msg).rows]
 
     def reconstruct(self, shares):
         k = self.params.k
@@ -152,11 +129,7 @@ class StaircaseScheme(LinearSecretSharingScheme):
     def __init__(self, params: SchemeParams, V: Optional[Matrix] = None,
                  row_order: str = staircase.DEFAULT_ROW_ORDER):
         self.params = params
-        if V is None:
-            from .protocol import default_encoding_matrix
-
-            V = default_encoding_matrix(params)
-        self.V = V
+        self.V = default_encoding_matrix(params) if V is None else V
         self.row_order = row_order
 
     @property
@@ -197,80 +170,72 @@ class StaircaseScheme(LinearSecretSharingScheme):
         )
 
 
-class FlatData:
-    """Replicated data seen by the generic adapter.
+class SSPIRAdapter:
+    """PIR on top of any linear secret sharing scheme, over `protocol.Database`.
 
-    m files of `parts` parts each, every part an s-symbol slab; part c of
-    file i sits in slab (c-1)*m + i - 1, matching the selector layout.
+    The query for file i shares that file's alpha' part selectors, the slab
+    unit vectors of `staircase.expand_unit`, `scheme.secret_width` at a
+    time: alpha groups of k-t for the ramp scheme, one group for the
+    staircase codec. Either way each server gets alpha sub-queries of
+    query_length coefficients, answered by `Database.project`.
     """
 
-    def __init__(self, q: int, m: int, parts: int, s: int, x: Sequence[int]):
-        if len(x) != parts * m * s:
-            raise ValueError(f"x must have {parts * m * s} symbols")
-        self.q = q
-        self.m = m
-        self.parts = parts
-        self.s = s
-        self.x = [v % q for v in x]
+    def __init__(self, scheme: LinearSecretSharingScheme, db: Database):
+        if db.params != scheme.params:
+            raise ValueError("database and scheme have different parameters")
+        self.scheme = scheme
+        self.db = db
+        self.groups = db.params.alpha_prime // scheme.secret_width
 
-    @classmethod
-    def from_files(cls, q, m, parts, s, files):
-        x = [0] * (parts * m * s)
-        for i, content in enumerate(files, start=1):
-            for c in range(parts):
-                base = (c * m + i - 1) * s
-                for off in range(s):
-                    x[base + off] = content[c * s + off] % q
-        return cls(q, m, parts, s, x)
-
-    def selector(self, part: int, i: int) -> List[int]:
-        vec = [0] * len(self.x)
-        base = ((part - 1) * self.m + i - 1) * self.s
-        for off in range(self.s):
-            vec[base + off] = 1
-        return vec
-
-    def file_content(self, i: int) -> List[int]:
-        out = []
-        for c in range(self.parts):
-            base = (c * self.m + i - 1) * self.s
-            out.extend(self.x[base : base + self.s])
+    def queries(self, i: int, seed=None) -> List[List[List[int]]]:
+        """Per server, its alpha sub-queries, group after group."""
+        params = self.db.params
+        selectors = [
+            staircase.expand_unit(params, c, i) for c in range(1, params.alpha_prime + 1)
+        ]
+        # groups * scheme.randomness_count == params.randomness_count: one
+        # draw feeds every group, each taking its own slice.
+        randomness = staircase.generate_randomness(params, seed)
+        w, r = self.scheme.secret_width, self.scheme.randomness_count
+        out: List[List[List[int]]] = [[] for _ in range(params.n)]
+        for g in range(self.groups):
+            shares = self.scheme.share(
+                selectors[g * w : (g + 1) * w], randomness[g * r : (g + 1) * r]
+            )
+            for subs, share in zip(out, shares):
+                subs.extend(share)
         return out
 
-    def project(self, qvec: Sequence[int]) -> Tuple[int, ...]:
-        out = [0] * self.s
-        for slab in range(self.parts * self.m):
-            base = slab * self.s
-            for off in range(self.s):
-                coef = qvec[base + off]
-                if coef:
-                    out[off] = (out[off] + coef * self.x[base + off]) % self.q
-        return tuple(out)
-
-
-class SSPIRAdapter:
-    """PIR on top of any linear secret sharing scheme.
-
-    The file is split into `scheme.secret_width` parts and the query to
-    server l is share l of the secret formed by that file's selectors.
-    """
-
-    def __init__(self, scheme: LinearSecretSharingScheme, data: FlatData):
-        if data.parts != scheme.secret_width:
-            raise ValueError(
-                f"data has {data.parts} parts per file, scheme secret width is "
-                f"{scheme.secret_width}"
-            )
-        self.scheme = scheme
-        self.data = data
-
-    def queries(self, i: int, seed=None):
-        if not 1 <= i <= self.data.m:
-            raise FileIndexOutOfRange(f"file index {i} outside [1, {self.data.m}]")
-        secret = [
-            self.data.selector(c, i) for c in range(1, self.scheme.secret_width + 1)
+    def answers(self, i: int, responders: Sequence[int], per_group: int, seed=None):
+        """Per group, each responder's projections on the first `per_group`
+        sub-queries of that group."""
+        shares = self.queries(i, seed)
+        sc = self.scheme.subshare_count
+        return [
+            {
+                sid: [
+                    self.db.project(v)
+                    for v in shares[sid - 1][g * sc : g * sc + per_group]
+                ]
+                for sid in responders
+            }
+            for g in range(self.groups)
         ]
-        return self.scheme.share_with_seed(secret, seed)
+
+    def downloaded(self, responders: int, per_group: int) -> int:
+        return responders * self.groups * per_group * self.db.params.s
+
+
+def _joined(parts_per_group) -> List[int]:
+    return [sym for parts in parts_per_group for part in parts for sym in part]
+
+
+def _full_share_retrieve(adapter: SSPIRAdapter, i: int, responders, seed):
+    """Download every responder's full share and reconstruct the file."""
+    sc = adapter.scheme.subshare_count
+    answers = adapter.answers(i, responders, sc, seed)
+    file_symbols = _joined(adapter.scheme.reconstruct(a) for a in answers)
+    return file_symbols, adapter.downloaded(len(responders), sc)
 
 
 def sspir_retrieve(adapter: SSPIRAdapter, i: int, responders: Sequence[int], seed=None):
@@ -281,15 +246,7 @@ def sspir_retrieve(adapter: SSPIRAdapter, i: int, responders: Sequence[int], see
     k = adapter.scheme.params.k
     if len(responders) < k:
         raise InsufficientResponders(f"{len(responders)} responders < k={k}")
-    used = sorted(responders)[:k]
-    shares = adapter.queries(i, seed)
-    responses = {
-        sid: [adapter.data.project(sub) for sub in shares[sid - 1]] for sid in used
-    }
-    parts = adapter.scheme.reconstruct(responses)
-    file_symbols = [sym for part in parts for sym in part]
-    downloaded = k * adapter.scheme.subshare_count * adapter.data.s
-    return file_symbols, downloaded
+    return _full_share_retrieve(adapter, i, sorted(responders)[:k], seed)
 
 
 def nonuniversality_demo(adapter: SSPIRAdapter, i: int, mu: int, seed=None) -> Fraction:
@@ -302,19 +259,9 @@ def nonuniversality_demo(adapter: SSPIRAdapter, i: int, mu: int, seed=None) -> F
     params = adapter.scheme.params
     if not params.k <= mu <= params.n:
         raise OutOfRange(f"mu={mu} outside [{params.k}, {params.n}]")
-    responders = list(range(1, mu + 1))
-    shares = adapter.queries(i, seed)
-    responses = {
-        sid: [adapter.data.project(sub) for sub in shares[sid - 1]]
-        for sid in responders
-    }
-    parts = adapter.scheme.reconstruct(
-        {sid: responses[sid] for sid in responders[: params.k]}
-    )
-    expected = adapter.data.file_content(i)
-    got = [sym for part in parts for sym in part]
+    got, downloaded = _full_share_retrieve(adapter, i, range(1, mu + 1), seed)
+    expected = adapter.db.file_content(i)
     assert got == expected, "ramp decode failed"
-    downloaded = mu * adapter.scheme.subshare_count * adapter.data.s
     return Fraction(len(expected), downloaded)
 
 
@@ -333,12 +280,7 @@ def sspir_universal_retrieve(
         raise InsufficientResponders(f"{len(responders)} responders < k={k}")
     d = len(responders)
     prefix = scheme.prefix_len(d)
-    shares = adapter.queries(i, seed)
-    prefixes = {
-        sid: [adapter.data.project(sub) for sub in shares[sid - 1][:prefix]]
-        for sid in responders
-    }
-    parts = scheme.efficient_reconstruct(prefixes)
-    file_symbols = [sym for part in parts for sym in part]
-    downloaded = d * prefix * adapter.data.s
+    answers = adapter.answers(i, responders, prefix, seed)
+    file_symbols = _joined(scheme.efficient_reconstruct(a) for a in answers)
+    downloaded = adapter.downloaded(d, prefix)
     return file_symbols, downloaded, Fraction(len(file_symbols), downloaded)

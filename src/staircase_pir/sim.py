@@ -94,7 +94,6 @@ class SimMetrics:
     rate: Optional[Fraction]
     capacity: Optional[Fraction]
     success: bool
-    decode_ok: bool = False
 
 
 def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMetrics]:
@@ -140,16 +139,14 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
             for sid in responders
         }
         decoded = protocol.decode_file(params, V, plan, responses)
-        ok = decoded == db.file_content(config.file_index)
         results.append(
             SimMetrics(
                 realized_mu=mu,
                 wait_us=wait,
                 symbols=plan.total_symbols,
-                rate=protocol.rate_achieved(plan),
+                rate=plan.rate,
                 capacity=protocol.capacity_asymptotic(params.t, mu),
-                success=ok,
-                decode_ok=ok,
+                success=decoded == db.file_content(config.file_index),
             )
         )
     return results

@@ -169,7 +169,6 @@ class MessageGrid:
         payload: Sequence[Sequence[int]],
         randomness: Sequence[Sequence[int]],
         row_order: str = DEFAULT_ROW_ORDER,
-        file_index: Optional[int] = None,
     ):
         if len(payload) != params.alpha_prime:
             raise ValueError(
@@ -187,13 +186,9 @@ class MessageGrid:
         self.payload = [list(v) for v in payload]
         self.randomness = [list(v) for v in randomness]
         self.width = widths.pop()
-        self.file_index = file_index
 
     def symbolic(self, row: int, col: int) -> tuple:
         return self.layout.symbolic((row, col))
-
-    def concrete(self, row: int, col: int) -> List[int]:
-        return self.expand(self.symbolic(row, col))
 
     def expand(self, coeffs: Sequence[int]) -> List[int]:
         """Turn a coefficient vector into a concrete vector over GF(q)."""
@@ -223,7 +218,7 @@ def build_message_grid(
     payload = [
         expand_unit(params, c, file_index) for c in range(1, params.alpha_prime + 1)
     ]
-    return MessageGrid(params, payload, randomness, row_order, file_index=file_index)
+    return MessageGrid(params, payload, randomness, row_order)
 
 
 class ShareSet:
@@ -232,7 +227,6 @@ class ShareSet:
     def __init__(self, params: SchemeParams, V: Matrix, grid: MessageGrid):
         self.params = params
         self.V = V
-        self.row_order = grid.layout.row_order
         q = params.q
         basis = params.alpha_prime + params.randomness_count
         sym_cells = [
@@ -277,11 +271,6 @@ def encode_shares(
     if not validate_encoding_matrix(V, params):
         raise BadEncodingMatrix("encoding matrix fails prefix invertibility")
     return ShareSet(params, V, grid)
-
-
-def prefix_columns(params: SchemeParams, mu: int) -> range:
-    """Global column indices to download when mu servers respond."""
-    return range(params.prefix_cols(mu))
 
 
 def peel_decode(

@@ -209,7 +209,7 @@ def verify_rates(params: SchemeParams) -> List[tuple]:
     rows = []
     for mu in range(params.k, params.n + 1):
         plan = protocol.plan_download(params, list(range(1, mu + 1)))
-        rate = protocol.rate_achieved(plan)
+        rate = plan.rate
         cap = protocol.capacity_asymptotic(params.t, mu)
         rows.append((mu, plan.total_symbols, rate, cap, rate == cap))
     return rows

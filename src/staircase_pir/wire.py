@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import MalformedFrame
+from .errors import HandshakeMismatch, MalformedFrame
 from .field import ints_from_bytes, ints_to_bytes
 from .params import SchemeParams
 
@@ -38,11 +38,12 @@ MSG_ERROR = 4
 
 ERR_HANDSHAKE = 1
 ERR_BAD_SESSION = 2
-ERR_COLUMN = 3
 ERR_MALFORMED = 4
 
-_U64 = struct.Struct("<Q")
 _HEADER = struct.Struct("<4sBBQ")
+# Payloads are read at most this many bytes at a time, so a header that
+# announces a huge length costs memory only as its bytes arrive.
+_READ_CHUNK = 1 << 16
 
 
 def pack_frame(msg_type: int, payload: bytes) -> bytes:
@@ -83,7 +84,7 @@ def _read_exact(readable, n: int) -> bytes:
     chunks = []
     remaining = n
     while remaining:
-        chunk = readable.read(remaining)
+        chunk = readable.read(min(remaining, _READ_CHUNK))
         if not chunk:
             raise MalformedFrame("connection closed mid-frame")
         chunks.append(chunk)
@@ -122,17 +123,27 @@ def encode_query(
     return pack_frame(MSG_QUERY, b"".join(body))
 
 
-def decode_query(payload: bytes):
-    (n, k, t, m, q, s), off = _unpack_u64s(payload, 6)
+def decode_query(
+    payload: bytes, params: SchemeParams, fingerprint: bytes
+) -> Tuple[int, List[List[int]]]:
+    """Decode a QUERY for a server holding `params` and the matrix with
+    `fingerprint`; returns (server id, sub-queries).
+
+    The untrusted header fields, fingerprint and alpha are compared with
+    the server's own before anything is derived from them, and any
+    difference raises HandshakeMismatch.
+    """
+    header, off = _unpack_u64s(payload, 6)
+    if header != (params.n, params.k, params.t, params.m, params.q, params.s):
+        raise HandshakeMismatch(f"scheme parameters mismatch: {header}")
     if off + 32 > len(payload):
         raise MalformedFrame("missing fingerprint")
-    fingerprint = payload[off : off + 32]
-    off += 32
-    (server_id, alpha), off = _unpack_u64s(payload, 2, off)
-    params = SchemeParams(n=n, k=k, t=t, m=m, q=q, s=s)
+    if payload[off : off + 32] != fingerprint:
+        raise HandshakeMismatch("encoding matrix mismatch")
+    (server_id, alpha), off = _unpack_u64s(payload, 2, off + 32)
     if alpha != params.alpha:
-        raise MalformedFrame(f"alpha mismatch: {alpha} vs {params.alpha}")
-    per = params.query_length
+        raise HandshakeMismatch(f"alpha mismatch: {alpha} vs {params.alpha}")
+    q, per = params.q, params.query_length
     width = symbol_bytes(q)
     subqueries = []
     for _ in range(alpha):
@@ -142,7 +153,7 @@ def decode_query(payload: bytes):
         subqueries.append(list(vals))
     if off != len(payload):
         raise MalformedFrame("trailing bytes in QUERY")
-    return params, fingerprint, server_id, subqueries
+    return server_id, subqueries
 
 
 def encode_fetch(session_id: int, columns: Sequence[int]) -> bytes:

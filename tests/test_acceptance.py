@@ -19,7 +19,6 @@ from staircase_pir.protocol import (
     default_encoding_matrix,
     make_queries,
     plan_download,
-    rate_achieved,
     server_respond,
 )
 from staircase_pir.staircase import RANDOMNESS_FIRST
@@ -108,7 +107,7 @@ def test_criterion_2_four_server_golden():
     for mu, symbols, rate in [(2, 12, Fraction(1, 2)), (3, 9, Fraction(2, 3)),
                               (4, 8, Fraction(3, 4))]:
         plan = plan_download(params, list(range(1, mu + 1)))
-        ok &= plan.total_symbols == symbols and rate_achieved(plan) == rate
+        ok &= plan.total_symbols == symbols and plan.rate == rate
         responses = {
             sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in range(1, mu + 1)
@@ -135,7 +134,7 @@ def test_criterion_3_universality():
             queries = make_queries(params, V, 1, seed=rng.random())
             for mu, subset in subsets:
                 plan = plan_download(params, subset)
-                ok &= rate_achieved(plan) == Fraction(mu - t, mu)
+                ok &= plan.rate == Fraction(mu - t, mu)
                 responses = {
                     sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
                     for sid in subset
@@ -193,7 +192,6 @@ def test_criterion_6_capacity():
 
 def test_criterion_7_nonuniversality_contrast():
     from staircase_pir.secret_sharing import (
-        FlatData,
         RampScheme,
         SSPIRAdapter,
         nonuniversality_demo,
@@ -203,14 +201,13 @@ def test_criterion_7_nonuniversality_contrast():
     scheme = RampScheme(params)
     rng = random.Random(7)
     files = [
-        [rng.randrange(params.q) for _ in range(scheme.secret_width)]
+        [rng.randrange(params.q) for _ in range(params.file_symbols)]
         for _ in range(2)
     ]
-    data = FlatData.from_files(params.q, 2, scheme.secret_width, 1, files)
-    adapter = SSPIRAdapter(scheme, data)
+    adapter = SSPIRAdapter(scheme, Database.from_files(params, files))
     ramp_at_2 = nonuniversality_demo(adapter, 1, 2)
     ramp_at_4 = nonuniversality_demo(adapter, 1, 4)
-    stair_at_4 = rate_achieved(plan_download(params, [1, 2, 3, 4]))
+    stair_at_4 = plan_download(params, [1, 2, 3, 4]).rate
     ok = (
         ramp_at_2 == Fraction(1, 2)
         and ramp_at_4 == Fraction(1, 4)

@@ -1,6 +1,9 @@
+import gc
 import random
 import socket
 import struct
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,12 @@ from staircase_pir.errors import HandshakeMismatch, InsufficientResponders
 from staircase_pir import wire
 from staircase_pir.net import retrieve, serve
 from staircase_pir.params import SchemeParams
-from staircase_pir.protocol import Database, default_encoding_matrix
+from staircase_pir.protocol import (
+    Database,
+    default_encoding_matrix,
+    make_queries,
+    matrix_fingerprint,
+)
 
 
 def start_cluster(params, V, files, count=None):
@@ -86,6 +94,59 @@ def test_handshake_rejects_mismatched_params(cluster321):
     W = default_encoding_matrix(other)
     with pytest.raises(HandshakeMismatch):
         retrieve(endpoints, other, W, 1, deadline_s=0.5, seed=0)
+
+
+def test_refused_handshakes_close_their_sockets(cluster321):
+    params, _, _, _, endpoints = cluster321
+    other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
+    W = default_encoding_matrix(other)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(HandshakeMismatch):
+            retrieve(endpoints, other, W, 1, deadline_s=0.5, seed=0)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def exchange(sock, frame):
+    """Send one frame and read the one reply (the server sends nothing else)."""
+    sock.sendall(frame)
+    with sock.makefile("rb") as reader:
+        return wire.read_frame(reader)
+
+
+@pytest.mark.parametrize("field,value", [(0, 65536), (3, 0)])
+def test_server_answers_hostile_query_header(cluster321, field, value):
+    params, V, _, _, endpoints = cluster321
+    header = [params.n, params.k, params.t, params.m, params.q, params.s]
+    header[field] = value
+    payload = (
+        struct.pack("<6Q", *header)
+        + matrix_fingerprint(params, V)
+        + struct.pack("<2Q", 1, params.alpha)
+    )
+    with socket.create_connection(endpoints[0], timeout=2) as sock:
+        start = time.monotonic()
+        msg_type, reply = exchange(sock, wire.pack_frame(wire.MSG_QUERY, payload))
+        assert time.monotonic() - start < 1
+    assert msg_type == wire.MSG_ERROR
+    assert wire.decode_error(reply)[0] == wire.ERR_HANDSHAKE
+
+
+def test_new_query_replaces_the_session(cluster321):
+    params, V, _, _, endpoints = cluster321
+    fp = matrix_fingerprint(params, V)
+    subqueries = make_queries(params, V, 1, seed=0)[0].subqueries
+    query = wire.encode_query(params, fp, 1, subqueries)
+    with socket.create_connection(endpoints[0], timeout=2) as sock:
+        first, _ = wire.decode_response(exchange(sock, query)[1], 0, params.q)
+        second, _ = wire.decode_response(exchange(sock, query)[1], 0, params.q)
+        msg_type, reply = exchange(sock, wire.encode_fetch(first, [0]))
+        assert msg_type == wire.MSG_ERROR
+        assert wire.decode_error(reply)[0] == wire.ERR_BAD_SESSION
+        msg_type, reply = exchange(sock, wire.encode_fetch(second, [0]))
+        assert msg_type == wire.MSG_RESPONSE
+        assert wire.decode_response(reply, params.s, params.q)[0] == second
 
 
 def test_endpoint_count_checked(cluster321):

@@ -22,7 +22,6 @@ from staircase_pir.protocol import (
     decode_file,
     make_queries,
     plan_download,
-    rate_achieved,
     server_respond,
 )
 
@@ -180,7 +179,7 @@ class TestDownloadPlan:
             plan = plan_download(params, list(range(1, mu + 1)))
             assert plan.total_symbols == symbols
             assert plan.rate == rate
-            assert rate_achieved(plan) == rate
+            assert plan.rate == rate
 
     def test_requires_k_responders(self):
         params, _, _ = example2()
@@ -232,4 +231,4 @@ def test_universality_rate_equals_capacity():
         params = SchemeParams(n=n, k=k, t=t, m=1, q=257)
         for mu in range(k, n + 1):
             plan = plan_download(params, list(range(1, mu + 1)))
-            assert rate_achieved(plan) == capacity_asymptotic(t, mu)
+            assert plan.rate == capacity_asymptotic(t, mu)

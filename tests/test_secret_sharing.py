@@ -17,7 +17,6 @@ from staircase_pir.protocol import (
     server_respond,
 )
 from staircase_pir.secret_sharing import (
-    FlatData,
     RampScheme,
     SSPIRAdapter,
     StaircaseScheme,
@@ -121,11 +120,8 @@ def ramp_adapter(n=3, k=2, t=1, q=5, m=2, s=1, seed=0):
     params = SchemeParams(n=n, k=k, t=t, m=m, q=q, s=s)
     scheme = RampScheme(params)
     rng = random.Random(seed)
-    files = [
-        [rng.randrange(q) for _ in range(scheme.secret_width * s)] for _ in range(m)
-    ]
-    data = FlatData.from_files(q, m, scheme.secret_width, s, files)
-    return SSPIRAdapter(scheme, data), files
+    files = [[rng.randrange(q) for _ in range(params.file_symbols)] for _ in range(m)]
+    return SSPIRAdapter(scheme, Database.from_files(params, files)), files
 
 
 class TestSSPIR:
@@ -156,8 +152,7 @@ class TestSSPIR:
             [rng.randrange(params.q) for _ in range(params.file_symbols)]
             for _ in range(2)
         ]
-        data = FlatData.from_files(params.q, 2, params.alpha_prime, params.s, files)
-        adapter = SSPIRAdapter(scheme, data)
+        adapter = SSPIRAdapter(scheme, Database.from_files(params, files))
         for mu, rate in [(2, Fraction(1, 2)), (3, Fraction(2, 3)), (4, Fraction(3, 4))]:
             got, downloaded, achieved = sspir_universal_retrieve(
                 adapter, 2, list(range(1, mu + 1)), seed=8
@@ -176,9 +171,8 @@ class TestSSPIR:
             [rng.randrange(params.q) for _ in range(params.file_symbols)]
             for _ in range(2)
         ]
-        data = FlatData.from_files(params.q, 2, params.alpha_prime, params.s, files)
-        adapter = SSPIRAdapter(StaircaseScheme(params, V), data)
         db = Database.from_files(params, files)
+        adapter = SSPIRAdapter(StaircaseScheme(params, V), db)
         for mu in (2, 3, 4):
             responders = list(range(1, mu + 1))
             via_adapter, _, _ = sspir_universal_retrieve(adapter, 1, responders, seed=6)
@@ -196,8 +190,7 @@ class TestSSPIR:
         scheme = StaircaseScheme(params)
         rng = random.Random(6)
         files = [[rng.randrange(params.q) for _ in range(params.file_symbols)]]
-        data = FlatData.from_files(params.q, 1, params.alpha_prime, 1, files)
-        adapter = SSPIRAdapter(scheme, data)
+        adapter = SSPIRAdapter(scheme, Database.from_files(params, files))
         got, downloaded, rate = sspir_universal_retrieve(adapter, 1, [1, 2], seed=0)
         assert got == files[0]
         assert rate == Fraction(params.k - params.t, params.k)

@@ -21,7 +21,6 @@ from staircase_pir.staircase import (
     generate_randomness,
     grid_layout,
     peel_decode,
-    prefix_columns,
     ss_reconstruct,
     ss_share,
     validate_encoding_matrix,
@@ -140,11 +139,11 @@ def test_validate_encoding_matrix_cases():
     assert not validate_encoding_matrix(dup, params1)
 
 
-def test_prefix_columns():
+def test_prefix_cols_example2():
     params, _, _ = example2()
-    assert len(prefix_columns(params, 3)) == 3
-    assert len(prefix_columns(params, 4)) == 2
-    assert len(prefix_columns(params, 2)) == params.alpha
+    assert params.prefix_cols(3) == 3
+    assert params.prefix_cols(4) == 2
+    assert params.prefix_cols(2) == params.alpha
 
 
 def test_build_grid_file_index_bounds():

@@ -2,9 +2,11 @@ import io
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircase_pir import wire
-from staircase_pir.errors import MalformedFrame
+from staircase_pir.errors import HandshakeMismatch, MalformedFrame, StaircasePIRError
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import default_encoding_matrix, make_queries, matrix_fingerprint
 
@@ -76,9 +78,7 @@ def test_query_roundtrip():
     frame = wire.encode_query(params, fp, 3, query.subqueries)
     msg_type, payload = roundtrip(frame)
     assert msg_type == wire.MSG_QUERY
-    got_params, got_fp, server_id, subqueries = wire.decode_query(payload)
-    assert got_params == params
-    assert got_fp == fp
+    server_id, subqueries = wire.decode_query(payload, params, fp)
     assert server_id == 3
     assert subqueries == query.subqueries
 
@@ -92,7 +92,7 @@ def test_query_rejects_out_of_field_symbols():
     bad[0][0] = 5  # == q
     frame = wire.encode_query(params, fp, 1, bad)
     with pytest.raises(MalformedFrame):
-        wire.decode_query(roundtrip(frame)[1])
+        wire.decode_query(roundtrip(frame)[1], params, fp)
 
 
 def test_query_rejects_trailing_bytes():
@@ -102,7 +102,7 @@ def test_query_rejects_trailing_bytes():
     query = make_queries(params, V, 1, seed=0)[0]
     frame = wire.encode_query(params, fp, 1, query.subqueries)
     with pytest.raises(MalformedFrame):
-        wire.decode_query(roundtrip(frame)[1] + b"\x00")
+        wire.decode_query(roundtrip(frame)[1] + b"\x00", params, fp)
 
 
 def test_query_symbols_are_compact():
@@ -123,7 +123,87 @@ def test_query_rejects_truncation():
     payload = roundtrip(wire.encode_query(params, fp, 1, query.subqueries))[1]
     for cut in (1, 2, 3, len(payload) - 100):
         with pytest.raises(MalformedFrame):
-            wire.decode_query(payload[:-cut])
+            wire.decode_query(payload[:-cut], params, fp)
+
+
+def query_payload(header, fingerprint, alpha, body=b""):
+    return struct.pack("<6Q", *header) + fingerprint + struct.pack("<2Q", 1, alpha) + body
+
+
+@pytest.mark.parametrize(
+    "field,value", [(0, 65536), (3, 0), (4, 100000000000031), (5, 2**64 - 1)]
+)
+def test_query_header_checked_before_use(field, value):
+    # Hostile headers (an alpha with thousands of digits, m=0, a large
+    # prime) are refused by comparison, without deriving anything from them.
+    params = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=4)
+    fp = matrix_fingerprint(params, default_encoding_matrix(params))
+    header = [params.n, params.k, params.t, params.m, params.q, params.s]
+    header[field] = value
+    with pytest.raises(HandshakeMismatch):
+        wire.decode_query(query_payload(header, fp, params.alpha), params, fp)
+
+
+def test_query_fingerprint_and_alpha_checked_before_symbols():
+    params = SchemeParams(n=3, k=2, t=1, m=2, q=257)
+    fp = matrix_fingerprint(params, default_encoding_matrix(params))
+    header = [params.n, params.k, params.t, params.m, params.q, params.s]
+    with pytest.raises(HandshakeMismatch):
+        wire.decode_query(query_payload(header, bytes(32), params.alpha), params, fp)
+    with pytest.raises(HandshakeMismatch):
+        wire.decode_query(query_payload(header, fp, 2**63), params, fp)
+    with pytest.raises(MalformedFrame):
+        wire.decode_query(query_payload(header, fp[:31], 0)[:-16], params, fp)
+
+
+FUZZ_PARAMS = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=2)
+FUZZ_FP = matrix_fingerprint(FUZZ_PARAMS, default_encoding_matrix(FUZZ_PARAMS))
+FUZZ_HEADER = (3, 2, 1, 2, 257, 2)
+U64 = st.integers(0, 2**64 - 1)
+
+
+def decodes_or_refuses(decode, *args):
+    try:
+        decode(*args)
+    except StaircasePIRError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200), st.sampled_from([None, 0, 64]))
+def test_fuzz_read_frame(data, cap):
+    decodes_or_refuses(wire.read_frame, io.BytesIO(data), cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(U64, st.binary(max_size=120))
+def test_fuzz_read_frame_lengths(length, tail):
+    # A frame header announcing any length, followed by fewer bytes.
+    frame = struct.pack("<4sBBQ", wire.MAGIC, wire.VERSION, wire.MSG_QUERY, length)
+    decodes_or_refuses(wire.read_frame, io.BytesIO(frame + tail))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300))
+def test_fuzz_decoders_on_arbitrary_bytes(payload):
+    decodes_or_refuses(wire.decode_query, payload, FUZZ_PARAMS, FUZZ_FP)
+    decodes_or_refuses(wire.decode_fetch, payload)
+    decodes_or_refuses(wire.decode_response, payload, FUZZ_PARAMS.s, FUZZ_PARAMS.q)
+    decodes_or_refuses(wire.decode_response, payload, 0, FUZZ_PARAMS.q)
+    decodes_or_refuses(wire.decode_error, payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.just(FUZZ_HEADER) | st.tuples(*[st.just(v) | U64 for v in FUZZ_HEADER]),
+    st.sampled_from([FUZZ_FP, bytes(32)]),
+    st.just(FUZZ_PARAMS.alpha) | U64,
+    st.binary(max_size=80),
+)
+def test_fuzz_query_headers(header, fingerprint, alpha, body):
+    # The six header u64s, each the server's value or any other.
+    payload = query_payload(header, fingerprint, alpha, body)
+    decodes_or_refuses(wire.decode_query, payload, FUZZ_PARAMS, FUZZ_FP)
 
 
 def test_fetch_roundtrip():
