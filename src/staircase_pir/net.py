@@ -2,7 +2,8 @@
 
 Each server holds the replicated database and answers QUERY/FETCH
 frames; the client queries all n servers, waits for responders according
-to its strategy, then fetches only the prefix columns the plan needs.
+to its strategy, then fetches from all of them at once only the prefix
+columns the plan needs, planning again if a responder drops.
 """
 
 from __future__ import annotations
@@ -12,11 +13,16 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import protocol, wire
-from .errors import HandshakeMismatch, InsufficientResponders, StaircasePIRError
+from .errors import (
+    HandshakeMismatch,
+    InsufficientResponders,
+    MalformedFrame,
+    StaircasePIRError,
+)
 from .field import Matrix
 from .params import SchemeParams
 
@@ -55,6 +61,9 @@ class _Handler(socketserver.BaseRequestHandler):
             session_id, columns = wire.decode_fetch(payload)
             if self.session is None or self.session[0] != session_id:
                 return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
+            # Each column costs a projection: refuse repeats before any.
+            if len(set(columns)) != len(columns) or len(columns) > srv.params.alpha:
+                raise MalformedFrame("FETCH columns repeat or exceed alpha")
             slabs = protocol.server_respond(srv.database, self.session[1], columns)
             return wire.encode_response(
                 session_id, [slabs[c] for c in columns], srv.params.q
@@ -91,10 +100,23 @@ def serve(
 
 @dataclass
 class RetrievalMetrics:
+    """What one retrieval did.
+
+    realized_mu, symbols and rate describe the download plan the file was
+    decoded with; wait_s is when the last server chosen as a responder
+    completed its handshake. outcomes maps every server id to "ok"
+    (decoded from), "refused" (connection refused), "handshake-mismatch",
+    "error" (any other connect or handshake failure), "late" (not settled
+    by the deadline, or, under "wait_for", beaten by the first responders)
+    or "dropped-mid-fetch" (a FETCH failed and the client re-planned
+    without it).
+    """
+
     realized_mu: int
     wait_s: float
     symbols: int
     rate: object
+    outcomes: Dict[int, str] = field(default_factory=dict)
 
 
 class _ServerConn:
@@ -104,7 +126,6 @@ class _ServerConn:
         self.sock = socket.create_connection(endpoint, timeout=timeout)
         self.reader = self.sock.makefile("rb")
         self.session_id: Optional[int] = None
-        self.error: Optional[str] = None
 
     def handshake(self, params, fingerprint, server_id, subqueries):
         self.sock.sendall(wire.encode_query(params, fingerprint, server_id, subqueries))
@@ -123,6 +144,8 @@ class _ServerConn:
         if msg_type == wire.MSG_ERROR:
             raise StaircasePIRError(wire.decode_error(payload)[1])
         _, slabs = wire.decode_response(payload, params.s, params.q)
+        if len(slabs) != len(columns):
+            raise MalformedFrame(f"{len(slabs)} columns for a FETCH of {len(columns)}")
         return slabs
 
     def close(self):
@@ -131,6 +154,146 @@ class _ServerConn:
             self.sock.close()
         except OSError:
             pass
+
+
+class _Retrieval:
+    """The state one retrieval's per-server workers share, guarded by `cond`.
+
+    A worker connects and sends its query, then settles its server: a
+    completed handshake goes into `conns`, a failure into `failures`, and
+    either notifies `cond`. If its server is chosen as a responder, the
+    worker goes on to fetch the columns between those it holds in
+    `columns` and `want`, each time `want` grows; a failed FETCH removes
+    the server from `columns`. Every worker returns once `finished` is set.
+    """
+
+    def __init__(self, params: SchemeParams, fingerprint: bytes, connect_timeout: float):
+        self.params = params
+        self.fingerprint = fingerprint
+        self.connect_timeout = connect_timeout
+        self.cond = threading.Condition()
+        self.start = time.monotonic()
+        self.conns: Dict[int, _ServerConn] = {}
+        self.arrived: Dict[int, float] = {}  # seconds from start to handshake
+        self.failures: Dict[int, str] = {}
+        self.mismatch: Optional[HandshakeMismatch] = None
+        self.columns: Dict[int, List[tuple]] = {}  # responder -> slabs held
+        self.want = 0  # prefix columns every responder should hold
+        self.outcomes: Dict[int, str] = {}  # filled in once responders are chosen
+        self.finished = False
+
+    def worker(self, sid: int, endpoint, subqueries) -> None:
+        conn = self._handshake(sid, endpoint, subqueries)
+        if conn is not None:
+            self._fetch_loop(sid, conn)
+
+    def _handshake(self, sid, endpoint, subqueries) -> Optional[_ServerConn]:
+        try:
+            conn = _ServerConn(endpoint, self.connect_timeout)
+        except ConnectionRefusedError:
+            return self._fail(sid, "refused")
+        except OSError:
+            return self._fail(sid, "error")
+        try:
+            conn.handshake(self.params, self.fingerprint, sid, subqueries)
+        except HandshakeMismatch as exc:
+            conn.close()
+            return self._fail(sid, "handshake-mismatch", exc)
+        except (OSError, StaircasePIRError):
+            conn.close()
+            return self._fail(sid, "error")
+        with self.cond:
+            if self.finished:  # retrieve has returned and closed the others
+                conn.close()
+                return None
+            self.conns[sid] = conn
+            self.arrived[sid] = time.monotonic() - self.start
+            self.cond.notify_all()
+        return conn
+
+    def _fail(self, sid, outcome, mismatch=None) -> None:
+        with self.cond:
+            self.failures[sid] = outcome
+            if self.mismatch is None:
+                self.mismatch = mismatch
+            self.cond.notify_all()
+
+    def _fetch_loop(self, sid: int, conn: _ServerConn) -> None:
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self.finished or (
+                    sid in self.columns and len(self.columns[sid]) < self.want))
+                if self.finished:
+                    return
+                wanted = range(len(self.columns[sid]), self.want)
+            slabs = None
+            try:
+                slabs = conn.fetch(wanted, self.params)
+            except (OSError, StaircasePIRError):
+                pass
+            finally:
+                # Also on an unexpected error, so `fetch` never waits for it.
+                with self.cond:
+                    if slabs is None:
+                        self.columns.pop(sid, None)
+                    else:
+                        self.columns[sid].extend(slabs)
+                    self.cond.notify_all()
+            if slabs is None:
+                return
+
+    def choose_responders(self, target: int, deadline_s: float) -> List[int]:
+        """Wait until every server has settled, `target` of them have
+        completed the handshake, or the deadline has passed; the earliest
+        `target` of those that completed it are the responders."""
+        n = self.params.n
+        with self.cond:
+            self.cond.wait_for(
+                lambda: len(self.conns) >= target
+                or len(self.conns) + len(self.failures) == n,
+                timeout=self.start + deadline_s - time.monotonic(),
+            )
+            if self.mismatch is not None:
+                raise self.mismatch
+            responders = sorted(sorted(self.arrived, key=self.arrived.get)[:target])
+            if len(responders) < self.params.k:
+                raise InsufficientResponders(
+                    f"only {len(responders)} servers responded, need {self.params.k}"
+                )
+            self.columns = {sid: [] for sid in responders}
+            self.outcomes = {
+                sid: self.failures.get(sid, "late") for sid in range(1, n + 1)
+            }
+            return responders
+
+    def fetch(self, responders: List[int]):
+        """(plan, responses) once every responder still up holds its plan's
+        prefix; a responder that drops is left out and the plan redone."""
+        with self.cond:
+            while True:
+                if len(self.columns) < self.params.k:
+                    raise InsufficientResponders(
+                        f"{len(self.columns)} responders left after drops mid-fetch,"
+                        f" need {self.params.k}"
+                    )
+                # Prefixes nest, so the survivors only fetch the extra columns.
+                plan = protocol.plan_download(self.params, list(self.columns))
+                self.want = plan.prefix_cols
+                self.cond.notify_all()
+                self.cond.wait_for(lambda: len(self.columns) < plan.mu or all(
+                    len(held) >= plan.prefix_cols for held in self.columns.values()))
+                if len(self.columns) == plan.mu:
+                    break
+            for sid in responders:
+                self.outcomes[sid] = "ok" if sid in self.columns else "dropped-mid-fetch"
+            return plan, {sid: dict(enumerate(held)) for sid, held in self.columns.items()}
+
+    def finish(self) -> None:
+        with self.cond:
+            self.finished = True
+            for conn in self.conns.values():
+                conn.close()
+            self.cond.notify_all()
 
 
 def retrieve(
@@ -148,86 +311,37 @@ def retrieve(
 
     strategy "deadline": responders are the servers that completed the
     query handshake within `deadline_s` seconds. strategy "wait_for":
-    block until `wait_for` servers responded (falling back to whoever
-    responded by the deadline if fewer ever do).
+    the first `wait_for` servers to complete it (falling back to whoever
+    completed it by the deadline if fewer ever do). Either way the client
+    stops waiting as soon as every server has completed the handshake or
+    failed (connection refused or broken, handshake refused), so a down
+    server costs nothing and only a silent one costs the deadline.
+
+    Each server's thread then fetches the plan's prefix columns, all at
+    once. A responder whose FETCH fails is dropped: the client plans again
+    with the others and fetches from them only the extra columns, or
+    raises InsufficientResponders if fewer than k are left.
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")
     queries = protocol.make_queries(params, V, i, seed=seed)
-    fingerprint = protocol.matrix_fingerprint(params, V)
-
-    conns: Dict[int, _ServerConn] = {}
-    arrived: Dict[int, float] = {}
-    lock = threading.Lock()
-    finished = threading.Event()  # set once retrieve has closed `conns`
-    start = time.monotonic()
-    handshake_error: List[Exception] = []
-
-    def worker(sid: int, endpoint):
-        try:
-            conn = _ServerConn(endpoint, connect_timeout)
-        except OSError:
-            return
-        try:
-            conn.handshake(params, fingerprint, sid, queries[sid - 1].subqueries)
-        except (OSError, StaircasePIRError) as exc:
-            conn.close()
-            if isinstance(exc, HandshakeMismatch):
-                handshake_error.append(exc)
-            return
-        with lock:
-            if finished.is_set():
-                conn.close()
-                return
-            conns[sid] = conn
-            arrived[sid] = time.monotonic() - start
-
-    threads = [
-        threading.Thread(target=worker, args=(sid, ep), daemon=True)
-        for sid, ep in enumerate(endpoints, start=1)
-    ]
-    for th in threads:
-        th.start()
-
+    run = _Retrieval(params, protocol.matrix_fingerprint(params, V), connect_timeout)
+    for sid, endpoint in enumerate(endpoints, start=1):
+        threading.Thread(
+            target=run.worker, args=(sid, endpoint, queries[sid - 1].subqueries),
+            daemon=True,
+        ).start()
+    target = wait_for if strategy == "wait_for" and wait_for else params.n
     try:
-        target = wait_for if strategy == "wait_for" else params.n
-        deadline = start + deadline_s
-        while time.monotonic() < deadline:
-            with lock:
-                count = len(arrived)
-            if strategy == "wait_for" and count >= target:
-                break
-            if count == params.n:
-                break
-            time.sleep(0.005)
-        if handshake_error:
-            raise handshake_error[0]
-
-        with lock:
-            responders = sorted(arrived)
-        if strategy == "wait_for" and wait_for is not None and len(responders) > wait_for:
-            # Keep the earliest wait_for responders.
-            responders = sorted(sorted(arrived, key=arrived.get)[:wait_for])
-        if len(responders) < params.k:
-            raise InsufficientResponders(
-                f"only {len(responders)} servers responded, need {params.k}"
-            )
-
-        plan = protocol.plan_download(params, responders)
-        responses = {}
-        for sid in responders:
-            slabs = conns[sid].fetch(list(range(plan.prefix_cols)), params)
-            responses[sid] = dict(enumerate(slabs))
-        decoded = protocol.decode_file(params, V, plan, responses)
-        wait_s = max(arrived[sid] for sid in responders)
-        return decoded, RetrievalMetrics(
-            realized_mu=len(responders),
-            wait_s=wait_s,
-            symbols=plan.total_symbols,
-            rate=plan.rate,
-        )
+        responders = run.choose_responders(target, deadline_s)
+        plan, responses = run.fetch(responders)
     finally:
-        with lock:
-            finished.set()
-            for conn in conns.values():
-                conn.close()
+        run.finish()
+    decoded = protocol.decode_file(params, V, plan, responses)
+    return decoded, RetrievalMetrics(
+        realized_mu=plan.mu,
+        wait_s=max(run.arrived[sid] for sid in responders),
+        symbols=plan.total_symbols,
+        rate=plan.rate,
+        outcomes=run.outcomes,
+    )

@@ -15,6 +15,7 @@ are produced by expanding that basis. The decoder only needs the layout
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +28,7 @@ from .errors import (
     InsufficientResponders,
     OutOfRange,
 )
-from .field import Matrix, prefix_invertible
+from .field import Matrix, ints_from_bytes, prefix_invertible
 from .params import SchemeParams
 
 # Vertical order of payload vs randomness rows inside each block. The
@@ -134,17 +135,38 @@ def grid_layout(params: SchemeParams, row_order: str = DEFAULT_ROW_ORDER) -> Gri
 def generate_randomness(
     params: SchemeParams, seed, width: Optional[int] = None
 ) -> List[List[int]]:
-    """t*alpha vectors with entries uniform over GF(q); deterministic in seed.
+    """t*alpha vectors with entries uniform over GF(q).
 
+    With a seed they are deterministic (tests, the simulator). With seed
+    None they come from the OS CSPRNG: some sub-queries carry randomness
+    unmasked (server 1's in example 1), and a server that could predict
+    the generator from them would learn the other servers' masks.
     The default width is one entry per slab, the length of a sub-query.
     """
     width = params.query_length if width is None else width
-    rng = random.Random(seed)
     q = params.q
-    return [
-        [rng.randrange(q) for _ in range(width)]
-        for _ in range(params.randomness_count)
-    ]
+    count = params.randomness_count
+    if seed is None:
+        flat = _os_symbols(q, count * width)
+        return [flat[u * width : (u + 1) * width] for u in range(count)]
+    rng = random.Random(seed)
+    return [[rng.randrange(q) for _ in range(width)] for _ in range(count)]
+
+
+def _os_symbols(q: int, count: int) -> List[int]:
+    """`count` symbols uniform over GF(q), drawn from os.urandom in batches.
+
+    Each draw is a w-byte integer; draws at or above the largest multiple
+    of q below 256^w are rejected, so the rest reduce mod q without bias.
+    """
+    w = (q.bit_length() + 7) // 8
+    limit = 256**w // q * q
+    out: List[int] = []
+    while len(out) < count:
+        need = count - len(out)
+        draws = ints_from_bytes(os.urandom(need * w), w, need)
+        out.extend(v % q for v in draws if v < limit)
+    return out
 
 
 def expand_unit(params: SchemeParams, part: int, i: int) -> List[int]:
@@ -265,10 +287,16 @@ def validate_encoding_matrix(V: Matrix, params: SchemeParams) -> bool:
     return prefix_invertible(V, sizes)
 
 
+@lru_cache(maxsize=32)
+def _encoding_matrix_ok(params: SchemeParams, field, rows: tuple) -> bool:
+    return validate_encoding_matrix(Matrix(field, rows), params)
+
+
 def encode_shares(
     params: SchemeParams, V: Matrix, grid: MessageGrid
 ) -> ShareSet:
-    if not validate_encoding_matrix(V, params):
+    # V is fixed for a deployment, so its rank checks run once per (params, V).
+    if not _encoding_matrix_ok(params, V.field, tuple(map(tuple, V.rows))):
         raise BadEncodingMatrix("encoding matrix fails prefix invertibility")
     return ShareSet(params, V, grid)
 

@@ -5,6 +5,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the verdict lines.
 
 import itertools
 import random
+import threading
 from fractions import Fraction
 
 from staircase_pir import ingest, net, sim, staircase
@@ -262,8 +263,13 @@ def test_criterion_9_socket_end_to_end():
             and metrics.realized_mu == 2
         )
     finally:
+        # In parallel: each shutdown waits out its serve loop's 0.5 s poll.
+        stoppers = [threading.Thread(target=srv.shutdown) for srv in servers[:2]]
+        for th in stoppers:
+            th.start()
+        for th in stoppers:
+            th.join(timeout=5)
         for srv in servers[:2]:
-            srv.shutdown()
             srv.server_close()
     report(9, "loopback retrieval, byte-identical with a killed server",
            all_alive_ok and degraded_ok)

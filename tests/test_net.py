@@ -1,14 +1,22 @@
 import gc
 import random
 import socket
+import socketserver
 import struct
+import sys
+import threading
 import time
 import warnings
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
 
-from staircase_pir.errors import HandshakeMismatch, InsufficientResponders
+from staircase_pir.errors import (
+    HandshakeMismatch,
+    InsufficientResponders,
+    StaircasePIRError,
+)
 from staircase_pir import wire
 from staircase_pir.net import retrieve, serve
 from staircase_pir.params import SchemeParams
@@ -31,9 +39,33 @@ def start_cluster(params, V, files, count=None):
 
 
 def shutdown(servers):
+    # In parallel: each shutdown waits out its serve loop's 0.5 s poll.
+    threads = [threading.Thread(target=srv.shutdown) for srv in servers]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=5)
+        assert not th.is_alive()
     for srv in servers:
-        srv.shutdown()
         srv.server_close()
+
+
+class _DropOnFetch(socketserver.BaseRequestHandler):
+    """Acknowledges a QUERY, then closes the connection when the FETCH comes."""
+
+    def handle(self):
+        # The client may hang up first, once it has given up on this server.
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            wire.read_frame(reader)
+            self.request.sendall(wire.encode_response(1, [], 257))
+            wire.read_frame(reader)
+
+
+def serve_drop_on_fetch():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _DropOnFetch)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
 
 
 @pytest.fixture
@@ -67,6 +99,81 @@ def test_retrieve_survives_dead_server(cluster321):
     assert decoded == files[0]
     assert metrics.realized_mu == 2
     assert metrics.rate == Fraction(1, 2)
+
+
+def test_retrieve_returns_once_every_server_settled(cluster321):
+    params, V, files, servers, endpoints = cluster321
+    shutdown(servers[2:])
+    start = time.monotonic()
+    decoded, metrics = retrieve(endpoints, params, V, 1, deadline_s=5, seed=3)
+    assert time.monotonic() - start < 1
+    assert decoded == files[0]
+    assert metrics.realized_mu == 2
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "refused"}
+
+
+def test_retrieve_replans_when_a_responder_drops_mid_fetch(cluster321):
+    params, V, files, _, endpoints = cluster321
+    stub = serve_drop_on_fetch()
+    try:
+        decoded, metrics = retrieve(
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5, seed=6
+        )
+    finally:
+        shutdown([stub])
+    assert decoded == files[1]
+    assert metrics.realized_mu == 2
+    assert metrics.rate == Fraction(1, 2)
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
+
+
+def test_retrieve_raises_when_drops_leave_fewer_than_k(cluster321):
+    params, V, _, _, endpoints = cluster321
+    stubs = [serve_drop_on_fetch() for _ in range(2)]
+    try:
+        with pytest.raises(InsufficientResponders):
+            retrieve(
+                endpoints[:1] + [stub.server_address for stub in stubs],
+                params, V, 1, deadline_s=5, seed=7,
+            )
+    finally:
+        shutdown(stubs)
+
+
+def test_retrieve_replans_under_frequent_thread_switches():
+    # The workers share their state under one condition; switching threads
+    # every few microseconds would expose a lost update or a missed wake-up.
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
+    V = default_encoding_matrix(params)
+    rng = random.Random(1)
+    files = [[rng.randrange(params.q) for _ in range(params.file_symbols)]
+             for _ in range(params.m)]
+    servers, endpoints = start_cluster(params, V, files, count=3)
+    stub = serve_drop_on_fetch()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.monotonic()
+        for trial in range(20):
+            i = trial % params.m + 1
+            decoded, metrics = retrieve(
+                endpoints + [stub.server_address], params, V, i, deadline_s=5, seed=trial
+            )
+            assert decoded == files[i - 1]
+            assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok", 4: "dropped-mid-fetch"}
+        assert time.monotonic() - start < 20
+    finally:
+        sys.setswitchinterval(interval)
+        shutdown(servers + [stub])
+
+
+def test_retrieve_wait_for_reports_the_rest_late(cluster321):
+    params, V, files, _, endpoints = cluster321
+    decoded, metrics = retrieve(
+        endpoints, params, V, 1, strategy="wait_for", wait_for=2, seed=8
+    )
+    assert decoded == files[0]
+    assert sorted(metrics.outcomes.values()) == ["late", "ok", "ok"]
 
 
 def test_retrieve_wait_for_subset(cluster321):
@@ -166,3 +273,28 @@ def test_server_refuses_oversized_frame(cluster321, excess):
         assert sock.recv(1) == b""
     decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
     assert decoded == files[0]
+
+
+def test_server_refuses_repeated_fetch_columns():
+    # The scheme of the bulk benchmark, where a FETCH of 580 columns still
+    # fits under the frame cap.
+    params = SchemeParams(n=4, k=2, t=1, m=64, q=257, s=1)
+    V = default_encoding_matrix(params)
+    files = [[i % params.q] * params.file_symbols for i in range(params.m)]
+    servers, endpoints = start_cluster(params, V, files, count=1)
+    fp = matrix_fingerprint(params, V)
+    subqueries = make_queries(params, V, 1, seed=0)[0].subqueries
+    try:
+        with socket.create_connection(endpoints[0], timeout=2) as sock:
+            ack = exchange(sock, wire.encode_query(params, fp, 1, subqueries))[1]
+            session, _ = wire.decode_response(ack, 0, params.q)
+            for columns in ([0] * 580, [0, 0]):
+                msg_type, reply = exchange(sock, wire.encode_fetch(session, columns))
+                assert msg_type == wire.MSG_ERROR
+                assert wire.decode_error(reply)[0] == wire.ERR_MALFORMED
+            columns = list(range(params.alpha))
+            msg_type, reply = exchange(sock, wire.encode_fetch(session, columns))
+            assert msg_type == wire.MSG_RESPONSE
+            assert len(wire.decode_response(reply, params.s, params.q)[1]) == params.alpha
+    finally:
+        shutdown(servers)

@@ -12,7 +12,7 @@ from staircase_pir.errors import (
 from staircase_pir.examples import example1, example2, format_coeffs
 from staircase_pir.field import Matrix
 from staircase_pir.params import SchemeParams
-from staircase_pir.protocol import default_encoding_matrix
+from staircase_pir.protocol import default_encoding_matrix, make_queries
 from staircase_pir.staircase import (
     PAYLOAD_FIRST,
     RANDOMNESS_FIRST,
@@ -91,6 +91,74 @@ def test_generate_randomness_deterministic():
     assert len(a) == 6
     assert all(len(v) == params.x_length for v in a)
     assert all(0 <= sym < 5 for v in a for sym in v)
+
+
+def test_unseeded_randomness_in_range_and_fresh():
+    params = SchemeParams(n=4, k=2, t=1, m=8, q=257, s=4)
+    a = generate_randomness(params, None)
+    b = generate_randomness(params, None)
+    assert len(a) == params.randomness_count
+    assert all(len(v) == params.query_length for v in a)
+    assert all(0 <= sym < params.q for v in a + b for sym in v)
+    assert a != b
+
+
+def test_unseeded_randomness_uniform_over_gf5():
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=5)
+    draws = generate_randomness(params, None, width=4000)
+    counts = [0] * 5
+    for vec in draws:
+        for sym in vec:
+            counts[sym] += 1
+    expected = sum(counts) / 5
+    chi2 = sum((c - expected) ** 2 / expected for c in counts)
+    # 4 degrees of freedom: a uniform source exceeds 33 with p < 1e-6.
+    assert chi2 < 33
+
+
+def test_unseeded_randomness_rejects_the_biased_tail(monkeypatch):
+    # Feed the byte values 0..255 in turn: of each 256 draws, 255 % 5 = 0
+    # would make residue 0 one draw more likely unless 255 is rejected.
+    stream = itertools.cycle(range(256))
+    monkeypatch.setattr(
+        staircase.os, "urandom", lambda size: bytes(next(stream) for _ in range(size))
+    )
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=5)
+    draws = generate_randomness(params, None, width=255 * 2)
+    counts = [0] * 5
+    for vec in draws:
+        for sym in vec:
+            counts[sym] += 1
+    assert counts == [51 * 2 * params.randomness_count] * 5
+
+
+def test_unseeded_queries_do_not_use_mersenne_twister(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("random.Random used for query randomness")
+
+    params, V, order = example2()
+    monkeypatch.setattr(random, "Random", refuse)
+    queries = make_queries(params, V, 1)
+    assert len(queries) == params.n
+    assert all(0 <= sym < params.q for qr in queries for sub in qr.subqueries for sym in sub)
+
+
+def test_encoding_matrix_checked_once_per_params_and_matrix(monkeypatch):
+    params = SchemeParams(n=4, k=2, t=1, m=3, q=13)
+    V = default_encoding_matrix(params)
+    calls = []
+    real = staircase.validate_encoding_matrix
+    monkeypatch.setattr(
+        staircase, "validate_encoding_matrix",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    for seed in (1, 2, 3):
+        make_queries(params, V, 1, seed=seed)
+    assert len(calls) == 1
+    bad = Matrix(params.field, [[1, 1, 1, 1]] * 4)
+    for seed in (1, 2):
+        with pytest.raises(BadEncodingMatrix):
+            make_queries(params, bad, 1, seed=seed)
 
 
 def test_queries_example1_table():
