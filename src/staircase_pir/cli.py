@@ -101,8 +101,7 @@ def cmd_demo(args) -> int:
         responders = list(range(1, mu + 1))
         plan = protocol.plan_download(params, responders)
         responses = {
-            sid: protocol.server_respond(db, protocol.Query(sid, shares.rows[sid - 1],
-                                                            b""),
+            sid: protocol.server_respond(db, protocol.Query(sid, shares.rows[sid - 1]),
                                          range(plan.prefix_cols))
             for sid in responders
         }

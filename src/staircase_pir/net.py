@@ -21,10 +21,15 @@ from .errors import (
     HandshakeMismatch,
     InsufficientResponders,
     MalformedFrame,
+    OutOfRange,
     StaircasePIRError,
 )
 from .field import Matrix
 from .params import SchemeParams
+
+# How often a server's serve loop checks for shutdown(): the longest that
+# PIRServer.shutdown() blocks.
+SHUTDOWN_POLL_S = 0.05
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -54,7 +59,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def _dispatch(self, srv, msg_type, payload):
         if msg_type == wire.MSG_QUERY:
             server_id, subqueries = wire.decode_query(payload, srv.params, srv.fingerprint)
-            query = protocol.Query(server_id, subqueries, srv.fingerprint)
+            query = protocol.Query(server_id, subqueries)
             self.session = (next(srv.session_counter), query)
             return wire.encode_response(self.session[0], [], srv.params.q)
         if msg_type == wire.MSG_FETCH:
@@ -92,7 +97,9 @@ def serve(
 ) -> PIRServer:
     """Start a server in a background thread; caller owns .shutdown()."""
     server = PIRServer((host, port), database, params, V)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(SHUTDOWN_POLL_S,), daemon=True
+    )
     thread.start()
     server._thread = thread
     return server
@@ -165,12 +172,16 @@ class _Retrieval:
     worker goes on to fetch the columns between those it holds in
     `columns` and `want`, each time `want` grows; a failed FETCH removes
     the server from `columns`. Every worker returns once `finished` is set.
+    Once its handshake completes, a connection's reads and writes time out
+    after `deadline_s`, so a responder that stalls on a FETCH is dropped.
     """
 
-    def __init__(self, params: SchemeParams, fingerprint: bytes, connect_timeout: float):
+    def __init__(self, params: SchemeParams, fingerprint: bytes, connect_timeout: float,
+                 deadline_s: float):
         self.params = params
         self.fingerprint = fingerprint
         self.connect_timeout = connect_timeout
+        self.deadline_s = deadline_s
         self.cond = threading.Condition()
         self.start = time.monotonic()
         self.conns: Dict[int, _ServerConn] = {}
@@ -196,6 +207,7 @@ class _Retrieval:
             return self._fail(sid, "error")
         try:
             conn.handshake(self.params, self.fingerprint, sid, subqueries)
+            conn.sock.settimeout(self.deadline_s)
         except HandshakeMismatch as exc:
             conn.close()
             return self._fail(sid, "handshake-mismatch", exc)
@@ -242,7 +254,7 @@ class _Retrieval:
             if slabs is None:
                 return
 
-    def choose_responders(self, target: int, deadline_s: float) -> List[int]:
+    def choose_responders(self, target: int) -> List[int]:
         """Wait until every server has settled, `target` of them have
         completed the handshake, or the deadline has passed; the earliest
         `target` of those that completed it are the responders."""
@@ -251,7 +263,7 @@ class _Retrieval:
             self.cond.wait_for(
                 lambda: len(self.conns) >= target
                 or len(self.conns) + len(self.failures) == n,
-                timeout=self.start + deadline_s - time.monotonic(),
+                timeout=self.start + self.deadline_s - time.monotonic(),
             )
             if self.mismatch is not None:
                 raise self.mismatch
@@ -318,14 +330,21 @@ def retrieve(
     server costs nothing and only a silent one costs the deadline.
 
     Each server's thread then fetches the plan's prefix columns, all at
-    once. A responder whose FETCH fails is dropped: the client plans again
+    once. A responder whose FETCH fails, or that sends nothing for
+    `deadline_s` seconds during one, is dropped: the client plans again
     with the others and fetches from them only the extra columns, or
     raises InsufficientResponders if fewer than k are left.
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")
+    if deadline_s <= 0:
+        # It also becomes the responders' socket timeout, where 0 means
+        # non-blocking.
+        raise OutOfRange(f"deadline_s must be positive, got {deadline_s}")
     queries = protocol.make_queries(params, V, i, seed=seed)
-    run = _Retrieval(params, protocol.matrix_fingerprint(params, V), connect_timeout)
+    run = _Retrieval(
+        params, protocol.matrix_fingerprint(params, V), connect_timeout, deadline_s
+    )
     for sid, endpoint in enumerate(endpoints, start=1):
         threading.Thread(
             target=run.worker, args=(sid, endpoint, queries[sid - 1].subqueries),
@@ -333,7 +352,7 @@ def retrieve(
         ).start()
     target = wait_for if strategy == "wait_for" and wait_for else params.n
     try:
-        responders = run.choose_responders(target, deadline_s)
+        responders = run.choose_responders(target)
         plan, responses = run.fetch(responders)
     finally:
         run.finish()

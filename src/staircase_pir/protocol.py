@@ -121,11 +121,10 @@ class Database:
 
 @dataclass
 class Query:
-    """One server's query: alpha sub-queries plus the scheme fingerprint."""
+    """One server's query: its alpha sub-queries."""
 
     server_id: int
     subqueries: list
-    fingerprint: bytes
 
 
 def make_queries(
@@ -138,11 +137,7 @@ def make_queries(
     randomness = staircase.generate_randomness(params, seed)
     grid = staircase.build_message_grid(params, i, randomness, row_order)
     shares = staircase.encode_shares(params, V, grid)
-    fp = matrix_fingerprint(params, V)
-    return [
-        Query(server_id=l + 1, subqueries=shares.rows[l], fingerprint=fp)
-        for l in range(params.n)
-    ]
+    return [Query(server_id=l + 1, subqueries=shares.rows[l]) for l in range(params.n)]
 
 
 def server_respond(

@@ -52,17 +52,7 @@ class LinearSecretSharingScheme(ABC):
 
     @abstractmethod
     def reconstruct(self, shares: Dict[int, Sequence[Sequence[int]]]):
-        """Recover the secret from any >= k full shares (keyed by server id)."""
-
-    # Communication-efficient extension; the ramp baseline does not have it.
-    supports_efficient = False
-
-    def prefix_len(self, d: int) -> int:
-        """Sub-shares needed per server when d servers respond."""
-        raise NotImplementedError
-
-    def efficient_reconstruct(self, prefixes: Dict[int, Sequence[Sequence[int]]]):
-        raise NotImplementedError
+        """Recover the secret from any >= k shares (keyed by server id)."""
 
     def share_with_seed(self, secret, seed):
         randomness = staircase.generate_randomness(self.params, seed, len(secret[0]))
@@ -124,8 +114,6 @@ class RampScheme(LinearSecretSharingScheme):
 class StaircaseScheme(LinearSecretSharingScheme):
     """The staircase codec exposed through the generic interface."""
 
-    supports_efficient = True
-
     def __init__(self, params: SchemeParams, V: Optional[Matrix] = None,
                  row_order: str = staircase.DEFAULT_ROW_ORDER):
         self.params = params
@@ -152,21 +140,17 @@ class StaircaseScheme(LinearSecretSharingScheme):
         return shares.rows
 
     def reconstruct(self, shares):
-        if len(shares) < self.params.k:
-            raise NotEnoughShares(f"got {len(shares)} shares, need {self.params.k}")
+        """Any d in [k, n] shares; only the first prefix_cols(d) sub-shares
+        of each are read, so those prefixes are enough."""
         d = len(shares)
+        if d < self.params.k:
+            raise NotEnoughShares(f"got {d} shares, need {self.params.k}")
         if d > self.params.n:
             raise OutOfRange("more shares than servers")
-        return self.efficient_reconstruct(
-            {sid: subs[: self.prefix_len(d)] for sid, subs in shares.items()}
-        )
-
-    def prefix_len(self, d: int) -> int:
-        return self.params.prefix_cols(d)
-
-    def efficient_reconstruct(self, prefixes):
+        prefix = self.params.prefix_cols(d)
         return staircase.ss_reconstruct(
-            self.params, self.V, prefixes, row_order=self.row_order
+            self.params, self.V, {sid: subs[:prefix] for sid, subs in shares.items()},
+            row_order=self.row_order,
         )
 
 
@@ -273,14 +257,14 @@ def sspir_universal_retrieve(
     Returns (file symbols, downloaded symbol count, rate).
     """
     scheme = adapter.scheme
-    if not scheme.supports_efficient:
-        raise NotImplementedError("scheme has no efficient reconstruction")
+    if not isinstance(scheme, StaircaseScheme):
+        raise NotImplementedError("scheme has no communication-efficient reconstruction")
     k = scheme.params.k
     if len(responders) < k:
         raise InsufficientResponders(f"{len(responders)} responders < k={k}")
     d = len(responders)
-    prefix = scheme.prefix_len(d)
+    prefix = scheme.params.prefix_cols(d)
     answers = adapter.answers(i, responders, prefix, seed)
-    file_symbols = _joined(scheme.efficient_reconstruct(a) for a in answers)
+    file_symbols = _joined(scheme.reconstruct(a) for a in answers)
     downloaded = adapter.downloaded(d, prefix)
     return file_symbols, downloaded, Fraction(len(file_symbols), downloaded)

@@ -7,10 +7,12 @@ mu_{j-1} of the earlier blocks (the staircase step) over fresh
 randomness and zero padding. Multiplying the grid by an n x n encoding
 matrix V yields one row of alpha sub-queries (or sub-shares) per server.
 
-Every grid cell is tracked symbolically as a coefficient vector over the
-basis (payload_1..payload_alpha', r_1..r_{t*alpha}); concrete vectors
-are produced by expanding that basis. The decoder only needs the layout
-(which is a pure function of the parameters), never the randomness.
+The layout is a pure function of the parameters and the row order: one
+table holding, per cell, its index in the basis (payload_1..payload_alpha',
+r_1..r_{t*alpha}), or None for a zero cell. Every cell is thus a unit
+vector over that basis, and the symbolic Q = V*M is computed once per
+(params, V, row order); a query set expands it with its own payload and
+randomness. The decoder only needs the layout, never the randomness.
 """
 
 from __future__ import annotations
@@ -42,45 +44,30 @@ Cell = Tuple[int, int]  # (row, global column), 0-based
 
 @dataclass(frozen=True)
 class GridLayout:
-    """Structural bookkeeping of the staircase grid.
+    """The staircase grid as one table of basis indices.
 
-    cell_kind maps every nonzero cell to one of
-      ("payload", c)      -- payload vector index c in [0, alpha')
-      ("rand", u)         -- randomness vector index u in [0, t*alpha)
-      ("replica", cell)   -- copy of an earlier cell (staircase step)
-    Cells absent from the map are zero.
+    cells[r][c] is the basis index of cell (r, c): payload vector c at c,
+    randomness vector u at alpha' + u, or None for a zero cell. A replica
+    (staircase step) holds the index of the cell it copies.
     """
 
     params: SchemeParams
     row_order: str
     block_cols: tuple
-    cell_kind: dict
-    payload_pos: tuple  # payload index c -> its cell in block 1
+    cells: tuple  # n rows of alpha entries
 
     def col_range(self, block: int) -> range:
         """Global column indices of 1-based block `block`."""
         start = sum(self.block_cols[: block - 1])
         return range(start, start + self.block_cols[block - 1])
 
-    def resolve(self, cell: Cell) -> Cell:
-        """Follow replica links back to the original cell."""
-        kind = self.cell_kind.get(cell)
-        while kind is not None and kind[0] == "replica":
-            cell = kind[1]
-            kind = self.cell_kind.get(cell)
-        return cell
-
     def symbolic(self, cell: Cell) -> tuple:
         """Coefficient vector of a cell over (payloads, randomness)."""
         p = self.params
         coeffs = [0] * (p.alpha_prime + p.randomness_count)
-        kind = self.cell_kind.get(self.resolve(cell))
-        if kind is None:
-            return tuple(coeffs)
-        if kind[0] == "payload":
-            coeffs[kind[1]] = 1
-        else:
-            coeffs[p.alpha_prime + kind[1]] = 1
+        index = self.cells[cell[0]][cell[1]]
+        if index is not None:
+            coeffs[index] = 1
         return tuple(coeffs)
 
 
@@ -88,9 +75,8 @@ def _build_layout(params: SchemeParams, row_order: str) -> GridLayout:
     if row_order not in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
         raise ValueError(f"unknown row order {row_order!r}")
     cols = params.block_cols
-    cell_kind: Dict[Cell, tuple] = {}
-    payload_pos: List[Cell] = [None] * params.alpha_prime
-    rand_next = 0
+    cells: List[List[Optional[int]]] = [[None] * params.alpha for _ in range(params.n)]
+    rand_next = params.alpha_prime
     col_base = 0
     for j in range(1, params.h + 1):
         a_j = params.alpha_j(j)
@@ -102,29 +88,21 @@ def _build_layout(params: SchemeParams, row_order: str) -> GridLayout:
             payload_rows = list(range(params.t, params.t + a_j))
         if j == 1:
             # Payload vectors fill the a_1 x (alpha'/a_1) matrix column-major.
-            for cc in range(cols[0]):
-                for rr in range(a_j):
-                    c = cc * a_j + rr
-                    cell = (payload_rows[rr], col_base + cc)
-                    cell_kind[cell] = ("payload", c)
-                    payload_pos[c] = cell
+            sources = range(params.alpha_prime)
         else:
-            # Staircase step: replicate row mu_{j-1} of blocks 1..j-1,
-            # read left to right, wrapped column-major into a_j rows.
-            src_row = params.mu(j - 1) - 1
-            sources = [(src_row, c) for c in range(col_base)]
-            for cc in range(cols[j - 1]):
-                for rr in range(a_j):
-                    src = sources[cc * a_j + rr]
-                    cell_kind[(payload_rows[rr], col_base + cc)] = ("replica", src)
-        # Fresh randomness rows, filled column-major.
+            # Staircase step: replicate row mu_{j-1} of blocks 1..j-1 (whose
+            # indices are final), left to right, wrapped column-major into a_j rows.
+            sources = cells[params.mu(j - 1) - 1][:col_base]
         for cc in range(cols[j - 1]):
-            for rr_pos in rand_rows:
-                cell_kind[(rr_pos, col_base + cc)] = ("rand", rand_next)
+            for rr in range(a_j):
+                cells[payload_rows[rr]][col_base + cc] = sources[cc * a_j + rr]
+            # Fresh randomness rows, filled column-major.
+            for r in rand_rows:
+                cells[r][col_base + cc] = rand_next
                 rand_next += 1
         col_base += cols[j - 1]
-    assert rand_next == params.randomness_count
-    return GridLayout(params, row_order, cols, cell_kind, tuple(payload_pos))
+    assert rand_next == params.alpha_prime + params.randomness_count
+    return GridLayout(params, row_order, cols, tuple(map(tuple, cells)))
 
 
 @lru_cache(maxsize=None)
@@ -209,9 +187,6 @@ class MessageGrid:
         self.randomness = [list(v) for v in randomness]
         self.width = widths.pop()
 
-    def symbolic(self, row: int, col: int) -> tuple:
-        return self.layout.symbolic((row, col))
-
     def expand(self, coeffs: Sequence[int]) -> List[int]:
         """Turn a coefficient vector into a concrete vector over GF(q)."""
         p = self.params
@@ -244,36 +219,17 @@ def build_message_grid(
 
 
 class ShareSet:
-    """Rows of Q = V * M: per server, alpha sub-queries (or sub-shares)."""
+    """Rows of Q = V * M: per server, alpha sub-queries (or sub-shares).
+
+    sym_rows is the symbolic Q, shared by every grid of the deployment;
+    rows expands it with this grid's payload and randomness.
+    """
 
     def __init__(self, params: SchemeParams, V: Matrix, grid: MessageGrid):
         self.params = params
         self.V = V
-        q = params.q
-        basis = params.alpha_prime + params.randomness_count
-        sym_cells = [
-            [grid.symbolic(r, c) for c in range(params.alpha)] for r in range(params.n)
-        ]
-        self.sym_rows = []
-        self.rows = []
-        for l in range(params.n):
-            vrow = V.rows[l]
-            srow = []
-            crow = []
-            for c in range(params.alpha):
-                acc = [0] * basis
-                for r in range(params.n):
-                    coef = vrow[r]
-                    if coef:
-                        cell = sym_cells[r][c]
-                        for b, v in enumerate(cell):
-                            if v:
-                                acc[b] = (acc[b] + coef * v) % q
-                sym = tuple(acc)
-                srow.append(sym)
-                crow.append(grid.expand(sym))
-            self.sym_rows.append(srow)
-            self.rows.append(crow)
+        self.sym_rows = query_matrix(params, V, grid.layout.row_order)
+        self.rows = [[grid.expand(sym) for sym in row] for row in self.sym_rows]
 
 
 def validate_encoding_matrix(V: Matrix, params: SchemeParams) -> bool:
@@ -287,17 +243,41 @@ def validate_encoding_matrix(V: Matrix, params: SchemeParams) -> bool:
     return prefix_invertible(V, sizes)
 
 
+def query_matrix(
+    params: SchemeParams, V: Matrix, row_order: str = DEFAULT_ROW_ORDER
+) -> Tuple[Tuple[tuple, ...], ...]:
+    """Symbolic Q = V * M: per server, alpha coefficient vectors over
+    (payloads, randomness). It depends on neither the file index nor the
+    randomness, so it is computed, and V checked, once per deployment."""
+    return _query_matrix(params, V.field, tuple(map(tuple, V.rows)), row_order)
+
+
 @lru_cache(maxsize=32)
-def _encoding_matrix_ok(params: SchemeParams, field, rows: tuple) -> bool:
-    return validate_encoding_matrix(Matrix(field, rows), params)
+def _query_matrix(params: SchemeParams, field, rows: tuple, row_order: str):
+    if not validate_encoding_matrix(Matrix(field, rows), params):
+        raise BadEncodingMatrix("encoding matrix fails prefix invertibility")
+    q = params.q
+    basis = params.alpha_prime + params.randomness_count
+    cells = grid_layout(params, row_order).cells
+    out = []
+    for vrow in rows:
+        srow = []
+        for c in range(params.alpha):
+            # Every cell is a unit vector (or zero): add V's coefficient
+            # at that cell's basis index.
+            acc = [0] * basis
+            for coef, cell_row in zip(vrow, cells):
+                index = cell_row[c]
+                if index is not None:
+                    acc[index] = (acc[index] + coef) % q
+            srow.append(tuple(acc))
+        out.append(tuple(srow))
+    return tuple(out)
 
 
 def encode_shares(
     params: SchemeParams, V: Matrix, grid: MessageGrid
 ) -> ShareSet:
-    # V is fixed for a deployment, so its rank checks run once per (params, V).
-    if not _encoding_matrix_ok(params, V.field, tuple(map(tuple, V.rows))):
-        raise BadEncodingMatrix("encoding matrix fails prefix invertibility")
     return ShareSet(params, V, grid)
 
 
@@ -339,7 +319,8 @@ def peel_decode(
     A = V.submatrix([sid - 1 for sid in responders], range(mu_j))
     A_inv = A.inverse()
 
-    known: Dict[Cell, tuple] = {}
+    cells = layout.cells
+    known: Dict[int, tuple] = {}  # basis index -> value
     for b in range(j, 0, -1):
         mu_b = params.mu(b)
         cols = list(layout.col_range(b))
@@ -354,7 +335,7 @@ def peel_decode(
                 for rr in range(mu_j, mu_b):
                     coef = vrow[rr]
                     if coef:
-                        kn = known[layout.resolve((rr, c))]
+                        kn = known[cells[rr][c]]
                         for pos in range(width):
                             val[pos] = (val[pos] - coef * kn[pos]) % q
                 rhs_row.extend(val)
@@ -364,8 +345,8 @@ def peel_decode(
             srow = solved.rows[rr]
             for ci, c in enumerate(cols):
                 value = tuple(srow[ci * width : (ci + 1) * width])
-                known[layout.resolve((rr, c))] = value
-    return [known[layout.resolve(layout.payload_pos[c])] for c in range(params.alpha_prime)]
+                known[cells[rr][c]] = value
+    return [known[c] for c in range(params.alpha_prime)]
 
 
 # --- communication-efficient secret sharing view ---------------------------

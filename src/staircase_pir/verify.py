@@ -81,14 +81,6 @@ def report_text(rows: List[tuple]) -> str:
     return "\n".join(f"{s:<12} {m:<28} {v}" for s, m, v in rows)
 
 
-def _symbolic_queries(params, V, row_order):
-    """Symbolic Q = V*M rows; independent of the file index and randomness."""
-    # Payload content is irrelevant for the symbolic view; use file 1.
-    randomness = [[0] * params.query_length] * params.randomness_count
-    grid = staircase.build_message_grid(params, 1, randomness, row_order)
-    return staircase.encode_shares(params, V, grid).sym_rows
-
-
 def exhaustive_space(params: SchemeParams) -> int:
     """Randomness assignments the exhaustive oracle enumerates:
     q^(t*alpha * alpha'*m), independent of s."""
@@ -109,7 +101,7 @@ def verify_privacy_exhaustive(
     space = exhaustive_space(params)
     if space > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(f"{space} assignments exceed cap {EXHAUSTIVE_CAP}")
-    sym = _symbolic_queries(params, V, row_order)
+    sym = staircase.query_matrix(params, V, row_order)
     rand_vecs = params.randomness_count
     vec_len = params.query_length
     zeros = [(0,) * vec_len] * rand_vecs
@@ -147,7 +139,7 @@ def verify_privacy_rank(
     mutate_zero_randomness: Optional[int] = None,
 ) -> PrivacyReport:
     """Full-rank randomness coefficients for every t-subset's sub-queries."""
-    sym = _symbolic_queries(params, V, row_order)
+    sym = staircase.query_matrix(params, V, row_order)
     ap = params.alpha_prime
     ta = params.randomness_count
     report = PrivacyReport(params=params, mode="rank")

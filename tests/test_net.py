@@ -15,10 +15,11 @@ import pytest
 from staircase_pir.errors import (
     HandshakeMismatch,
     InsufficientResponders,
+    OutOfRange,
     StaircasePIRError,
 )
 from staircase_pir import wire
-from staircase_pir.net import retrieve, serve
+from staircase_pir.net import SHUTDOWN_POLL_S, retrieve, serve
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
     Database,
@@ -39,7 +40,7 @@ def start_cluster(params, V, files, count=None):
 
 
 def shutdown(servers):
-    # In parallel: each shutdown waits out its serve loop's 0.5 s poll.
+    # In parallel: each shutdown waits out its serve loop's poll.
     threads = [threading.Thread(target=srv.shutdown) for srv in servers]
     for th in threads:
         th.start()
@@ -61,10 +62,24 @@ class _DropOnFetch(socketserver.BaseRequestHandler):
             wire.read_frame(reader)
 
 
-def serve_drop_on_fetch():
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _DropOnFetch)
+class _StallOnFetch(socketserver.BaseRequestHandler):
+    """Acknowledges a QUERY, then leaves the FETCH unanswered until released."""
+
+    def handle(self):
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            wire.read_frame(reader)
+            self.request.sendall(wire.encode_response(1, [], 257))
+            wire.read_frame(reader)
+            self.server.release.wait(10)
+
+
+def serve_stub(handler=_DropOnFetch):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    server.release = threading.Event()
+    threading.Thread(
+        target=server.serve_forever, args=(SHUTDOWN_POLL_S,), daemon=True
+    ).start()
     return server
 
 
@@ -114,7 +129,7 @@ def test_retrieve_returns_once_every_server_settled(cluster321):
 
 def test_retrieve_replans_when_a_responder_drops_mid_fetch(cluster321):
     params, V, files, _, endpoints = cluster321
-    stub = serve_drop_on_fetch()
+    stub = serve_stub()
     try:
         decoded, metrics = retrieve(
             endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5, seed=6
@@ -127,9 +142,39 @@ def test_retrieve_replans_when_a_responder_drops_mid_fetch(cluster321):
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
 
 
+def test_retrieve_drops_a_responder_that_stalls_on_fetch(cluster321):
+    params, V, files, _, endpoints = cluster321
+    stub = serve_stub(_StallOnFetch)
+    try:
+        start = time.monotonic()
+        decoded, metrics = retrieve(
+            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=0.3, seed=5
+        )
+        elapsed = time.monotonic() - start
+    finally:
+        stub.release.set()
+        shutdown([stub])
+    # The FETCH is bounded by the deadline, not by the 5 s connect timeout.
+    assert elapsed < 1.5
+    assert decoded == files[0]
+    assert metrics.realized_mu == 2
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
+
+
+def test_server_shutdown_returns_within_its_poll():
+    params = SchemeParams(n=3, k=2, t=1, m=2, q=257)
+    db = Database(params, [0] * params.x_length)
+    server = serve("127.0.0.1", 0, db, params, default_encoding_matrix(params))
+    start = time.monotonic()
+    server.shutdown()
+    elapsed = time.monotonic() - start
+    server.server_close()
+    assert elapsed < 0.2
+
+
 def test_retrieve_raises_when_drops_leave_fewer_than_k(cluster321):
     params, V, _, _, endpoints = cluster321
-    stubs = [serve_drop_on_fetch() for _ in range(2)]
+    stubs = [serve_stub() for _ in range(2)]
     try:
         with pytest.raises(InsufficientResponders):
             retrieve(
@@ -149,7 +194,7 @@ def test_retrieve_replans_under_frequent_thread_switches():
     files = [[rng.randrange(params.q) for _ in range(params.file_symbols)]
              for _ in range(params.m)]
     servers, endpoints = start_cluster(params, V, files, count=3)
-    stub = serve_drop_on_fetch()
+    stub = serve_stub()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -260,6 +305,13 @@ def test_endpoint_count_checked(cluster321):
     params, V, _, _, endpoints = cluster321
     with pytest.raises(ValueError):
         retrieve(endpoints[:2], params, V, 1)
+
+
+@pytest.mark.parametrize("deadline_s", [0, -1])
+def test_deadline_must_be_positive(cluster321, deadline_s):
+    params, V, _, _, endpoints = cluster321
+    with pytest.raises(OutOfRange):
+        retrieve(endpoints, params, V, 1, deadline_s=deadline_s)
 
 
 @pytest.mark.parametrize("excess", [1, 2**40])

@@ -138,6 +138,11 @@ class TestSSPIR:
         with pytest.raises(InsufficientResponders):
             sspir_retrieve(adapter, 1, [2])
 
+    def test_ramp_has_no_universal_retrieval(self):
+        adapter, _ = ramp_adapter()
+        with pytest.raises(NotImplementedError):
+            sspir_universal_retrieve(adapter, 1, [1, 2, 3], seed=0)
+
     def test_nonuniversality_rates(self):
         adapter, _ = ramp_adapter(n=4, k=2, t=1, q=7)
         assert nonuniversality_demo(adapter, 1, 2) == Fraction(1, 2)

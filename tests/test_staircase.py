@@ -54,31 +54,34 @@ def test_grid_example2():
     ]
 
 
+LAYOUT_SCHEMES = [(3, 2, 1), (4, 2, 1), (5, 3, 2), (6, 4, 2), (4, 3, 1)]
+
+
 def test_zero_rows_below_mu_j():
-    for n, k, t in [(4, 2, 1), (5, 3, 2), (6, 4, 2)]:
+    for n, k, t in LAYOUT_SCHEMES:
         params = SchemeParams(n=n, k=k, t=t, m=1, q=257)
         for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
             layout = grid_layout(params, order)
             for j in range(1, params.h + 1):
                 for c in layout.col_range(j):
                     for r in range(params.mu(j), params.n):
-                        assert (r, c) not in layout.cell_kind
+                        assert layout.cells[r][c] is None
                     for r in range(params.mu(j)):
-                        assert (r, c) in layout.cell_kind
+                        assert layout.cells[r][c] is not None
 
 
 def test_each_unit_appears_once_in_block_one():
-    for n, k, t in [(3, 2, 1), (4, 2, 1), (5, 3, 2), (6, 4, 2), (4, 3, 1)]:
+    for n, k, t in LAYOUT_SCHEMES:
         params = SchemeParams(n=n, k=k, t=t, m=1, q=257)
-        layout = grid_layout(params, PAYLOAD_FIRST)
-        units = [
-            kind[1]
-            for kind in layout.cell_kind.values()
-            if kind[0] == "payload"
-        ]
-        assert sorted(units) == list(range(params.alpha_prime))
-        block1 = set(layout.col_range(1))
-        assert all(cell[1] in block1 for cell in layout.payload_pos)
+        for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
+            layout = grid_layout(params, order)
+            units = [
+                row[c]
+                for row in layout.cells
+                for c in layout.col_range(1)
+                if row[c] is not None and row[c] < params.alpha_prime
+            ]
+            assert sorted(units) == list(range(params.alpha_prime))
 
 
 def test_generate_randomness_deterministic():
@@ -159,6 +162,37 @@ def test_encoding_matrix_checked_once_per_params_and_matrix(monkeypatch):
     for seed in (1, 2):
         with pytest.raises(BadEncodingMatrix):
             make_queries(params, bad, 1, seed=seed)
+
+
+@pytest.mark.parametrize("nkt", [(3, 2, 1), (4, 2, 1), (5, 3, 2), (6, 4, 2)])
+def test_encode_shares_matches_dense_product(nkt):
+    # Reference: Q = V * M with Matrix.mul, M holding each cell's concrete
+    # payload or randomness vector, or zeros.
+    n, k, t = nkt
+    for s in (1, 3):
+        params = SchemeParams(n=n, k=k, t=t, m=3, q=257, s=s)
+        V = default_encoding_matrix(params)
+        w = params.query_length
+        for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
+            grid = build_message_grid(params, 2, generate_randomness(params, s), order)
+            basis = grid.payload + grid.randomness
+            M = Matrix(params.field, [
+                [sym for index in row for sym in ([0] * w if index is None else basis[index])]
+                for row in grid.layout.cells
+            ])
+            expected = [
+                [row[c * w : (c + 1) * w] for c in range(params.alpha)]
+                for row in V.mul(M).rows
+            ]
+            assert encode_shares(params, V, grid).rows == expected
+
+
+def test_query_matrix_computed_once_per_deployment():
+    params, V, order = example2()
+    first = staircase.query_matrix(params, V, order)
+    assert staircase.query_matrix(params, Matrix(params.field, V.rows), order) is first
+    grid = build_message_grid(params, 1, generate_randomness(params, 0), order)
+    assert encode_shares(params, V, grid).sym_rows is first
 
 
 def test_queries_example1_table():
