@@ -206,13 +206,15 @@ def cmd_serve(args) -> int:
         ingest.write_manifest(args.manifest, manifest)
     V = protocol.default_encoding_matrix(params)
     host, port = args.listen.rsplit(":", 1)
-    server = net.serve(host, int(port), db, params, V)
+    server = net.PIRServer((host, int(port)), db, params, V)
     print(f"serving (n,k,t)=({params.n},{params.k},{params.t}) q={params.q} "
           f"s={params.s} on {args.listen}")
     try:
-        server._thread.join()
+        server.serve_forever()
     except KeyboardInterrupt:
-        server.shutdown()
+        pass
+    finally:
+        server.server_close()
     return 0
 
 

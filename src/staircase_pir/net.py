@@ -1,5 +1,11 @@
 """Socket server and retrieval client over the binary wire protocol.
 
+Both ends are event-driven over non-blocking sockets. A server is one
+thread running one selector loop over its listening socket and all of
+its connections; a retrieval is one selector loop, in the caller's
+thread, over its n connections. Neither starts a thread per connection
+or per retrieval, so an idle peer holds a buffer, not a thread.
+
 Each server holds the replicated database and answers QUERY/FETCH
 frames; the client queries all n servers, waits for responders according
 to its strategy, then fetches from all of them at once only the prefix
@@ -8,13 +14,16 @@ columns the plan needs, planning again if a responder drops.
 
 from __future__ import annotations
 
+import errno
 import itertools
+import math
+import selectors
 import socket
-import socketserver
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import protocol, wire
 from .errors import (
@@ -31,58 +40,67 @@ from .params import SchemeParams
 # PIRServer.shutdown() blocks.
 SHUTDOWN_POLL_S = 0.05
 
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        srv = self.server
-        reader = self.request.makefile("rb")
-        # One session per connection: (id, query) of its latest QUERY.
-        self.session: Optional[Tuple[int, protocol.Query]] = None
+
+class _Conn:
+    """A non-blocking socket, the bytes read from it that do not yet make
+    a whole frame, the bytes still to write to it, and its session."""
+
+    def __init__(self, sock: Optional[socket.socket] = None):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.out = memoryview(b"")
+        self.events = 0  # what the selector watches it for; 0: unregistered
+        self.session = None
+
+    def watch(self, sel: selectors.BaseSelector, events: int) -> None:
+        if events == self.events:
+            return
+        if not self.events:
+            sel.register(self.sock, events, self)
+        elif not events:
+            sel.unregister(self.sock)
+        else:
+            sel.modify(self.sock, events, self)
+        self.events = events
+
+    def recv(self) -> bool:
+        """Read what has arrived; False once the peer has closed."""
         try:
-            while True:
-                try:
-                    msg_type, payload = wire.read_frame(reader, srv.max_payload)
-                except StaircasePIRError:
-                    break
-                try:
-                    reply = self._dispatch(srv, msg_type, payload)
-                except HandshakeMismatch as exc:
-                    reply = wire.encode_error(wire.ERR_HANDSHAKE, str(exc))
-                except StaircasePIRError as exc:
-                    reply = wire.encode_error(wire.ERR_MALFORMED, str(exc))
-                self.request.sendall(reply)
-        except (ConnectionError, OSError):
+            data = self.sock.recv(wire.READ_CHUNK)
+        except BlockingIOError:  # woken with nothing to read after all
+            return True
+        self.inbuf += data
+        return bool(data)
+
+    def flush(self) -> bool:
+        """Write what the socket takes now; True once nothing is left."""
+        try:
+            self.out = self.out[self.sock.send(self.out):]
+        except BlockingIOError:
             pass
-        finally:
-            reader.close()
+        return not self.out
 
-    def _dispatch(self, srv, msg_type, payload):
-        if msg_type == wire.MSG_QUERY:
-            server_id, subqueries = wire.decode_query(payload, srv.params, srv.fingerprint)
-            query = protocol.Query(server_id, subqueries)
-            self.session = (next(srv.session_counter), query)
-            return wire.encode_response(self.session[0], [], srv.params.q)
-        if msg_type == wire.MSG_FETCH:
-            session_id, columns = wire.decode_fetch(payload)
-            if self.session is None or self.session[0] != session_id:
-                return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
-            # Each column costs a projection: refuse repeats before any.
-            if len(set(columns)) != len(columns) or len(columns) > srv.params.alpha:
-                raise MalformedFrame("FETCH columns repeat or exceed alpha")
-            slabs = protocol.server_respond(srv.database, self.session[1], columns)
-            return wire.encode_response(
-                session_id, [slabs[c] for c in columns], srv.params.q
-            )
-        return wire.encode_error(wire.ERR_MALFORMED, f"unexpected type {msg_type}")
+    def close(self, sel: selectors.BaseSelector) -> None:
+        if self.sock is not None:
+            self.watch(sel, 0)
+            self.sock.close()
 
 
-class PIRServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+class PIRServer:
+    """One server: a listening socket and the selector loop that serves it.
+
+    The loop accepts connections, reads each into its own buffer, answers
+    its whole frames one at a time and writes the replies back. A
+    connection is read only while it has nothing left to send, so a peer
+    that never reads holds at most one frame and one reply of memory.
+    A connection holds one session: (id, query) of its latest QUERY.
+    """
 
     def __init__(self, address, database: protocol.Database, params: SchemeParams,
                  V: Matrix):
-        super().__init__(address, _Handler)
         self.database = database
         self.params = params
         self.V = V
@@ -90,6 +108,99 @@ class PIRServer(socketserver.ThreadingTCPServer):
         # Frames announcing more than this are refused unread.
         self.max_payload = wire.max_request_payload(params)
         self.session_counter = itertools.count(1)
+        self.socket = socket.create_server(address)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None  # set by serve()
+
+    def serve_forever(self) -> None:
+        """Run the serve loop in this thread until shutdown(); connections
+        still open when it stops are closed."""
+        sel = selectors.DefaultSelector()
+        sel.register(self.socket, _READ)
+        try:
+            while not self._stop.is_set():
+                for key, _ in sel.select(SHUTDOWN_POLL_S):
+                    if key.data is None:
+                        self._accept(sel)
+                    else:
+                        self._serve(sel, key.data)
+        finally:
+            for key in list(sel.get_map().values()):
+                if key.data is not None:
+                    key.data.close(sel)
+            sel.close()
+
+    def shutdown(self) -> None:
+        """Stop the serve loop and wait for serve()'s thread to end, at
+        most SHUTDOWN_POLL_S."""
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join()
+
+    def server_close(self) -> None:
+        self.socket.close()
+
+    def _accept(self, sel) -> None:
+        # One per wake-up: the selector reports the socket again while more wait.
+        try:
+            sock, _ = self.socket.accept()
+        except OSError:  # the peer gave up before it was accepted
+            return
+        sock.setblocking(False)
+        _Conn(sock).watch(sel, _READ)
+
+    def _serve(self, sel, conn: _Conn) -> None:
+        """Write what `conn` is owed, or read from it; then answer its whole
+        frames until a reply cannot be written at once."""
+        try:
+            if conn.out:
+                conn.flush()
+            elif not conn.recv():
+                conn.close(sel)
+                return
+            while not conn.out:
+                frame = wire.split_frame(conn.inbuf, self.max_payload)
+                if frame is None:
+                    break
+                conn.out = memoryview(self._reply(conn, *frame))
+                conn.flush()
+        except (OSError, MalformedFrame):  # a broken connection, or a bad header
+            conn.close(sel)
+            return
+        except Exception:  # a fault here: report it and serve the other connections
+            traceback.print_exc()
+            conn.close(sel)
+            return
+        conn.watch(sel, _WRITE if conn.out else _READ)
+
+    def _reply(self, conn: _Conn, msg_type: int, payload: bytes) -> bytes:
+        try:
+            return self._dispatch(conn, msg_type, payload)
+        except HandshakeMismatch as exc:
+            return wire.encode_error(wire.ERR_HANDSHAKE, str(exc))
+        except StaircasePIRError as exc:
+            return wire.encode_error(wire.ERR_MALFORMED, str(exc))
+
+    def _dispatch(self, conn: _Conn, msg_type: int, payload: bytes) -> bytes:
+        if msg_type == wire.MSG_QUERY:
+            server_id, subqueries = wire.decode_query(payload, self.params, self.fingerprint)
+            query = protocol.Query(server_id, subqueries)
+            conn.session = (next(self.session_counter), query)
+            return wire.encode_response(conn.session[0], [], self.params.q)
+        if msg_type == wire.MSG_FETCH:
+            session_id, columns = wire.decode_fetch(payload)
+            if conn.session is None or conn.session[0] != session_id:
+                return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
+            # Each column costs a projection: refuse repeats before any.
+            if len(set(columns)) != len(columns) or len(columns) > self.params.alpha:
+                raise MalformedFrame("FETCH columns repeat or exceed alpha")
+            slabs = protocol.server_respond(self.database, conn.session[1], columns)
+            return wire.encode_response(
+                session_id, [slabs[c] for c in columns], self.params.q
+            )
+        return wire.encode_error(wire.ERR_MALFORMED, f"unexpected type {msg_type}")
 
 
 def serve(
@@ -97,11 +208,8 @@ def serve(
 ) -> PIRServer:
     """Start a server in a background thread; caller owns .shutdown()."""
     server = PIRServer((host, port), database, params, V)
-    thread = threading.Thread(
-        target=server.serve_forever, args=(SHUTDOWN_POLL_S,), daemon=True
-    )
-    thread.start()
-    server._thread = thread
+    server._thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server._thread.start()
     return server
 
 
@@ -126,186 +234,225 @@ class RetrievalMetrics:
     outcomes: Dict[int, str] = field(default_factory=dict)
 
 
-class _ServerConn:
-    """One connection: send the query, then fetch columns on demand."""
+class _Peer(_Conn):
+    """The client's connection to one server; its session is the id the
+    server acknowledged the QUERY with."""
 
-    def __init__(self, endpoint: Tuple[str, int], timeout: float):
-        self.sock = socket.create_connection(endpoint, timeout=timeout)
-        self.reader = self.sock.makefile("rb")
-        self.session_id: Optional[int] = None
-
-    def handshake(self, params, fingerprint, server_id, subqueries):
-        self.sock.sendall(wire.encode_query(params, fingerprint, server_id, subqueries))
-        msg_type, payload = wire.read_frame(self.reader)
-        if msg_type == wire.MSG_ERROR:
-            code, message = wire.decode_error(payload)
-            if code == wire.ERR_HANDSHAKE:
-                raise HandshakeMismatch(message)
-            raise StaircasePIRError(message)
-        session_id, _ = wire.decode_response(payload, 0, params.q)
-        self.session_id = session_id
-
-    def fetch(self, columns: Sequence[int], params: SchemeParams) -> List[tuple]:
-        self.sock.sendall(wire.encode_fetch(self.session_id, columns))
-        msg_type, payload = wire.read_frame(self.reader)
-        if msg_type == wire.MSG_ERROR:
-            raise StaircasePIRError(wire.decode_error(payload)[1])
-        _, slabs = wire.decode_response(payload, params.s, params.q)
-        if len(slabs) != len(columns):
-            raise MalformedFrame(f"{len(slabs)} columns for a FETCH of {len(columns)}")
-        return slabs
-
-    def close(self):
-        try:
-            self.reader.close()
-            self.sock.close()
-        except OSError:
-            pass
+    def __init__(self, sid: int, expires: float):
+        super().__init__()
+        self.sid = sid
+        self.addrs: list = []  # addresses not yet tried
+        self.connecting = False
+        self.asked = 0  # columns of the FETCH in flight
+        self.expires = expires  # when the pending connect, handshake or FETCH fails
 
 
 class _Retrieval:
-    """The state one retrieval's per-server workers share, guarded by `cond`.
+    """One retrieval's connections and the selector loop that moves them on.
 
-    A worker connects and sends its query, then settles its server: a
-    completed handshake goes into `conns`, a failure into `failures`, and
-    either notifies `cond`. If its server is chosen as a responder, the
-    worker goes on to fetch the columns between those it holds in
-    `columns` and `want`, each time `want` grows; a failed FETCH removes
-    the server from `columns`. Every worker returns once `finished` is set.
-    Once its handshake completes, a connection's reads and writes time out
-    after `deadline_s`, so a responder that stalls on a FETCH is dropped.
+    Every server is connected to and, once connected, sent its query. A
+    server settles when its handshake completes (`arrived`) or fails
+    (`failures`); one still unsettled `connect_timeout` after the start
+    has failed. Each responder then holds the prefix columns in `columns`
+    and is sent a FETCH for the rest of the plan's prefix, `want`, whenever
+    it holds fewer and has none in flight. A FETCH that fails, or whose
+    round trip takes longer than `deadline_s`, drops its server from
+    `columns`. Only connections with a reply due are in the selector.
     """
 
-    def __init__(self, params: SchemeParams, fingerprint: bytes, connect_timeout: float,
-                 deadline_s: float):
+    def __init__(self, params: SchemeParams, fingerprint: bytes, queries,
+                 connect_timeout: float, deadline_s: float):
         self.params = params
         self.fingerprint = fingerprint
-        self.connect_timeout = connect_timeout
+        self.queries = queries
         self.deadline_s = deadline_s
-        self.cond = threading.Condition()
+        self.sel = selectors.DefaultSelector()
         self.start = time.monotonic()
-        self.conns: Dict[int, _ServerConn] = {}
+        self.peers = [
+            _Peer(sid, self.start + connect_timeout) for sid in range(1, params.n + 1)
+        ]
         self.arrived: Dict[int, float] = {}  # seconds from start to handshake
         self.failures: Dict[int, str] = {}
         self.mismatch: Optional[HandshakeMismatch] = None
         self.columns: Dict[int, List[tuple]] = {}  # responder -> slabs held
         self.want = 0  # prefix columns every responder should hold
         self.outcomes: Dict[int, str] = {}  # filled in once responders are chosen
-        self.finished = False
 
-    def worker(self, sid: int, endpoint, subqueries) -> None:
-        conn = self._handshake(sid, endpoint, subqueries)
-        if conn is not None:
-            self._fetch_loop(sid, conn)
-
-    def _handshake(self, sid, endpoint, subqueries) -> Optional[_ServerConn]:
-        try:
-            conn = _ServerConn(endpoint, self.connect_timeout)
-        except ConnectionRefusedError:
-            return self._fail(sid, "refused")
-        except OSError:
-            return self._fail(sid, "error")
-        try:
-            conn.handshake(self.params, self.fingerprint, sid, subqueries)
-            conn.sock.settimeout(self.deadline_s)
-        except HandshakeMismatch as exc:
-            conn.close()
-            return self._fail(sid, "handshake-mismatch", exc)
-        except (OSError, StaircasePIRError):
-            conn.close()
-            return self._fail(sid, "error")
-        with self.cond:
-            if self.finished:  # retrieve has returned and closed the others
-                conn.close()
-                return None
-            self.conns[sid] = conn
-            self.arrived[sid] = time.monotonic() - self.start
-            self.cond.notify_all()
-        return conn
-
-    def _fail(self, sid, outcome, mismatch=None) -> None:
-        with self.cond:
-            self.failures[sid] = outcome
-            if self.mismatch is None:
-                self.mismatch = mismatch
-            self.cond.notify_all()
-
-    def _fetch_loop(self, sid: int, conn: _ServerConn) -> None:
-        while True:
-            with self.cond:
-                self.cond.wait_for(lambda: self.finished or (
-                    sid in self.columns and len(self.columns[sid]) < self.want))
-                if self.finished:
-                    return
-                wanted = range(len(self.columns[sid]), self.want)
-            slabs = None
+    def connect(self, endpoints: Sequence[Tuple[str, int]]) -> None:
+        """Start a non-blocking connect to every endpoint, trying each of
+        its addresses in turn as socket.create_connection does."""
+        for peer, endpoint in zip(self.peers, endpoints):
             try:
-                slabs = conn.fetch(wanted, self.params)
-            except (OSError, StaircasePIRError):
-                pass
-            finally:
-                # Also on an unexpected error, so `fetch` never waits for it.
-                with self.cond:
-                    if slabs is None:
-                        self.columns.pop(sid, None)
-                    else:
-                        self.columns[sid].extend(slabs)
-                    self.cond.notify_all()
-            if slabs is None:
+                peer.addrs = socket.getaddrinfo(*endpoint[:2], 0, socket.SOCK_STREAM)
+            except OSError:
+                self._fail(peer, "error")
+                continue
+            self._connect(peer, 0)
+
+    def _connect(self, peer: _Peer, error: int) -> None:
+        while peer.addrs:
+            family, kind, proto, _, addr = peer.addrs.pop(0)
+            try:
+                peer.sock = socket.socket(family, kind, proto)
+                peer.sock.setblocking(False)
+                error = peer.sock.connect_ex(addr)
+            except OSError as exc:
+                error = exc.errno
+            if error in (0, errno.EINPROGRESS, errno.EWOULDBLOCK):
+                peer.connecting = True
+                peer.watch(self.sel, _WRITE)
                 return
+            peer.close(self.sel)
+        self._fail(peer, "refused" if error == errno.ECONNREFUSED else "error")
+
+    def _fail(self, peer: _Peer, outcome: str) -> None:
+        peer.close(self.sel)
+        self.failures[peer.sid] = outcome
+
+    def _lose(self, peer: _Peer, exc: Exception) -> None:
+        """A connection failed: before its handshake completed its server
+        has failed; after, it is dropped as a responder."""
+        if peer.session is not None:
+            peer.close(self.sel)
+            self.columns.pop(peer.sid, None)
+        elif isinstance(exc, HandshakeMismatch):
+            self._fail(peer, "handshake-mismatch")
+            self.mismatch = self.mismatch or exc
+        else:
+            self._fail(peer, "error")
+
+    def _step(self, peer: _Peer, mask: int) -> None:
+        """Move one connection on after its socket became ready."""
+        try:
+            if mask & _WRITE:
+                if peer.connecting:
+                    error = peer.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                    if error:
+                        peer.close(self.sel)
+                        return self._connect(peer, error)
+                    peer.connecting = False
+                    # Encoded only now, so a server that is down costs no upload.
+                    peer.out = memoryview(wire.encode_query(
+                        self.params, self.fingerprint, peer.sid,
+                        self.queries[peer.sid - 1].subqueries,
+                    ))
+                self._send(peer)
+                return
+            if not peer.recv():
+                raise MalformedFrame("connection closed mid-frame")
+            frame = wire.split_frame(peer.inbuf)
+            if frame is not None:
+                self._on_frame(peer, *frame)
+        except (OSError, StaircasePIRError) as exc:
+            self._lose(peer, exc)
+
+    def _send(self, peer: _Peer) -> None:
+        peer.watch(self.sel, _READ if peer.flush() else _WRITE)
+
+    def _on_frame(self, peer: _Peer, msg_type: int, payload: bytes) -> None:
+        if msg_type == wire.MSG_ERROR:
+            code, message = wire.decode_error(payload)
+            if code == wire.ERR_HANDSHAKE:
+                raise HandshakeMismatch(message)
+            raise StaircasePIRError(message)
+        peer.expires = math.inf
+        if peer.session is None:
+            peer.session, _ = wire.decode_response(payload, 0, self.params.q)
+            self.arrived[peer.sid] = time.monotonic() - self.start
+        else:
+            _, slabs = wire.decode_response(payload, self.params.s, self.params.q)
+            if len(slabs) != peer.asked:
+                raise MalformedFrame(f"{len(slabs)} columns for a FETCH of {peer.asked}")
+            self.columns[peer.sid].extend(slabs)
+            peer.asked = 0
+            self._request(peer)
+        if not peer.asked:
+            peer.watch(self.sel, 0)  # idle until it is fetched from
+
+    def _request(self, peer: _Peer) -> None:
+        """Send the responder a FETCH for the prefix columns it lacks, unless
+        it has one in flight."""
+        held = len(self.columns[peer.sid])
+        if peer.asked or held >= self.want:
+            return
+        peer.asked = self.want - held
+        peer.expires = time.monotonic() + self.deadline_s
+        peer.out = memoryview(wire.encode_fetch(peer.session, range(held, self.want)))
+        try:
+            self._send(peer)
+        except OSError as exc:
+            self._lose(peer, exc)
+
+    def _run_until(self, done: Callable[[], bool], until: float) -> None:
+        """Handle socket events until done() holds or `until` has passed. A
+        connection whose connect, handshake or FETCH outlives its expiry
+        fails as if its socket had timed out."""
+        while not done():
+            now = time.monotonic()
+            if now >= until:
+                return
+            pending = [key.data for key in self.sel.get_map().values()]
+            wake = min([until] + [peer.expires for peer in pending])
+            for key, mask in self.sel.select(wake - now):
+                self._step(key.data, mask)
+            now = time.monotonic()
+            for peer in pending:
+                if peer.events and peer.expires <= now:
+                    self._lose(peer, TimeoutError())
 
     def choose_responders(self, target: int) -> List[int]:
         """Wait until every server has settled, `target` of them have
         completed the handshake, or the deadline has passed; the earliest
         `target` of those that completed it are the responders."""
         n = self.params.n
-        with self.cond:
-            self.cond.wait_for(
-                lambda: len(self.conns) >= target
-                or len(self.conns) + len(self.failures) == n,
-                timeout=self.start + self.deadline_s - time.monotonic(),
+        self._run_until(
+            lambda: len(self.arrived) >= target
+            or len(self.arrived) + len(self.failures) == n,
+            self.start + self.deadline_s,
+        )
+        if self.mismatch is not None:
+            raise self.mismatch
+        responders = sorted(sorted(self.arrived, key=self.arrived.get)[:target])
+        if len(responders) < self.params.k:
+            raise InsufficientResponders(
+                f"only {len(responders)} servers responded, need {self.params.k}"
             )
-            if self.mismatch is not None:
-                raise self.mismatch
-            responders = sorted(sorted(self.arrived, key=self.arrived.get)[:target])
-            if len(responders) < self.params.k:
-                raise InsufficientResponders(
-                    f"only {len(responders)} servers responded, need {self.params.k}"
-                )
-            self.columns = {sid: [] for sid in responders}
-            self.outcomes = {
-                sid: self.failures.get(sid, "late") for sid in range(1, n + 1)
-            }
-            return responders
+        for peer in self.peers:
+            if peer.sid not in responders:
+                peer.close(self.sel)
+        self.columns = {sid: [] for sid in responders}
+        self.outcomes = {
+            sid: self.failures.get(sid, "late") for sid in range(1, n + 1)
+        }
+        return responders
 
     def fetch(self, responders: List[int]):
         """(plan, responses) once every responder still up holds its plan's
         prefix; a responder that drops is left out and the plan redone."""
-        with self.cond:
-            while True:
-                if len(self.columns) < self.params.k:
-                    raise InsufficientResponders(
-                        f"{len(self.columns)} responders left after drops mid-fetch,"
-                        f" need {self.params.k}"
-                    )
-                # Prefixes nest, so the survivors only fetch the extra columns.
-                plan = protocol.plan_download(self.params, list(self.columns))
-                self.want = plan.prefix_cols
-                self.cond.notify_all()
-                self.cond.wait_for(lambda: len(self.columns) < plan.mu or all(
-                    len(held) >= plan.prefix_cols for held in self.columns.values()))
-                if len(self.columns) == plan.mu:
-                    break
-            for sid in responders:
-                self.outcomes[sid] = "ok" if sid in self.columns else "dropped-mid-fetch"
-            return plan, {sid: dict(enumerate(held)) for sid, held in self.columns.items()}
+        while True:
+            if len(self.columns) < self.params.k:
+                raise InsufficientResponders(
+                    f"{len(self.columns)} responders left after drops mid-fetch,"
+                    f" need {self.params.k}"
+                )
+            # Prefixes nest, so the survivors only fetch the extra columns.
+            plan = protocol.plan_download(self.params, list(self.columns))
+            self.want = plan.prefix_cols
+            for sid in list(self.columns):
+                self._request(self.peers[sid - 1])
+            self._run_until(lambda: len(self.columns) < plan.mu or all(
+                len(held) >= plan.prefix_cols for held in self.columns.values()),
+                math.inf)
+            if len(self.columns) == plan.mu:
+                break
+        for sid in responders:
+            self.outcomes[sid] = "ok" if sid in self.columns else "dropped-mid-fetch"
+        return plan, {sid: dict(enumerate(held)) for sid, held in self.columns.items()}
 
-    def finish(self) -> None:
-        with self.cond:
-            self.finished = True
-            for conn in self.conns.values():
-                conn.close()
-            self.cond.notify_all()
+    def close(self) -> None:
+        for peer in self.peers:
+            peer.close(self.sel)
+        self.sel.close()
 
 
 def retrieve(
@@ -326,36 +473,33 @@ def retrieve(
     the first `wait_for` servers to complete it (falling back to whoever
     completed it by the deadline if fewer ever do). Either way the client
     stops waiting as soon as every server has completed the handshake or
-    failed (connection refused or broken, handshake refused), so a down
-    server costs nothing and only a silent one costs the deadline.
+    failed (connection refused or broken, handshake refused, or connect
+    and handshake not done within `connect_timeout`), so a down server
+    costs nothing and only a silent one costs the deadline.
 
-    Each server's thread then fetches the plan's prefix columns, all at
-    once. A responder whose FETCH fails, or that sends nothing for
-    `deadline_s` seconds during one, is dropped: the client plans again
-    with the others and fetches from them only the extra columns, or
-    raises InsufficientResponders if fewer than k are left.
+    The responders are then sent a FETCH for the plan's prefix columns,
+    all at once. A responder whose FETCH fails, or whose FETCH round trip
+    as a whole takes longer than `deadline_s` (however its bytes trickle
+    in), is dropped: the client plans again with the others and fetches
+    from them only the extra columns, or raises InsufficientResponders if
+    fewer than k are left. It all runs in the caller's thread.
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")
     if deadline_s <= 0:
-        # It also becomes the responders' socket timeout, where 0 means
-        # non-blocking.
         raise OutOfRange(f"deadline_s must be positive, got {deadline_s}")
     queries = protocol.make_queries(params, V, i, seed=seed)
     run = _Retrieval(
-        params, protocol.matrix_fingerprint(params, V), connect_timeout, deadline_s
+        params, protocol.matrix_fingerprint(params, V), queries, connect_timeout,
+        deadline_s,
     )
-    for sid, endpoint in enumerate(endpoints, start=1):
-        threading.Thread(
-            target=run.worker, args=(sid, endpoint, queries[sid - 1].subqueries),
-            daemon=True,
-        ).start()
     target = wait_for if strategy == "wait_for" and wait_for else params.n
     try:
+        run.connect(endpoints)
         responders = run.choose_responders(target)
         plan, responses = run.fetch(responders)
     finally:
-        run.finish()
+        run.close()
     decoded = protocol.decode_file(params, V, plan, responses)
     return decoded, RetrievalMetrics(
         realized_mu=plan.mu,

@@ -43,11 +43,24 @@ ERR_MALFORMED = 4
 _HEADER = struct.Struct("<4sBBQ")
 # Payloads are read at most this many bytes at a time, so a header that
 # announces a huge length costs memory only as its bytes arrive.
-_READ_CHUNK = 1 << 16
+READ_CHUNK = 1 << 16
 
 
 def pack_frame(msg_type: int, payload: bytes) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+
+
+def _check_header(header, max_payload: Optional[int]) -> Tuple[int, int]:
+    """(message type, payload length) of the frame header at the front of
+    `header`, or MalformedFrame."""
+    magic, version, msg_type, length = _HEADER.unpack_from(header)
+    if magic != MAGIC:
+        raise MalformedFrame(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise MalformedFrame(f"unsupported version {version}")
+    if max_payload is not None and length > max_payload:
+        raise MalformedFrame(f"payload of {length} bytes exceeds {max_payload}")
+    return msg_type, length
 
 
 def read_frame(readable, max_payload: Optional[int] = None) -> Tuple[int, bytes]:
@@ -56,15 +69,28 @@ def read_frame(readable, max_payload: Optional[int] = None) -> Tuple[int, bytes]
     A header announcing more than `max_payload` bytes is rejected before
     any of the payload is read.
     """
-    header = _read_exact(readable, _HEADER.size)
-    magic, version, msg_type, length = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise MalformedFrame(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise MalformedFrame(f"unsupported version {version}")
-    if max_payload is not None and length > max_payload:
-        raise MalformedFrame(f"payload of {length} bytes exceeds {max_payload}")
+    msg_type, length = _check_header(_read_exact(readable, _HEADER.size), max_payload)
     return msg_type, _read_exact(readable, length)
+
+
+def split_frame(buf: bytearray, max_payload: Optional[int] = None
+                ) -> Optional[Tuple[int, bytes]]:
+    """Take the first whole frame off the front of `buf`: (type, payload),
+    or None, leaving `buf` as it was, until all of it has arrived.
+
+    The header is checked as soon as its bytes are in `buf`, so a header
+    announcing more than `max_payload` bytes is rejected before any of the
+    payload arrives.
+    """
+    if len(buf) < _HEADER.size:
+        return None
+    msg_type, length = _check_header(buf, max_payload)
+    end = _HEADER.size + length
+    if len(buf) < end:
+        return None
+    payload = bytes(buf[_HEADER.size : end])
+    del buf[:end]
+    return msg_type, payload
 
 
 def symbol_bytes(q: int) -> int:
@@ -84,7 +110,7 @@ def _read_exact(readable, n: int) -> bytes:
     chunks = []
     remaining = n
     while remaining:
-        chunk = readable.read(min(remaining, _READ_CHUNK))
+        chunk = readable.read(min(remaining, READ_CHUNK))
         if not chunk:
             raise MalformedFrame("connection closed mid-frame")
         chunks.append(chunk)

@@ -263,7 +263,8 @@ def test_criterion_9_socket_end_to_end():
             and metrics.realized_mu == 2
         )
     finally:
-        # In parallel: each shutdown waits out its serve loop's 0.5 s poll.
+        # In parallel: each shutdown waits out its serve loop's poll
+        # (net.SHUTDOWN_POLL_S).
         stoppers = [threading.Thread(target=srv.shutdown) for srv in servers[:2]]
         for th in stoppers:
             th.start()

@@ -18,7 +18,7 @@ from staircase_pir.errors import (
     OutOfRange,
     StaircasePIRError,
 )
-from staircase_pir import wire
+from staircase_pir import protocol, wire
 from staircase_pir.net import SHUTDOWN_POLL_S, retrieve, serve
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
@@ -71,6 +71,22 @@ class _StallOnFetch(socketserver.BaseRequestHandler):
             self.request.sendall(wire.encode_response(1, [], 257))
             wire.read_frame(reader)
             self.server.release.wait(10)
+
+
+class _TrickleOnFetch(socketserver.BaseRequestHandler):
+    """Acknowledges a QUERY, then sends the FETCH's RESPONSE one byte every
+    50 ms until released."""
+
+    def handle(self):
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            wire.read_frame(reader)
+            self.request.sendall(wire.encode_response(1, [], 257))
+            _, columns = wire.decode_fetch(wire.read_frame(reader)[1])
+            reply = wire.encode_response(1, [[0] * 2] * len(columns), 257)
+            for i in range(len(reply)):
+                if self.server.release.wait(0.05):
+                    return
+                self.request.sendall(reply[i : i + 1])
 
 
 def serve_stub(handler=_DropOnFetch):
@@ -161,6 +177,96 @@ def test_retrieve_drops_a_responder_that_stalls_on_fetch(cluster321):
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
 
 
+def test_retrieve_bounds_a_trickled_fetch_by_the_deadline(cluster321):
+    params, V, files, _, endpoints = cluster321
+    stub = serve_stub(_TrickleOnFetch)
+    try:
+        start = time.monotonic()
+        decoded, metrics = retrieve(
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=0.3, seed=5
+        )
+        elapsed = time.monotonic() - start
+    finally:
+        stub.release.set()
+        shutdown([stub])
+    # Bytes keep arriving, but the FETCH round trip as a whole outlives the
+    # deadline, so the stub is dropped.
+    assert elapsed < 1
+    assert decoded == files[1]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
+
+
+def test_idle_connections_do_not_pin_server_threads(cluster321):
+    params, V, files, _, endpoints = cluster321
+    half_header = wire.pack_frame(wire.MSG_QUERY, b"")[:7]
+    before = threading.active_count()
+    idle = []
+    try:
+        for n in range(20):
+            idle.append(socket.create_connection(endpoints[0], timeout=2))
+            if n % 2:
+                idle[-1].sendall(half_header)
+        # The server accepts connections in order, so it holds all 20 by
+        # the time it answers this retrieval.
+        decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
+        assert decoded == files[0]
+        assert threading.active_count() <= before
+    finally:
+        for sock in idle:
+            sock.close()
+
+
+def test_query_encoded_only_for_servers_that_accept(cluster321, monkeypatch):
+    params, V, files, servers, endpoints = cluster321
+    shutdown(servers[2:])
+    encoded = []
+    encode_query = wire.encode_query
+
+    def counting(*args):
+        encoded.append(args[2])
+        return encode_query(*args)
+
+    monkeypatch.setattr(wire, "encode_query", counting)
+    decoded, metrics = retrieve(endpoints, params, V, 1, seed=2)
+    assert decoded == files[0]
+    assert sorted(encoded) == [1, 2]
+    assert metrics.outcomes[3] == "refused"
+
+
+def test_retrieve_tries_each_address_of_a_host_name(cluster321, monkeypatch):
+    params, V, files, _, endpoints = cluster321
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        dead = probe.getsockname()
+    getaddrinfo = socket.getaddrinfo
+
+    def dead_address_first(*args):
+        # Each name resolves to a closed port before the server's own address.
+        found = getaddrinfo(*args)
+        return [(*found[0][:4], dead)] + found
+
+    monkeypatch.setattr(socket, "getaddrinfo", dead_address_first)
+    named = [("localhost", port) for _, port in endpoints]
+    decoded, metrics = retrieve(named, params, V, 2, seed=1)
+    assert decoded == files[1]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
+
+
+def test_server_survives_a_fault_on_one_connection(cluster321, monkeypatch, capsys):
+    params, V, files, _, endpoints = cluster321
+
+    def faulty(*args):
+        raise RuntimeError("projection fault")
+
+    monkeypatch.setattr(protocol, "server_respond", faulty)
+    with pytest.raises(InsufficientResponders):
+        retrieve(endpoints, params, V, 1, seed=0)
+    monkeypatch.undo()
+    decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
+    assert decoded == files[0]
+    assert "RuntimeError: projection fault" in capsys.readouterr().err
+
+
 def test_server_shutdown_returns_within_its_poll():
     params = SchemeParams(n=3, k=2, t=1, m=2, q=257)
     db = Database(params, [0] * params.x_length)
@@ -186,8 +292,9 @@ def test_retrieve_raises_when_drops_leave_fewer_than_k(cluster321):
 
 
 def test_retrieve_replans_under_frequent_thread_switches():
-    # The workers share their state under one condition; switching threads
-    # every few microseconds would expose a lost update or a missed wake-up.
+    # The client loop runs against four serving threads; switching threads
+    # every few microseconds would expose a frame split at any byte or a
+    # drop handled out of turn.
     params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
     V = default_encoding_matrix(params)
     rng = random.Random(1)

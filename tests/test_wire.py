@@ -1,5 +1,6 @@
 import io
 import struct
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,42 @@ def test_frame_length_capped_before_payload_is_read():
         wire.read_frame(reader, max_payload=99)
     assert reader.tell() == len(frame) - 100  # the header only
     assert wire.read_frame(io.BytesIO(frame), max_payload=100)[1] == b"x" * 100
+
+
+def test_split_frame_waits_for_a_whole_frame():
+    frame = wire.pack_frame(wire.MSG_FETCH, b"abcdef")
+    for cut in (0, 5, 13, len(frame) - 1):  # partial header, then partial payload
+        buf = bytearray(frame[:cut])
+        assert wire.split_frame(buf) is None
+        assert buf == frame[:cut]
+    buf = bytearray(frame)
+    assert wire.split_frame(buf) == (wire.MSG_FETCH, b"abcdef")
+    assert buf == b""
+
+
+def test_split_frame_takes_off_two_frames_from_one_buffer():
+    first = wire.pack_frame(wire.MSG_QUERY, b"one")
+    second = wire.pack_frame(wire.MSG_FETCH, b"")
+    buf = bytearray(first + second + second[:3])
+    assert wire.split_frame(buf) == (wire.MSG_QUERY, b"one")
+    assert wire.split_frame(buf) == (wire.MSG_FETCH, b"")
+    assert wire.split_frame(buf) is None
+    assert buf == second[:3]
+
+
+def test_split_frame_refuses_oversized_header_before_payload():
+    frame = wire.pack_frame(wire.MSG_QUERY, b"x" * 100)
+    with pytest.raises(MalformedFrame):
+        wire.split_frame(bytearray(frame[:14]), max_payload=99)  # the header only
+    assert wire.split_frame(bytearray(frame), max_payload=100) == (wire.MSG_QUERY, b"x" * 100)
+
+
+def test_split_frame_checks_the_header_like_read_frame():
+    for index, value in ((0, ord("X")), (4, 1), (4, 99)):
+        frame = bytearray(wire.pack_frame(wire.MSG_FETCH, b"payload"))
+        frame[index] = value
+        with pytest.raises(MalformedFrame):
+            wire.split_frame(bytearray(frame[:14]))
 
 
 @pytest.mark.parametrize("q,width", [(2, 1), (5, 1), (257, 2), (65537, 3), (2**31 - 1, 4)])
@@ -181,6 +218,25 @@ def test_fuzz_read_frame_lengths(length, tail):
     # A frame header announcing any length, followed by fewer bytes.
     frame = struct.pack("<4sBBQ", wire.MAGIC, wire.VERSION, wire.MSG_QUERY, length)
     decodes_or_refuses(wire.read_frame, io.BytesIO(frame + tail))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200), st.sampled_from([None, 0, 64]), st.integers(1, 40))
+def test_fuzz_split_frame(data, cap, chunk):
+    # Fed in chunks, the splitter takes off the frames read_frame reads,
+    # and refuses exactly where read_frame does.
+    reader = io.BytesIO(data)
+    expected = []
+    with suppress(StaircasePIRError):
+        while reader.tell() < len(data):
+            expected.append(wire.read_frame(reader, cap))
+    buf, got = bytearray(), []
+    with suppress(StaircasePIRError):
+        for start in range(0, len(data), chunk):
+            buf += data[start : start + chunk]
+            while (frame := wire.split_frame(buf, cap)) is not None:
+                got.append(frame)
+    assert got == expected
 
 
 @settings(max_examples=300, deadline=None)
