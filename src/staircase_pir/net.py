@@ -7,9 +7,9 @@ thread, over its n connections. Neither starts a thread per connection
 or per retrieval, so an idle peer holds a buffer, not a thread.
 
 Each server holds the replicated database and answers QUERY/FETCH
-frames; the client queries all n servers, waits for responders according
-to its strategy, then fetches from all of them at once only the prefix
-columns the plan needs, planning again if a responder drops.
+frames; the client queries all n servers, waits for the responders
+protocol.ResponderWait chooses, then fetches from all of them at once
+only the prefix columns the plan needs, planning again if one drops.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import protocol, wire
 from .errors import (
     HandshakeMismatch,
-    InsufficientResponders,
     MalformedFrame,
     OutOfRange,
     StaircasePIRError,
@@ -218,13 +217,9 @@ class RetrievalMetrics:
     """What one retrieval did.
 
     realized_mu, symbols and rate describe the download plan the file was
-    decoded with; wait_s is when the last server chosen as a responder
-    completed its handshake. outcomes maps every server id to "ok"
-    (decoded from), "refused" (connection refused), "handshake-mismatch",
-    "error" (any other connect or handshake failure), "late" (not settled
-    by the deadline, or, under "wait_for", beaten by the first responders)
-    or "dropped-mid-fetch" (a FETCH failed and the client re-planned
-    without it).
+    decoded with; wait_s is when, in seconds from the start, the client
+    stopped waiting for handshakes (protocol.ResponderWait.ended), and
+    outcomes labels every server id as protocol.ResponderWait defines.
     """
 
     realized_mu: int
@@ -251,32 +246,29 @@ class _Retrieval:
     """One retrieval's connections and the selector loop that moves them on.
 
     Every server is connected to and, once connected, sent its query. A
-    server settles when its handshake completes (`arrived`) or fails
-    (`failures`); one still unsettled `connect_timeout` after the start
-    has failed. Each responder then holds the prefix columns in `columns`
-    and is sent a FETCH for the rest of the plan's prefix, `want`, whenever
-    it holds fewer and has none in flight. A FETCH that fails, or whose
-    round trip takes longer than `deadline_s`, drops its server from
-    `columns`. Only connections with a reply due are in the selector.
+    server settles in `wait` when its handshake completes or fails; one
+    still unsettled `connect_timeout` after the start has failed. Each
+    responder then holds the prefix columns in `columns` and is sent a
+    FETCH for the rest of the plan's prefix, `want`, whenever it holds
+    fewer and has none in flight. A FETCH that fails, or whose round trip
+    outlives the deadline, drops its server from `columns`. Only
+    connections with a reply due are in the selector.
     """
 
-    def __init__(self, params: SchemeParams, fingerprint: bytes, queries,
-                 connect_timeout: float, deadline_s: float):
-        self.params = params
-        self.fingerprint = fingerprint
+    def __init__(self, queries, V: Matrix, wait: protocol.ResponderWait,
+                 connect_timeout: float):
+        self.params = params = wait.params
+        self.fingerprint = protocol.matrix_fingerprint(params, V)
         self.queries = queries
-        self.deadline_s = deadline_s
+        self.wait = wait
         self.sel = selectors.DefaultSelector()
         self.start = time.monotonic()
         self.peers = [
             _Peer(sid, self.start + connect_timeout) for sid in range(1, params.n + 1)
         ]
-        self.arrived: Dict[int, float] = {}  # seconds from start to handshake
-        self.failures: Dict[int, str] = {}
         self.mismatch: Optional[HandshakeMismatch] = None
         self.columns: Dict[int, List[tuple]] = {}  # responder -> slabs held
         self.want = 0  # prefix columns every responder should hold
-        self.outcomes: Dict[int, str] = {}  # filled in once responders are chosen
 
     def connect(self, endpoints: Sequence[Tuple[str, int]]) -> None:
         """Start a non-blocking connect to every endpoint, trying each of
@@ -307,7 +299,7 @@ class _Retrieval:
 
     def _fail(self, peer: _Peer, outcome: str) -> None:
         peer.close(self.sel)
-        self.failures[peer.sid] = outcome
+        self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
 
     def _lose(self, peer: _Peer, exc: Exception) -> None:
         """A connection failed: before its handshake completed its server
@@ -358,7 +350,7 @@ class _Retrieval:
         peer.expires = math.inf
         if peer.session is None:
             peer.session, _ = wire.decode_response(payload, 0, self.params.q)
-            self.arrived[peer.sid] = time.monotonic() - self.start
+            self.wait.settle(peer.sid, time.monotonic() - self.start)
         else:
             _, slabs = wire.decode_response(payload, self.params.s, self.params.q)
             if len(slabs) != peer.asked:
@@ -376,7 +368,7 @@ class _Retrieval:
         if peer.asked or held >= self.want:
             return
         peer.asked = self.want - held
-        peer.expires = time.monotonic() + self.deadline_s
+        peer.expires = time.monotonic() + self.wait.deadline
         peer.out = memoryview(wire.encode_fetch(peer.session, range(held, self.want)))
         try:
             self._send(peer)
@@ -400,41 +392,23 @@ class _Retrieval:
                 if peer.events and peer.expires <= now:
                     self._lose(peer, TimeoutError())
 
-    def choose_responders(self, target: int) -> List[int]:
-        """Wait until every server has settled, `target` of them have
-        completed the handshake, or the deadline has passed; the earliest
-        `target` of those that completed it are the responders."""
-        n = self.params.n
-        self._run_until(
-            lambda: len(self.arrived) >= target
-            or len(self.arrived) + len(self.failures) == n,
-            self.start + self.deadline_s,
-        )
+    def choose_responders(self) -> List[int]:
+        """Handle handshakes until the wait is done or its deadline has
+        passed; then keep only the responders' connections."""
+        self._run_until(lambda: self.wait.done, self.start + self.wait.deadline)
         if self.mismatch is not None:
             raise self.mismatch
-        responders = sorted(sorted(self.arrived, key=self.arrived.get)[:target])
-        if len(responders) < self.params.k:
-            raise InsufficientResponders(
-                f"only {len(responders)} servers responded, need {self.params.k}"
-            )
+        responders = self.wait.responders()
         for peer in self.peers:
             if peer.sid not in responders:
                 peer.close(self.sel)
         self.columns = {sid: [] for sid in responders}
-        self.outcomes = {
-            sid: self.failures.get(sid, "late") for sid in range(1, n + 1)
-        }
         return responders
 
-    def fetch(self, responders: List[int]):
+    def fetch(self):
         """(plan, responses) once every responder still up holds its plan's
         prefix; a responder that drops is left out and the plan redone."""
         while True:
-            if len(self.columns) < self.params.k:
-                raise InsufficientResponders(
-                    f"{len(self.columns)} responders left after drops mid-fetch,"
-                    f" need {self.params.k}"
-                )
             # Prefixes nest, so the survivors only fetch the extra columns.
             plan = protocol.plan_download(self.params, list(self.columns))
             self.want = plan.prefix_cols
@@ -445,8 +419,6 @@ class _Retrieval:
                 math.inf)
             if len(self.columns) == plan.mu:
                 break
-        for sid in responders:
-            self.outcomes[sid] = "ok" if sid in self.columns else "dropped-mid-fetch"
         return plan, {sid: dict(enumerate(held)) for sid, held in self.columns.items()}
 
     def close(self) -> None:
@@ -468,14 +440,15 @@ def retrieve(
 ) -> Tuple[List[int], RetrievalMetrics]:
     """Query all n endpoints and decode from the responders.
 
-    strategy "deadline": responders are the servers that completed the
-    query handshake within `deadline_s` seconds. strategy "wait_for":
-    the first `wait_for` servers to complete it (falling back to whoever
-    completed it by the deadline if fewer ever do). Either way the client
-    stops waiting as soon as every server has completed the handshake or
-    failed (connection refused or broken, handshake refused, or connect
-    and handshake not done within `connect_timeout`), so a down server
-    costs nothing and only a silent one costs the deadline.
+    protocol.ResponderWait chooses the responders from the servers that
+    complete the query handshake within `deadline_s` seconds: all of them,
+    or under strategy "wait_for" the first `wait_for` (OutOfRange outside
+    [k, n]), and the client stops waiting as soon as it has them. A server
+    fails if its connection is refused or broken, its handshake is
+    refused, or its connect and handshake take longer than
+    `connect_timeout`. The client also stops waiting once every server
+    has settled, so a down server costs nothing and only a silent one
+    costs the deadline.
 
     The responders are then sent a FETCH for the plan's prefix columns,
     all at once. A responder whose FETCH fails, or whose FETCH round trip
@@ -488,23 +461,21 @@ def retrieve(
         raise ValueError(f"need {params.n} endpoints")
     if deadline_s <= 0:
         raise OutOfRange(f"deadline_s must be positive, got {deadline_s}")
+    target = wait_for if strategy == "wait_for" and wait_for is not None else params.n
+    wait = protocol.ResponderWait(params, target, deadline_s)
     queries = protocol.make_queries(params, V, i, seed=seed)
-    run = _Retrieval(
-        params, protocol.matrix_fingerprint(params, V), queries, connect_timeout,
-        deadline_s,
-    )
-    target = wait_for if strategy == "wait_for" and wait_for else params.n
+    run = _Retrieval(queries, V, wait, connect_timeout)
     try:
         run.connect(endpoints)
-        responders = run.choose_responders(target)
-        plan, responses = run.fetch(responders)
+        responders = run.choose_responders()
+        plan, responses = run.fetch()
     finally:
         run.close()
     decoded = protocol.decode_file(params, V, plan, responses)
     return decoded, RetrievalMetrics(
         realized_mu=plan.mu,
-        wait_s=max(run.arrived[sid] for sid in responders),
+        wait_s=wait.ended,
         symbols=plan.total_symbols,
         rate=plan.rate,
-        outcomes=run.outcomes,
+        outcomes=wait.outcomes(responders, responses),
     )

@@ -9,12 +9,16 @@ decoder is derived here and nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 from .errors import InvalidK, InvalidThreshold, OutOfRange
 from .field import PrimeField, is_prime
 from .errors import NotPrime
+
+# A quantity derived from (n, k, t, m, q, s) once, in __post_init__; it is
+# left out of __init__, equality, hash and repr.
+_derived = partial(field, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,15 @@ class SchemeParams:
     q: int
     s: int = 1
 
+    h: int = _derived()  # blocks: one per tolerated responder count
+    alpha: int = _derived()  # sub-queries per query: lcm of alpha_1..alpha_{n-k}, 1 if empty
+    alpha_prime: int = _derived()  # parts per file: (k - t) * alpha
+    block_cols: tuple = _derived()  # columns of each block; block 1 holds the payload
+    randomness_count: int = _derived()  # random vectors per query: t * alpha
+    query_length: int = _derived()  # coefficients per sub-query, one per slab: alpha' * m
+    x_length: int = _derived()  # symbols in the flattened data vector: alpha' * m * s
+    file_symbols: int = _derived()  # symbols per file: alpha' * s
+
     def __post_init__(self):
         if self.t < 1 or self.t >= self.k:
             raise InvalidThreshold(f"need 1 <= t < k, got t={self.t}, k={self.k}")
@@ -48,13 +61,23 @@ class SchemeParams:
             raise ValueError("m must be >= 1")
         if self.s < 1:
             raise ValueError("s must be >= 1")
+        # Set with object.__setattr__, not cached through __dict__ (as
+        # functools.cached_property does): on CPython 3.11 touching an
+        # instance's __dict__ slows every later field read on it.
+        derive = partial(object.__setattr__, self)
+        derive("h", self.n - self.k + 1)
+        derive("alpha", math.lcm(*(self.alpha_j(j) for j in range(1, self.h))))
+        derive("alpha_prime", (self.k - self.t) * self.alpha)
+        derive("block_cols", (self.alpha_prime // self.alpha_j(1),) + tuple(
+            self.alpha_prime // (self.alpha_j(j) * self.alpha_j(j - 1))
+            for j in range(2, self.h + 1)
+        ))
+        derive("randomness_count", self.t * self.alpha)
+        derive("query_length", self.alpha_prime * self.m)
+        derive("x_length", self.query_length * self.s)
+        derive("file_symbols", self.alpha_prime * self.s)
 
     # --- derived quantities ------------------------------------------------
-
-    @property
-    def h(self) -> int:
-        """Number of blocks: one per tolerated responder count."""
-        return self.n - self.k + 1
 
     def mu(self, j: int) -> int:
         """Responder count served by level j (mu_1 = n down to mu_h = k)."""
@@ -66,25 +89,6 @@ class SchemeParams:
         """Payload rows of block j."""
         return self.mu(j) - self.t
 
-    @property
-    def alpha(self) -> int:
-        """Sub-queries per query: LCM of alpha_1..alpha_{n-k} (1 if empty)."""
-        values = [self.alpha_j(j) for j in range(1, self.h)]
-        return math.lcm(*values) if values else 1
-
-    @property
-    def alpha_prime(self) -> int:
-        """Parts per file: (k - t) * alpha."""
-        return (self.k - self.t) * self.alpha
-
-    @property
-    def block_cols(self) -> tuple:
-        """Columns of each block; block 1 holds the payload matrix."""
-        cols = [self.alpha_prime // self.alpha_j(1)]
-        for j in range(2, self.h + 1):
-            cols.append(self.alpha_prime // (self.alpha_j(j) * self.alpha_j(j - 1)))
-        return tuple(cols)
-
     def level_for(self, mu: int) -> int:
         """Level j = n - mu + 1 handling responder count mu."""
         if not self.k <= mu <= self.n:
@@ -94,24 +98,6 @@ class SchemeParams:
     def prefix_cols(self, mu: int) -> int:
         """Sub-query columns downloaded per responder when mu servers answer."""
         return self.alpha_prime // self.alpha_j(self.level_for(mu))
-
-    @property
-    def randomness_count(self) -> int:
-        return self.t * self.alpha
-
-    @property
-    def query_length(self) -> int:
-        """Coefficients per sub-query: one per slab, alpha' * m."""
-        return self.alpha_prime * self.m
-
-    @property
-    def x_length(self) -> int:
-        """Length of the flattened data vector: alpha' * m * s symbols."""
-        return self.alpha_prime * self.m * self.s
-
-    @property
-    def file_symbols(self) -> int:
-        return self.alpha_prime * self.s
 
     @property
     def field(self) -> PrimeField:

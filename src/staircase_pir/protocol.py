@@ -4,9 +4,10 @@ and the capacity accounting the scheme is measured against."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import staircase
 from .errors import (
@@ -17,6 +18,7 @@ from .errors import (
     InsufficientResponders,
     InvalidThreshold,
     MissingResponse,
+    OutOfRange,
 )
 from .field import Matrix, ints_from_bytes, ints_to_bytes, vandermonde
 from .params import SchemeParams
@@ -186,6 +188,64 @@ def plan_download(params: SchemeParams, responders: Sequence[int]) -> DownloadPl
         level=j,
         prefix_cols=params.prefix_cols(mu),
     )
+
+
+class ResponderWait:
+    """Which servers a client decodes from, and when it stops waiting.
+
+    A server settles when its handshake completes (it arrives `at`) or
+    fails (`failure` names why). The wait is done once `target` servers
+    have arrived or all n have settled; it `ended` then, or at `deadline`
+    if sooner (times count from the start). The responders are the
+    earliest `target` arrivals; a wait that never ends (no deadline, and
+    servers that never settle) has none. Outcomes: "ok" (decoded from),
+    "dropped-mid-fetch" (a responder whose FETCH failed), "late"
+    (unsettled when the wait ended, or beaten by the first `target`), or
+    the failure it settled with: "refused", "handshake-mismatch", "error".
+    """
+
+    def __init__(self, params: SchemeParams, target: int, deadline: float):
+        if not params.k <= target <= params.n:
+            raise OutOfRange(f"wait_for={target} outside [{params.k}, {params.n}]")
+        self.params = params
+        self.target = target
+        self.ended = self.deadline = deadline
+        self.arrived: Dict[int, float] = {}
+        self.failures: Dict[int, str] = {}
+
+    def settle(self, sid: int, at: float, failure: Optional[str] = None) -> None:
+        if failure is None:
+            self.arrived[sid] = at
+        else:
+            self.failures[sid] = failure
+        if self.done:
+            self.ended = min(self.ended, at)
+
+    @property
+    def done(self) -> bool:
+        return (len(self.arrived) >= self.target
+                or len(self.arrived) + len(self.failures) == self.params.n)
+
+    def responders(self) -> List[int]:
+        if math.isinf(self.ended):
+            raise InsufficientResponders(
+                f"waited for {self.target} servers with no deadline;"
+                f" only {len(self.arrived)} ever responded"
+            )
+        chosen = sorted(sorted(self.arrived, key=self.arrived.get)[: self.target])
+        if len(chosen) < self.params.k:
+            raise InsufficientResponders(
+                f"only {len(chosen)} servers responded, need {self.params.k}"
+            )
+        return chosen
+
+    def outcomes(self, responders: Collection[int], kept: Collection[int]) -> Dict[int, str]:
+        """Every server's outcome, once `kept` of the `responders` were decoded from."""
+        return {
+            sid: self.failures.get(sid, "late") if sid not in responders
+            else "ok" if sid in kept else "dropped-mid-fetch"
+            for sid in range(1, self.params.n + 1)
+        }
 
 
 def decode_file(

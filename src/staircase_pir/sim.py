@@ -1,9 +1,11 @@
 """Event-driven straggler simulation of an n-server retrieval.
 
-Latency is modeled per whole server response: once a server answers, all
-of its prefix columns are fetchable. The simulated clock is integer
-microseconds and events are ordered by (time, server id), so runs are
-fully deterministic under a fixed seed.
+Sampled latencies drive protocol.ResponderWait, the responder policy of
+net.retrieve. Latency is modeled per whole server response: once a
+server answers, all of its prefix columns are fetchable, so none drops
+mid-fetch. The simulated clock is integer microseconds and events are
+ordered by (time, server id), so runs are fully deterministic under a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import protocol
+from .errors import InsufficientResponders
 from .field import Matrix
 from .params import SchemeParams
 
@@ -101,54 +104,38 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
     if V is None:
         V = protocol.default_encoding_matrix(params)
     rng = random.Random(config.seed)
+    target = config.wait_for if config.strategy == "wait_for" else params.n
+    cutoff = config.deadline_ms * 1000 if config.strategy == "deadline" else math.inf
+    db = protocol.Database(params, [rng.randrange(params.q) for _ in range(params.x_length)])
+    expected = db.file_content(config.file_index)
     results = []
-    for rep in range(config.repetitions):
+    for _ in range(config.repetitions):
+        wait = protocol.ResponderWait(params, target, cutoff)
         arrivals = sorted(
-            (model.sample_us(rng), sid)
-            for sid, model in zip(range(1, params.n + 1), config.latencies)
+            (model.sample_us(rng), sid) for sid, model in enumerate(config.latencies, 1)
         )
-        if config.strategy == "wait_for":
-            mu = config.wait_for
-            chosen = arrivals[:mu]
-            wait = chosen[-1][0]
-            if math.isinf(wait):
-                finite = [a for a in arrivals if not math.isinf(a[0])]
-                results.append(
-                    SimMetrics(len(finite), UNRESPONSIVE, 0, None, None, False)
-                )
-                continue
-        else:
-            cutoff = config.deadline_ms * 1000
-            chosen = [a for a in arrivals if a[0] <= cutoff]
-            if len(chosen) < params.k:
-                results.append(
-                    SimMetrics(len(chosen), cutoff, 0, None, None, False)
-                )
-                continue
-            wait = cutoff
-            mu = len(chosen)
-        responders = sorted(sid for _, sid in chosen)
-        assert mu >= params.k
+        for at, sid in arrivals:
+            # An unresponsive server never settles, not even by a cutoff of inf.
+            if at == UNRESPONSIVE or at > cutoff:
+                break
+            wait.settle(sid, at)
+        try:
+            responders = wait.responders()
+        except InsufficientResponders:
+            results.append(SimMetrics(len(wait.arrived), wait.ended, 0, None, None, False))
+            continue
         plan = protocol.plan_download(params, responders)
-
-        x = [rng.randrange(params.q) for _ in range(params.x_length)]
-        db = protocol.Database(params, x)
         queries = protocol.make_queries(params, V, config.file_index, seed=rng.random())
         responses = {
             sid: protocol.server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in responders
         }
         decoded = protocol.decode_file(params, V, plan, responses)
-        results.append(
-            SimMetrics(
-                realized_mu=mu,
-                wait_us=wait,
-                symbols=plan.total_symbols,
-                rate=plan.rate,
-                capacity=protocol.capacity_asymptotic(params.t, mu),
-                success=decoded == db.file_content(config.file_index),
-            )
-        )
+        results.append(SimMetrics(
+            realized_mu=plan.mu, wait_us=wait.ended, symbols=plan.total_symbols,
+            rate=plan.rate, capacity=protocol.capacity_asymptotic(params.t, plan.mu),
+            success=decoded == expected,
+        ))
     return results
 
 

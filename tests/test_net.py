@@ -457,3 +457,27 @@ def test_server_refuses_repeated_fetch_columns():
             assert len(wire.decode_response(reply, params.s, params.q)[1]) == params.alpha
     finally:
         shutdown(servers)
+
+
+@pytest.mark.parametrize("wait_for", [1, 4])
+def test_retrieve_refuses_wait_for_outside_k_to_n(cluster321, monkeypatch, wait_for):
+    params, V, _, _, endpoints = cluster321
+    resolved = []
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args: resolved.append(args))
+    with pytest.raises(OutOfRange):
+        retrieve(endpoints, params, V, 1, strategy="wait_for", wait_for=wait_for)
+    assert resolved == []  # refused before any connect
+
+
+def test_retrieve_reports_the_deadline_it_waited_out(cluster321):
+    params, V, files, _, endpoints = cluster321
+    # Accepts connections in its backlog but never answers them.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        start = time.monotonic()
+        decoded, metrics = retrieve(
+            endpoints[:2] + [silent.getsockname()], params, V, 1, deadline_s=0.3, seed=2
+        )
+        elapsed = time.monotonic() - start
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "late"}
+    assert 0.3 <= metrics.wait_s <= elapsed

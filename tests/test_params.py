@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from staircase_pir.errors import FieldTooSmall, InvalidK, InvalidThreshold, NotPrime
@@ -79,3 +81,27 @@ def test_prefix_cols():
     assert p.prefix_cols(4) == 2
     assert p.prefix_cols(3) == 3
     assert p.prefix_cols(2) == 6  # all alpha columns
+
+
+def test_derived_values_are_computed_once(monkeypatch):
+    calls = []
+    lcm = math.lcm
+
+    def counting(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(math, "lcm", counting)
+    p = SchemeParams(n=6, k=4, t=1, m=2, q=257)
+    assert [p.alpha for _ in range(5)] == [20] * 5
+    assert p.query_length == p.alpha_prime * p.m
+    assert len(calls) == 1
+
+
+def test_reading_derived_values_keeps_equality_and_hash():
+    p = SchemeParams(n=4, k=2, t=1, m=2, q=5, s=3)
+    p.h, p.alpha, p.block_cols, p.randomness_count, p.x_length, p.file_symbols
+    fresh = SchemeParams(n=4, k=2, t=1, m=2, q=5, s=3)
+    assert p == fresh
+    assert hash(p) == hash(fresh)
+    assert {p: 1}[fresh] == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from staircase_pir.errors import (
     InsufficientResponders,
     InvalidThreshold,
     MissingResponse,
+    OutOfRange,
 )
 from staircase_pir.examples import example1, example2
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
     Database,
+    ResponderWait,
     capacity_asymptotic,
     capacity_finite,
     decode_file,
@@ -232,3 +235,48 @@ def test_universality_rate_equals_capacity():
         for mu in range(k, n + 1):
             plan = plan_download(params, list(range(1, mu + 1)))
             assert plan.rate == capacity_asymptotic(t, mu)
+
+
+def test_responder_wait_chooses_times_and_labels():
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257)
+    wait = ResponderWait(params, target=2, deadline=10.0)
+    wait.settle(3, 0.5, "refused")
+    wait.settle(4, 1.0)
+    assert not wait.done
+    wait.settle(1, 2.0)
+    assert wait.done and wait.ended == 2.0
+    wait.settle(2, 2.5)  # in the same batch: the wait has already ended
+    assert wait.ended == 2.0
+    assert wait.responders() == [1, 4]
+    assert wait.outcomes([1, 4], kept=[4]) == {
+        1: "dropped-mid-fetch", 2: "late", 3: "refused", 4: "ok"
+    }
+
+
+def test_responder_wait_ends_at_the_deadline():
+    params = SchemeParams(n=3, k=2, t=1, m=2, q=257)
+    wait = ResponderWait(params, target=3, deadline=0.3)
+    wait.settle(2, 0.1)
+    assert not wait.done and wait.ended == 0.3
+    with pytest.raises(InsufficientResponders):
+        wait.responders()
+    wait.settle(1, 0.4)  # settled in the batch that woke after the deadline
+    assert wait.ended == 0.3
+    assert wait.responders() == [1, 2]
+    assert wait.outcomes([1, 2], kept=[1, 2]) == {1: "ok", 2: "ok", 3: "late"}
+
+
+@pytest.mark.parametrize("target", [1, 5])
+def test_responder_wait_target_outside_k_to_n(target):
+    with pytest.raises(OutOfRange):
+        ResponderWait(SchemeParams(n=4, k=2, t=1, m=2, q=257), target, deadline=1.0)
+
+
+def test_responder_wait_without_deadline_that_never_ends_has_no_responders():
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257)
+    wait = ResponderWait(params, target=3, deadline=math.inf)
+    wait.settle(1, 1.0)
+    wait.settle(2, 2.0)  # servers 3 and 4 never settle
+    assert not wait.done and math.isinf(wait.ended)
+    with pytest.raises(InsufficientResponders):
+        wait.responders()

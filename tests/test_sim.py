@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from staircase_pir import protocol
 from staircase_pir.params import SchemeParams
 from staircase_pir.sim import (
     SWEEP_HEADER,
@@ -156,3 +157,64 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert len(lines) == 4
+
+
+class TestResponderPolicy:
+    def test_deadline_wait_ends_when_every_server_answered(self):
+        config = SimConfig(
+            params=params421(),
+            latencies=det_latencies(1, 2, 3, 4),
+            strategy="deadline",
+            deadline_ms=10,
+        )
+        (m,) = run_simulation(config)
+        assert m.success
+        assert m.realized_mu == 4
+        assert m.wait_us == 4000  # the last settle, not the 10 ms cutoff
+
+    def test_deadline_wait_runs_out_with_a_silent_server(self):
+        dead = LatencyModel.unresponsive(1.0, LatencyModel.deterministic(1))
+        config = SimConfig(
+            params=params421(),
+            latencies=det_latencies(1, 2, 3) + (dead,),
+            strategy="deadline",
+            deadline_ms=10,
+        )
+        (m,) = run_simulation(config)
+        assert m.success
+        assert m.realized_mu == 3
+        assert m.wait_us == 10000
+
+    def test_wait_for_that_never_ends_fails_run(self):
+        # Two servers answer, but the client waits for 3 with no deadline.
+        dead = LatencyModel.unresponsive(1.0, LatencyModel.deterministic(1))
+        config = SimConfig(
+            params=params421(),
+            latencies=det_latencies(1, 2) + (dead, dead),
+            strategy="wait_for",
+            wait_for=3,
+        )
+        (m,) = run_simulation(config)
+        assert not m.success
+        assert m.realized_mu == 2
+        assert math.isinf(m.wait_us)
+
+    def test_one_database_per_config(self, monkeypatch):
+        built = []
+        database = protocol.Database
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return database(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "Database", counting)
+        config = SimConfig(
+            params=params421(),
+            latencies=det_latencies(1, 2, 3, 4),
+            strategy="wait_for",
+            wait_for=2,
+            repetitions=5,
+        )
+        metrics = run_simulation(config)
+        assert len(metrics) == 5 and all(m.success for m in metrics)
+        assert len(built) == 1
