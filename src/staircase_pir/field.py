@@ -41,6 +41,8 @@ _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 def ints_to_bytes(values: Sequence[int], width: int) -> bytes:
     """Non-negative ints as consecutive `width`-byte little-endian fields."""
+    if width == 1:
+        return bytes(values)
     code = _STRUCT_CODES.get(width)
     if code is not None:
         return struct.pack(f"<{len(values)}{code}", *values)

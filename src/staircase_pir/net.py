@@ -53,6 +53,7 @@ class _Conn:
         self.out = memoryview(b"")
         self.events = 0  # what the selector watches it for; 0: unregistered
         self.session = None
+        self.sent = self.received = 0  # bytes, over every socket it has had
 
     def watch(self, sel: selectors.BaseSelector, events: int) -> None:
         if events == self.events:
@@ -72,12 +73,15 @@ class _Conn:
         except BlockingIOError:  # woken with nothing to read after all
             return True
         self.inbuf += data
+        self.received += len(data)
         return bool(data)
 
     def flush(self) -> bool:
         """Write what the socket takes now; True once nothing is left."""
         try:
-            self.out = self.out[self.sock.send(self.out):]
+            sent = self.sock.send(self.out)
+            self.sent += sent
+            self.out = self.out[sent:]
         except BlockingIOError:
             pass
         return not self.out
@@ -186,7 +190,7 @@ class PIRServer:
         if msg_type == wire.MSG_QUERY:
             server_id, subqueries = wire.decode_query(payload, self.params, self.fingerprint)
             query = protocol.Query(server_id, subqueries)
-            conn.session = (next(self.session_counter), query)
+            conn.session = (next(self.session_counter) % wire.SESSION_IDS, query)
             return wire.encode_response(conn.session[0], [], self.params.q)
         if msg_type == wire.MSG_FETCH:
             session_id, columns = wire.decode_fetch(payload)
@@ -220,6 +224,8 @@ class RetrievalMetrics:
     decoded with; wait_s is when, in seconds from the start, the client
     stopped waiting for handshakes (protocol.ResponderWait.ended), and
     outcomes labels every server id as protocol.ResponderWait defines.
+    bytes_sent and bytes_received count what the client's sockets wrote
+    and read, over all n servers.
     """
 
     realized_mu: int
@@ -227,6 +233,8 @@ class RetrievalMetrics:
     symbols: int
     rate: object
     outcomes: Dict[int, str] = field(default_factory=dict)
+    bytes_sent: int = 0
+    bytes_received: int = 0
 
 
 class _Peer(_Conn):
@@ -441,9 +449,11 @@ def retrieve(
     """Query all n endpoints and decode from the responders.
 
     protocol.ResponderWait chooses the responders from the servers that
-    complete the query handshake within `deadline_s` seconds: all of them,
-    or under strategy "wait_for" the first `wait_for` (OutOfRange outside
-    [k, n]), and the client stops waiting as soon as it has them. A server
+    complete the query handshake within `deadline_s` seconds: all of them
+    under strategy "deadline", or under strategy "wait_for" the first
+    `wait_for` (OutOfRange outside [k, n]), and the client stops waiting
+    as soon as it has them. Any other strategy, or "wait_for" without
+    `wait_for`, raises ValueError before anything is sent. A server
     fails if its connection is refused or broken, its handshake is
     refused, or its connect and handshake take longer than
     `connect_timeout`. The client also stops waiting once every server
@@ -461,7 +471,14 @@ def retrieve(
         raise ValueError(f"need {params.n} endpoints")
     if deadline_s <= 0:
         raise OutOfRange(f"deadline_s must be positive, got {deadline_s}")
-    target = wait_for if strategy == "wait_for" and wait_for is not None else params.n
+    if strategy == "wait_for":
+        if wait_for is None:
+            raise ValueError('strategy "wait_for" needs wait_for')
+        target = wait_for
+    elif strategy == "deadline":
+        target = params.n
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
     wait = protocol.ResponderWait(params, target, deadline_s)
     queries = protocol.make_queries(params, V, i, seed=seed)
     run = _Retrieval(queries, V, wait, connect_timeout)
@@ -478,4 +495,6 @@ def retrieve(
         symbols=plan.total_symbols,
         rate=plan.rate,
         outcomes=wait.outcomes(responders, responses),
+        bytes_sent=sum(peer.sent for peer in run.peers),
+        bytes_received=sum(peer.received for peer in run.peers),
     )

@@ -1,8 +1,8 @@
 import gc
+import itertools
 import random
 import socket
 import socketserver
-import struct
 import sys
 import threading
 import time
@@ -380,9 +380,9 @@ def test_server_answers_hostile_query_header(cluster321, field, value):
     header = [params.n, params.k, params.t, params.m, params.q, params.s]
     header[field] = value
     payload = (
-        struct.pack("<6Q", *header)
+        wire.pack_varints(header)
         + matrix_fingerprint(params, V)
-        + struct.pack("<2Q", 1, params.alpha)
+        + wire.pack_varints([1, params.alpha])
     )
     with socket.create_connection(endpoints[0], timeout=2) as sock:
         start = time.monotonic()
@@ -428,7 +428,7 @@ def test_server_refuses_oversized_frame(cluster321, excess):
     with socket.create_connection(endpoints[0], timeout=2) as sock:
         # A QUERY header announcing more than the largest legitimate frame,
         # and no payload: the server closes without waiting for one.
-        sock.sendall(struct.pack("<4sBBQ", wire.MAGIC, wire.VERSION, wire.MSG_QUERY, length))
+        sock.sendall(wire.frame_header(wire.MSG_QUERY, length))
         assert sock.recv(1) == b""
     decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
     assert decoded == files[0]
@@ -481,3 +481,58 @@ def test_retrieve_reports_the_deadline_it_waited_out(cluster321):
     assert decoded == files[0]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "late"}
     assert 0.3 <= metrics.wait_s <= elapsed
+
+
+@pytest.mark.parametrize("strategy,wait_for", [("wait-for", 2), ("wait_for", None), ("", None)])
+def test_retrieve_refuses_an_unknown_strategy(cluster321, monkeypatch, strategy, wait_for):
+    params, V, _, _, endpoints = cluster321
+    resolved = []
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args: resolved.append(args))
+    with pytest.raises(ValueError):
+        retrieve(endpoints, params, V, 1, strategy=strategy, wait_for=wait_for)
+    assert resolved == []  # refused before any connect
+
+
+@pytest.mark.parametrize("down", [0, 1])
+def test_retrieval_bytes_are_the_frames_encoded(cluster321, monkeypatch, down):
+    # What the client's sockets wrote and read is exactly the frames the
+    # wire encoders built, so counting at the encoders misses no byte.
+    params, V, files, servers, endpoints = cluster321
+    shutdown(servers[params.n - down:])
+    frames = {"query": 0, "fetch": 0, "response": 0, "error": 0}
+
+    def counting(kind, encode):
+        def wrapped(*args):
+            frame = encode(*args)
+            frames[kind] += len(frame)
+            return frame
+        return wrapped
+
+    for kind in frames:
+        name = f"encode_{kind}"
+        monkeypatch.setattr(wire, name, counting(kind, getattr(wire, name)))
+    decoded, metrics = retrieve(endpoints, params, V, 2, seed=3)
+    assert decoded == files[1]
+    assert metrics.realized_mu == params.n - down
+    assert frames["query"] and frames["fetch"] and frames["response"]
+    assert metrics.bytes_sent == frames["query"] + frames["fetch"]
+    assert metrics.bytes_received == frames["response"] + frames["error"]
+
+
+def test_session_ids_wrap_at_the_u32_limit(cluster321):
+    params, V, files, servers, endpoints = cluster321
+    for srv in servers:
+        srv.session_counter = itertools.count(wire.SESSION_IDS - 2)
+    fp = matrix_fingerprint(params, V)
+    query = wire.encode_query(params, fp, 1, make_queries(params, V, 1, seed=0)[0].subqueries)
+    with socket.create_connection(endpoints[0], timeout=2) as sock:
+        sessions = [wire.decode_response(exchange(sock, query)[1], 0, params.q)[0]
+                    for _ in range(3)]
+        assert sessions == [wire.SESSION_IDS - 2, wire.SESSION_IDS - 1, 0]
+        msg_type, reply = exchange(sock, wire.encode_fetch(0, [0]))
+        assert msg_type == wire.MSG_RESPONSE
+        assert wire.decode_response(reply, params.s, params.q)[0] == 0
+    # The other servers hand out 2**32 - 2, 2**32 - 1 and 0 to these retrievals.
+    for i in (1, 2, 1):
+        decoded, _ = retrieve(endpoints, params, V, i, seed=i)
+        assert decoded == files[i - 1]

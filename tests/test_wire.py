@@ -1,4 +1,5 @@
 import io
+import random
 import struct
 from contextlib import suppress
 
@@ -60,7 +61,7 @@ def test_frame_length_capped_before_payload_is_read():
 
 def test_split_frame_waits_for_a_whole_frame():
     frame = wire.pack_frame(wire.MSG_FETCH, b"abcdef")
-    for cut in (0, 5, 13, len(frame) - 1):  # partial header, then partial payload
+    for cut in (0, 5, 6, len(frame) - 1):  # partial header, then partial payload
         buf = bytearray(frame[:cut])
         assert wire.split_frame(buf) is None
         assert buf == frame[:cut]
@@ -96,7 +97,14 @@ def test_split_frame_checks_the_header_like_read_frame():
 
 @pytest.mark.parametrize("q,width", [(2, 1), (5, 1), (257, 2), (65537, 3), (2**31 - 1, 4)])
 def test_symbol_bytes(q, width):
-    assert wire.symbol_bytes(q) == width
+    # A symbol spans `width` bytes: width-1 byte planes, then the bits of
+    # its top byte as bit planes of one bit a symbol, rounded up to bytes.
+    bits = (q - 1).bit_length()
+    assert (bits + 7) // 8 == width
+    for count in (0, 1, 7, 8, 9, 100):
+        size = count * (width - 1) + (bits - 8 * (width - 1)) * ((count + 7) // 8)
+        assert wire.symbols_size(count, q) == size
+        assert len(wire.pack_symbols([q - 1] * count, q)) == size
 
 
 def test_max_request_payload_is_the_query():
@@ -143,13 +151,16 @@ def test_query_rejects_trailing_bytes():
 
 
 def test_query_symbols_are_compact():
-    # q=257 needs 2 bytes per symbol; a sub-query has one per slab, whatever s is.
+    # q=257 needs 9 bits per symbol, a byte plane and a bit plane; a
+    # sub-query has one symbol per slab, whatever s is.
     params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=9)
     V = default_encoding_matrix(params)
     query = make_queries(params, V, 1, seed=0)[0]
     frame = wire.encode_query(params, matrix_fingerprint(params, V), 1, query.subqueries)
     symbols = params.alpha * params.query_length
-    assert len(roundtrip(frame)[1]) == 6 * 8 + 32 + 2 * 8 + 2 * symbols
+    # Varints 4, 2, 1, 2, 257 (2 bytes), 9; fingerprint; varints 1, alpha.
+    head = 7 + 32 + 2
+    assert len(roundtrip(frame)[1]) == head + symbols + (symbols + 7) // 8
 
 
 def test_query_rejects_truncation():
@@ -158,13 +169,13 @@ def test_query_rejects_truncation():
     fp = matrix_fingerprint(params, V)
     query = make_queries(params, V, 1, seed=0)[0]
     payload = roundtrip(wire.encode_query(params, fp, 1, query.subqueries))[1]
-    for cut in (1, 2, 3, len(payload) - 100):
+    for cut in (1, 2, 3, len(payload) - 45):  # the last leaves 4 symbol bytes
         with pytest.raises(MalformedFrame):
             wire.decode_query(payload[:-cut], params, fp)
 
 
 def query_payload(header, fingerprint, alpha, body=b""):
-    return struct.pack("<6Q", *header) + fingerprint + struct.pack("<2Q", 1, alpha) + body
+    return wire.pack_varints(header) + fingerprint + wire.pack_varints([1, alpha]) + body
 
 
 @pytest.mark.parametrize(
@@ -190,7 +201,7 @@ def test_query_fingerprint_and_alpha_checked_before_symbols():
     with pytest.raises(HandshakeMismatch):
         wire.decode_query(query_payload(header, fp, 2**63), params, fp)
     with pytest.raises(MalformedFrame):
-        wire.decode_query(query_payload(header, fp[:31], 0)[:-16], params, fp)
+        wire.decode_query(query_payload(header, fp[:31], 0)[:-2], params, fp)
 
 
 FUZZ_PARAMS = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=2)
@@ -216,7 +227,7 @@ def test_fuzz_read_frame(data, cap):
 @given(U64, st.binary(max_size=120))
 def test_fuzz_read_frame_lengths(length, tail):
     # A frame header announcing any length, followed by fewer bytes.
-    frame = struct.pack("<4sBBQ", wire.MAGIC, wire.VERSION, wire.MSG_QUERY, length)
+    frame = wire.frame_header(wire.MSG_QUERY, length)
     decodes_or_refuses(wire.read_frame, io.BytesIO(frame + tail))
 
 
@@ -280,7 +291,8 @@ def test_response_roundtrip():
 def test_response_is_compact_and_rejects_truncation():
     cols = [(1, 65536), (3, 4)]
     _, payload = roundtrip(wire.encode_response(9, cols, 65537))
-    assert len(payload) == 2 * 8 + 4 * 3
+    # Session id, column count; 17-bit symbols: 2 byte planes and a bit plane.
+    assert len(payload) == 4 + 1 + 2 * 4 + 1
     assert wire.decode_response(payload, 2, 65537) == (9, cols)
     for cut in (1, 3, 12):
         with pytest.raises(MalformedFrame):
@@ -293,9 +305,9 @@ def test_response_column_count_checked_first():
     # A count far past the payload is refused before any column is read;
     # an acknowledgement (s=0) carries no columns at all.
     with pytest.raises(MalformedFrame):
-        wire.decode_response(struct.pack("<2Q", 1, 2**60), 2, 5)
+        wire.decode_response(struct.pack("<I", 1) + wire.pack_varints([2**60]), 2, 5)
     with pytest.raises(MalformedFrame):
-        wire.decode_response(struct.pack("<2Q", 1, 10**6), 0, 5)
+        wire.decode_response(struct.pack("<I", 1) + wire.pack_varints([10**6]), 0, 5)
 
 
 def test_response_ack_has_no_columns():
@@ -320,3 +332,157 @@ def test_fingerprint_distinguishes_matrices():
     b = matrix_fingerprint(other, W)
     assert len(a) == len(b) == 32
     assert a != b
+
+
+# Moduli whose symbols are bit planes only (2, 3, 5), a byte plane and
+# whole bytes (251, 65521), byte planes and bit planes (257, 65537,
+# 2**31 - 1).
+CODEC_QS = [2, 3, 5, 251, 257, 65521, 65537, 2**31 - 1]
+COUNTS = st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 300)
+
+
+@st.composite
+def symbol_blocks(draw, qs=CODEC_QS, counts=COUNTS):
+    q = draw(st.sampled_from(qs))
+    count = draw(counts)
+    return q, draw(st.lists(st.integers(0, q - 1), min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbol_blocks(), st.binary(max_size=3))
+def test_symbols_roundtrip(block, prefix):
+    q, values = block
+    pack = wire.pack_symbols(values, q)
+    assert len(pack) == wire.symbols_size(len(values), q)
+    data = prefix + pack + b"tail"
+    assert wire.unpack_symbols(data, len(values), q, len(prefix)) == (
+        tuple(values), len(prefix) + len(pack))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Moduli with bit planes, and counts that leave padding in them.
+    symbol_blocks(qs=[2, 3, 5, 257, 65537, 2**31 - 1],
+                  counts=st.integers(1, 300).filter(lambda count: count % 8)),
+    st.data(),
+)
+def test_symbols_refuse_a_set_bit_past_the_last_symbol(block, data):
+    q, values = block
+    count = len(values)
+    bits = (q - 1).bit_length()
+    plane = data.draw(st.integers(0, bits % 8 - 1))
+    pad = data.draw(st.integers(count % 8, 7))  # a leading bit of its first byte
+    block_bytes = bytearray(wire.pack_symbols(values, q))
+    block_bytes[count * (bits // 8) + plane * ((count + 7) // 8)] |= 1 << pad
+    with pytest.raises(MalformedFrame):
+        wire.unpack_symbols(bytes(block_bytes), count, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbol_blocks(qs=[3, 5, 257, 65537, 2**31 - 1], counts=st.integers(1, 100)), st.data())
+def test_symbols_refuse_a_value_of_q_or_more(block, data):
+    # Every one of these moduli leaves values in [q, 2**bits) a symbol's
+    # bits can hold.
+    q, values = block
+    top = (1 << (q - 1).bit_length()) - 1
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(st.integers(q, top))
+    with pytest.raises(MalformedFrame):
+        wire.unpack_symbols(wire.pack_symbols(values, q), len(values), q)
+
+
+def test_symbols_refuse_a_value_past_their_bits():
+    for q in (5, 251, 257, 65537):
+        with pytest.raises(ValueError):
+            wire.pack_symbols([0, 1 << (q - 1).bit_length()], q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    symbol_blocks(counts=st.integers(0, 40)),
+    st.integers(1, 4),
+    st.integers(0, wire.SESSION_IDS - 1),
+    st.data(),
+)
+def test_response_refuses_truncation_and_trailing_bytes(block, s, session, data):
+    q, values = block
+    columns = [tuple(values[c : c + s]) for c in range(0, len(values) - len(values) % s, s)]
+    payload = roundtrip(wire.encode_response(session, columns, q))[1]
+    assert wire.decode_response(payload, s, q) == (session, columns)
+    cut = data.draw(st.integers(1, len(payload)))
+    with pytest.raises(MalformedFrame):
+        wire.decode_response(payload[:-cut], s, q)
+    with pytest.raises(MalformedFrame):
+        wire.decode_response(payload + data.draw(st.binary(min_size=1, max_size=4)), s, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, wire.SESSION_IDS - 1), st.lists(U64, max_size=20))
+def test_fetch_roundtrip_any_columns(session, columns):
+    payload = roundtrip(wire.encode_fetch(session, columns))[1]
+    assert wire.decode_fetch(payload) == (session, columns)
+
+
+@pytest.mark.parametrize("varint", [
+    b"\x80\x00",  # a zero continuation byte: not the shortest form
+    b"\x85\x80\x00",
+    b"\xff" * 9 + b"\x02",  # 2**64
+    b"\xff" * 11,  # more bytes than any value below 2**64 needs
+], ids=["zero-last-byte", "zero-third-byte", "2**64", "11-bytes"])
+def test_overlong_varints_are_refused(varint):
+    session = struct.pack("<I", 1)
+    with pytest.raises(MalformedFrame):
+        wire.decode_fetch(session + varint)
+    with pytest.raises(MalformedFrame):
+        wire.decode_response(session + varint, 2, 5)
+    with pytest.raises(MalformedFrame):
+        wire.decode_error(varint + b"message")
+    header = wire.frame_header(wire.MSG_FETCH, 0)[:-1] + varint
+    with pytest.raises(MalformedFrame):
+        wire.split_frame(bytearray(header))
+    with pytest.raises(MalformedFrame):
+        roundtrip(header + bytes(16))
+
+
+@pytest.mark.parametrize("varint", [b"", b"\x80", b"\xff\xff"], ids=["empty", "1-byte", "2-bytes"])
+def test_truncated_varints_are_refused(varint):
+    session = struct.pack("<I", 1)
+    with pytest.raises(MalformedFrame):
+        wire.decode_fetch(session + varint)
+    with pytest.raises(MalformedFrame):
+        wire.decode_fetch(session + wire.pack_varints([2]) + b"\x01" + varint)
+    with pytest.raises(MalformedFrame):
+        wire.decode_error(varint)
+    # A frame header whose length has not all arrived waits for the rest.
+    header = wire.frame_header(wire.MSG_FETCH, 0)[:-1] + varint
+    assert wire.split_frame(bytearray(header)) is None
+    with pytest.raises(MalformedFrame):
+        roundtrip(header)
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x01\x02\x03"], ids=["empty", "3-bytes"])
+def test_version_2_frames_are_refused(payload):
+    frame = struct.pack("<4sBBQ", wire.MAGIC, 2, wire.MSG_RESPONSE, len(payload)) + payload
+    with pytest.raises(MalformedFrame):
+        roundtrip(frame)
+    with pytest.raises(MalformedFrame):
+        wire.split_frame(bytearray(frame))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 257, 65537, 2**31 - 1])
+def test_max_request_payload_is_the_largest_query(q):
+    params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=5)
+    rng = random.Random(q)
+    subqueries = [[rng.randrange(q) for _ in range(params.query_length)]
+                  for _ in range(params.alpha)]
+    sizes = [len(roundtrip(wire.encode_query(params, bytes(32), sid, subqueries))[1])
+             for sid in range(1, params.n + 1)]
+    assert max(sizes) == wire.max_request_payload(params)
+    fetch_all = wire.encode_fetch(wire.SESSION_IDS - 1, range(params.alpha))
+    assert len(roundtrip(fetch_all)[1]) <= wire.max_request_payload(params)
+
+
+def test_frame_sizes_do_not_depend_on_the_session_id():
+    for session in (0, 1, 200, wire.SESSION_IDS - 1):
+        assert len(wire.encode_response(session, [], 257)) == 12
+        assert len(wire.encode_response(session, [(1, 2)] * 2, 257)) == 7 + 4 + 1 + 4 + 1
+        assert len(wire.encode_fetch(session, [0, 1])) == 7 + 4 + 1 + 2
