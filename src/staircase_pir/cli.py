@@ -8,43 +8,74 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import json
+import os
 import random
 import sys
-from fractions import Fraction
 
 from . import examples, ingest, net, protocol, sim, staircase, verify
 from .errors import StaircasePIRError
 from .params import SchemeParams
 
 
-def _add_scheme_flags(p, include_q=True):
+def _add_scheme_flags(p):
     p.add_argument("--n", type=int, required=True, help="server count")
     p.add_argument("--k", type=int, required=True, help="worst-case responder count")
     p.add_argument("--t", type=int, required=True, help="collusion threshold")
     p.add_argument("--m", type=int, default=1, help="file count")
-    if include_q:
-        p.add_argument("--q", type=int, default=257, help="field modulus (prime)")
+    p.add_argument("--q", type=int, default=257, help="field modulus (prime)")
     p.add_argument("--batch", type=int, default=1, help="symbols per file part (s)")
 
 
 def _params_from(args) -> SchemeParams:
-    return SchemeParams(
-        n=args.n, k=args.k, t=args.t, m=args.m, q=args.q, s=args.batch
-    )
+    return SchemeParams(n=args.n, k=args.k, t=args.t, m=args.m, q=args.q, s=args.batch)
 
 
-def _emit(args, records, text_fn):
+def _keys(records) -> list:
+    """The records' keys, in the order they first appear."""
+    return list(dict.fromkeys(key for rec in records for key in rec))
+
+
+def _cell(value):
+    """A record value as one field: lists and dicts as JSON text."""
+    return json.dumps(value, default=str) if isinstance(value, (list, dict)) else value
+
+
+def _table(records) -> list:
+    """A plain text table: a header of the records' keys, a row for each."""
+    keys = _keys(records)
+    rows = [keys] + [[str(_cell(rec.get(key, ""))) for key in keys] for rec in records]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in rows]
+
+
+def _csv(records) -> list:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, _keys(records), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({key: _cell(value) for key, value in rec.items()} for rec in records)
+    return buf.getvalue().splitlines()
+
+
+def _emit(args, records, text=_table, out=None) -> None:
+    """Write a command's result records to `out` (stdout) in args.format:
+    text as the lines `text` returns (a plain table unless the command has
+    its own renderer); csv through one DictWriter over the union of the
+    keys; json-lines one JSON object a line, Fractions and the like str()."""
     if args.format == "json-lines":
-        for rec in records:
-            print(json.dumps(rec))
+        lines = (json.dumps(rec, default=str) for rec in records)
     elif args.format == "csv":
-        keys = list(records[0]) if records else []
-        print(",".join(keys))
-        for rec in records:
-            print(",".join(str(rec[k]) for k in keys))
+        lines = _csv(records)
     else:
-        text_fn(records)
+        lines = text(records)
+    out = out or sys.stdout
+    for line in lines:
+        print(line, file=out)
+    out.flush()
 
 
 def cmd_params(args) -> int:
@@ -59,45 +90,23 @@ def cmd_params(args) -> int:
         "randomness_vectors": params.randomness_count,
         "file_symbols": params.file_symbols,
     }
-
-    def text(records):
-        for key, value in records[0].items():
-            print(f"{key:>20}: {value}")
-
-    _emit(args, [rec], text)
+    _emit(args, [rec], lambda records: [
+        f"{key:>20}: {value}" for key, value in records[0].items()])
     return 0
 
 
 def cmd_demo(args) -> int:
-    if args.example == 1:
-        params, V, row_order = examples.example1(m=args.m)
-    else:
-        params, V, row_order = examples.example2(m=args.m)
+    example = examples.example1 if args.example == 1 else examples.example2
+    params, V, row_order = example(m=args.m)
     rng = random.Random(args.seed)
-    layout = staircase.grid_layout(params, row_order)
-
-    print(f"scheme (n,k,t) = ({params.n},{params.k},{params.t}) over GF({params.q})")
-    print(f"alpha = {params.alpha}, alpha' = {params.alpha_prime}, "
-          f"block columns = {params.block_cols}")
-    print("\ngrid M (rows x sub-query columns):")
-    for r in range(params.n):
-        cells = [examples.format_coeffs(params, layout.symbolic((r, c)))
-                 for c in range(params.alpha)]
-        print("  [ " + " | ".join(f"{cell:<18}" for cell in cells) + "]")
-
     randomness = staircase.generate_randomness(params, args.seed)
     grid = staircase.build_message_grid(params, args.i, randomness, row_order)
     shares = staircase.encode_shares(params, V, grid)
-    print("\nqueries Q = V*M (per server):")
-    for l in range(params.n):
-        cells = [examples.format_coeffs(params, shares.sym_rows[l][c])
-                 for c in range(params.alpha)]
-        print(f"  server {l + 1}: " + " | ".join(cells))
 
     x = [rng.randrange(params.q) for _ in range(params.x_length)]
     db = protocol.Database(params, x)
-    mus = [args.mu] if args.mu else list(range(params.k, params.n + 1))
-    for mu in mus:
+    records = []
+    for mu in [args.mu] if args.mu else range(params.k, params.n + 1):
         responders = list(range(1, mu + 1))
         plan = protocol.plan_download(params, responders)
         responses = {
@@ -106,66 +115,89 @@ def cmd_demo(args) -> int:
             for sid in responders
         }
         decoded = protocol.decode_file(params, V, plan, responses, row_order)
-        ok = decoded == db.file_content(args.i)
-        rate = plan.rate
-        print(f"\nmu = {mu}: downloaded {plan.total_symbols} symbols from "
-              f"servers {responders}, decode {'ok' if ok else 'FAILED'}, "
-              f"rate {rate}")
-        if not ok:
-            return 1
-    return 0
+        records.append({"mu": mu, "responders": responders, "symbols": plan.total_symbols,
+                        "rate": plan.rate, "decoded": decoded == db.file_content(args.i)})
+
+    def text(records):
+        layout = staircase.grid_layout(params, row_order)
+        yield f"scheme (n,k,t) = ({params.n},{params.k},{params.t}) over GF({params.q})"
+        yield (f"alpha = {params.alpha}, alpha' = {params.alpha_prime}, "
+               f"block columns = {params.block_cols}")
+        yield "\ngrid M (rows x sub-query columns):"
+        for r in range(params.n):
+            cells = [examples.format_coeffs(params, layout.symbolic((r, c)))
+                     for c in range(params.alpha)]
+            yield "  [ " + " | ".join(f"{cell:<18}" for cell in cells) + "]"
+        yield "\nqueries Q = V*M (per server):"
+        for l in range(params.n):
+            cells = [examples.format_coeffs(params, shares.sym_rows[l][c])
+                     for c in range(params.alpha)]
+            yield f"  server {l + 1}: " + " | ".join(cells)
+        for rec in records:
+            yield (f"\nmu = {rec['mu']}: downloaded {rec['symbols']} symbols from "
+                   f"servers {rec['responders']}, decode "
+                   f"{'ok' if rec['decoded'] else 'FAILED'}, rate {rec['rate']}")
+
+    _emit(args, records, text)
+    return 0 if all(rec["decoded"] for rec in records) else 1
 
 
 def cmd_capacity(args) -> int:
     finite = protocol.capacity_finite(args.m, args.t, args.k)
     asym = protocol.capacity_asymptotic(args.t, args.k)
-    rec = {
-        "m": args.m, "t": args.t, "k": args.k,
-        "capacity_finite": str(finite),
-        "capacity_asymptotic": str(asym),
-        "ratio_asym_over_finite": str(Fraction(asym, finite)),
-    }
-
-    def text(records):
-        r = records[0]
-        print(f"C_{args.m}({args.t},{args.k}) = {r['capacity_finite']}")
-        print(f"C({args.t},{args.k})   = {r['capacity_asymptotic']}")
-        print(f"ratio       = {r['ratio_asym_over_finite']} "
-              f"(~{float(Fraction(r['ratio_asym_over_finite'])):.6f})")
-
-    _emit(args, [rec], text)
+    ratio = asym / finite
+    rec = {"m": args.m, "t": args.t, "k": args.k, "capacity_finite": finite,
+           "capacity_asymptotic": asym, "ratio_asym_over_finite": ratio}
+    _emit(args, [rec], lambda records: [
+        f"C_{args.m}({args.t},{args.k}) = {finite}",
+        f"C({args.t},{args.k})   = {asym}",
+        f"ratio       = {ratio} (~{float(ratio):.6f})",
+    ])
     return 0
+
+
+def _privacy_records(report: verify.PrivacyReport) -> list:
+    return [
+        {"subset": "+".join(map(str, subset)), "mode": report.mode,
+         "verdict": "pass" if ok else "FAIL"}
+        for subset, ok in sorted(report.verdicts.items())
+    ]
+
+
+def _verify_text(records):
+    skipped = [rec for rec in records if rec["verdict"] == "skipped"]
+    return _table([rec for rec in records if rec not in skipped]) + [
+        f"exhaustive privacy skipped: {rec['space']} assignments exceed cap"
+        for rec in skipped
+    ]
 
 
 def cmd_verify(args) -> int:
     params = _params_from(args)
     V = protocol.default_encoding_matrix(params)
-    failed = False
-
-    rank = verify.verify_privacy_rank(params, V)
-    print(verify.report_text(rank.rows()))
-    failed |= not rank.ok
-
+    records = _privacy_records(verify.verify_privacy_rank(params, V))
     if args.all or args.exhaustive:
         space = verify.exhaustive_space(params)
         if space <= verify.EXHAUSTIVE_CAP:
-            exh = verify.verify_privacy_exhaustive(params, V)
-            print(verify.report_text(exh.rows()))
-            failed |= not exh.ok
+            records += _privacy_records(verify.verify_privacy_exhaustive(params, V))
         else:
-            print(f"exhaustive privacy skipped: {space} assignments exceed cap")
+            records.append({"mode": "exhaustive", "verdict": "skipped", "space": space})
 
     rob = verify.verify_robustness(params, V, trials=args.trials, seed=args.seed)
-    print(verify.report_text(rob.rows()))
-    failed |= not rob.ok
-
-    print(f"{'mu':>4} {'symbols':>8} {'rate':>8} {'capacity':>9} match")
-    for mu, symbols, rate, cap, match in verify.verify_rates(params):
-        print(f"{mu:>4} {symbols:>8} {str(rate):>8} {str(cap):>9} "
-              f"{'pass' if match else 'FAIL'}")
-        failed |= not match
-
-    return 1 if failed else 0
+    records.append({"subset": "all-subsets>=k", "mode": "robustness",
+                    "verdict": "pass" if rob.ok else "FAIL"})
+    records += [
+        {"subset": "+".join(map(str, subset)), "mode": "robustness", "verdict": "FAIL",
+         "i": i, "trial": trial}
+        for subset, i, trial in rob.failures
+    ]
+    records += [
+        {"mode": "rate", "verdict": "pass" if match else "FAIL", "mu": mu,
+         "symbols": symbols, "rate": rate, "capacity": cap}
+        for mu, symbols, rate, cap, match in verify.verify_rates(params)
+    ]
+    _emit(args, records, _verify_text)
+    return 1 if any(rec["verdict"] == "FAIL" for rec in records) else 0
 
 
 def cmd_simulate(args) -> int:
@@ -174,27 +206,19 @@ def cmd_simulate(args) -> int:
         model = sim.LatencyModel.exponential(args.latency_ms)
     else:
         model = sim.LatencyModel.deterministic(args.latency_ms)
-    configs = []
-    mus = [args.mu] if args.mu else list(range(params.k, params.n + 1))
-    for mu in mus:
-        if args.deadline_ms:
-            configs.append(sim.SimConfig(
-                params=params, latencies=(model,) * params.n,
-                strategy="deadline", deadline_ms=args.deadline_ms,
-                seed=args.seed, repetitions=args.reps,
-            ))
-            break
-        configs.append(sim.SimConfig(
-            params=params, latencies=(model,) * params.n,
-            strategy="wait_for", wait_for=mu,
-            seed=args.seed + mu, repetitions=args.reps,
-        ))
-    out = sim.rows_to_csv(sim.sweep(configs))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+    latencies = (model,) * params.n
+    if args.deadline_ms:
+        configs = [sim.SimConfig(
+            params=params, latencies=latencies, strategy="deadline",
+            deadline_ms=args.deadline_ms, seed=args.seed, repetitions=args.reps,
+        )]
     else:
-        print(out, end="")
+        configs = [sim.SimConfig(
+            params=params, latencies=latencies, strategy="wait_for",
+            wait_for=mu, seed=args.seed + mu, repetitions=args.reps,
+        ) for mu in ([args.mu] if args.mu else range(params.k, params.n + 1))]
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        _emit(args, sim.sweep(configs), _csv, out=fh)
     return 0
 
 
@@ -207,9 +231,12 @@ def cmd_serve(args) -> int:
     V = protocol.default_encoding_matrix(params)
     host, port = args.listen.rsplit(":", 1)
     server = net.PIRServer((host, int(port)), db, params, V)
-    print(f"serving (n,k,t)=({params.n},{params.k},{params.t}) q={params.q} "
-          f"s={params.s} on {args.listen}")
     try:
+        _emit(args, [{
+            "n": params.n, "k": params.k, "t": params.t, "m": params.m,
+            "q": params.q, "s": params.s,
+            "listen": f"{host}:{server.server_address[1]}",
+        }])
         server.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -222,14 +249,11 @@ def cmd_retrieve(args) -> int:
     manifest = ingest.read_manifest(args.manifest)
     params = ingest.params_from_manifest(manifest)
     V = protocol.default_encoding_matrix(params)
-    endpoints = []
-    for ep in args.endpoints.split(","):
-        host, port = ep.rsplit(":", 1)
-        endpoints.append((host, int(port)))
-    strategy = "wait_for" if args.mu else "deadline"
+    endpoints = [(host, int(port)) for host, port in
+                 (ep.rsplit(":", 1) for ep in args.endpoints.split(","))]
     decoded, metrics = net.retrieve(
         endpoints, params, V, args.i,
-        strategy=strategy, wait_for=args.mu,
+        strategy="wait_for" if args.mu else "deadline", wait_for=args.mu,
         deadline_s=args.deadline_ms / 1000.0, seed=args.seed,
     )
     data = ingest.restore_file(decoded, manifest, args.i)
@@ -238,8 +262,10 @@ def cmd_retrieve(args) -> int:
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
-    print(f"\nretrieved file {args.i} ({len(data)} bytes) from "
-          f"{metrics.realized_mu} servers, rate {metrics.rate}", file=sys.stderr)
+    # The record goes to stderr, from a new line, when the file goes to stdout.
+    _emit(args, [{"i": args.i, "file_bytes": len(data), **vars(metrics)}],
+          text=_table if args.out else lambda records: ["", *_table(records)],
+          out=None if args.out else sys.stderr)
     return 0
 
 
@@ -278,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="straggler simulation sweep (CSV)")
+    p = sub.add_parser("simulate", help="straggler simulation sweep")
     _add_scheme_flags(p)
     p.add_argument("--mu", type=int, default=None)
     p.add_argument("--latency", choices=["exponential", "deterministic"],
@@ -321,6 +347,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except StaircasePIRError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Whoever read stdout has gone (say `| head -1`). As the SIGPIPE note
+        # in Python's signal docs advises, point stdout at devnull, so that
+        # flushing it at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

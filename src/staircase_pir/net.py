@@ -267,6 +267,7 @@ class _Retrieval:
                  connect_timeout: float):
         self.params = params = wait.params
         self.fingerprint = protocol.matrix_fingerprint(params, V)
+        self.max_reply = wire.max_reply_payload(params)
         self.queries = queries
         self.wait = wait
         self.sel = selectors.DefaultSelector()
@@ -340,7 +341,7 @@ class _Retrieval:
                 return
             if not peer.recv():
                 raise MalformedFrame("connection closed mid-frame")
-            frame = wire.split_frame(peer.inbuf)
+            frame = wire.split_frame(peer.inbuf, self.max_reply)
             if frame is not None:
                 self._on_frame(peer, *frame)
         except (OSError, StaircasePIRError) as exc:

@@ -10,8 +10,6 @@ fixed seed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass
@@ -139,45 +137,25 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
     return results
 
 
-SWEEP_HEADER = (
-    "config_id",
-    "strategy",
-    "target",
-    "repetitions",
-    "mean_wait_ms",
-    "mean_symbols",
-    "rate",
-    "success_fraction",
-)
-
-
-def sweep(configs: Sequence[SimConfig], V: Optional[Matrix] = None) -> List[tuple]:
-    """One summary row per config; deterministic under fixed seeds."""
-    rows = [SWEEP_HEADER]
+def sweep(configs: Sequence[SimConfig], V: Optional[Matrix] = None) -> List[dict]:
+    """One summary record per config, keyed config_id, strategy, target,
+    repetitions, mean_wait_ms, mean_symbols, rate and success_fraction;
+    deterministic under fixed seeds."""
+    records = []
     for idx, config in enumerate(configs):
         metrics = run_simulation(config, V)
         ok = [m for m in metrics if m.success]
         target = config.wait_for if config.strategy == "wait_for" else config.deadline_ms
-        mean_wait = sum(m.wait_us for m in ok) / len(ok) / 1000 if ok else math.nan
+        # A config with no decoded run has no wait or rate: None, not NaN,
+        # which JSON lacks.
+        mean_wait = round(sum(m.wait_us for m in ok) / len(ok) / 1000, 3) if ok else None
         mean_symbols = sum(m.symbols for m in ok) / len(ok) if ok else 0
-        rates = {m.rate for m in ok}
-        rate = str(rates.pop()) if len(rates) == 1 else "mixed"
-        rows.append(
-            (
-                idx,
-                config.strategy,
-                target,
-                config.repetitions,
-                round(mean_wait, 3),
-                mean_symbols,
-                rate,
-                len(ok) / len(metrics) if metrics else 0.0,
-            )
-        )
-    return rows
-
-
-def rows_to_csv(rows: Sequence[tuple]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+        rates = {str(m.rate) for m in ok}
+        records.append({
+            "config_id": idx, "strategy": config.strategy, "target": target,
+            "repetitions": config.repetitions, "mean_wait_ms": mean_wait,
+            "mean_symbols": mean_symbols,
+            "rate": rates.pop() if len(rates) == 1 else "mixed" if rates else None,
+            "success_fraction": len(ok) / len(metrics) if metrics else 0.0,
+        })
+    return records

@@ -16,8 +16,6 @@ are checked as exact finite facts on concrete instances:
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -42,12 +40,6 @@ class PrivacyReport:
     def ok(self) -> bool:
         return all(self.verdicts.values())
 
-    def rows(self) -> List[tuple]:
-        return [
-            ("+".join(map(str, subset)), self.mode, "pass" if v else "FAIL")
-            for subset, v in sorted(self.verdicts.items())
-        ]
-
 
 @dataclass
 class RobustnessReport:
@@ -59,26 +51,6 @@ class RobustnessReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def rows(self) -> List[tuple]:
-        out = [("all-subsets>=k", "robustness", "pass" if self.ok else "FAIL")]
-        out.extend(
-            ("+".join(map(str, s)), f"robustness i={i} trial={tr}", "FAIL")
-            for s, i, tr in self.failures
-        )
-        return out
-
-
-def report_csv(rows: List[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["subset", "mode", "verdict"])
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def report_text(rows: List[tuple]) -> str:
-    return "\n".join(f"{s:<12} {m:<28} {v}" for s, m, v in rows)
 
 
 def exhaustive_space(params: SchemeParams) -> int:

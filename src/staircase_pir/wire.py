@@ -22,7 +22,8 @@ Message types:
   3 RESPONSE session id (u32), column count (varint), then the s symbols
              of each column, as one block. A zero-column RESPONSE
              acknowledges a QUERY and carries the server-assigned session id.
-  4 ERROR    code (varint), UTF-8 message.
+  4 ERROR    code (varint), UTF-8 message of at most ERROR_TEXT_BYTES
+             bytes.
 
 A frame's size depends only on the params, the server id and the columns
 it names, never on how many sessions came before: the session id has a
@@ -59,6 +60,10 @@ MSG_ERROR = 4
 ERR_HANDSHAKE = 1
 ERR_BAD_SESSION = 2
 ERR_MALFORMED = 4
+
+# An ERROR's message is cut to this many bytes, so a reply has a largest
+# size (max_reply_payload) that a client can refuse to buffer past.
+ERROR_TEXT_BYTES = 256
 
 # Session ids are u32s: a server hands out its counter modulo this.
 SESSION_IDS = 1 << 32
@@ -322,6 +327,14 @@ def max_request_payload(params: SchemeParams) -> int:
     return len(head) + symbols_size(params.alpha * params.query_length, params.q)
 
 
+def max_reply_payload(params: SchemeParams) -> int:
+    """Largest payload a server with these params sends a client: a
+    RESPONSE of all alpha columns, or an ERROR, whichever is larger."""
+    response = (_SESSION.size + len(_varint_bytes(params.alpha))
+                + symbols_size(params.alpha * params.s, params.q))
+    return max(response, _VARINT_MAX + ERROR_TEXT_BYTES)
+
+
 def encode_query(
     params: SchemeParams, fingerprint: bytes, server_id: int, subqueries
 ) -> bytes:
@@ -404,7 +417,10 @@ def decode_response(payload: bytes, s: int, q: int) -> Tuple[int, List[tuple]]:
 
 
 def encode_error(code: int, message: str) -> bytes:
-    return pack_frame(MSG_ERROR, _varint_bytes(code) + message.encode("utf-8"))
+    """An ERROR frame; the message is cut to ERROR_TEXT_BYTES of UTF-8,
+    never inside a character."""
+    text = message.encode("utf-8")[:ERROR_TEXT_BYTES].decode("utf-8", "ignore")
+    return pack_frame(MSG_ERROR, _varint_bytes(code) + text.encode("utf-8"))
 
 
 def decode_error(payload: bytes) -> Tuple[int, str]:

@@ -1,8 +1,18 @@
+import csv
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
+import staircase_pir
+from staircase_pir import ingest, net
 from staircase_pir.cli import main
+from staircase_pir.protocol import default_encoding_matrix
+
+FILES = {"a.txt": b"staircase", "b.txt": b"private information retrieval"}
 
 
 def run(capsys, *argv):
@@ -98,3 +108,116 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["params", "--n", "4"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_params_csv_quotes_lists(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "params", "--n", "4", "--k", "2", "--t", "1")
+    assert code == 0
+    (row,) = csv.DictReader(out.splitlines())
+    assert None not in row  # no field past the header
+    assert row["block_cols"] == "[2, 1, 3]"
+    assert row["mu"] == "[4, 3, 2]"
+
+
+@pytest.fixture
+def deployment(tmp_path):
+    """A data directory, its manifest and a (3,2,1) cluster serving it:
+    (data dir, manifest path, endpoints)."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, content in FILES.items():
+        (data / name).write_bytes(content)
+    params, db, manifest = ingest.ingest_dir(str(data), n=3, k=2, t=1, q=257)
+    ingest.write_manifest(str(tmp_path / "manifest.json"), manifest)
+    V = default_encoding_matrix(params)
+    servers = [net.serve("127.0.0.1", 0, db, params, V) for _ in range(params.n)]
+    yield data, tmp_path / "manifest.json", ["%s:%d" % srv.server_address for srv in servers]
+    for srv in servers:
+        srv.shutdown()
+        srv.server_close()
+
+
+# Each command's arguments, and a key that every one of its records has.
+COMMANDS = {
+    "params": (["params", "--n", "4", "--k", "2", "--t", "1"], "block_cols"),
+    "capacity": (["capacity", "--t", "1", "--k", "3"], "capacity_finite"),
+    "demo": (["demo", "--example", "2"], "rate"),
+    "verify": (["verify", "--n", "3", "--k", "2", "--t", "1", "--trials", "1"], "verdict"),
+    "simulate": (["simulate", "--n", "3", "--k", "2", "--t", "1", "--reps", "5"],
+                 "success_fraction"),
+    "serve": (["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0"],
+              "listen"),
+    "retrieve": (["retrieve", "--i", "2"], "outcomes"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-lines"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_in_every_format(command, fmt, capsys, monkeypatch, request):
+    argv, key = COMMANDS[command]
+    if command == "serve":
+        data, _, _ = request.getfixturevalue("deployment")
+        argv = argv + ["--data-dir", str(data)]
+
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(net.PIRServer, "serve_forever", interrupted)
+    if command == "retrieve":
+        data, manifest, endpoints = request.getfixturevalue("deployment")
+        out_path = data.parent / "out.bin"
+        argv = argv + ["--manifest", str(manifest), "--endpoints", ",".join(endpoints),
+                       "--out", str(out_path)]
+    code, out, _ = run(capsys, "--format", fmt, *argv)
+    assert code == 0
+    if command == "retrieve":
+        assert out_path.read_bytes() == FILES["b.txt"]
+    if fmt == "json-lines":
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and all(key in rec for rec in records)
+    elif fmt == "csv":
+        header, *rows = csv.reader(out.splitlines())
+        assert key in header
+        assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        assert out.strip()
+
+
+def test_retrieve_record_names_a_refused_server(deployment, capsys):
+    _, manifest, endpoints = deployment
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed = "127.0.0.1:%d" % probe.getsockname()[1]
+    code, out, err = run(capsys, "--format", "json-lines", "retrieve",
+                         "--manifest", str(manifest), "--i", "1",
+                         "--endpoints", ",".join(endpoints[:2] + [closed]))
+    assert code == 0
+    assert out == FILES["a.txt"].decode()  # the file on stdout, the record on stderr
+    (rec,) = map(json.loads, err.splitlines())
+    assert rec["outcomes"] == {"1": "ok", "2": "ok", "3": "refused"}
+    assert rec["realized_mu"] == 2
+    assert rec["rate"] == "1/2"
+    assert rec["file_bytes"] == len(FILES["a.txt"])
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity is fixed on this platform")
+    read_fd, write_fd = os.pipe()
+    # A one-page pipe: the command writes 11 KB, over twice that, so it is
+    # still writing when the reader goes after one line (`| head -1`).
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    src = os.path.dirname(os.path.dirname(staircase_pir.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "staircase_pir.cli", "verify",
+         "--n", "11", "--k", "10", "--t", "4", "--m", "1", "--trials", "1"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as reader:
+        assert reader.readline().strip()
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert proc.returncode == 1

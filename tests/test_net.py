@@ -89,6 +89,17 @@ class _TrickleOnFetch(socketserver.BaseRequestHandler):
                 self.request.sendall(reply[i : i + 1])
 
 
+class _HugeReply(socketserver.BaseRequestHandler):
+    """Answers a QUERY with a RESPONSE header announcing 2**40 bytes, then
+    stalls until released."""
+
+    def handle(self):
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            wire.read_frame(reader)
+            self.request.sendall(wire.frame_header(wire.MSG_RESPONSE, 1 << 40))
+            self.server.release.wait(10)
+
+
 def serve_stub(handler=_DropOnFetch):
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
@@ -194,6 +205,24 @@ def test_retrieve_bounds_a_trickled_fetch_by_the_deadline(cluster321):
     assert elapsed < 1
     assert decoded == files[1]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
+
+
+def test_retrieve_refuses_a_reply_larger_than_any_response(cluster321):
+    params, V, files, _, endpoints = cluster321
+    stub = serve_stub(_HugeReply)
+    try:
+        start = time.monotonic()
+        decoded, metrics = retrieve(
+            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=3, seed=5
+        )
+        elapsed = time.monotonic() - start
+    finally:
+        stub.release.set()
+        shutdown([stub])
+    # The header is refused as it arrives, not waited on until the deadline.
+    assert elapsed < 1
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "error"}
 
 
 def test_idle_connections_do_not_pin_server_threads(cluster321):

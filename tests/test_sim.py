@@ -3,15 +3,20 @@ import math
 import pytest
 
 from staircase_pir import protocol
+from staircase_pir.cli import main
 from staircase_pir.params import SchemeParams
-from staircase_pir.sim import (
-    SWEEP_HEADER,
-    LatencyModel,
-    SimConfig,
-    rows_to_csv,
-    run_simulation,
-    sweep,
-)
+from staircase_pir.sim import LatencyModel, SimConfig, run_simulation, sweep
+
+SWEEP_HEADER = [
+    "config_id",
+    "strategy",
+    "target",
+    "repetitions",
+    "mean_wait_ms",
+    "mean_symbols",
+    "rate",
+    "success_fraction",
+]
 
 
 def params421():
@@ -146,15 +151,24 @@ class TestSweep:
         rows1 = sweep(self.make_configs())
         rows2 = sweep(self.make_configs())
         assert rows1 == rows2
-        assert rows1[0] == SWEEP_HEADER
-        assert len(rows1) == 4
-        rates = [row[6] for row in rows1[1:]]
+        assert all(list(row) == SWEEP_HEADER for row in rows1)
+        assert len(rows1) == 3
+        rates = [row["rate"] for row in rows1]
         assert rates == ["1/2", "2/3", "3/4"]
-        assert all(row[7] == 1.0 for row in rows1[1:])
+        assert all(row["success_fraction"] == 1.0 for row in rows1)
 
-    def test_csv_rendering(self):
-        out = rows_to_csv(sweep(self.make_configs()))
-        lines = out.strip().splitlines()
+    def test_a_config_that_never_decodes_has_no_wait_or_rate(self):
+        config = SimConfig(params=params421(), latencies=det_latencies(1, 5, 5, 5),
+                           strategy="deadline", deadline_ms=2, repetitions=3)
+        (row,) = sweep([config])
+        assert row["success_fraction"] == 0.0
+        assert row["mean_wait_ms"] is None and row["rate"] is None
+
+    def test_csv_rendering(self, capsys):
+        # A sweep like make_configs', through `staircase-pir --format csv simulate`.
+        assert main(["--format", "csv", "simulate", "--n", "4", "--k", "2", "--t", "1",
+                     "--m", "2", "--latency-ms", "5", "--reps", "20", "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert len(lines) == 4
 

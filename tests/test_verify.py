@@ -1,5 +1,8 @@
+import argparse
+
 import pytest
 
+from staircase_pir import cli
 from staircase_pir.errors import SearchSpaceTooLarge
 from staircase_pir.examples import example2
 from staircase_pir.field import Matrix, PrimeField
@@ -9,8 +12,6 @@ from staircase_pir.staircase import RANDOMNESS_FIRST
 from staircase_pir.verify import (
     EXHAUSTIVE_CAP,
     exhaustive_space,
-    report_csv,
-    report_text,
     verify_privacy_exhaustive,
     verify_privacy_rank,
     verify_rates,
@@ -121,12 +122,15 @@ def test_rates_table():
     assert all(match for *_, match in rows)
 
 
-def test_report_rendering():
+def test_report_rendering(capsys):
+    # A report's records, as `staircase-pir verify` writes them.
     params, V = small_instance()
     report = verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST)
-    rows = report.rows()
-    text = report_text(rows)
+    rows = cli._privacy_records(report)
+    cli._emit(argparse.Namespace(format="text"), rows, cli._verify_text)
+    text = capsys.readouterr().out
     assert "pass" in text and "FAIL" not in text
-    csv_out = report_csv(rows)
+    cli._emit(argparse.Namespace(format="csv"), rows)
+    csv_out = capsys.readouterr().out
     assert csv_out.splitlines()[0] == "subset,mode,verdict"
     assert len(csv_out.splitlines()) == 1 + len(rows)

@@ -323,6 +323,24 @@ def test_error_roundtrip():
     assert wire.decode_error(payload) == (wire.ERR_HANDSHAKE, "nope")
 
 
+def test_error_message_is_cut_between_characters():
+    message = "x" + "\u00e9" * wire.ERROR_TEXT_BYTES  # 1 byte, then 2 bytes each
+    _, payload = roundtrip(wire.encode_error(wire.ERR_MALFORMED, message))
+    code, text = wire.decode_error(payload)
+    assert code == wire.ERR_MALFORMED
+    assert text == message[: wire.ERROR_TEXT_BYTES // 2]  # 255 bytes, no half character
+
+
+@pytest.mark.parametrize("q", [2, 5, 257, 65537])
+def test_max_reply_payload_is_the_largest_reply(q):
+    params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=512)
+    columns = [[q - 1] * params.s] * params.alpha
+    response = wire.encode_response(wire.SESSION_IDS - 1, columns, q)
+    assert len(roundtrip(response)[1]) == wire.max_reply_payload(params)
+    error = wire.encode_error(wire.ERR_MALFORMED, "x" * 10 * wire.ERROR_TEXT_BYTES)
+    assert len(roundtrip(error)[1]) <= wire.max_reply_payload(params)
+
+
 def test_fingerprint_distinguishes_matrices():
     params = SchemeParams(n=3, k=2, t=1, m=1, q=7)
     V = default_encoding_matrix(params)
