@@ -24,7 +24,6 @@ from .protocol import (
 )
 from .staircase import (
     MessageGrid,
-    ShareSet,
     build_message_grid,
     encode_shares,
     generate_randomness,
@@ -41,7 +40,6 @@ __all__ = [
     "MessageGrid",
     "PrimeField",
     "SchemeParams",
-    "ShareSet",
     "StaircasePIRError",
     "build_message_grid",
     "capacity_asymptotic",

@@ -2,7 +2,8 @@
 verification suites, capacity tables, straggler simulation and the
 socket server/client.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success; 1 a failed verification or decode, or an error
+reported as one `error: ...` line on stderr; 2 a usage error.
 """
 
 from __future__ import annotations
@@ -99,9 +100,7 @@ def cmd_demo(args) -> int:
     example = examples.example1 if args.example == 1 else examples.example2
     params, V, row_order = example(m=args.m)
     rng = random.Random(args.seed)
-    randomness = staircase.generate_randomness(params, args.seed)
-    grid = staircase.build_message_grid(params, args.i, randomness, row_order)
-    shares = staircase.encode_shares(params, V, grid)
+    queries = protocol.make_queries(params, V, args.i, args.seed, row_order)
 
     x = [rng.randrange(params.q) for _ in range(params.x_length)]
     db = protocol.Database(params, x)
@@ -110,8 +109,7 @@ def cmd_demo(args) -> int:
         responders = list(range(1, mu + 1))
         plan = protocol.plan_download(params, responders)
         responses = {
-            sid: protocol.server_respond(db, protocol.Query(sid, shares.rows[sid - 1]),
-                                         range(plan.prefix_cols))
+            sid: protocol.server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in responders
         }
         decoded = protocol.decode_file(params, V, plan, responses, row_order)
@@ -129,10 +127,9 @@ def cmd_demo(args) -> int:
                      for c in range(params.alpha)]
             yield "  [ " + " | ".join(f"{cell:<18}" for cell in cells) + "]"
         yield "\nqueries Q = V*M (per server):"
-        for l in range(params.n):
-            cells = [examples.format_coeffs(params, shares.sym_rows[l][c])
-                     for c in range(params.alpha)]
-            yield f"  server {l + 1}: " + " | ".join(cells)
+        for sid, row in enumerate(staircase.query_matrix(params, V, row_order), start=1):
+            yield f"  server {sid}: " + " | ".join(
+                examples.format_coeffs(params, sym) for sym in row)
         for rec in records:
             yield (f"\nmu = {rec['mu']}: downloaded {rec['symbols']} symbols from "
                    f"servers {rec['responders']}, decode "
@@ -167,7 +164,7 @@ def _privacy_records(report: verify.PrivacyReport) -> list:
 def _verify_text(records):
     skipped = [rec for rec in records if rec["verdict"] == "skipped"]
     return _table([rec for rec in records if rec not in skipped]) + [
-        f"exhaustive privacy skipped: {rec['space']} assignments exceed cap"
+        f"exhaustive privacy skipped: {rec['work']} sub-query expansions exceed cap"
         for rec in skipped
     ]
 
@@ -177,11 +174,11 @@ def cmd_verify(args) -> int:
     V = protocol.default_encoding_matrix(params)
     records = _privacy_records(verify.verify_privacy_rank(params, V))
     if args.all or args.exhaustive:
-        space = verify.exhaustive_space(params)
-        if space <= verify.EXHAUSTIVE_CAP:
+        work = verify.exhaustive_work(params)
+        if work <= verify.EXHAUSTIVE_CAP:
             records += _privacy_records(verify.verify_privacy_exhaustive(params, V))
         else:
-            records.append({"mode": "exhaustive", "verdict": "skipped", "space": space})
+            records.append({"mode": "exhaustive", "verdict": "skipped", "work": work})
 
     rob = verify.verify_robustness(params, V, trials=args.trials, seed=args.seed)
     records.append({"subset": "all-subsets>=k", "mode": "robustness",
@@ -345,14 +342,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StaircasePIRError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # Whoever read stdout has gone (say `| head -1`). As the SIGPIPE note
         # in Python's signal docs advises, point stdout at devnull, so that
         # flushing it at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (StaircasePIRError, ValueError, OSError) as exc:
+        # ValueError: a value the parser accepts but the scheme does not,
+        # such as --m 0, --mu outside [k, n] or a --data-dir with no files.
+        # OSError: a path that cannot be read or an address that cannot be bound.
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

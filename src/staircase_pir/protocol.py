@@ -138,8 +138,8 @@ def make_queries(
 ) -> List[Query]:
     randomness = staircase.generate_randomness(params, seed)
     grid = staircase.build_message_grid(params, i, randomness, row_order)
-    shares = staircase.encode_shares(params, V, grid)
-    return [Query(server_id=l + 1, subqueries=shares.rows[l]) for l in range(params.n)]
+    rows = staircase.encode_shares(params, V, grid)
+    return [Query(server_id=sid, subqueries=row) for sid, row in enumerate(rows, start=1)]
 
 
 def server_respond(

@@ -218,20 +218,6 @@ def build_message_grid(
     return MessageGrid(params, payload, randomness, row_order)
 
 
-class ShareSet:
-    """Rows of Q = V * M: per server, alpha sub-queries (or sub-shares).
-
-    sym_rows is the symbolic Q, shared by every grid of the deployment;
-    rows expands it with this grid's payload and randomness.
-    """
-
-    def __init__(self, params: SchemeParams, V: Matrix, grid: MessageGrid):
-        self.params = params
-        self.V = V
-        self.sym_rows = query_matrix(params, V, grid.layout.row_order)
-        self.rows = [[grid.expand(sym) for sym in row] for row in self.sym_rows]
-
-
 def validate_encoding_matrix(V: Matrix, params: SchemeParams) -> bool:
     """True iff every decoder system (any mu_j rows x first mu_j columns)
     of V is invertible, for every level j."""
@@ -277,8 +263,14 @@ def _query_matrix(params: SchemeParams, field, rows: tuple, row_order: str):
 
 def encode_shares(
     params: SchemeParams, V: Matrix, grid: MessageGrid
-) -> ShareSet:
-    return ShareSet(params, V, grid)
+) -> List[List[List[int]]]:
+    """Rows of Q = V * M: per server, its alpha sub-queries (or sub-shares),
+    the deployment's symbolic Q expanded with this grid's payload and
+    randomness."""
+    return [
+        [grid.expand(sym) for sym in row]
+        for row in query_matrix(params, V, grid.layout.row_order)
+    ]
 
 
 def peel_decode(
@@ -357,15 +349,17 @@ def ss_share(
     V: Matrix,
     secret: Sequence[Sequence[int]],
     seed=None,
-    randomness: Optional[Sequence[Sequence[int]]] = None,
     row_order: str = DEFAULT_ROW_ORDER,
-) -> ShareSet:
-    """Share alpha' secret vectors; same grid machinery with the secret as payload."""
+) -> List[List[List[int]]]:
+    """Share alpha' secret vectors: the PIR grid with the secret as payload.
+
+    Per server, its alpha sub-shares. The randomness is drawn from `seed`
+    as `protocol.make_queries` draws it, so the part selectors of file i
+    shared with one seed are that seed's queries for file i.
+    """
     if len(secret) != params.alpha_prime:
         raise ValueError(f"secret must have {params.alpha_prime} vectors")
-    width = len(secret[0])
-    if randomness is None:
-        randomness = generate_randomness(params, seed, width=width)
+    randomness = generate_randomness(params, seed, width=len(secret[0]))
     grid = MessageGrid(params, secret, randomness, row_order)
     return encode_shares(params, V, grid)
 

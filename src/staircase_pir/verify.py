@@ -17,6 +17,7 @@ are checked as exact finite facts on concrete instances:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -26,7 +27,9 @@ from .errors import SearchSpaceTooLarge
 from .field import Matrix
 from .params import SchemeParams
 
-EXHAUSTIVE_CAP = 10**7
+# Sub-query expansions the exhaustive oracle may make (`exhaustive_work`).
+# (3,2,1) at q=3, m=2 makes 78,732 of them in about 0.3 s on CPython 3.11.
+EXHAUSTIVE_CAP = 10**6
 
 
 @dataclass
@@ -59,6 +62,14 @@ def exhaustive_space(params: SchemeParams) -> int:
     return params.q ** (params.randomness_count * params.query_length)
 
 
+def exhaustive_work(params: SchemeParams) -> int:
+    """Sub-query expansions the exhaustive oracle makes: under every
+    assignment, for every t-subset and every file, the t*alpha sub-queries
+    that subset sees."""
+    subsets = math.comb(params.n, params.t)
+    return exhaustive_space(params) * subsets * params.m * params.randomness_count
+
+
 def verify_privacy_exhaustive(
     params: SchemeParams,
     V: Matrix,
@@ -70,9 +81,10 @@ def verify_privacy_exhaustive(
     mutate_zero_randomness forces randomness vector u (0-based) to zero in
     every assignment -- a mutation control that must break the verdict.
     """
-    space = exhaustive_space(params)
-    if space > EXHAUSTIVE_CAP:
-        raise SearchSpaceTooLarge(f"{space} assignments exceed cap {EXHAUSTIVE_CAP}")
+    work = exhaustive_work(params)
+    if work > EXHAUSTIVE_CAP:
+        raise SearchSpaceTooLarge(
+            f"{work} sub-query expansions exceed cap {EXHAUSTIVE_CAP}")
     sym = staircase.query_matrix(params, V, row_order)
     rand_vecs = params.randomness_count
     vec_len = params.query_length

@@ -32,12 +32,9 @@ def report(num: int, desc: str, ok: bool):
 
 
 def symbolic_queries(params, V, order):
-    rnd = [[0] * params.x_length] * params.randomness_count
-    grid = staircase.build_message_grid(params, 1, rnd, order)
-    shares = staircase.encode_shares(params, V, grid)
     return [
-        [format_coeffs(params, shares.sym_rows[l][c]) for c in range(params.alpha)]
-        for l in range(params.n)
+        [format_coeffs(params, sym) for sym in row]
+        for row in staircase.query_matrix(params, V, order)
     ]
 
 
@@ -60,7 +57,7 @@ def test_criterion_1_triple_server_golden():
             grid = staircase.build_message_grid(params, i, rnd, order)
             shares = staircase.encode_shares(params, V, grid)
             y = [
-                [sum(a * b for a, b in zip(vec, x)) % q for vec in shares.rows[l]]
+                [sum(a * b for a, b in zip(vec, x)) % q for vec in shares[l]]
                 for l in range(3)
             ]
             xi = (y[1][0] - y[0][0]) % q

@@ -4,6 +4,7 @@ import os
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -102,6 +103,38 @@ def test_invalid_params_exit_code(capsys):
     code, _, err = run(capsys, "params", "--n", "4", "--k", "2", "--t", "2")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--n", "4", "--k", "2", "--t", "1", "--m", "0"],
+    ["simulate", "--n", "4", "--k", "2", "--t", "1", "--mu", "7"],
+    ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
+     "--data-dir", "{empty}"],
+    ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
+     "--data-dir", "{missing}"],
+], ids=["params-m-0", "simulate-mu-above-n", "serve-empty-dir", "serve-missing-dir"])
+def test_rejected_value_is_one_error_line(argv, capsys, tmp_path):
+    # A value the parser accepts but the scheme or the file system does not:
+    # one `error:` line and exit 1, not a traceback.
+    (tmp_path / "empty").mkdir()
+    argv = [arg.format(empty=tmp_path / "empty", missing=tmp_path / "missing")
+            for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_exhaustive_skip_is_quick(capsys):
+    # 5^8 assignments are 4,687,500 sub-query expansions, over the cap:
+    # skipped at once, where running them takes tens of seconds.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--exhaustive", "--n", "3", "--k", "2",
+                       "--t", "1", "--m", "2", "--q", "5")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "exhaustive privacy skipped: 4687500 sub-query expansions" in out
 
 
 def test_usage_error_exit_code():

@@ -12,7 +12,14 @@ from staircase_pir.errors import (
 from staircase_pir.examples import example1, example2, format_coeffs
 from staircase_pir.field import Matrix
 from staircase_pir.params import SchemeParams
-from staircase_pir.protocol import default_encoding_matrix, make_queries
+from staircase_pir.protocol import (
+    Database,
+    decode_file,
+    default_encoding_matrix,
+    make_queries,
+    plan_download,
+    server_respond,
+)
 from staircase_pir.staircase import (
     PAYLOAD_FIRST,
     RANDOMNESS_FIRST,
@@ -184,7 +191,7 @@ def test_encode_shares_matches_dense_product(nkt):
                 [row[c * w : (c + 1) * w] for c in range(params.alpha)]
                 for row in V.mul(M).rows
             ]
-            assert encode_shares(params, V, grid).rows == expected
+            assert encode_shares(params, V, grid) == expected
 
 
 def test_query_matrix_computed_once_per_deployment():
@@ -192,15 +199,15 @@ def test_query_matrix_computed_once_per_deployment():
     first = staircase.query_matrix(params, V, order)
     assert staircase.query_matrix(params, Matrix(params.field, V.rows), order) is first
     grid = build_message_grid(params, 1, generate_randomness(params, 0), order)
-    assert encode_shares(params, V, grid).sym_rows is first
+    hits = staircase._query_matrix.cache_info().hits
+    encode_shares(params, V, grid)
+    assert staircase._query_matrix.cache_info().hits == hits + 1
 
 
 def test_queries_example1_table():
     params, V, order = example1()
-    rnd = generate_randomness(params, 0)
-    grid = build_message_grid(params, 1, rnd, order)
-    shares = encode_shares(params, V, grid)
-    fmt = lambda l: [format_coeffs(params, s) for s in shares.sym_rows[l]]
+    sym_rows = staircase.query_matrix(params, V, order)
+    fmt = lambda l: [format_coeffs(params, s) for s in sym_rows[l]]
     assert fmt(0) == ["r1", "r2"]
     assert fmt(1) == ["e'1 + r1", "e'2 + r2"]
     assert fmt(2) == ["2e'1 + e'2 + r1", "2e'2 + r2"]
@@ -208,9 +215,8 @@ def test_queries_example1_table():
 
 def test_queries_example2_server2_first():
     params, V, order = example2()
-    rnd = generate_randomness(params, 0)
-    shares = encode_shares(params, V, build_message_grid(params, 1, rnd, order))
-    assert format_coeffs(params, shares.sym_rows[1][0]) == "e'1 + 2e'2 + 4e'3 + 3r1"
+    sym_rows = staircase.query_matrix(params, V, order)
+    assert format_coeffs(params, sym_rows[1][0]) == "e'1 + 2e'2 + 4e'3 + 3r1"
 
 
 def test_zero_grid_gives_zero_shares():
@@ -220,7 +226,7 @@ def test_zero_grid_gives_zero_shares():
     grid = staircase.MessageGrid(params, zeros, rzeros, order)
     shares = encode_shares(params, V, grid)
     assert all(
-        all(v == 0 for v in sub) for row in shares.rows for sub in row
+        all(v == 0 for v in sub) for row in shares for sub in row
     )
 
 
@@ -271,7 +277,7 @@ def decode_once(params, V, order, responders, x, seed):
     shares = encode_shares(params, V, grid)
     prefix = params.prefix_cols(len(responders))
     proj = {
-        sid: [project(x, shares.rows[sid - 1][c], params.s, params.q)
+        sid: [project(x, shares[sid - 1][c], params.s, params.q)
               for c in range(prefix)]
         for sid in responders
     }
@@ -335,7 +341,7 @@ def test_decoder_ignores_columns_beyond_prefix():
     responders = [1, 2, 3]
     prefix = params.prefix_cols(3)
     proj = {
-        sid: [project(x, shares.rows[sid - 1][c], 1, params.q) for c in range(prefix)]
+        sid: [project(x, shares[sid - 1][c], 1, params.q) for c in range(prefix)]
         for sid in responders
     }
     expected = [
@@ -364,20 +370,83 @@ class TestSecretSharingCodec:
             prefix = params.prefix_cols(d)
             for subset in itertools.combinations(range(1, params.n + 1), d):
                 prefixes = {
-                    sid: shares.rows[sid - 1][:prefix] for sid in subset
+                    sid: shares[sid - 1][:prefix] for sid in subset
                 }
                 assert ss_reconstruct(params, V, prefixes) == secret
 
     def test_unit_secret_matches_pir_grid(self):
+        # The part selectors of file i, shared with a seed, are that seed's
+        # queries for file i.
         params, V, _ = self.make()
-        rnd = generate_randomness(params, 4)
         units = [
             staircase.expand_unit(params, c, 1)
             for c in range(1, params.alpha_prime + 1)
         ]
-        via_ss = ss_share(params, V, units, randomness=rnd)
-        via_pir = encode_shares(params, V, build_message_grid(params, 1, rnd))
-        assert via_ss.rows == via_pir.rows
+        via_ss = ss_share(params, V, units, seed=4)
+        via_pir = make_queries(params, V, 1, seed=4)
+        assert via_ss == [query.subqueries for query in via_pir]
+
+    def test_reconstruct_from_projections_matches_decode_file(self):
+        # The responders' prefix projections are prefix sub-shares of the
+        # file's parts, so ss_reconstruct decodes what decode_file does.
+        params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=3)
+        V = default_encoding_matrix(params)
+        rng = random.Random(12)
+        files = [
+            [rng.randrange(params.q) for _ in range(params.file_symbols)]
+            for _ in range(params.m)
+        ]
+        db = Database.from_files(params, files)
+        queries = make_queries(params, V, 2, seed=5)
+        for mu in range(params.k, params.n + 1):
+            for responders in itertools.combinations(range(1, params.n + 1), mu):
+                plan = plan_download(params, responders)
+                responses = {
+                    sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
+                    for sid in responders
+                }
+                prefixes = {
+                    sid: [cols[c] for c in range(plan.prefix_cols)]
+                    for sid, cols in responses.items()
+                }
+                parts = ss_reconstruct(params, V, prefixes)
+                decoded = decode_file(params, V, plan, responses)
+                assert [sym for part in parts for sym in part] == decoded == files[1]
+
+    def test_linearity(self):
+        # Sharing is linear in (secret, randomness). ss_share draws its
+        # randomness from a seed; beneath that it is encode_shares of a
+        # MessageGrid, which takes any randomness.
+        params = SchemeParams(n=4, k=2, t=1, m=1, q=257)
+        V = default_encoding_matrix(params)
+        q = params.q
+        rng = random.Random(3)
+        width = 2
+        share = lambda secret, rnd: encode_shares(
+            params, V, staircase.MessageGrid(params, secret, rnd)
+        )
+        for trial in range(20):
+            mk = lambda rows: [
+                [rng.randrange(q) for _ in range(width)] for _ in range(rows)
+            ]
+            s1, s2 = mk(params.alpha_prime), mk(params.alpha_prime)
+            r1, r2 = mk(params.randomness_count), mk(params.randomness_count)
+            a, b = rng.randrange(q), rng.randrange(q)
+            mix = lambda u, v: [
+                [(a * x + b * y) % q for x, y in zip(ru, rv)] for ru, rv in zip(u, v)
+            ]
+            assert ss_share(params, V, s1, seed=trial) == share(
+                s1, generate_randomness(params, trial, width)
+            )
+            w1 = share(s1, r1)
+            w2 = share(s2, r2)
+            w = share(mix(s1, s2), mix(r1, r2))
+            for l in range(params.n):
+                for c in range(params.alpha):
+                    mixed = [
+                        (a * x + b * y) % q for x, y in zip(w1[l][c], w2[l][c])
+                    ]
+                    assert w[l][c] == mixed
 
     def test_download_cost(self):
         # d * alpha'/(d-t) sub-shares when reconstructing from d shares.

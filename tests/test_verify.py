@@ -12,6 +12,7 @@ from staircase_pir.staircase import RANDOMNESS_FIRST
 from staircase_pir.verify import (
     EXHAUSTIVE_CAP,
     exhaustive_space,
+    exhaustive_work,
     verify_privacy_exhaustive,
     verify_privacy_rank,
     verify_rates,
@@ -21,7 +22,7 @@ from staircase_pir.verify import (
 
 def small_instance():
     # Smallest nontrivial instance whose full randomness space (3^8 = 6561
-    # assignments) fits under the exhaustive cap.
+    # assignments, 78,732 sub-query expansions) fits under the exhaustive cap.
     params = SchemeParams(n=3, k=2, t=1, m=2, q=3)
     V = Matrix(PrimeField(3), [[1, 0, 0], [1, 1, 0], [1, 2, 1]])
     return params, V
@@ -61,6 +62,17 @@ class TestExhaustivePrivacy:
         assert not verify_privacy_exhaustive(
             params, V, RANDOMNESS_FIRST, mutate_zero_randomness=0
         ).ok
+
+    def test_cap_bounds_expansions_not_assignments(self):
+        # Every assignment makes C(3,1) subsets * m * t*alpha = 12 expansions,
+        # so 5^8 assignments, fewer than the cap, are 4.7 times its work.
+        base, _ = small_instance()
+        assert exhaustive_work(base) == 3**8 * 12 == 78_732 <= EXHAUSTIVE_CAP
+        params = SchemeParams(n=3, k=2, t=1, m=2, q=5)
+        assert exhaustive_space(params) == 5**8 < EXHAUSTIVE_CAP
+        assert exhaustive_work(params) == 4_687_500 > EXHAUSTIVE_CAP
+        with pytest.raises(SearchSpaceTooLarge):
+            verify_privacy_exhaustive(params, default_encoding_matrix(params))
 
     def test_large_space_rejected(self):
         params, V, _ = example2()
