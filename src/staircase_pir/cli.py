@@ -105,7 +105,7 @@ def cmd_demo(args) -> int:
     x = [rng.randrange(params.q) for _ in range(params.x_length)]
     db = protocol.Database(params, x)
     records = []
-    for mu in [args.mu] if args.mu else range(params.k, params.n + 1):
+    for mu in [args.mu] if args.mu is not None else range(params.k, params.n + 1):
         responders = list(range(1, mu + 1))
         plan = protocol.plan_download(params, responders)
         responses = {
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     params = _params_from(args)
     V = protocol.default_encoding_matrix(params)
     records = _privacy_records(verify.verify_privacy_rank(params, V))
-    if args.all or args.exhaustive:
+    if args.exhaustive:
         work = verify.exhaustive_work(params)
         if work <= verify.EXHAUSTIVE_CAP:
             records += _privacy_records(verify.verify_privacy_exhaustive(params, V))
@@ -203,17 +203,15 @@ def cmd_simulate(args) -> int:
         model = sim.LatencyModel.exponential(args.latency_ms)
     else:
         model = sim.LatencyModel.deterministic(args.latency_ms)
-    latencies = (model,) * params.n
-    if args.deadline_ms:
-        configs = [sim.SimConfig(
-            params=params, latencies=latencies, strategy="deadline",
-            deadline_ms=args.deadline_ms, seed=args.seed, repetitions=args.reps,
-        )]
+    # One config for the policy given; with neither value, one per mu in [k, n].
+    if args.mu is not None or args.deadline_ms is not None:
+        mus = [args.mu]
     else:
-        configs = [sim.SimConfig(
-            params=params, latencies=latencies, strategy="wait_for",
-            wait_for=mu, seed=args.seed + mu, repetitions=args.reps,
-        ) for mu in ([args.mu] if args.mu else range(params.k, params.n + 1))]
+        mus = range(params.k, params.n + 1)
+    configs = [sim.SimConfig(
+        params=params, latencies=(model,) * params.n, wait_for=mu,
+        deadline_ms=args.deadline_ms, seed=args.seed + (mu or 0), repetitions=args.reps,
+    ) for mu in mus]
     with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
         _emit(args, sim.sweep(configs), _csv, out=fh)
     return 0
@@ -249,8 +247,7 @@ def cmd_retrieve(args) -> int:
     endpoints = [(host, int(port)) for host, port in
                  (ep.rsplit(":", 1) for ep in args.endpoints.split(","))]
     decoded, metrics = net.retrieve(
-        endpoints, params, V, args.i,
-        strategy="wait_for" if args.mu else "deadline", wait_for=args.mu,
+        endpoints, params, V, args.i, wait_for=args.mu,
         deadline_s=args.deadline_ms / 1000.0, seed=args.seed,
     )
     data = ingest.restore_file(decoded, manifest, args.i)
@@ -281,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="walk through a worked example")
     p.add_argument("--example", type=int, choices=[1, 2], required=True)
-    p.add_argument("--mu", type=int, default=None, help="responder count to trace")
+    p.add_argument("--mu", type=int, default=None,
+                   help="trace decoding from servers 1..mu only"
+                        " (default: every mu in [k, n])")
     p.add_argument("--i", type=int, default=1, help="file index to retrieve")
     p.add_argument("--m", type=int, default=2, help="file count")
     p.add_argument("--seed", type=int, default=0)
@@ -295,19 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     _add_scheme_flags(p)
-    p.add_argument("--all", action="store_true", help="include exhaustive privacy")
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", help="include exhaustive privacy")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="straggler simulation sweep")
     _add_scheme_flags(p)
-    p.add_argument("--mu", type=int, default=None)
+    p.add_argument("--mu", type=int, default=None,
+                   help="servers to wait for, in [k, n] (default: all n with"
+                        " --deadline-ms, else one config per mu in [k, n])")
     p.add_argument("--latency", choices=["exponential", "deterministic"],
                    default="exponential")
     p.add_argument("--latency-ms", type=float, default=10.0)
-    p.add_argument("--deadline-ms", type=float, default=None)
+    p.add_argument("--deadline-ms", type=float, default=None,
+                   help="longest wait, > 0 (default: no cutoff)")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -328,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--endpoints", required=True, help="host:port,host:port,...")
     p.add_argument("--i", type=int, required=True, help="file index (1-based)")
-    p.add_argument("--mu", type=int, default=None, help="wait for exactly mu servers")
-    p.add_argument("--deadline-ms", type=float, default=1000.0)
+    p.add_argument("--mu", type=int, default=None,
+                   help="servers to wait for, in [k, n] (default: all n)")
+    p.add_argument("--deadline-ms", type=float, default=1000.0,
+                   help="longest wait for the handshakes, and for each FETCH;"
+                        " > 0 and at most one day")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_retrieve)

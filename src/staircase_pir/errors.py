@@ -49,8 +49,9 @@ class BadEncodingMatrix(StaircasePIRError):
     """Encoding matrix fails the prefix-invertibility requirement."""
 
 
-class OutOfRange(StaircasePIRError):
-    """Responder count outside [k, n] or column index outside the query."""
+class OutOfRange(StaircasePIRError, ValueError):
+    """A value outside its range, such as a responder count outside [k, n]
+    or a deadline that is not positive."""
 
 
 class ColumnOutOfRange(StaircasePIRError):

@@ -39,6 +39,10 @@ from .params import SchemeParams
 # PIRServer.shutdown() blocks.
 SHUTDOWN_POLL_S = 0.05
 
+# The longest deadline retrieve() takes: one day. A selector wait must stay
+# well below epoll's limit of 2**31 - 1 ms (about 2.1e6 s).
+MAX_DEADLINE_S = 86400.0
+
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
 
@@ -241,13 +245,13 @@ class _Peer(_Conn):
     """The client's connection to one server; its session is the id the
     server acknowledged the QUERY with."""
 
-    def __init__(self, sid: int, expires: float):
+    def __init__(self, sid: int):
         super().__init__()
         self.sid = sid
         self.addrs: list = []  # addresses not yet tried
         self.connecting = False
         self.asked = 0  # columns of the FETCH in flight
-        self.expires = expires  # when the pending connect, handshake or FETCH fails
+        self.expires = math.inf  # when the FETCH in flight fails
 
 
 class _Retrieval:
@@ -255,16 +259,15 @@ class _Retrieval:
 
     Every server is connected to and, once connected, sent its query. A
     server settles in `wait` when its handshake completes or fails; one
-    still unsettled `connect_timeout` after the start has failed. Each
-    responder then holds the prefix columns in `columns` and is sent a
-    FETCH for the rest of the plan's prefix, `want`, whenever it holds
-    fewer and has none in flight. A FETCH that fails, or whose round trip
+    still unsettled when the wait ends is late. Each responder then holds
+    the prefix columns in `columns` and is sent a FETCH for the rest of
+    the plan's prefix, `want`, whenever it holds fewer and has none in
+    flight. A FETCH that fails, or whose round trip
     outlives the deadline, drops its server from `columns`. Only
     connections with a reply due are in the selector.
     """
 
-    def __init__(self, queries, V: Matrix, wait: protocol.ResponderWait,
-                 connect_timeout: float):
+    def __init__(self, queries, V: Matrix, wait: protocol.ResponderWait):
         self.params = params = wait.params
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         self.max_reply = wire.max_reply_payload(params)
@@ -272,9 +275,7 @@ class _Retrieval:
         self.wait = wait
         self.sel = selectors.DefaultSelector()
         self.start = time.monotonic()
-        self.peers = [
-            _Peer(sid, self.start + connect_timeout) for sid in range(1, params.n + 1)
-        ]
+        self.peers = [_Peer(sid) for sid in range(1, params.n + 1)]
         self.mismatch: Optional[HandshakeMismatch] = None
         self.columns: Dict[int, List[tuple]] = {}  # responder -> slabs held
         self.want = 0  # prefix columns every responder should hold
@@ -386,8 +387,8 @@ class _Retrieval:
 
     def _run_until(self, done: Callable[[], bool], until: float) -> None:
         """Handle socket events until done() holds or `until` has passed. A
-        connection whose connect, handshake or FETCH outlives its expiry
-        fails as if its socket had timed out."""
+        connection whose FETCH outlives its expiry fails as if its socket
+        had timed out."""
         while not done():
             now = time.monotonic()
             if now >= until:
@@ -441,25 +442,21 @@ def retrieve(
     params: SchemeParams,
     V: Matrix,
     i: int,
-    strategy: str = "deadline",
     wait_for: Optional[int] = None,
     deadline_s: float = 1.0,
     seed=None,
-    connect_timeout: float = 5.0,
 ) -> Tuple[List[int], RetrievalMetrics]:
     """Query all n endpoints and decode from the responders.
 
-    protocol.ResponderWait chooses the responders from the servers that
-    complete the query handshake within `deadline_s` seconds: all of them
-    under strategy "deadline", or under strategy "wait_for" the first
-    `wait_for` (OutOfRange outside [k, n]), and the client stops waiting
-    as soon as it has them. Any other strategy, or "wait_for" without
-    `wait_for`, raises ValueError before anything is sent. A server
-    fails if its connection is refused or broken, its handshake is
-    refused, or its connect and handshake take longer than
-    `connect_timeout`. The client also stops waiting once every server
-    has settled, so a down server costs nothing and only a silent one
-    costs the deadline.
+    The policy is two values, as protocol.ResponderWait defines them: the
+    client waits for the first `wait_for` servers (None: all n) to
+    complete the query handshake, but no longer than `deadline_s`
+    seconds, and decodes from those that did. It also stops waiting once
+    every server has settled, so a server whose connection is refused or
+    broken, or whose handshake is refused, costs nothing, and only a
+    silent one costs the deadline; it is then "late". A `wait_for`
+    outside [k, n], or a `deadline_s` outside (0, MAX_DEADLINE_S], raises
+    OutOfRange before anything is sent.
 
     The responders are then sent a FETCH for the plan's prefix columns,
     all at once. A responder whose FETCH fails, or whose FETCH round trip
@@ -470,19 +467,11 @@ def retrieve(
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")
-    if deadline_s <= 0:
-        raise OutOfRange(f"deadline_s must be positive, got {deadline_s}")
-    if strategy == "wait_for":
-        if wait_for is None:
-            raise ValueError('strategy "wait_for" needs wait_for')
-        target = wait_for
-    elif strategy == "deadline":
-        target = params.n
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    wait = protocol.ResponderWait(params, target, deadline_s)
+    wait = protocol.ResponderWait(params, wait_for, deadline_s)  # refuses deadline_s <= 0
+    if deadline_s > MAX_DEADLINE_S:
+        raise OutOfRange(f"deadline_s must be at most {MAX_DEADLINE_S}, got {deadline_s}")
     queries = protocol.make_queries(params, V, i, seed=seed)
-    run = _Retrieval(queries, V, wait, connect_timeout)
+    run = _Retrieval(queries, V, wait)
     try:
         run.connect(endpoints)
         responders = run.choose_responders()

@@ -91,8 +91,8 @@ class Database:
     def _packed_slabs(self) -> List[int]:
         slabs = self._slabs
         if slabs is None:
-            # Handler threads may race here; each builds the same list and
-            # the attribute is assigned once, whole.
+            # The serve loops of servers sharing this database may race
+            # here; each builds the same list and assigns it once, whole.
             raw = ints_to_bytes(self.x, self._lane_bytes)
             step = self.params.s * self._lane_bytes
             slabs = [
@@ -193,20 +193,26 @@ def plan_download(params: SchemeParams, responders: Sequence[int]) -> DownloadPl
 class ResponderWait:
     """Which servers a client decodes from, and when it stops waiting.
 
-    A server settles when its handshake completes (it arrives `at`) or
-    fails (`failure` names why). The wait is done once `target` servers
-    have arrived or all n have settled; it `ended` then, or at `deadline`
-    if sooner (times count from the start). The responders are the
-    earliest `target` arrivals; a wait that never ends (no deadline, and
-    servers that never settle) has none. Outcomes: "ok" (decoded from),
+    The policy is two values: `wait_for`, how many servers to wait for
+    (None: all n; OutOfRange outside [k, n]), and `deadline`, the longest
+    to wait (math.inf: no cutoff; OutOfRange unless positive). A server
+    settles when its handshake completes (it arrives `at`) or fails
+    (`failure` names why). The wait is done once `target` servers have
+    arrived or all n have settled; it `ended` then, or at `deadline` if
+    sooner (times count from the start). The responders are the earliest
+    `target` arrivals; a wait that never ends (no deadline, and servers
+    that never settle) has none. Outcomes: "ok" (decoded from),
     "dropped-mid-fetch" (a responder whose FETCH failed), "late"
     (unsettled when the wait ended, or beaten by the first `target`), or
     the failure it settled with: "refused", "handshake-mismatch", "error".
     """
 
-    def __init__(self, params: SchemeParams, target: int, deadline: float):
+    def __init__(self, params: SchemeParams, wait_for: Optional[int], deadline: float):
+        target = params.n if wait_for is None else wait_for
         if not params.k <= target <= params.n:
             raise OutOfRange(f"wait_for={target} outside [{params.k}, {params.n}]")
+        if not deadline > 0:  # NaN too
+            raise OutOfRange("the deadline must be positive")
         self.params = params
         self.target = target
         self.ended = self.deadline = deadline

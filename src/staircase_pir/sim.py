@@ -1,7 +1,9 @@
 """Event-driven straggler simulation of an n-server retrieval.
 
 Sampled latencies drive protocol.ResponderWait, the responder policy of
-net.retrieve. Latency is modeled per whole server response: once a
+net.retrieve, under the same two values: how many servers to wait for
+(`wait_for`, None for all n) and how long (`deadline_ms`, None for no
+cutoff). Latency is modeled per whole server response: once a
 server answers, all of its prefix columns are fetchable, so none drops
 mid-fetch. The simulated clock is integer microseconds and events are
 ordered by (time, server id), so runs are fully deterministic under a
@@ -67,9 +69,8 @@ class LatencyModel:
 class SimConfig:
     params: SchemeParams
     latencies: tuple  # one LatencyModel per server
-    strategy: str  # "wait_for" | "deadline"
-    wait_for: Optional[int] = None  # responder count for wait_for
-    deadline_ms: Optional[float] = None  # cutoff for deadline
+    wait_for: Optional[int] = None  # None: all n
+    deadline_ms: Optional[float] = None  # None: no cutoff
     seed: int = 0
     repetitions: int = 1
     file_index: int = 1
@@ -77,14 +78,12 @@ class SimConfig:
     def __post_init__(self):
         if len(self.latencies) != self.params.n:
             raise ValueError("need one latency model per server")
-        if self.strategy == "wait_for":
-            if self.wait_for is None or not self.params.k <= self.wait_for <= self.params.n:
-                raise ValueError("wait_for must be in [k, n]")
-        elif self.strategy == "deadline":
-            if self.deadline_ms is None or self.deadline_ms <= 0:
-                raise ValueError("deadline_ms must be > 0")
-        else:
-            raise ValueError(f"unknown strategy {self.strategy}")
+        self.responder_wait()  # refuses a bad policy before any run
+
+    def responder_wait(self) -> protocol.ResponderWait:
+        """A fresh wait under this policy, on the microsecond clock."""
+        cutoff = math.inf if self.deadline_ms is None else self.deadline_ms * 1000
+        return protocol.ResponderWait(self.params, self.wait_for, cutoff)
 
 
 @dataclass
@@ -102,19 +101,17 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
     if V is None:
         V = protocol.default_encoding_matrix(params)
     rng = random.Random(config.seed)
-    target = config.wait_for if config.strategy == "wait_for" else params.n
-    cutoff = config.deadline_ms * 1000 if config.strategy == "deadline" else math.inf
     db = protocol.Database(params, [rng.randrange(params.q) for _ in range(params.x_length)])
     expected = db.file_content(config.file_index)
     results = []
     for _ in range(config.repetitions):
-        wait = protocol.ResponderWait(params, target, cutoff)
+        wait = config.responder_wait()
         arrivals = sorted(
             (model.sample_us(rng), sid) for sid, model in enumerate(config.latencies, 1)
         )
         for at, sid in arrivals:
             # An unresponsive server never settles, not even by a cutoff of inf.
-            if at == UNRESPONSIVE or at > cutoff:
+            if at == UNRESPONSIVE or at > wait.deadline:
                 break
             wait.settle(sid, at)
         try:
@@ -138,21 +135,21 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
 
 
 def sweep(configs: Sequence[SimConfig], V: Optional[Matrix] = None) -> List[dict]:
-    """One summary record per config, keyed config_id, strategy, target,
-    repetitions, mean_wait_ms, mean_symbols, rate and success_fraction;
-    deterministic under fixed seeds."""
+    """One summary record per config, keyed config_id, wait_for,
+    deadline_ms, repetitions, mean_wait_ms, mean_symbols, rate and
+    success_fraction; deterministic under fixed seeds."""
     records = []
     for idx, config in enumerate(configs):
         metrics = run_simulation(config, V)
         ok = [m for m in metrics if m.success]
-        target = config.wait_for if config.strategy == "wait_for" else config.deadline_ms
         # A config with no decoded run has no wait or rate: None, not NaN,
         # which JSON lacks.
         mean_wait = round(sum(m.wait_us for m in ok) / len(ok) / 1000, 3) if ok else None
         mean_symbols = sum(m.symbols for m in ok) / len(ok) if ok else 0
         rates = {str(m.rate) for m in ok}
         records.append({
-            "config_id": idx, "strategy": config.strategy, "target": target,
+            "config_id": idx, "wait_for": config.wait_for,
+            "deadline_ms": config.deadline_ms,
             "repetitions": config.repetitions, "mean_wait_ms": mean_wait,
             "mean_symbols": mean_symbols,
             "rate": rates.pop() if len(rates) == 1 else "mixed" if rates else None,

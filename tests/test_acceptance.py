@@ -222,7 +222,7 @@ def test_criterion_8_simulation():
     ok = True
     for mu in (2, 3, 4):
         config = sim.SimConfig(
-            params=params, latencies=lat, strategy="wait_for",
+            params=params, latencies=lat,
             wait_for=mu, seed=mu, repetitions=1000,
         )
         metrics = sim.run_simulation(config)

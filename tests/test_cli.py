@@ -83,7 +83,7 @@ def test_verify_passes(capsys):
 
 def test_verify_exhaustive_skips_when_too_large(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--k", "2", "--t", "1",
-                       "--m", "2", "--all", "--trials", "1")
+                       "--m", "2", "--exhaustive", "--trials", "1")
     assert code == 0
     assert "exhaustive privacy skipped" in out
 
@@ -94,7 +94,7 @@ def test_simulate_csv(capsys, tmp_path):
                        "--reps", "20", "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
-    assert lines[0].startswith("config_id,strategy,target")
+    assert lines[0].startswith("config_id,wait_for,deadline_ms")
     assert len(lines) == 4  # header + one row per mu in [k, n]
     assert all(line.endswith("1.0") for line in lines[1:])
 
@@ -105,19 +105,36 @@ def test_invalid_params_exit_code(capsys):
     assert "error" in err
 
 
+RETRIEVE = ["retrieve", "--manifest", "{manifest}", "--endpoints", "{endpoints}",
+            "--i", "1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["params", "--n", "4", "--k", "2", "--t", "1", "--m", "0"],
     ["simulate", "--n", "4", "--k", "2", "--t", "1", "--mu", "7"],
+    ["simulate", "--n", "4", "--k", "2", "--t", "1", "--mu", "0"],
+    ["simulate", "--n", "4", "--k", "2", "--t", "1", "--deadline-ms", "0"],
+    ["demo", "--example", "2", "--mu", "0"],
+    RETRIEVE + ["--mu", "0"],
+    RETRIEVE + ["--deadline-ms", "inf"],
     ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
      "--data-dir", "{empty}"],
     ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
      "--data-dir", "{missing}"],
-], ids=["params-m-0", "simulate-mu-above-n", "serve-empty-dir", "serve-missing-dir"])
-def test_rejected_value_is_one_error_line(argv, capsys, tmp_path):
+], ids=["params-m-0", "simulate-mu-above-n", "simulate-mu-0", "simulate-deadline-0",
+        "demo-mu-0", "retrieve-mu-0", "retrieve-deadline-inf", "serve-empty-dir",
+        "serve-missing-dir"])
+def test_rejected_value_is_one_error_line(argv, capsys, tmp_path, request):
     # A value the parser accepts but the scheme or the file system does not:
-    # one `error:` line and exit 1, not a traceback.
+    # one `error:` line and exit 1, not a traceback. A retrieval is refused
+    # from servers that are up and would serve it.
     (tmp_path / "empty").mkdir()
-    argv = [arg.format(empty=tmp_path / "empty", missing=tmp_path / "missing")
+    manifest, endpoints = None, None
+    if argv[0] == "retrieve":
+        _, manifest, endpoints = request.getfixturevalue("deployment")
+        endpoints = ",".join(endpoints)
+    argv = [arg.format(empty=tmp_path / "empty", missing=tmp_path / "missing",
+                       manifest=manifest, endpoints=endpoints)
             for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import socket
 import socketserver
@@ -181,7 +182,7 @@ def test_retrieve_drops_a_responder_that_stalls_on_fetch(cluster321):
     finally:
         stub.release.set()
         shutdown([stub])
-    # The FETCH is bounded by the deadline, not by the 5 s connect timeout.
+    # The FETCH is bounded by the deadline.
     assert elapsed < 1.5
     assert decoded == files[0]
     assert metrics.realized_mu == 2
@@ -351,7 +352,7 @@ def test_retrieve_replans_under_frequent_thread_switches():
 def test_retrieve_wait_for_reports_the_rest_late(cluster321):
     params, V, files, _, endpoints = cluster321
     decoded, metrics = retrieve(
-        endpoints, params, V, 1, strategy="wait_for", wait_for=2, seed=8
+        endpoints, params, V, 1, wait_for=2, seed=8
     )
     assert decoded == files[0]
     assert sorted(metrics.outcomes.values()) == ["late", "ok", "ok"]
@@ -360,7 +361,7 @@ def test_retrieve_wait_for_reports_the_rest_late(cluster321):
 def test_retrieve_wait_for_subset(cluster321):
     params, V, files, _, endpoints = cluster321
     decoded, metrics = retrieve(
-        endpoints, params, V, 2, strategy="wait_for", wait_for=2, seed=4
+        endpoints, params, V, 2, wait_for=2, seed=4
     )
     assert decoded == files[1]
     assert metrics.realized_mu == 2
@@ -443,11 +444,15 @@ def test_endpoint_count_checked(cluster321):
         retrieve(endpoints[:2], params, V, 1)
 
 
-@pytest.mark.parametrize("deadline_s", [0, -1])
-def test_deadline_must_be_positive(cluster321, deadline_s):
+@pytest.mark.parametrize("deadline_s", [0, -1, math.inf, 1e9])
+def test_deadline_must_be_positive(cluster321, monkeypatch, deadline_s):
+    # No more than MAX_DEADLINE_S either: a selector cannot wait that long.
     params, V, _, _, endpoints = cluster321
+    resolved = []
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args: resolved.append(args))
     with pytest.raises(OutOfRange):
         retrieve(endpoints, params, V, 1, deadline_s=deadline_s)
+    assert resolved == []  # refused before any connect
 
 
 @pytest.mark.parametrize("excess", [1, 2**40])
@@ -494,7 +499,7 @@ def test_retrieve_refuses_wait_for_outside_k_to_n(cluster321, monkeypatch, wait_
     resolved = []
     monkeypatch.setattr(socket, "getaddrinfo", lambda *args: resolved.append(args))
     with pytest.raises(OutOfRange):
-        retrieve(endpoints, params, V, 1, strategy="wait_for", wait_for=wait_for)
+        retrieve(endpoints, params, V, 1, wait_for=wait_for)
     assert resolved == []  # refused before any connect
 
 
@@ -510,16 +515,6 @@ def test_retrieve_reports_the_deadline_it_waited_out(cluster321):
     assert decoded == files[0]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "late"}
     assert 0.3 <= metrics.wait_s <= elapsed
-
-
-@pytest.mark.parametrize("strategy,wait_for", [("wait-for", 2), ("wait_for", None), ("", None)])
-def test_retrieve_refuses_an_unknown_strategy(cluster321, monkeypatch, strategy, wait_for):
-    params, V, _, _, endpoints = cluster321
-    resolved = []
-    monkeypatch.setattr(socket, "getaddrinfo", lambda *args: resolved.append(args))
-    with pytest.raises(ValueError):
-        retrieve(endpoints, params, V, 1, strategy=strategy, wait_for=wait_for)
-    assert resolved == []  # refused before any connect
 
 
 @pytest.mark.parametrize("down", [0, 1])

@@ -239,7 +239,7 @@ def test_universality_rate_equals_capacity():
 
 def test_responder_wait_chooses_times_and_labels():
     params = SchemeParams(n=4, k=2, t=1, m=2, q=257)
-    wait = ResponderWait(params, target=2, deadline=10.0)
+    wait = ResponderWait(params, wait_for=2, deadline=10.0)
     wait.settle(3, 0.5, "refused")
     wait.settle(4, 1.0)
     assert not wait.done
@@ -255,7 +255,7 @@ def test_responder_wait_chooses_times_and_labels():
 
 def test_responder_wait_ends_at_the_deadline():
     params = SchemeParams(n=3, k=2, t=1, m=2, q=257)
-    wait = ResponderWait(params, target=3, deadline=0.3)
+    wait = ResponderWait(params, wait_for=3, deadline=0.3)
     wait.settle(2, 0.1)
     assert not wait.done and wait.ended == 0.3
     with pytest.raises(InsufficientResponders):
@@ -274,7 +274,7 @@ def test_responder_wait_target_outside_k_to_n(target):
 
 def test_responder_wait_without_deadline_that_never_ends_has_no_responders():
     params = SchemeParams(n=4, k=2, t=1, m=2, q=257)
-    wait = ResponderWait(params, target=3, deadline=math.inf)
+    wait = ResponderWait(params, wait_for=3, deadline=math.inf)
     wait.settle(1, 1.0)
     wait.settle(2, 2.0)  # servers 3 and 4 never settle
     assert not wait.done and math.isinf(wait.ended)

@@ -9,8 +9,8 @@ from staircase_pir.sim import LatencyModel, SimConfig, run_simulation, sweep
 
 SWEEP_HEADER = [
     "config_id",
-    "strategy",
-    "target",
+    "wait_for",
+    "deadline_ms",
     "repetitions",
     "mean_wait_ms",
     "mean_symbols",
@@ -57,7 +57,6 @@ class TestWaitForStrategy:
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2, 3, 4),
-            strategy="wait_for",
             wait_for=3,
             repetitions=2,
         )
@@ -73,7 +72,6 @@ class TestWaitForStrategy:
         config = SimConfig(
             params=params421(),
             latencies=(LatencyModel.deterministic(1), dead, dead, dead),
-            strategy="wait_for",
             wait_for=2,
         )
         (m,) = run_simulation(config)
@@ -86,7 +84,6 @@ class TestWaitForStrategy:
             SimConfig(
                 params=params421(),
                 latencies=det_latencies(1, 1, 1, 1),
-                strategy="wait_for",
                 wait_for=1,
             )
 
@@ -96,7 +93,6 @@ class TestDeadlineStrategy:
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2, 3, 4),
-            strategy="deadline",
             deadline_ms=2.5,
         )
         (m,) = run_simulation(config)
@@ -108,7 +104,6 @@ class TestDeadlineStrategy:
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 5, 5, 5),
-            strategy="deadline",
             deadline_ms=2,
         )
         (m,) = run_simulation(config)
@@ -125,7 +120,6 @@ class TestExponential:
             config = SimConfig(
                 params=params,
                 latencies=tuple(LatencyModel.exponential(10) for _ in range(4)),
-                strategy="wait_for",
                 wait_for=wf,
                 seed=42,
                 repetitions=100,
@@ -142,8 +136,7 @@ class TestSweep:
         params = params421()
         lat = tuple(LatencyModel.exponential(5) for _ in range(4))
         return [
-            SimConfig(params=params, latencies=lat, strategy="wait_for",
-                      wait_for=wf, seed=7, repetitions=20)
+            SimConfig(params=params, latencies=lat, wait_for=wf, seed=7, repetitions=20)
             for wf in (2, 3, 4)
         ]
 
@@ -159,7 +152,7 @@ class TestSweep:
 
     def test_a_config_that_never_decodes_has_no_wait_or_rate(self):
         config = SimConfig(params=params421(), latencies=det_latencies(1, 5, 5, 5),
-                           strategy="deadline", deadline_ms=2, repetitions=3)
+                           deadline_ms=2, repetitions=3)
         (row,) = sweep([config])
         assert row["success_fraction"] == 0.0
         assert row["mean_wait_ms"] is None and row["rate"] is None
@@ -178,7 +171,6 @@ class TestResponderPolicy:
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2, 3, 4),
-            strategy="deadline",
             deadline_ms=10,
         )
         (m,) = run_simulation(config)
@@ -191,7 +183,6 @@ class TestResponderPolicy:
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2, 3) + (dead,),
-            strategy="deadline",
             deadline_ms=10,
         )
         (m,) = run_simulation(config)
@@ -199,13 +190,34 @@ class TestResponderPolicy:
         assert m.realized_mu == 3
         assert m.wait_us == 10000
 
+    def test_wait_for_with_a_deadline_stops_at_the_deadline(self):
+        # Waits for 3, but no longer than 2.5 ms: decodes from the 2 in by then.
+        config = SimConfig(
+            params=params421(),
+            latencies=det_latencies(1, 2, 3, 4),
+            wait_for=3,
+            deadline_ms=2.5,
+        )
+        (m,) = run_simulation(config)
+        assert m.success
+        assert m.wait_us == 2500
+        assert m.realized_mu == 2
+        assert str(m.rate) == "1/2"
+
+    def test_no_wait_for_and_no_deadline_waits_for_all_n(self):
+        config = SimConfig(params=params421(), latencies=det_latencies(4, 3, 2, 1))
+        (m,) = run_simulation(config)
+        assert m.success
+        assert m.realized_mu == 4
+        assert m.wait_us == 4000
+        assert str(m.rate) == "3/4"
+
     def test_wait_for_that_never_ends_fails_run(self):
         # Two servers answer, but the client waits for 3 with no deadline.
         dead = LatencyModel.unresponsive(1.0, LatencyModel.deterministic(1))
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2) + (dead, dead),
-            strategy="wait_for",
             wait_for=3,
         )
         (m,) = run_simulation(config)
@@ -225,7 +237,6 @@ class TestResponderPolicy:
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2, 3, 4),
-            strategy="wait_for",
             wait_for=2,
             repetitions=5,
         )
