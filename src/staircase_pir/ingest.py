@@ -1,9 +1,9 @@
 """Byte <-> field-symbol packing and directory ingestion.
 
-For q >= 257 a byte maps to one symbol. For smaller fields bytes are
-split into the widest b-bit chunks with 2^b <= q, MSB first. A manifest
-records original lengths and the packing mode so decoded files can be
-restored byte-identically.
+Bytes are split into the widest b-bit chunks with 2^b <= q, MSB first,
+so a symbol carries q.bit_length() - 1 bits: a byte for 257 <= q < 512,
+16 bits for q = 65537. A manifest records original lengths and that
+width so decoded files can be restored byte-identically.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from .protocol import Database
 
 
 def bits_per_symbol(q: int) -> int:
-    """Widest chunk width b (<= 8) with all chunk values below q."""
-    b = 1
-    while b < 8 and (1 << (b + 1)) <= q:
-        b += 1
-    if (1 << b) > q:
+    """Widest chunk width b with all chunk values below q: 2**b <= q."""
+    if q < 2:
         raise ValueError(f"q={q} too small to pack even 1-bit chunks")
-    return b
+    return q.bit_length() - 1
 
 
 def pack_bytes(data: bytes, q: int) -> List[int]:
@@ -39,25 +36,27 @@ def pack_bytes(data: bytes, q: int) -> List[int]:
         nbits += 8
         while nbits >= b:
             nbits -= b
-            symbols.append((acc >> nbits) & ((1 << b) - 1))
+            symbols.append(acc >> nbits)
+            acc &= (1 << nbits) - 1
     if nbits:
-        symbols.append((acc << (b - nbits)) & ((1 << b) - 1))
+        symbols.append(acc << (b - nbits))
     return symbols
 
 
-def unpack_symbols(symbols: Sequence[int], q: int, orig_len: int) -> bytes:
-    b = bits_per_symbol(q)
-    if b == 8:
+def unpack_symbols(symbols: Sequence[int], bits: int, orig_len: int) -> bytes:
+    """The first orig_len bytes of symbols of `bits` bits each, MSB first."""
+    if bits == 8:
         return bytes(symbols[:orig_len])
     acc = 0
     nbits = 0
     out = bytearray()
     for sym in symbols:
-        acc = (acc << b) | sym
-        nbits += b
+        acc = (acc << bits) | sym
+        nbits += bits
         while nbits >= 8:
             nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
+            out.append(acc >> nbits)
+            acc &= (1 << nbits) - 1
     return bytes(out[:orig_len])
 
 
@@ -124,7 +123,7 @@ def ingest_dir(path: str, n: int, k: int, t: int, q: int, s: int = None):
 def restore_file(symbols: Sequence[int], manifest: Dict, i: int) -> bytes:
     """Rebuild file i (1-based, manifest order) from decoded symbols."""
     entry = manifest["files"][i - 1]
-    return unpack_symbols(symbols, manifest["q"], entry["orig_len"])
+    return unpack_symbols(symbols, manifest["bits_per_symbol"], entry["orig_len"])
 
 
 def params_from_manifest(manifest: Dict) -> SchemeParams:

@@ -10,6 +10,16 @@ Each server holds the replicated database and answers QUERY/FETCH
 frames; the client queries all n servers, waits for the responders
 protocol.ResponderWait chooses, then fetches from all of them at once
 only the prefix columns the plan needs, planning again if one drops.
+
+A download from mu responders reads the first prefix_cols(mu) columns of
+each, a prefix that shrinks as mu grows. So a QUERY carries only the
+sub-queries of the prefix for the target (wait_for, or n), and a FETCH
+adds those of the columns a smaller mu, or a re-plan after a drop, reads
+too. Which columns a server is sent depends on the target and on how
+many servers answered, never on the file. On the bulk benchmark's
+(4,2,1) GF(257) scheme with all four servers up, a retrieval sends each
+server a 913-byte QUERY and a 14-byte FETCH of no sub-queries (3,708
+bytes up) and reads back 676 bytes.
 """
 
 from __future__ import annotations
@@ -103,7 +113,8 @@ class PIRServer:
     its whole frames one at a time and writes the replies back. A
     connection is read only while it has nothing left to send, so a peer
     that never reads holds at most one frame and one reply of memory.
-    A connection holds one session: (id, query) of its latest QUERY.
+    A connection holds one session: (id, query) of its latest QUERY, whose
+    sub-queries its FETCHes top up.
     """
 
     def __init__(self, address, database: protocol.Database, params: SchemeParams,
@@ -197,12 +208,12 @@ class PIRServer:
             conn.session = (next(self.session_counter) % wire.SESSION_IDS, query)
             return wire.encode_response(conn.session[0], [], self.params.q)
         if msg_type == wire.MSG_FETCH:
-            session_id, columns = wire.decode_fetch(payload)
+            # Each column costs a projection: decode_fetch refuses repeats before any.
+            held = conn.session[1].subqueries if conn.session else []
+            session_id, columns, added = wire.decode_fetch(payload, self.params, len(held))
             if conn.session is None or conn.session[0] != session_id:
                 return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
-            # Each column costs a projection: refuse repeats before any.
-            if len(set(columns)) != len(columns) or len(columns) > self.params.alpha:
-                raise MalformedFrame("FETCH columns repeat or exceed alpha")
+            held += added
             slabs = protocol.server_respond(self.database, conn.session[1], columns)
             return wire.encode_response(
                 session_id, [slabs[c] for c in columns], self.params.q
@@ -250,6 +261,7 @@ class _Peer(_Conn):
         self.sid = sid
         self.addrs: list = []  # addresses not yet tried
         self.connecting = False
+        self.sent_columns = 0  # sub-queries the server has been sent
         self.asked = 0  # columns of the FETCH in flight
         self.expires = math.inf  # when the FETCH in flight fails
 
@@ -257,12 +269,13 @@ class _Peer(_Conn):
 class _Retrieval:
     """One retrieval's connections and the selector loop that moves them on.
 
-    Every server is connected to and, once connected, sent its query. A
-    server settles in `wait` when its handshake completes or fails; one
-    still unsettled when the wait ends is late. Each responder then holds
-    the prefix columns in `columns` and is sent a FETCH for the rest of
-    the plan's prefix, `want`, whenever it holds fewer and has none in
-    flight. A FETCH that fails, or whose round trip
+    Every server is connected to and, once connected, sent its query: the
+    sub-queries it holds. A server settles in `wait` when its handshake
+    completes or fails; one still unsettled when the wait ends is late.
+    Each responder then holds the prefix columns in `columns` and is sent
+    a FETCH for the rest of the plan's prefix, `want`, with the
+    sub-queries of those columns it has not been sent, whenever it holds
+    fewer and has none in flight. A FETCH that fails, or whose round trip
     outlives the deadline, drops its server from `columns`. Only
     connections with a reply due are in the selector.
     """
@@ -334,10 +347,10 @@ class _Retrieval:
                         return self._connect(peer, error)
                     peer.connecting = False
                     # Encoded only now, so a server that is down costs no upload.
+                    subqueries = self.queries[peer.sid - 1].subqueries
+                    peer.sent_columns = len(subqueries)
                     peer.out = memoryview(wire.encode_query(
-                        self.params, self.fingerprint, peer.sid,
-                        self.queries[peer.sid - 1].subqueries,
-                    ))
+                        self.params, self.fingerprint, peer.sid, subqueries))
                 self._send(peer)
                 return
             if not peer.recv():
@@ -377,9 +390,14 @@ class _Retrieval:
         held = len(self.columns[peer.sid])
         if peer.asked or held >= self.want:
             return
+        query = self.queries[peer.sid - 1]
+        query.expand_to(self.want)
+        added = query.subqueries[peer.sent_columns : self.want]
+        peer.sent_columns += len(added)
         peer.asked = self.want - held
         peer.expires = time.monotonic() + self.wait.deadline
-        peer.out = memoryview(wire.encode_fetch(peer.session, range(held, self.want)))
+        peer.out = memoryview(wire.encode_fetch(
+            peer.session, range(held, self.want), added, self.params))
         try:
             self._send(peer)
         except OSError as exc:
@@ -458,19 +476,23 @@ def retrieve(
     outside [k, n], or a `deadline_s` outside (0, MAX_DEADLINE_S], raises
     OutOfRange before anything is sent.
 
-    The responders are then sent a FETCH for the plan's prefix columns,
-    all at once. A responder whose FETCH fails, or whose FETCH round trip
-    as a whole takes longer than `deadline_s` (however its bytes trickle
-    in), is dropped: the client plans again with the others and fetches
-    from them only the extra columns, or raises InsufficientResponders if
-    fewer than k are left. It all runs in the caller's thread.
+    Each QUERY carries the sub-queries of the first
+    prefix_cols(wait_for or n) columns. The responders are then sent a
+    FETCH for the plan's prefix columns, all at once, which carries the
+    sub-queries of the columns past that. A responder whose FETCH fails,
+    or whose FETCH round trip as a whole takes longer than `deadline_s`
+    (however its bytes trickle in), is dropped: the client plans again
+    with the others and fetches from them only the extra columns, or
+    raises InsufficientResponders if fewer than k are left. It all runs
+    in the caller's thread.
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")
     wait = protocol.ResponderWait(params, wait_for, deadline_s)  # refuses deadline_s <= 0
     if deadline_s > MAX_DEADLINE_S:
         raise OutOfRange(f"deadline_s must be at most {MAX_DEADLINE_S}, got {deadline_s}")
-    queries = protocol.make_queries(params, V, i, seed=seed)
+    queries = protocol.make_queries(
+        params, V, i, seed=seed, columns=params.prefix_cols(wait.target))
     run = _Retrieval(queries, V, wait)
     try:
         run.connect(endpoints)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -123,10 +123,20 @@ class Database:
 
 @dataclass
 class Query:
-    """One server's query: its alpha sub-queries."""
+    """One server's query: the sub-queries of its first columns, in column
+    order. expand_to expands more of them from the grid and the server's
+    row of the symbolic Q they were drawn from, so a column expanded late
+    is the one an expansion of every column gives."""
 
     server_id: int
     subqueries: list
+    grid: Optional[staircase.MessageGrid] = field(default=None, repr=False, compare=False)
+    symbolic: tuple = field(default=(), repr=False, compare=False)
+
+    def expand_to(self, columns: int) -> None:
+        """Hold the sub-queries of the first `columns` columns."""
+        for sym in self.symbolic[len(self.subqueries) : columns]:
+            self.subqueries.append(self.grid.expand(sym))
 
 
 def make_queries(
@@ -135,21 +145,29 @@ def make_queries(
     i: int,
     seed=None,
     row_order: str = staircase.DEFAULT_ROW_ORDER,
+    columns: Optional[int] = None,
 ) -> List[Query]:
+    """Every server's query for file i, from one randomness draw and one
+    grid. Only the sub-queries of the first `columns` columns (None: all
+    alpha) are expanded here; Query.expand_to expands the rest."""
     randomness = staircase.generate_randomness(params, seed)
     grid = staircase.build_message_grid(params, i, randomness, row_order)
-    rows = staircase.encode_shares(params, V, grid)
-    return [Query(server_id=sid, subqueries=row) for sid, row in enumerate(rows, start=1)]
+    rows = staircase.encode_shares(params, V, grid, columns)
+    symbolic = staircase.query_matrix(params, V, row_order)
+    return [Query(sid, row, grid, sym)
+            for sid, (row, sym) in enumerate(zip(rows, symbolic), start=1)]
 
 
 def server_respond(
     db: Database, query: Query, columns: Iterable[int]
 ) -> Dict[int, Tuple[int, ...]]:
-    """Project the data on the requested sub-query columns (0-based)."""
+    """Project the data on the requested sub-query columns (0-based), of
+    those the query holds."""
     out = {}
+    held = len(query.subqueries)
     for c in columns:
-        if not 0 <= c < db.params.alpha:
-            raise ColumnOutOfRange(f"column {c} outside [0, {db.params.alpha})")
+        if not 0 <= c < held:
+            raise ColumnOutOfRange(f"column {c} outside [0, {held})")
         out[c] = db.project(query.subqueries[c])
     return out
 

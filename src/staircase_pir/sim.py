@@ -36,14 +36,14 @@ class LatencyModel:
 
     @classmethod
     def deterministic(cls, delay_ms: float) -> "LatencyModel":
-        if delay_ms <= 0:
-            raise ValueError("delay must be > 0")
+        if not 0 < delay_ms < math.inf:  # NaN too
+            raise ValueError("delay must be positive and finite")
         return cls("deterministic", delay_ms)
 
     @classmethod
     def exponential(cls, mean_ms: float) -> "LatencyModel":
-        if mean_ms <= 0:
-            raise ValueError("mean must be > 0")
+        if not 0 < mean_ms < math.inf:  # NaN too
+            raise ValueError("mean must be positive and finite")
         return cls("exponential", mean_ms)
 
     @classmethod
@@ -78,6 +78,8 @@ class SimConfig:
     def __post_init__(self):
         if len(self.latencies) != self.params.n:
             raise ValueError("need one latency model per server")
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
         self.responder_wait()  # refuses a bad policy before any run
 
     def responder_wait(self) -> protocol.ResponderWait:
@@ -120,7 +122,8 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
             results.append(SimMetrics(len(wait.arrived), wait.ended, 0, None, None, False))
             continue
         plan = protocol.plan_download(params, responders)
-        queries = protocol.make_queries(params, V, config.file_index, seed=rng.random())
+        queries = protocol.make_queries(
+            params, V, config.file_index, seed=rng.random(), columns=plan.prefix_cols)
         responses = {
             sid: protocol.server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in responders

@@ -262,13 +262,13 @@ def _query_matrix(params: SchemeParams, field, rows: tuple, row_order: str):
 
 
 def encode_shares(
-    params: SchemeParams, V: Matrix, grid: MessageGrid
+    params: SchemeParams, V: Matrix, grid: MessageGrid, columns: Optional[int] = None
 ) -> List[List[List[int]]]:
-    """Rows of Q = V * M: per server, its alpha sub-queries (or sub-shares),
-    the deployment's symbolic Q expanded with this grid's payload and
-    randomness."""
+    """Rows of Q = V * M: per server, the sub-queries (or sub-shares) of its
+    first `columns` columns (None: all alpha), the deployment's symbolic Q
+    expanded with this grid's payload and randomness."""
     return [
-        [grid.expand(sym) for sym in row]
+        [grid.expand(sym) for sym in row[:columns]]
         for row in query_matrix(params, V, grid.layout.row_order)
     ]
 

@@ -15,27 +15,37 @@ and one bit plane; for q=5, 3 bit planes.
 
 Message types:
   1 QUERY    params n,k,t,m,q,s (varints), V fingerprint (32 bytes),
-             server id (varint), alpha (varint), then the alpha sub-queries
-             of query_length = alpha'*m symbols each, as one block.
+             server id (varint), count (varint), then the sub-queries of
+             columns 0..count-1, query_length = alpha'*m symbols each, as
+             one block. A count outside [1, alpha] is refused unread.
   2 FETCH    session id (u32), column count (varint), column indices
-             (varints).
+             (varints), then one sub-query for each named column the
+             session does not hold yet, in column order, as one block.
+             Those columns must be the next ones after the held prefix,
+             so a session always holds a prefix of its alpha sub-queries.
   3 RESPONSE session id (u32), column count (varint), then the s symbols
              of each column, as one block. A zero-column RESPONSE
              acknowledges a QUERY and carries the server-assigned session id.
   4 ERROR    code (varint), UTF-8 message of at most ERROR_TEXT_BYTES
              bytes.
 
-A frame's size depends only on the params, the server id and the columns
-it names, never on how many sessions came before: the session id has a
-fixed width, and a server's session counter wraps at SESSION_IDS. On the
-bulk benchmark's (4,2,1) GF(257) scheme, 64 files of 384 bytes and s=64,
-a QUERY is an 8-byte header and a 2,633-byte payload (2,304 symbols in
-2,592 bytes), a FETCH of 2 columns is 7 + 7 bytes, an acknowledgement
-7 + 5 and a RESPONSE of 2 columns 8 + 149 (128 symbols in 144 bytes).
+A client sends a QUERY with the columns its download at the hoped-for
+responder count reads, and tops the session up in a FETCH only if fewer
+servers answer. A frame's size depends only on the params, the server id
+and the columns it names and adds, never on how many sessions came
+before: the session id has a fixed width, and a server's session counter
+wraps at SESSION_IDS. On the bulk benchmark's (4,2,1) GF(257) scheme, 64
+files of 384 bytes and s=64, all four servers up, a QUERY of 2 columns
+is an 8-byte header and a 905-byte payload (768 symbols in 864 bytes), a
+FETCH of those 2 columns 7 + 7 bytes, an acknowledgement 7 + 5 and a
+RESPONSE of 2 columns 8 + 149 (128 symbols in 144 bytes). With two
+servers up, each FETCH names all 6 columns and adds 4 sub-queries:
+8 + 1,739 bytes.
 
 Version 1 sent one coefficient per database symbol and every symbol as a
-u64; version 2 sent ceil(b/8) bytes a symbol and u64 integers. Version 3
-frames are the only ones read.
+u64; version 2 sent ceil(b/8) bytes a symbol and u64 integers; version 3
+sent every sub-query in the QUERY and none in a FETCH. Version 4 frames
+are the only ones read.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from .field import ints_from_bytes, ints_to_bytes
 from .params import SchemeParams
 
 MAGIC = b"SPIR"
-VERSION = 3
+VERSION = 4
 
 MSG_QUERY = 1
 MSG_FETCH = 2
@@ -314,17 +324,36 @@ def _query_prefix(params: SchemeParams, fingerprint: bytes) -> bytes:
     return pack_varints([params.n, params.k, params.t, params.m, params.q, params.s]) + fingerprint
 
 
-def _query_head(params: SchemeParams, fingerprint: bytes, server_id: int) -> bytes:
-    return _query_prefix(params, fingerprint) + pack_varints([server_id, params.alpha])
+def _pack_subqueries(subqueries, params: SchemeParams) -> bytes:
+    """The block of the symbols of `subqueries`, each of query_length."""
+    per = params.query_length
+    if any(len(sub) != per for sub in subqueries):
+        raise ValueError(f"sub-queries must have {per} symbols")
+    layout = _layout(params.q)
+    raw = b"".join(ints_to_bytes(sub, layout.lane) for sub in subqueries)
+    return _pack_lanes(raw, len(subqueries) * per, layout)
+
+
+def _unpack_subqueries(payload: bytes, count: int, params: SchemeParams,
+                       off: int) -> List[List[int]]:
+    """The `count` sub-queries that end a QUERY or FETCH payload at `off`."""
+    per = params.query_length
+    symbols, off = unpack_symbols(payload, count * per, params.q, off)
+    if off != len(payload):
+        raise MalformedFrame("trailing bytes after the sub-queries")
+    return [list(symbols[a * per : (a + 1) * per]) for a in range(count)]
 
 
 def max_request_payload(params: SchemeParams) -> int:
     """Largest payload a client sends to a server with these params: its
-    QUERY with the largest server id, n. A FETCH of every column is never
-    larger: its alpha columns take a few bytes each, and a QUERY's
-    symbols at least alpha * query_length >= alpha**2 bits."""
-    head = _query_head(params, bytes(32), params.n)
-    return len(head) + symbols_size(params.alpha * params.query_length, params.q)
+    QUERY of all alpha columns with the largest server id, n, or a FETCH
+    of all alpha columns that adds alpha - 1 sub-queries to a QUERY of
+    one, whichever is larger."""
+    query = (len(_query_prefix(params, bytes(32)) + pack_varints([params.n, params.alpha]))
+             + symbols_size(params.alpha * params.query_length, params.q))
+    fetch = (_SESSION.size + len(pack_varints([params.alpha, *range(params.alpha)]))
+             + symbols_size((params.alpha - 1) * params.query_length, params.q))
+    return max(query, fetch)
 
 
 def max_reply_payload(params: SchemeParams) -> int:
@@ -338,15 +367,13 @@ def max_reply_payload(params: SchemeParams) -> int:
 def encode_query(
     params: SchemeParams, fingerprint: bytes, server_id: int, subqueries
 ) -> bytes:
+    """A QUERY carrying `subqueries`, those of columns 0, 1, ... in order."""
     if len(fingerprint) != 32:
         raise ValueError("fingerprint must be 32 bytes")
-    per = params.query_length
-    if len(subqueries) != params.alpha or any(len(sub) != per for sub in subqueries):
-        raise ValueError(f"need {params.alpha} sub-queries of {per} symbols")
-    layout = _layout(params.q)
-    raw = b"".join(ints_to_bytes(sub, layout.lane) for sub in subqueries)
-    return pack_frame(MSG_QUERY, _query_head(params, fingerprint, server_id)
-                      + _pack_lanes(raw, params.alpha * per, layout))
+    if not 1 <= len(subqueries) <= params.alpha:
+        raise ValueError(f"need 1 to {params.alpha} sub-queries")
+    head = _query_prefix(params, fingerprint) + pack_varints([server_id, len(subqueries)])
+    return pack_frame(MSG_QUERY, head + _pack_subqueries(subqueries, params))
 
 
 def decode_query(
@@ -355,9 +382,10 @@ def decode_query(
     """Decode a QUERY for a server holding `params` and the matrix with
     `fingerprint`; returns (server id, sub-queries).
 
-    The untrusted header fields, fingerprint and alpha are compared with
-    the server's own before anything is derived from them, and any
-    difference raises HandshakeMismatch.
+    The untrusted header fields and fingerprint are compared with the
+    server's own before anything is derived from them, and any difference
+    raises HandshakeMismatch. A count outside [1, alpha] is refused before
+    any symbol is read.
     """
     prefix = _query_prefix(params, fingerprint)
     if not payload.startswith(prefix):  # find out what differs
@@ -367,14 +395,10 @@ def decode_query(
         if off + 32 > len(payload):
             raise MalformedFrame("missing fingerprint")
         raise HandshakeMismatch("encoding matrix mismatch")
-    (server_id, alpha), off = _unpack_varints(payload, 2, len(prefix))
-    if alpha != params.alpha:
-        raise HandshakeMismatch(f"alpha mismatch: {alpha} vs {params.alpha}")
-    per = params.query_length
-    symbols, off = unpack_symbols(payload, alpha * per, params.q, off)
-    if off != len(payload):
-        raise MalformedFrame("trailing bytes in QUERY")
-    return server_id, [list(symbols[a * per : (a + 1) * per]) for a in range(alpha)]
+    (server_id, count), off = _unpack_varints(payload, 2, len(prefix))
+    if not 1 <= count <= params.alpha:
+        raise MalformedFrame(f"QUERY of {count} sub-queries, outside [1, {params.alpha}]")
+    return server_id, _unpack_subqueries(payload, count, params, off)
 
 
 def _unpack_session(payload: bytes) -> Tuple[int, int, int]:
@@ -385,19 +409,33 @@ def _unpack_session(payload: bytes) -> Tuple[int, int, int]:
     return (session_id, *_unpack_varint(payload, _SESSION.size))
 
 
-def encode_fetch(session_id: int, columns: Sequence[int]) -> bytes:
-    return pack_frame(MSG_FETCH, _SESSION.pack(session_id)
-                      + pack_varints([len(columns), *columns]))
+def encode_fetch(session_id: int, columns: Sequence[int], subqueries=(),
+                 params: Optional[SchemeParams] = None) -> bytes:
+    """A FETCH of `columns`, adding `subqueries`: those of the columns the
+    session does not hold yet, in column order (`params` needed if any)."""
+    head = _SESSION.pack(session_id) + pack_varints([len(columns), *columns])
+    return pack_frame(MSG_FETCH, head + (_pack_subqueries(subqueries, params)
+                                         if subqueries else b""))
 
 
-def decode_fetch(payload: bytes) -> Tuple[int, List[int]]:
+def decode_fetch(payload: bytes, params: SchemeParams, held: int
+                 ) -> Tuple[int, List[int], List[List[int]]]:
+    """(session id, columns, added sub-queries) of a FETCH to a session
+    that holds the sub-queries of columns 0..held-1.
+
+    The columns must not repeat, and those at or past `held` must be
+    exactly the next ones, below alpha; each adds the sub-query that the
+    payload carries for it, so the count is implied by the columns.
+    """
     session_id, count, off = _unpack_session(payload)
     if count > len(payload) - off:  # a column takes at least a byte
         raise MalformedFrame("payload truncated")
     columns, off = _unpack_varints(payload, count, off)
-    if off != len(payload):
-        raise MalformedFrame("trailing bytes in FETCH")
-    return session_id, columns
+    added = sorted(c for c in columns if c >= held)
+    if (len(set(columns)) != count or added != list(range(held, held + len(added)))
+            or held + len(added) > params.alpha):
+        raise MalformedFrame("FETCH columns repeat, skip a column or exceed alpha")
+    return session_id, columns, _unpack_subqueries(payload, len(added), params, off)
 
 
 def encode_response(session_id: int, columns: Sequence[Sequence[int]], q: int) -> bytes:

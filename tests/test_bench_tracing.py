@@ -73,5 +73,5 @@ def test_traced_retrieval_decodes_and_counts_every_byte():
     assert layers["wire.frames.query"] == layers["wire.frames.ack"] == params.n
     assert layers["wire.frames.fetch"] == layers["wire.frames.response"] == params.n
     assert layers["protocol.query_symbols"] == (
-        params.n * params.alpha * params.query_length
+        params.n * params.prefix_cols(params.n) * params.query_length
     )

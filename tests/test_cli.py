@@ -114,6 +114,9 @@ RETRIEVE = ["retrieve", "--manifest", "{manifest}", "--endpoints", "{endpoints}"
     ["simulate", "--n", "4", "--k", "2", "--t", "1", "--mu", "7"],
     ["simulate", "--n", "4", "--k", "2", "--t", "1", "--mu", "0"],
     ["simulate", "--n", "4", "--k", "2", "--t", "1", "--deadline-ms", "0"],
+    ["simulate", "--n", "4", "--k", "2", "--t", "1", "--reps", "3", "--latency-ms", "inf"],
+    ["simulate", "--n", "4", "--k", "2", "--t", "1", "--reps", "-2"],
+    ["simulate", "--n", "4", "--k", "2", "--t", "1", "--reps", "0"],
     ["demo", "--example", "2", "--mu", "0"],
     RETRIEVE + ["--mu", "0"],
     RETRIEVE + ["--deadline-ms", "inf"],
@@ -122,6 +125,8 @@ RETRIEVE = ["retrieve", "--manifest", "{manifest}", "--endpoints", "{endpoints}"
     ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
      "--data-dir", "{missing}"],
 ], ids=["params-m-0", "simulate-mu-above-n", "simulate-mu-0", "simulate-deadline-0",
+        "simulate-latency-inf", "simulate-reps-negative",
+        "simulate-reps-0",
         "demo-mu-0", "retrieve-mu-0", "retrieve-deadline-inf", "serve-empty-dir",
         "serve-missing-dir"])
 def test_rejected_value_is_one_error_line(argv, capsys, tmp_path, request):

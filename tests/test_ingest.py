@@ -12,12 +12,13 @@ from staircase_pir.protocol import (
 )
 
 
-@pytest.mark.parametrize("q,b", [(257, 8), (131, 7), (5, 2), (3, 1), (2, 1)])
+@pytest.mark.parametrize("q,b", [
+    (2**31 - 1, 30), (65537, 16), (257, 8), (131, 7), (5, 2), (3, 1), (2, 1)])
 def test_bits_per_symbol(q, b):
     assert ingest.bits_per_symbol(q) == b
 
 
-@pytest.mark.parametrize("q", [257, 131, 17, 5, 3, 2])
+@pytest.mark.parametrize("q", [2**31 - 1, 65537, 257, 131, 17, 5, 3, 2])
 def test_pack_unpack_roundtrip(q):
     rng = random.Random(q)
     for length in (0, 1, 2, 3, 7, 64, 255):
@@ -25,7 +26,7 @@ def test_pack_unpack_roundtrip(q):
         symbols = ingest.pack_bytes(data, q)
         assert len(symbols) == ingest.symbols_needed(length, q)
         assert all(0 <= sym < q for sym in symbols)
-        assert ingest.unpack_symbols(symbols, q, length) == data
+        assert ingest.unpack_symbols(symbols, ingest.bits_per_symbol(q), length) == data
 
 
 def test_pack_known_values():
@@ -36,7 +37,7 @@ def test_pack_known_values():
     assert ingest.pack_bytes(b"ab", 257) == [97, 98]
 
 
-@pytest.mark.parametrize("q", [257, 5])
+@pytest.mark.parametrize("q", [2**31 - 1, 65537, 257, 5])
 def test_ingest_and_retrieve_byte_identical(q):
     rng = random.Random(q + 1)
     files = [
@@ -58,6 +59,15 @@ def test_ingest_and_retrieve_byte_identical(q):
             }
             decoded = decode_file(params, V, plan, responses)
             assert ingest.restore_file(decoded, manifest, i) == data
+
+
+def test_restore_reads_the_width_from_the_manifest():
+    # A q=65537 manifest that records a byte a symbol, the width this
+    # package once used there, still restores what was packed that way.
+    data = b"staircase"
+    manifest = {"q": 65537, "bits_per_symbol": 8,
+                "files": [{"name": "a", "orig_len": len(data), "symbols": len(data)}]}
+    assert ingest.restore_file(list(data) + [0, 0], manifest, 1) == data
 
 
 def test_ingest_dir_and_manifest_roundtrip(tmp_path):

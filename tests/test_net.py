@@ -19,7 +19,7 @@ from staircase_pir.errors import (
     OutOfRange,
     StaircasePIRError,
 )
-from staircase_pir import protocol, wire
+from staircase_pir import net, protocol, wire
 from staircase_pir.net import SHUTDOWN_POLL_S, retrieve, serve
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
@@ -28,6 +28,10 @@ from staircase_pir.protocol import (
     make_queries,
     matrix_fingerprint,
 )
+
+
+PARAMS321 = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=2)
+FP321 = matrix_fingerprint(PARAMS321, default_encoding_matrix(PARAMS321))
 
 
 def start_cluster(params, V, files, count=None):
@@ -75,14 +79,15 @@ class _StallOnFetch(socketserver.BaseRequestHandler):
 
 
 class _TrickleOnFetch(socketserver.BaseRequestHandler):
-    """Acknowledges a QUERY, then sends the FETCH's RESPONSE one byte every
-    50 ms until released."""
+    """Acknowledges a QUERY of the cluster321 scheme, then sends the FETCH's
+    RESPONSE one byte every 50 ms until released."""
 
     def handle(self):
         with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
-            wire.read_frame(reader)
+            _, held = wire.decode_query(wire.read_frame(reader)[1], PARAMS321, FP321)
             self.request.sendall(wire.encode_response(1, [], 257))
-            _, columns = wire.decode_fetch(wire.read_frame(reader)[1])
+            payload = wire.read_frame(reader)[1]
+            _, columns, _ = wire.decode_fetch(payload, PARAMS321, len(held))
             reply = wire.encode_response(1, [[0] * 2] * len(columns), 257)
             for i in range(len(reply)):
                 if self.server.release.wait(0.05):
@@ -113,7 +118,7 @@ def serve_stub(handler=_DropOnFetch):
 
 @pytest.fixture
 def cluster321():
-    params = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=2)
+    params = PARAMS321
     V = default_encoding_matrix(params)
     rng = random.Random(0)
     files = [
@@ -491,6 +496,112 @@ def test_server_refuses_repeated_fetch_columns():
             assert len(wire.decode_response(reply, params.s, params.q)[1]) == params.alpha
     finally:
         shutdown(servers)
+
+
+@pytest.fixture
+def spied_projections(monkeypatch):
+    """The number of times any server has projected, as a one-item list."""
+    calls = [0]
+    project = Database.project
+
+    def counting(self, qvec):
+        calls[0] += 1
+        return project(self, qvec)
+
+    monkeypatch.setattr(Database, "project", counting)
+    return calls
+
+
+def open_session(sock, params, V, count):
+    """Send a QUERY of the first `count` sub-queries of server 1's query for
+    file 1; that query, with all alpha sub-queries, and the acknowledged
+    session id."""
+    query = make_queries(params, V, 1, seed=0)[0]
+    frame = wire.encode_query(
+        params, matrix_fingerprint(params, V), 1, query.subqueries[:count])
+    session, _ = wire.decode_response(exchange(sock, frame)[1], 0, params.q)
+    return query, session
+
+
+@pytest.fixture
+def server421():
+    """One server of a (4,2,1) scheme, whose QUERY at mu = n holds 2 of its
+    6 sub-queries."""
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
+    V = default_encoding_matrix(params)
+    files = [[i] * params.file_symbols for i in range(params.m)]
+    servers, endpoints = start_cluster(params, V, files, count=1)
+    yield params, V, endpoints[0]
+    shutdown(servers)
+
+
+@pytest.mark.parametrize("columns,added", [
+    ([0, 1, 2, 3], [2]),  # too few sub-queries for the columns it adds
+    ([0, 1, 2], [2, 3]),  # too many
+    ([2], []),  # a column past the held prefix, without its sub-query
+    ([3], [3]),  # a sub-query for a column that skips column 2
+], ids=["short", "long", "missing", "gap"])
+def test_server_refuses_a_fetch_whose_sub_queries_do_not_match_its_columns(
+        server421, spied_projections, columns, added):
+    params, V, endpoint = server421
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        query, session = open_session(sock, params, V, 2)
+        subqueries = [query.subqueries[c] for c in added]
+        frame = wire.encode_fetch(session, columns, subqueries, params)
+        msg_type, reply = exchange(sock, frame)
+    assert msg_type == wire.MSG_ERROR
+    assert wire.decode_error(reply)[0] == wire.ERR_MALFORMED
+    assert spied_projections == [0]
+
+
+@pytest.mark.parametrize("count", [0, 7, 2**40])
+def test_server_refuses_a_query_count_outside_1_to_alpha(
+        server421, spied_projections, count):
+    # No symbols follow the count: it is refused before any is read.
+    params, V, endpoint = server421
+    payload = (wire.pack_varints([params.n, params.k, params.t, params.m, params.q, params.s])
+               + matrix_fingerprint(params, V) + wire.pack_varints([1, count]))
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        msg_type, reply = exchange(sock, wire.pack_frame(wire.MSG_QUERY, payload))
+        assert msg_type == wire.MSG_ERROR
+        assert wire.decode_error(reply)[0] == wire.ERR_MALFORMED
+        # The connection still serves a FETCH topping up a good QUERY.
+        query, session = open_session(sock, params, V, 1)
+        frame = wire.encode_fetch(session, [0, 1, 2], query.subqueries[1:3], params)
+        msg_type, reply = exchange(sock, frame)
+    assert msg_type == wire.MSG_RESPONSE
+    assert len(wire.decode_response(reply, params.s, params.q)[1]) == 3
+    assert spied_projections == [3]
+
+
+def test_replan_tops_up_only_the_columns_the_survivors_lack(cluster321, monkeypatch):
+    params, V, files, servers, endpoints = cluster321
+    received = {id(srv): [] for srv in servers}
+    dispatch = net.PIRServer._dispatch
+
+    def recording(self, conn, msg_type, payload):
+        received[id(self)].append((msg_type, payload))
+        return dispatch(self, conn, msg_type, payload)
+
+    monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
+    stub = serve_stub()
+    try:
+        decoded, metrics = retrieve(
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5, seed=6
+        )
+    finally:
+        shutdown([stub])
+    assert decoded == files[1]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
+    first, full = params.prefix_cols(3), params.prefix_cols(2)
+    fp = matrix_fingerprint(params, V)
+    for sid, srv in enumerate(servers[:2], start=1):
+        expected = make_queries(params, V, 2, seed=6)[sid - 1].subqueries
+        (_, query), (_, fetch), (_, top_up) = received[id(srv)]
+        assert wire.decode_query(query, params, fp)[1] == expected[:first]
+        assert wire.decode_fetch(fetch, params, first)[1:] == (list(range(first)), [])
+        assert wire.decode_fetch(top_up, params, first)[1:] == (
+            list(range(first, full)), expected[first:full])
 
 
 @pytest.mark.parametrize("wait_for", [1, 4])

@@ -172,6 +172,23 @@ class TestRetrieval:
         assert len(server_respond(db, queries[0], range(6))) == 6
         with pytest.raises(ColumnOutOfRange):
             server_respond(db, queries[0], [6])
+        prefix = make_queries(params, V, 1, seed=0, row_order=order, columns=2)
+        with pytest.raises(ColumnOutOfRange):
+            server_respond(db, prefix[0], [2])
+
+    @pytest.mark.parametrize("columns", [1, 2, 3, 6])
+    def test_late_columns_are_those_of_a_full_expansion(self, columns):
+        # One randomness draw and one grid: columns expanded later, one at
+        # a time or all at once, are those make_queries expands for all.
+        params, V, order = example2()
+        full = make_queries(params, V, 2, seed=9, row_order=order)
+        prefix = make_queries(params, V, 2, seed=9, row_order=order, columns=columns)
+        assert [len(query.subqueries) for query in prefix] == [columns] * params.n
+        for query, whole in zip(prefix, full):
+            assert query.subqueries == whole.subqueries[:columns]
+            query.expand_to(columns + 1)
+            query.expand_to(params.alpha)
+            assert query.subqueries == whole.subqueries
 
 
 class TestDownloadPlan:

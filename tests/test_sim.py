@@ -36,6 +36,13 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel.unresponsive(1.5, LatencyModel.deterministic(1))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_latency_must_be_finite(self, value):
+        with pytest.raises(ValueError):
+            LatencyModel.deterministic(value)
+        with pytest.raises(ValueError):
+            LatencyModel.exponential(value)
+
     def test_deterministic_sample(self):
         import random
 

@@ -198,8 +198,9 @@ def test_query_fingerprint_and_alpha_checked_before_symbols():
     header = [params.n, params.k, params.t, params.m, params.q, params.s]
     with pytest.raises(HandshakeMismatch):
         wire.decode_query(query_payload(header, bytes(32), params.alpha), params, fp)
-    with pytest.raises(HandshakeMismatch):
-        wire.decode_query(query_payload(header, fp, 2**63), params, fp)
+    for count in (0, params.alpha + 1, 2**63):
+        with pytest.raises(MalformedFrame, match="outside"):
+            wire.decode_query(query_payload(header, fp, count), params, fp)
     with pytest.raises(MalformedFrame):
         wire.decode_query(query_payload(header, fp[:31], 0)[:-2], params, fp)
 
@@ -254,7 +255,8 @@ def test_fuzz_split_frame(data, cap, chunk):
 @given(st.binary(max_size=300))
 def test_fuzz_decoders_on_arbitrary_bytes(payload):
     decodes_or_refuses(wire.decode_query, payload, FUZZ_PARAMS, FUZZ_FP)
-    decodes_or_refuses(wire.decode_fetch, payload)
+    for held in (0, 1, FUZZ_PARAMS.alpha):
+        decodes_or_refuses(wire.decode_fetch, payload, FUZZ_PARAMS, held)
     decodes_or_refuses(wire.decode_response, payload, FUZZ_PARAMS.s, FUZZ_PARAMS.q)
     decodes_or_refuses(wire.decode_response, payload, 0, FUZZ_PARAMS.q)
     decodes_or_refuses(wire.decode_error, payload)
@@ -273,11 +275,42 @@ def test_fuzz_query_headers(header, fingerprint, alpha, body):
     decodes_or_refuses(wire.decode_query, payload, FUZZ_PARAMS, FUZZ_FP)
 
 
+FETCH_PARAMS = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)  # alpha = 6
+
+
 def test_fetch_roundtrip():
     frame = wire.encode_fetch(7, [0, 2, 5])
     msg_type, payload = roundtrip(frame)
     assert msg_type == wire.MSG_FETCH
-    assert wire.decode_fetch(payload) == (7, [0, 2, 5])
+    assert wire.decode_fetch(payload, FETCH_PARAMS, 6) == (7, [0, 2, 5], [])
+
+
+def test_fetch_carries_the_sub_queries_of_the_columns_it_adds():
+    params = FETCH_PARAMS
+    V = default_encoding_matrix(params)
+    subqueries = make_queries(params, V, 2, seed=0)[1].subqueries
+    # A session holding 2 columns is fetched 5: it adds columns 2, 3 and 4.
+    frame = wire.encode_fetch(7, [4, 0, 2, 1, 3], subqueries[2:5], params)
+    payload = roundtrip(frame)[1]
+    per = params.query_length
+    assert len(payload) == 4 + 6 + wire.symbols_size(3 * per, params.q)
+    assert wire.decode_fetch(payload, params, 2) == (7, [4, 0, 2, 1, 3], subqueries[2:5])
+    for held in (1, 3):  # the sub-queries are one too few, or one too many
+        with pytest.raises(MalformedFrame):
+            wire.decode_fetch(payload, params, held)
+
+
+@pytest.mark.parametrize("columns,held", [
+    ([0, 0], 6),  # a repeat
+    ([1, 1], 1),  # a repeat of an added column
+    ([3], 2),  # skips column 2
+    ([6], 6),  # past alpha
+], ids=["repeat", "repeat-added", "gap", "past-alpha"])
+def test_fetch_columns_refused_before_any_symbol(columns, held):
+    # No symbols follow the columns: they are refused by themselves.
+    payload = roundtrip(wire.encode_fetch(1, columns))[1]
+    with pytest.raises(MalformedFrame, match="FETCH columns"):
+        wire.decode_fetch(payload, FETCH_PARAMS, held)
 
 
 def test_response_roundtrip():
@@ -434,10 +467,18 @@ def test_response_refuses_truncation_and_trailing_bytes(block, s, session, data)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, wire.SESSION_IDS - 1), st.lists(U64, max_size=20))
-def test_fetch_roundtrip_any_columns(session, columns):
-    payload = roundtrip(wire.encode_fetch(session, columns))[1]
-    assert wire.decode_fetch(payload) == (session, columns)
+@given(st.integers(0, wire.SESSION_IDS - 1), st.integers(0, 6), st.integers(0, 6),
+       st.randoms(use_true_random=False))
+def test_fetch_roundtrip_any_columns(session, held, want, rng):
+    # Any order of the columns of a prefix, of which those at or past the
+    # held ones are added.
+    params = FETCH_PARAMS
+    columns = list(range(want))
+    rng.shuffle(columns)
+    added = [[rng.randrange(params.q) for _ in range(params.query_length)]
+             for _ in range(held, want)]
+    payload = roundtrip(wire.encode_fetch(session, columns, added, params))[1]
+    assert wire.decode_fetch(payload, params, held) == (session, columns, added)
 
 
 @pytest.mark.parametrize("varint", [
@@ -449,7 +490,7 @@ def test_fetch_roundtrip_any_columns(session, columns):
 def test_overlong_varints_are_refused(varint):
     session = struct.pack("<I", 1)
     with pytest.raises(MalformedFrame):
-        wire.decode_fetch(session + varint)
+        wire.decode_fetch(session + varint, FETCH_PARAMS, 6)
     with pytest.raises(MalformedFrame):
         wire.decode_response(session + varint, 2, 5)
     with pytest.raises(MalformedFrame):
@@ -465,9 +506,9 @@ def test_overlong_varints_are_refused(varint):
 def test_truncated_varints_are_refused(varint):
     session = struct.pack("<I", 1)
     with pytest.raises(MalformedFrame):
-        wire.decode_fetch(session + varint)
+        wire.decode_fetch(session + varint, FETCH_PARAMS, 6)
     with pytest.raises(MalformedFrame):
-        wire.decode_fetch(session + wire.pack_varints([2]) + b"\x01" + varint)
+        wire.decode_fetch(session + wire.pack_varints([2]) + b"\x01" + varint, FETCH_PARAMS, 6)
     with pytest.raises(MalformedFrame):
         wire.decode_error(varint)
     # A frame header whose length has not all arrived waits for the rest.
@@ -486,6 +527,16 @@ def test_version_2_frames_are_refused(payload):
         wire.split_frame(bytearray(frame))
 
 
+@pytest.mark.parametrize("msg_type", [wire.MSG_QUERY, wire.MSG_FETCH, wire.MSG_RESPONSE])
+def test_version_3_frames_are_refused(msg_type):
+    # Version 3 framed like version 4: a varint length after the type.
+    frame = struct.pack("<4sBB", wire.MAGIC, 3, msg_type) + wire.pack_varints([3]) + b"abc"
+    with pytest.raises(MalformedFrame, match="version 3"):
+        roundtrip(frame)
+    with pytest.raises(MalformedFrame, match="version 3"):
+        wire.split_frame(bytearray(frame))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 257, 65537, 2**31 - 1])
 def test_max_request_payload_is_the_largest_query(q):
     params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=5)
@@ -495,8 +546,23 @@ def test_max_request_payload_is_the_largest_query(q):
     sizes = [len(roundtrip(wire.encode_query(params, bytes(32), sid, subqueries))[1])
              for sid in range(1, params.n + 1)]
     assert max(sizes) == wire.max_request_payload(params)
-    fetch_all = wire.encode_fetch(wire.SESSION_IDS - 1, range(params.alpha))
+    # A FETCH of every column, topping up a QUERY of one.
+    fetch_all = wire.encode_fetch(
+        wire.SESSION_IDS - 1, range(params.alpha), subqueries[1:], params)
     assert len(roundtrip(fetch_all)[1]) <= wire.max_request_payload(params)
+
+
+def test_max_request_payload_covers_a_fetch_larger_than_any_query():
+    # alpha = 60 columns of 120 one-bit symbols: the FETCH's 60 column
+    # bytes outweigh the one sub-query and the header it lacks.
+    params = SchemeParams(n=8, k=4, t=2, m=1, q=2)
+    subqueries = [[1] * params.query_length] * (params.alpha - 1)
+    fetch_all = wire.encode_fetch(
+        wire.SESSION_IDS - 1, range(params.alpha), subqueries, params)
+    assert len(roundtrip(fetch_all)[1]) == wire.max_request_payload(params)
+    query = wire.encode_query(
+        params, bytes(32), params.n, subqueries + [[0] * params.query_length])
+    assert len(roundtrip(query)[1]) < wire.max_request_payload(params)
 
 
 def test_frame_sizes_do_not_depend_on_the_session_id():
