@@ -246,10 +246,8 @@ def cmd_retrieve(args) -> int:
     V = protocol.default_encoding_matrix(params)
     endpoints = [(host, int(port)) for host, port in
                  (ep.rsplit(":", 1) for ep in args.endpoints.split(","))]
-    decoded, metrics = net.retrieve(
-        endpoints, params, V, args.i, wait_for=args.mu,
-        deadline_s=args.deadline_ms / 1000.0, seed=args.seed,
-    )
+    decoded, metrics = net.retrieve(endpoints, params, V, args.i, wait_for=args.mu,
+                                    deadline_s=args.deadline_ms / 1000.0)
     data = ingest.restore_file(decoded, manifest, args.i)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-ms", type=float, default=1000.0,
                    help="longest wait for the handshakes, and for each FETCH;"
                         " > 0 and at most one day")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_retrieve)
 

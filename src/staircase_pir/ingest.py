@@ -139,5 +139,18 @@ def write_manifest(path: str, manifest: Dict) -> None:
 
 
 def read_manifest(path: str) -> Dict:
+    """The manifest at `path`; ValueError unless it has integer n, k, t, m,
+    q, s and bits_per_symbol, and m file entries, each with an integer
+    orig_len >= 0."""
     with open(path) as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    ints = ("n", "k", "t", "m", "q", "s", "bits_per_symbol")
+    try:
+        if (all(type(manifest[key]) is int for key in ints)
+                and len(manifest["files"]) == manifest["m"]
+                and all(type(f["orig_len"]) is int and f["orig_len"] >= 0
+                        for f in manifest["files"])):
+            return manifest
+    except (KeyError, TypeError):  # a key missing, or a value of the wrong kind
+        pass
+    raise ValueError(f"{path} is not a manifest of the form ingest writes")

@@ -121,7 +121,6 @@ class PIRServer:
                  V: Matrix):
         self.database = database
         self.params = params
-        self.V = V
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         # Frames announcing more than this are refused unread.
         self.max_payload = wire.max_request_payload(params)
@@ -203,9 +202,9 @@ class PIRServer:
 
     def _dispatch(self, conn: _Conn, msg_type: int, payload: bytes) -> bytes:
         if msg_type == wire.MSG_QUERY:
-            server_id, subqueries = wire.decode_query(payload, self.params, self.fingerprint)
-            query = protocol.Query(server_id, subqueries)
-            conn.session = (next(self.session_counter) % wire.SESSION_IDS, query)
+            _, subqueries = wire.decode_query(payload, self.params, self.fingerprint)
+            conn.session = (next(self.session_counter) % wire.SESSION_IDS,
+                            protocol.Query(subqueries))
             return wire.encode_response(conn.session[0], [], self.params.q)
         if msg_type == wire.MSG_FETCH:
             # Each column costs a projection: decode_fetch refuses repeats before any.
@@ -214,10 +213,9 @@ class PIRServer:
             if conn.session is None or conn.session[0] != session_id:
                 return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
             held += added
-            slabs = protocol.server_respond(self.database, conn.session[1], columns)
             return wire.encode_response(
-                session_id, [slabs[c] for c in columns], self.params.q
-            )
+                session_id, protocol.server_respond(self.database, conn.session[1], columns),
+                self.params.q)
         return wire.encode_error(wire.ERR_MALFORMED, f"unexpected type {msg_type}")
 
 
@@ -261,7 +259,6 @@ class _Peer(_Conn):
         self.sid = sid
         self.addrs: list = []  # addresses not yet tried
         self.connecting = False
-        self.sent_columns = 0  # sub-queries the server has been sent
         self.asked = 0  # columns of the FETCH in flight
         self.expires = math.inf  # when the FETCH in flight fails
 
@@ -347,10 +344,9 @@ class _Retrieval:
                         return self._connect(peer, error)
                     peer.connecting = False
                     # Encoded only now, so a server that is down costs no upload.
-                    subqueries = self.queries[peer.sid - 1].subqueries
-                    peer.sent_columns = len(subqueries)
                     peer.out = memoryview(wire.encode_query(
-                        self.params, self.fingerprint, peer.sid, subqueries))
+                        self.params, self.fingerprint, peer.sid,
+                        self.queries[peer.sid - 1].subqueries))
                 self._send(peer)
                 return
             if not peer.recv():
@@ -391,9 +387,9 @@ class _Retrieval:
         if peer.asked or held >= self.want:
             return
         query = self.queries[peer.sid - 1]
+        sent = len(query.subqueries)  # every one expanded so far has been sent
         query.expand_to(self.want)
-        added = query.subqueries[peer.sent_columns : self.want]
-        peer.sent_columns += len(added)
+        added = query.subqueries[sent:]
         peer.asked = self.want - held
         peer.expires = time.monotonic() + self.wait.deadline
         peer.out = memoryview(wire.encode_fetch(
@@ -447,7 +443,7 @@ class _Retrieval:
                 math.inf)
             if len(self.columns) == plan.mu:
                 break
-        return plan, {sid: dict(enumerate(held)) for sid, held in self.columns.items()}
+        return plan, self.columns
 
     def close(self) -> None:
         for peer in self.peers:

@@ -7,7 +7,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from . import staircase
 from .errors import (
@@ -43,64 +43,57 @@ def matrix_fingerprint(params: SchemeParams, V: Matrix) -> bytes:
 
 
 class Database:
-    """m equal-length files flattened into the data vector x.
+    """m equal-length files, held as the s-symbol slabs of the data vector x.
 
-    Part c of file i occupies the s-symbol slab ((c-1)*m + i-1); this is
-    exactly the layout the part selectors index into.
-
-    For projection each slab is also held as one int of s lanes, lane
-    `off` holding symbol `off` of the slab. A lane is wide enough for a
-    sum of query_length products of two symbols, so a linear combination
-    of slabs with coefficients in GF(q) never carries between lanes.
+    Part c of file i is slab ((c-1)*m + i-1); this is exactly the layout
+    the part selectors index into. Each slab is packed once, when the
+    database is built, as one int of s lanes, lane `off` holding symbol
+    `off` of the slab. A lane is wide enough for a sum of query_length
+    products of two symbols, so a linear combination of slabs with
+    coefficients in GF(q) never carries between lanes.
     """
 
     def __init__(self, params: SchemeParams, x: Sequence[int]):
         if len(x) != params.x_length:
             raise ValueError(f"x must have {params.x_length} symbols, got {len(x)}")
         self.params = params
-        self.x = [v % params.q for v in x]
         bound = params.query_length * (params.q - 1) ** 2
-        self._lane_bytes = (bound.bit_length() + 7) // 8
-        self._slabs = None  # packed on the first projection
+        self._lane_bytes = width = (bound.bit_length() + 7) // 8
+        raw = ints_to_bytes([v % params.q for v in x], width)
+        step = params.s * width
+        self._slabs = [
+            int.from_bytes(raw[pos : pos + step], "little")
+            for pos in range(0, len(raw), step)
+        ]
 
     @classmethod
     def from_files(cls, params: SchemeParams, files: Sequence[Sequence[int]]) -> "Database":
         if len(files) != params.m:
             raise ValueError(f"need {params.m} files, got {len(files)}")
-        x = [0] * params.x_length
         for i, content in enumerate(files, start=1):
             if len(content) != params.file_symbols:
                 raise ValueError(
                     f"file {i} must have {params.file_symbols} symbols, got {len(content)}"
                 )
-            for c in range(params.alpha_prime):
-                base = params.slab_index(c + 1, i) * params.s
-                for off in range(params.s):
-                    x[base + off] = content[c * params.s + off] % params.q
+        s = params.s
+        x: List[int] = []
+        for pos in range(0, params.file_symbols, s):  # part by part, file by file
+            for content in files:
+                x.extend(content[pos : pos + s])
         return cls(params, x)
+
+    def _lanes(self, packed: int) -> Tuple[int, ...]:
+        """The s lanes of a packed slab, or of a sum of them, mod q."""
+        p, width = self.params, self._lane_bytes
+        lanes = ints_from_bytes(packed.to_bytes(p.s * width, "little"), width, p.s)
+        return tuple(v % p.q for v in lanes)
 
     def file_content(self, i: int) -> List[int]:
         if not 1 <= i <= self.params.m:
             raise FileIndexOutOfRange(f"file index {i} outside [1, {self.params.m}]")
-        out = []
-        for c in range(self.params.alpha_prime):
-            base = self.params.slab_index(c + 1, i) * self.params.s
-            out.extend(self.x[base : base + self.params.s])
-        return out
-
-    def _packed_slabs(self) -> List[int]:
-        slabs = self._slabs
-        if slabs is None:
-            # The serve loops of servers sharing this database may race
-            # here; each builds the same list and assigns it once, whole.
-            raw = ints_to_bytes(self.x, self._lane_bytes)
-            step = self.params.s * self._lane_bytes
-            slabs = [
-                int.from_bytes(raw[pos : pos + step], "little")
-                for pos in range(0, len(raw), step)
-            ]
-            self._slabs = slabs
-        return slabs
+        slab_index = self.params.slab_index
+        return [sym for c in range(1, self.params.alpha_prime + 1)
+                for sym in self._lanes(self._slabs[slab_index(c, i)])]
 
     def project(self, qvec: Sequence[int]) -> Tuple[int, ...]:
         """Slab-wise projection of x on one sub-query: s symbols.
@@ -113,12 +106,10 @@ class Database:
             raise DimensionMismatch(
                 f"sub-query must have {p.query_length} coefficients, got {len(qvec)}"
             )
-        q, width = p.q, self._lane_bytes
-        total = sum(
-            (coef % q) * slab for coef, slab in zip(qvec, self._packed_slabs()) if coef
-        )
-        lanes = ints_from_bytes(total.to_bytes(p.s * width, "little"), width, p.s)
-        return tuple(v % q for v in lanes)
+        q = p.q
+        return self._lanes(sum(
+            (coef % q) * slab for coef, slab in zip(qvec, self._slabs) if coef
+        ))
 
 
 @dataclass
@@ -128,7 +119,6 @@ class Query:
     row of the symbolic Q they were drawn from, so a column expanded late
     is the one an expansion of every column gives."""
 
-    server_id: int
     subqueries: list
     grid: Optional[staircase.MessageGrid] = field(default=None, repr=False, compare=False)
     symbolic: tuple = field(default=(), repr=False, compare=False)
@@ -154,22 +144,20 @@ def make_queries(
     grid = staircase.build_message_grid(params, i, randomness, row_order)
     rows = staircase.encode_shares(params, V, grid, columns)
     symbolic = staircase.query_matrix(params, V, row_order)
-    return [Query(sid, row, grid, sym)
-            for sid, (row, sym) in enumerate(zip(rows, symbolic), start=1)]
+    return [Query(row, grid, sym) for row, sym in zip(rows, symbolic)]
 
 
 def server_respond(
-    db: Database, query: Query, columns: Iterable[int]
-) -> Dict[int, Tuple[int, ...]]:
-    """Project the data on the requested sub-query columns (0-based), of
-    those the query holds."""
-    out = {}
+    db: Database, query: Query, columns: Sequence[int]
+) -> List[Tuple[int, ...]]:
+    """The data's projections on the requested sub-query columns (0-based),
+    one s-symbol slab each, in `columns` order. A column the query does
+    not hold raises ColumnOutOfRange before any is projected."""
     held = len(query.subqueries)
     for c in columns:
         if not 0 <= c < held:
             raise ColumnOutOfRange(f"column {c} outside [0, {held})")
-        out[c] = db.project(query.subqueries[c])
-    return out
+    return [db.project(query.subqueries[c]) for c in columns]
 
 
 @dataclass(frozen=True)
@@ -178,7 +166,6 @@ class DownloadPlan:
 
     params: SchemeParams
     responders: tuple
-    level: int
     prefix_cols: int
 
     @property
@@ -199,12 +186,10 @@ def plan_download(params: SchemeParams, responders: Sequence[int]) -> DownloadPl
     mu = len(set(responders))
     if mu < params.k:
         raise InsufficientResponders(f"{mu} responders < k={params.k}")
-    j = params.level_for(mu)
     return DownloadPlan(
         params=params,
         responders=tuple(sorted(set(responders))),
-        level=j,
-        prefix_cols=params.prefix_cols(mu),
+        prefix_cols=params.prefix_cols(mu),  # OutOfRange for mu > n
     )
 
 
@@ -276,30 +261,24 @@ def decode_file(
     params: SchemeParams,
     V: Matrix,
     plan: DownloadPlan,
-    responses: Dict[int, Dict[int, Tuple[int, ...]]],
+    responses: Dict[int, Sequence[Sequence[int]]],
     row_order: str = staircase.DEFAULT_ROW_ORDER,
 ) -> List[int]:
     """Decode the requested file from the plan's prefix responses.
 
-    responses: server id -> {column -> s-symbol slab}.
+    responses: server id -> its s-symbol slabs of columns 0, 1, ...; each
+    of the plan's responders must supply at least plan.prefix_cols of
+    them, or MissingResponse is raised.
     """
-    projections = {}
     for sid in plan.responders:
-        if sid not in responses:
-            raise MissingResponse(f"no responses from server {sid}")
-        cols = []
-        for c in range(plan.prefix_cols):
-            if c not in responses[sid]:
-                raise MissingResponse(f"server {sid} missing column {c}")
-            cols.append(tuple(responses[sid][c]))
-        projections[sid] = cols
+        got = len(responses.get(sid, ()))
+        if got < plan.prefix_cols:
+            raise MissingResponse(
+                f"server {sid} sent {got} of {plan.prefix_cols} prefix columns")
     parts = staircase.peel_decode(
-        params, V, list(plan.responders), projections, width=params.s, row_order=row_order
+        params, V, list(plan.responders), responses, width=params.s, row_order=row_order
     )
-    out: List[int] = []
-    for part in parts:
-        out.extend(part)
-    return out
+    return [sym for part in parts for sym in part]
 
 
 def capacity_finite(m: int, t: int, k: int) -> Fraction:

@@ -53,13 +53,12 @@ class GridLayout:
 
     params: SchemeParams
     row_order: str
-    block_cols: tuple
     cells: tuple  # n rows of alpha entries
 
     def col_range(self, block: int) -> range:
         """Global column indices of 1-based block `block`."""
-        start = sum(self.block_cols[: block - 1])
-        return range(start, start + self.block_cols[block - 1])
+        start = sum(self.params.block_cols[: block - 1])
+        return range(start, start + self.params.block_cols[block - 1])
 
     def symbolic(self, cell: Cell) -> tuple:
         """Coefficient vector of a cell over (payloads, randomness)."""
@@ -71,7 +70,8 @@ class GridLayout:
         return tuple(coeffs)
 
 
-def _build_layout(params: SchemeParams, row_order: str) -> GridLayout:
+@lru_cache(maxsize=None)
+def grid_layout(params: SchemeParams, row_order: str = DEFAULT_ROW_ORDER) -> GridLayout:
     if row_order not in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
         raise ValueError(f"unknown row order {row_order!r}")
     cols = params.block_cols
@@ -102,12 +102,7 @@ def _build_layout(params: SchemeParams, row_order: str) -> GridLayout:
                 rand_next += 1
         col_base += cols[j - 1]
     assert rand_next == params.alpha_prime + params.randomness_count
-    return GridLayout(params, row_order, cols, tuple(map(tuple, cells)))
-
-
-@lru_cache(maxsize=None)
-def grid_layout(params: SchemeParams, row_order: str = DEFAULT_ROW_ORDER) -> GridLayout:
-    return _build_layout(params, row_order)
+    return GridLayout(params, row_order, tuple(map(tuple, cells)))
 
 
 def generate_randomness(
@@ -284,9 +279,9 @@ def peel_decode(
     """Level-by-level decoder.
 
     responders: 1-based server ids, exactly mu of them.
-    projections: mapping server id -> list of prefix_cols(mu) values, each
-    a length-`width` tuple of symbols (projections for PIR, sub-share
-    vectors for secret sharing).
+    projections: mapping server id -> its values of columns 0, 1, ..., at
+    least prefix_cols(mu) of them, each a length-`width` sequence of
+    symbols (projections for PIR, sub-share vectors for secret sharing).
 
     Returns the alpha' payload values in order.
     """
@@ -375,11 +370,10 @@ def ss_reconstruct(
     share_prefixes: mapping server id -> list of sub-share vectors (the
     first alpha'/alpha_j sub-shares of that server's share).
     """
-    responders = sorted(share_prefixes)
     widths = {len(v) for subs in share_prefixes.values() for v in subs}
     if len(widths) != 1:
         raise ValueError("sub-shares must share one length")
     width = widths.pop()
-    proj = {sid: [tuple(v) for v in subs] for sid, subs in share_prefixes.items()}
-    decoded = peel_decode(params, V, responders, proj, width=width, row_order=row_order)
+    decoded = peel_decode(params, V, sorted(share_prefixes), share_prefixes,
+                          width=width, row_order=row_order)
     return [list(v) for v in decoded]

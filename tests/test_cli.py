@@ -109,6 +109,16 @@ RETRIEVE = ["retrieve", "--manifest", "{manifest}", "--endpoints", "{endpoints}"
             "--i", "1"]
 
 
+def _bad_manifests(manifest):
+    """Manifests, each broken in one way, derived from a good one."""
+    good = json.loads(manifest.read_text())
+    return {
+        "keys": {"n": 3},
+        "short-files": {**good, "files": good["files"][:-1]},
+        "no-width": {key: value for key, value in good.items() if key != "bits_per_symbol"},
+    }
+
+
 @pytest.mark.parametrize("argv", [
     ["params", "--n", "4", "--k", "2", "--t", "1", "--m", "0"],
     ["simulate", "--n", "4", "--k", "2", "--t", "1", "--mu", "7"],
@@ -120,6 +130,11 @@ RETRIEVE = ["retrieve", "--manifest", "{manifest}", "--endpoints", "{endpoints}"
     ["demo", "--example", "2", "--mu", "0"],
     RETRIEVE + ["--mu", "0"],
     RETRIEVE + ["--deadline-ms", "inf"],
+    ["retrieve", "--manifest", "{tmp}/keys.json", "--endpoints", "{endpoints}", "--i", "1"],
+    ["retrieve", "--manifest", "{tmp}/short-files.json", "--endpoints", "{endpoints}",
+     "--i", "1"],
+    ["retrieve", "--manifest", "{tmp}/no-width.json", "--endpoints", "{endpoints}",
+     "--i", "1"],
     ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
      "--data-dir", "{empty}"],
     ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
@@ -127,7 +142,9 @@ RETRIEVE = ["retrieve", "--manifest", "{manifest}", "--endpoints", "{endpoints}"
 ], ids=["params-m-0", "simulate-mu-above-n", "simulate-mu-0", "simulate-deadline-0",
         "simulate-latency-inf", "simulate-reps-negative",
         "simulate-reps-0",
-        "demo-mu-0", "retrieve-mu-0", "retrieve-deadline-inf", "serve-empty-dir",
+        "demo-mu-0", "retrieve-mu-0", "retrieve-deadline-inf",
+        "retrieve-manifest-keys", "retrieve-manifest-short-files",
+        "retrieve-manifest-no-width", "serve-empty-dir",
         "serve-missing-dir"])
 def test_rejected_value_is_one_error_line(argv, capsys, tmp_path, request):
     # A value the parser accepts but the scheme or the file system does not:
@@ -138,8 +155,10 @@ def test_rejected_value_is_one_error_line(argv, capsys, tmp_path, request):
     if argv[0] == "retrieve":
         _, manifest, endpoints = request.getfixturevalue("deployment")
         endpoints = ",".join(endpoints)
+        for name, bad in _bad_manifests(manifest).items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(bad))
     argv = [arg.format(empty=tmp_path / "empty", missing=tmp_path / "missing",
-                       manifest=manifest, endpoints=endpoints)
+                       manifest=manifest, endpoints=endpoints, tmp=tmp_path)
             for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -163,6 +182,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["params", "--n", "4"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_retrieve_takes_no_seed(capsys):
+    # Query randomness comes from the OS CSPRNG: a seed a user picks is one
+    # a server can search for from the sub-queries it holds.
+    with pytest.raises(SystemExit) as exc:
+        main(["retrieve", "--manifest", "m.json", "--endpoints", "127.0.0.1:1",
+              "--i", "1", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_params_csv_quotes_lists(capsys):

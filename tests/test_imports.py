@@ -1,0 +1,27 @@
+import ast
+import sys
+from pathlib import Path
+
+import staircase_pir
+
+PACKAGE = Path(staircase_pir.__file__).parent
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    outside = {
+        (path.name, name)
+        for path in modules
+        for name in _absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names | {"staircase_pir"}
+    }
+    assert not outside

@@ -47,21 +47,35 @@ class TestDatabase:
 
     def test_projection_matches_manual_sum(self):
         params = SchemeParams(n=3, k=2, t=1, m=2, q=5)
-        db, _ = random_db(params, 1)
+        rng = random.Random(1)
+        x = [rng.randrange(params.q) for _ in range(params.x_length)]
         vec = [3, 1, 0, 2]
-        expected = sum(a * b for a, b in zip(vec, db.x)) % 5
-        assert db.project(vec) == (expected,)
+        expected = sum(a * b for a, b in zip(vec, x)) % 5
+        assert Database(params, x).project(vec) == (expected,)
+
+    @pytest.mark.parametrize("q", [5, 257, 65537])
+    def test_x_roundtrips_through_file_content(self, q):
+        # Part c of file i is slab (c-1)*m + i-1 of x, symbols taken mod q.
+        params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=2)
+        rng = random.Random(q)
+        x = [rng.randrange(2 * q) for _ in range(params.x_length)]
+        db = Database(params, x)
+        for i in range(1, params.m + 1):
+            expected = []
+            for c in range(1, params.alpha_prime + 1):
+                base = params.slab_index(c, i) * params.s
+                expected += [v % q for v in x[base : base + params.s]]
+            assert db.file_content(i) == expected
 
 
 PROJECTION_FIELDS = [2, 3, 5, 257, 65537, 2**31 - 1]
 PROJECTION_WIDTHS = [1, 2, 17]
 
 
-def naive_project(db, qvec):
+def naive_project(p, x, qvec):
     """out[off] = sum_j qvec[j] * x[j*s + off] mod q, slab by slab."""
-    p = db.params
     return tuple(
-        sum(qvec[j] * db.x[j * p.s + off] for j in range(p.query_length)) % p.q
+        sum(qvec[j] * x[j * p.s + off] for j in range(p.query_length)) % p.q
         for off in range(p.s)
     )
 
@@ -77,11 +91,11 @@ class TestProjection:
         symbol = st.integers(0, q - 1)
         x = data.draw(st.lists(symbol, min_size=params.x_length, max_size=params.x_length))
         db = Database(params, x)
-        for _ in range(2):  # the second call reuses the packed slabs
+        for _ in range(2):  # the slabs packed at construction serve every call
             qvec = data.draw(
                 st.lists(symbol, min_size=params.query_length, max_size=params.query_length)
             )
-            assert db.project(qvec) == naive_project(db, qvec)
+            assert db.project(qvec) == naive_project(params, x, qvec)
 
     @pytest.mark.parametrize("s", PROJECTION_WIDTHS)
     @pytest.mark.parametrize("q", PROJECTION_FIELDS)
@@ -89,10 +103,11 @@ class TestProjection:
         # Every symbol and every coefficient q-1: each lane reaches its bound
         # query_length * (q-1)^2 before reduction.
         params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=s)
-        db = Database(params, [q - 1] * params.x_length)
+        x = [q - 1] * params.x_length
         qvec = [q - 1] * params.query_length
         expected = (params.query_length * (q - 1) ** 2) % q
-        assert db.project(qvec) == (expected,) * s == naive_project(db, qvec)
+        assert Database(params, x).project(qvec) == (expected,) * s == naive_project(
+            params, x, qvec)
 
     def test_rejects_wrong_length(self):
         params = SchemeParams(n=3, k=2, t=1, m=2, q=5, s=2)
@@ -164,6 +179,20 @@ class TestRetrieval:
         }
         with pytest.raises(MissingResponse):
             decode_file(params, V, plan, responses, order)
+        # Every responder present, one of them a slab short of the prefix.
+        responses[3] = server_respond(db, queries[2], range(plan.prefix_cols - 1))
+        with pytest.raises(MissingResponse):
+            decode_file(params, V, plan, responses, order)
+        responses[3].append(db.project(queries[2].subqueries[plan.prefix_cols - 1]))
+        assert decode_file(params, V, plan, responses, order) == db.file_content(1)
+
+    def test_server_respond_returns_columns_in_the_order_asked(self):
+        params, V, order = example2()
+        db, _ = random_db(params, 7)
+        (query, *_) = make_queries(params, V, 1, seed=0, row_order=order)
+        assert server_respond(db, query, [3, 1]) == [
+            db.project(query.subqueries[3]), db.project(query.subqueries[1])]
+        assert server_respond(db, query, []) == []
 
     def test_server_respond_column_bounds(self):
         params, V, order = example2()
