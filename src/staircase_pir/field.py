@@ -1,16 +1,20 @@
-"""Exact arithmetic over prime fields GF(q) and small dense matrices.
+"""Exact arithmetic over prime fields GF(q), small dense matrices and packed lanes.
 
 Field elements are plain Python ints in [0, q-1]; a :class:`PrimeField`
 instance carries the modulus and provides the arithmetic. Matrices are
 row-major lists of ints tied to a field. Everything is exact -- there is
 no tolerance concept anywhere in this module.
+
+A vector packed into the fixed-width lanes of one int (`pack_lanes`) turns
+a linear combination into one big-integer sum, reduced lane by lane with
+`unpack_lanes`; `lane_bytes` sizes a lane for the largest unreduced sum.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -58,6 +62,24 @@ def ints_from_bytes(data: bytes, width: int, count: int, offset: int = 0) -> Tup
         int.from_bytes(data[pos : pos + width], "little")
         for pos in range(offset, offset + count * width, width)
     )
+
+
+def lane_bytes(bound: int) -> int:
+    """Bytes per lane holding up to `bound`: 1, 2, 4 or 8, or the exact count above 8."""
+    need = max(1, (bound.bit_length() + 7) // 8)
+    return need if need > 8 else 1 << (need - 1).bit_length()
+
+
+def pack_lanes(values: Sequence[int], width: int) -> int:
+    """Non-negative ints as the `width`-byte lanes of one int, entry 0 lowest."""
+    return int.from_bytes(ints_to_bytes(values, width), "little")
+
+
+def unpack_lanes(packed: int, count: int, width: int, q: int) -> List[int]:
+    """The `count` lanes of a packed int, or of a sum of them, mod q."""
+    data = packed.to_bytes(count * width, "little")
+    lanes = data if width == 1 else ints_from_bytes(data, width, count)
+    return [v % q for v in lanes]
 
 
 class PrimeField:

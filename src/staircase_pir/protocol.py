@@ -20,7 +20,7 @@ from .errors import (
     MissingResponse,
     OutOfRange,
 )
-from .field import Matrix, ints_from_bytes, ints_to_bytes, vandermonde
+from .field import Matrix, ints_to_bytes, lane_bytes, unpack_lanes, vandermonde
 from .params import SchemeParams
 
 
@@ -57,8 +57,7 @@ class Database:
         if len(x) != params.x_length:
             raise ValueError(f"x must have {params.x_length} symbols, got {len(x)}")
         self.params = params
-        bound = params.query_length * (params.q - 1) ** 2
-        self._lane_bytes = width = (bound.bit_length() + 7) // 8
+        self._lane_bytes = width = lane_bytes(params.query_length * (params.q - 1) ** 2)
         raw = ints_to_bytes([v % params.q for v in x], width)
         step = params.s * width
         self._slabs = [
@@ -84,9 +83,7 @@ class Database:
 
     def _lanes(self, packed: int) -> Tuple[int, ...]:
         """The s lanes of a packed slab, or of a sum of them, mod q."""
-        p, width = self.params, self._lane_bytes
-        lanes = ints_from_bytes(packed.to_bytes(p.s * width, "little"), width, p.s)
-        return tuple(v % p.q for v in lanes)
+        return tuple(unpack_lanes(packed, self.params.s, self._lane_bytes, self.params.q))
 
     def file_content(self, i: int) -> List[int]:
         if not 1 <= i <= self.params.m:

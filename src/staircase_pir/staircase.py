@@ -30,7 +30,8 @@ from .errors import (
     InsufficientResponders,
     OutOfRange,
 )
-from .field import Matrix, ints_from_bytes, prefix_invertible
+from .field import (Matrix, ints_from_bytes, lane_bytes, pack_lanes, prefix_invertible,
+                    unpack_lanes)
 from .params import SchemeParams
 
 # Vertical order of payload vs randomness rows inside each block. The
@@ -156,7 +157,8 @@ def expand_unit(params: SchemeParams, part: int, i: int) -> List[int]:
 
 
 class MessageGrid:
-    """The n x alpha staircase grid with its payload and randomness."""
+    """The n x alpha staircase grid with its payload and randomness, which
+    stay fixed once built: expand packs each basis vector once and keeps it."""
 
     def __init__(
         self,
@@ -181,23 +183,26 @@ class MessageGrid:
         self.payload = [list(v) for v in payload]
         self.randomness = [list(v) for v in randomness]
         self.width = widths.pop()
+        basis = len(payload) + len(randomness)
+        self._lane_bytes = lane_bytes(basis * (params.q - 1) ** 2)
+        self._packed: List[Optional[int]] = [None] * basis
 
     def expand(self, coeffs: Sequence[int]) -> List[int]:
-        """Turn a coefficient vector into a concrete vector over GF(q)."""
-        p = self.params
-        q = p.q
-        out = [0] * self.width
-        for c, coef in enumerate(coeffs[: p.alpha_prime]):
+        """Turn a coefficient vector over (payloads, randomness) into a concrete
+        vector over GF(q): one sum of packed basis vectors, each reduced mod q
+        and packed when first used. A lane stays <= (alpha' + t*alpha)(q-1)^2."""
+        q = self.params.q
+        packed = self._packed
+        total = 0
+        for b, coef in enumerate(coeffs):
+            coef %= q
             if coef:
-                for pos, v in enumerate(self.payload[c]):
-                    if v:
-                        out[pos] = (out[pos] + coef * v) % q
-        for u, coef in enumerate(coeffs[p.alpha_prime :]):
-            if coef:
-                vec = self.randomness[u]
-                for pos in range(self.width):
-                    out[pos] = (out[pos] + coef * vec[pos]) % q
-        return out
+                vec = packed[b]
+                if vec is None:
+                    raw = (self.payload + self.randomness)[b]
+                    vec = packed[b] = pack_lanes([v % q for v in raw], self._lane_bytes)
+                total += coef * vec
+        return unpack_lanes(total, self.width, self._lane_bytes, q)
 
 
 def build_message_grid(
@@ -283,7 +288,10 @@ def peel_decode(
     least prefix_cols(mu) of them, each a length-`width` sequence of
     symbols (projections for PIR, sub-share vectors for secret sharing).
 
-    Returns the alpha' payload values in order.
+    Returns the alpha' payload values in order. Each level runs on packed
+    lanes: a responder's block is one int, a known replica is subtracted as
+    + (q - coef) * its packed values, and a solved row is one sum over the
+    responders, so a lane stays <= mu (q-1)^2 (1 + (n-mu)(q-1)).
     """
     mu = len(responders)
     if mu < params.k:
@@ -292,8 +300,6 @@ def peel_decode(
         raise OutOfRange(f"got {mu} responders for n={params.n}")
     j = params.level_for(mu)
     layout = grid_layout(params, row_order)
-    mu_j = mu
-    field = params.field
     q = params.q
     prefix = params.prefix_cols(mu)
     for sid in responders:
@@ -301,39 +307,40 @@ def peel_decode(
             raise OutOfRange(
                 f"server {sid} supplied {len(projections[sid])} columns, need {prefix}"
             )
-
-    # One system matrix per level: responder rows x first mu_j columns of V.
-    A = V.submatrix([sid - 1 for sid in responders], range(mu_j))
-    A_inv = A.inverse()
+        if any(len(value) != width for value in projections[sid][:prefix]):
+            raise DimensionMismatch(f"server {sid} supplied a column not of width {width}")
+    A_inv = _system_inverse(params, tuple(map(tuple, V.rows)), tuple(responders))
+    lane = lane_bytes(mu * (q - 1) ** 2 * (1 + (params.n - mu) * (q - 1)))
 
     cells = layout.cells
-    known: Dict[int, tuple] = {}  # basis index -> value
+    known: Dict[int, List[int]] = {}  # basis index -> value
     for b in range(j, 0, -1):
-        mu_b = params.mu(b)
-        cols = list(layout.col_range(b))
-        # RHS: per column, per responder, projection minus the contribution
-        # of rows already known through the staircase replicas.
-        rhs_rows = []
-        for idx, sid in enumerate(responders):
-            vrow = V.rows[sid - 1]
-            rhs_row = []
-            for c in cols:
-                val = list(projections[sid][c])
-                for rr in range(mu_j, mu_b):
-                    coef = vrow[rr]
-                    if coef:
-                        kn = known[cells[rr][c]]
-                        for pos in range(width):
-                            val[pos] = (val[pos] - coef * kn[pos]) % q
-                rhs_row.extend(val)
-            rhs_rows.append(rhs_row)
-        solved = A_inv.mul(Matrix(field, rhs_rows))
-        for rr in range(mu_j):
-            srow = solved.rows[rr]
+        cols = layout.col_range(b)
+        # RHS: per responder, its projections of the block minus the
+        # contribution of rows already known through the staircase replicas.
+        replicas = [
+            (rr, pack_lanes([v for c in cols for v in known[cells[rr][c]]], lane))
+            for rr in range(mu, params.mu(b))
+        ]
+        rhs = [
+            pack_lanes([v % q for c in cols for v in projections[sid][c]], lane)
+            + sum(-V.rows[sid - 1][rr] % q * kn for rr, kn in replicas)
+            for sid in responders
+        ]
+        for rr, inv_row in enumerate(A_inv):
+            total = sum(a * r for a, r in zip(inv_row, rhs))
+            solved = unpack_lanes(total, len(cols) * width, lane, q)
             for ci, c in enumerate(cols):
-                value = tuple(srow[ci * width : (ci + 1) * width])
-                known[cells[rr][c]] = value
-    return [known[c] for c in range(params.alpha_prime)]
+                known[cells[rr][c]] = solved[ci * width : (ci + 1) * width]
+    return [tuple(known[c]) for c in range(params.alpha_prime)]
+
+
+@lru_cache(maxsize=64)
+def _system_inverse(params: SchemeParams, rows: tuple, responders: tuple) -> tuple:
+    """Inverse of the system every level solves (the responders' rows x the
+    first mu columns of V), computed once per (params, V, responders)."""
+    system = [rows[sid - 1][: len(responders)] for sid in responders]
+    return tuple(map(tuple, Matrix(params.field, system).inverse().rows))
 
 
 # --- communication-efficient secret sharing view ---------------------------

@@ -17,7 +17,6 @@ are checked as exact finite facts on concrete instances:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -64,10 +63,8 @@ def exhaustive_space(params: SchemeParams) -> int:
 
 def exhaustive_work(params: SchemeParams) -> int:
     """Sub-query expansions the exhaustive oracle makes: under every
-    assignment, for every t-subset and every file, the t*alpha sub-queries
-    that subset sees."""
-    subsets = math.comb(params.n, params.t)
-    return exhaustive_space(params) * subsets * params.m * params.randomness_count
+    assignment and for every file, the alpha sub-queries of each server."""
+    return exhaustive_space(params) * params.m * params.n * params.alpha
 
 
 def verify_privacy_exhaustive(
@@ -90,29 +87,26 @@ def verify_privacy_exhaustive(
     vec_len = params.query_length
     zeros = [(0,) * vec_len] * rand_vecs
 
-    report = PrivacyReport(params=params, mode="exhaustive", histograms={})
-    for subset in itertools.combinations(range(1, params.n + 1), params.t):
-        hists = {}
-        for i in range(1, params.m + 1):
-            grid = staircase.build_message_grid(params, i, zeros, row_order)
-            counter: Dict[tuple, int] = {}
-            for flat in itertools.product(range(params.q), repeat=rand_vecs * vec_len):
-                rvecs = [
-                    flat[u * vec_len : (u + 1) * vec_len] for u in range(rand_vecs)
-                ]
-                if mutate_zero_randomness is not None:
-                    rvecs[mutate_zero_randomness] = zeros[0]
-                grid.randomness = rvecs  # same grid, this assignment's randomness
-                key = tuple(
-                    tuple(grid.expand(coeffs))
-                    for sid in subset
-                    for coeffs in sym[sid - 1]
-                )
-                counter[key] = counter.get(key, 0) + 1
-            hists[i] = counter
-        first = hists[1]
-        report.verdicts[subset] = all(hists[i] == first for i in hists)
-        report.histograms[subset] = hists
+    files = range(1, params.m + 1)
+    payloads = [staircase.build_message_grid(params, i, zeros, row_order).payload
+                for i in files]
+    report = PrivacyReport(params=params, mode="exhaustive", histograms={
+        subset: {i: {} for i in files}
+        for subset in itertools.combinations(range(1, params.n + 1), params.t)
+    })
+    for flat in itertools.product(range(params.q), repeat=rand_vecs * vec_len):
+        rvecs = [flat[u * vec_len : (u + 1) * vec_len] for u in range(rand_vecs)]
+        if mutate_zero_randomness is not None:
+            rvecs[mutate_zero_randomness] = zeros[0]
+        for i, payload in zip(files, payloads):
+            # One grid per assignment and file; each server's view is expanded once.
+            grid = staircase.MessageGrid(params, payload, rvecs, row_order)
+            views = [[tuple(grid.expand(coeffs)) for coeffs in row] for row in sym]
+            for subset, hists in report.histograms.items():
+                key = tuple(sub for sid in subset for sub in views[sid - 1])
+                hists[i][key] = hists[i].get(key, 0) + 1
+    for subset, hists in report.histograms.items():
+        report.verdicts[subset] = all(counter == hists[1] for counter in hists.values())
     return report
 
 

@@ -10,7 +10,15 @@ from staircase_pir.errors import (
     Singular,
     ZeroPoint,
 )
-from staircase_pir.field import Matrix, PrimeField, prefix_invertible, vandermonde
+from staircase_pir.field import (
+    Matrix,
+    PrimeField,
+    lane_bytes,
+    pack_lanes,
+    prefix_invertible,
+    unpack_lanes,
+    vandermonde,
+)
 
 
 def test_field_construction():
@@ -143,3 +151,19 @@ def test_matrix_mul_and_rank():
     assert A.mul(B).rows == [[2, 1], [4, 3]]
     assert Matrix.zero(f, 3, 3).rank() == 0
     assert Matrix.identity(f, 3).rank() == 3
+
+
+def test_lane_bytes_rounds_up_to_a_struct_width_up_to_eight():
+    bounds = [0, 255, 256, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**72]
+    assert [lane_bytes(b) for b in bounds] == [1, 1, 2, 4, 4, 8, 8, 9, 10]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+def test_packed_lanes_sum_lane_by_lane(width):
+    # Lanes hold their entries, lowest first; a sum of packed vectors whose
+    # lanes stay below 256^width unpacks to the lane-wise sum mod q.
+    top = 256**width - 1
+    a, b = [0, 1, top // 8, 5], [7, 0, top // 4, top // 2]
+    assert unpack_lanes(pack_lanes(a, width), 4, width, 10**30) == a
+    total = 3 * pack_lanes(a, width) + pack_lanes(b, width)
+    assert unpack_lanes(total, 4, width, 11) == [(3 * x + y) % 11 for x, y in zip(a, b)]

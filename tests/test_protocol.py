@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from staircase_pir.errors import (
     OutOfRange,
 )
 from staircase_pir.examples import example1, example2
+from staircase_pir.field import Matrix, lane_bytes
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
     Database,
@@ -23,10 +25,12 @@ from staircase_pir.protocol import (
     capacity_asymptotic,
     capacity_finite,
     decode_file,
+    default_encoding_matrix,
     make_queries,
     plan_download,
     server_respond,
 )
+from staircase_pir.staircase import MessageGrid, grid_layout, peel_decode, query_matrix
 
 
 def random_db(params, seed):
@@ -117,7 +121,155 @@ class TestProjection:
                 db.project([1] * length)
 
 
+def naive_expand(grid, coeffs):
+    """MessageGrid.expand symbol by symbol: out = sum_b coeffs[b] * basis_b mod q."""
+    p, q = grid.params, grid.params.q
+    out = [0] * grid.width
+    for c, coef in enumerate(coeffs[: p.alpha_prime]):
+        if coef:
+            for pos, v in enumerate(grid.payload[c]):
+                if v:
+                    out[pos] = (out[pos] + coef * v) % q
+    for u, coef in enumerate(coeffs[p.alpha_prime :]):
+        if coef:
+            vec = grid.randomness[u]
+            for pos in range(grid.width):
+                out[pos] = (out[pos] + coef * vec[pos]) % q
+    return out
+
+
+def naive_peel(params, V, responders, projections, width):
+    """peel_decode with a per-symbol right-hand side and a Matrix solve per level."""
+    mu, q = len(responders), params.q
+    layout = grid_layout(params)
+    A_inv = V.submatrix([sid - 1 for sid in responders], range(mu)).inverse()
+    known = {}
+    for b in range(params.level_for(mu), 0, -1):
+        cols = list(layout.col_range(b))
+        rhs_rows = []
+        for sid in responders:
+            vrow = V.rows[sid - 1]
+            rhs_row = []
+            for c in cols:
+                val = list(projections[sid][c])
+                for rr in range(mu, params.mu(b)):
+                    coef = vrow[rr]
+                    if coef:
+                        kn = known[layout.cells[rr][c]]
+                        for pos in range(width):
+                            val[pos] = (val[pos] - coef * kn[pos]) % q
+                rhs_row.extend(val)
+            rhs_rows.append(rhs_row)
+        solved = A_inv.mul(Matrix(params.field, rhs_rows))
+        for rr in range(mu):
+            for ci, c in enumerate(cols):
+                value = solved.rows[rr][ci * width : (ci + 1) * width]
+                known[layout.cells[rr][c]] = tuple(value)
+    return [known[c] for c in range(params.alpha_prime)]
+
+
+def kernel_scheme(q):
+    """(params, V) of a scheme over GF(q): (4,2,1) with the default matrix
+    where q > 4, else (3,2,1) with a matrix prefix-invertible over any field."""
+    if q > 4:
+        params = SchemeParams(n=4, k=2, t=1, m=2, q=q)
+        return params, default_encoding_matrix(params)
+    params = SchemeParams(n=3, k=2, t=1, m=2, q=q)
+    return params, Matrix(params.field, [[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+
+
+def vectors(draw, count, width, hi):
+    return [draw(st.lists(st.integers(0, hi), min_size=width, max_size=width))
+            for _ in range(count)]
+
+
+class TestLaneKernels:
+    """expand and peel_decode on packed lanes against their per-symbol loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_expand_matches_per_symbol_reference(self, data):
+        # Entries in [0, 2q) and coefficients in [0, q]: unreduced inputs
+        # the per-symbol loop accepts.
+        q = data.draw(st.sampled_from(PROJECTION_FIELDS))
+        width = data.draw(st.sampled_from(PROJECTION_WIDTHS))
+        params, V = kernel_scheme(q)
+        grid = MessageGrid(params, vectors(data.draw, params.alpha_prime, width, 2 * q - 1),
+                           vectors(data.draw, params.randomness_count, width, 2 * q - 1))
+        basis = params.alpha_prime + params.randomness_count
+        drawn = vectors(data.draw, 2, basis, q)
+        for coeffs in [*query_matrix(params, V)[0][:2], *drawn, [q] + [1] * (basis - 1)]:
+            assert grid.expand(coeffs) == naive_expand(grid, coeffs)
+
+    @pytest.mark.parametrize("width", PROJECTION_WIDTHS)
+    @pytest.mark.parametrize("q", PROJECTION_FIELDS)
+    def test_expand_worst_case_fills_its_lanes(self, q, width):
+        # Every entry and coefficient q-1: a lane reaches (alpha' + t*alpha)(q-1)^2.
+        params, _ = kernel_scheme(q)
+        grid = MessageGrid(params, [[q - 1] * width] * params.alpha_prime,
+                           [[q - 1] * width] * params.randomness_count)
+        basis = params.alpha_prime + params.randomness_count
+        expected = [basis * (q - 1) ** 2 % q] * width
+        assert grid.expand([q - 1] * basis) == expected == naive_expand(grid, [q - 1] * basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_peel_matches_per_symbol_reference(self, data):
+        q = data.draw(st.sampled_from(PROJECTION_FIELDS))
+        width = data.draw(st.sampled_from(PROJECTION_WIDTHS))
+        params, V = kernel_scheme(q)
+        mu = data.draw(st.integers(params.k, params.n))
+        responders = sorted(data.draw(st.permutations(range(1, params.n + 1)))[:mu])
+        projections = {
+            sid: [tuple(v) for v in vectors(data.draw, params.prefix_cols(mu), width, 2 * q - 1)]
+            for sid in responders
+        }
+        assert peel_decode(params, V, responders, projections, width) == naive_peel(
+            params, V, responders, projections, width)
+
+    @pytest.mark.parametrize("width", PROJECTION_WIDTHS)
+    @pytest.mark.parametrize("q", PROJECTION_FIELDS)
+    def test_peel_worst_case(self, q, width):
+        # Every projection q-1, from every responder set: with mu < n the
+        # replicas fill a lane towards mu (q-1)^2 (1 + (n-mu)(q-1)).
+        params, V = kernel_scheme(q)
+        for mu in range(params.k, params.n + 1):
+            for responders in itertools.combinations(range(1, params.n + 1), mu):
+                projections = {sid: [(q - 1,) * width] * params.prefix_cols(mu)
+                               for sid in responders}
+                assert peel_decode(params, V, responders, projections, width) == naive_peel(
+                    params, V, responders, projections, width)
+
+    def test_wide_field_peels_past_eight_byte_lanes(self):
+        # At q = 2^31-1 with mu = k < n the peeling lane needs 12 bytes, so
+        # lanes are unpacked without struct.
+        q = 2**31 - 1
+        params, V = kernel_scheme(q)
+        mu = params.k
+        assert lane_bytes(mu * (q - 1) ** 2 * (1 + (params.n - mu) * (q - 1))) == 12
+        rng = random.Random(2)
+        projections = {sid: [(rng.randrange(q), rng.randrange(q))
+                             for _ in range(params.prefix_cols(mu))]
+                       for sid in (2, 4)}
+        assert peel_decode(params, V, [2, 4], projections, 2) == naive_peel(
+            params, V, [2, 4], projections, 2)
+
+
 class TestRetrieval:
+    def test_seeded_queries_match_their_golden_digest(self):
+        # Every sub-query of every column, for every file, of the transcript
+        # test's scheme with seed 11. A kernel that changes one symbol fails here.
+        params = SchemeParams(n=4, k=2, t=1, m=4, q=257, s=2)
+        V = default_encoding_matrix(params)
+        digest = hashlib.sha256()
+        for i in range(1, params.m + 1):
+            for query in make_queries(params, V, i, seed=11):
+                assert len(query.subqueries) == params.alpha
+                for sub in query.subqueries:
+                    digest.update((",".join(map(str, sub)) + ";").encode())
+        assert digest.hexdigest() == (
+            "23b55e5ea4e144489b70f33a18a4d0d449ddef784cc165c7bc41dfc7a6c6c891")
+
     def test_example1_full_and_degraded(self):
         params, V, order = example1()
         db, files = random_db(params, 2)

@@ -6,6 +6,7 @@ import pytest
 from staircase_pir import staircase
 from staircase_pir.errors import (
     BadEncodingMatrix,
+    DimensionMismatch,
     FileIndexOutOfRange,
     InsufficientResponders,
 )
@@ -328,6 +329,19 @@ def test_peel_decode_needs_k_responders():
     params, V, order = example2()
     with pytest.raises(InsufficientResponders):
         peel_decode(params, V, [1], {1: []}, width=1)
+
+
+def test_peel_decode_refuses_a_column_of_the_wrong_width():
+    # A responder's columns are packed into one int of lanes, so a short or
+    # long column would shift every lane after it; it is refused instead.
+    params, V, _ = example2()
+    prefix = params.prefix_cols(2)
+    good = {sid: [(0, 0)] * prefix for sid in (1, 2)}
+    assert peel_decode(params, V, [1, 2], good, width=2) == [(0, 0)] * params.alpha_prime
+    for bad in ((0,), (0, 0, 0)):
+        projections = {**good, 2: [(0, 0)] * (prefix - 1) + [bad]}
+        with pytest.raises(DimensionMismatch):
+            peel_decode(params, V, [1, 2], projections, width=2)
 
 
 def test_decoder_ignores_columns_beyond_prefix():

@@ -64,7 +64,7 @@ class TestExhaustivePrivacy:
         ).ok
 
     def test_cap_bounds_expansions_not_assignments(self):
-        # Every assignment makes C(3,1) subsets * m * t*alpha = 12 expansions,
+        # Every assignment makes n servers * m * alpha = 12 expansions,
         # so 5^8 assignments, fewer than the cap, are 4.7 times its work.
         base, _ = small_instance()
         assert exhaustive_work(base) == 3**8 * 12 == 78_732 <= EXHAUSTIVE_CAP
