@@ -20,10 +20,16 @@ many servers answered, never on the file. On the bulk benchmark's
 (4,2,1) GF(257) scheme with all four servers up, a retrieval sends each
 server a 913-byte QUERY and a 14-byte FETCH of no sub-queries (3,708
 bytes up) and reads back 676 bytes.
+
+The connections of the responders a retrieval decoded from stay open, at
+most n, for the next retrieval to the same endpoints. Each QUERY is a new
+session with fresh randomness: a server can link the retrievals made over
+one connection, as their source address lets it, but no query depends on i.
 """
 
 from __future__ import annotations
 
+import atexit
 import errno
 import itertools
 import math
@@ -104,6 +110,7 @@ class _Conn:
         if self.sock is not None:
             self.watch(sel, 0)
             self.sock.close()
+            self.sock = None
 
 
 class PIRServer:
@@ -238,7 +245,8 @@ class RetrievalMetrics:
     stopped waiting for handshakes (protocol.ResponderWait.ended), and
     outcomes labels every server id as protocol.ResponderWait defines.
     bytes_sent and bytes_received count what the client's sockets wrote
-    and read, over all n servers.
+    and read, over all n servers; connects, the TCP connects it started,
+    fallbacks from a stale reused connection included.
     """
 
     realized_mu: int
@@ -248,6 +256,39 @@ class RetrievalMetrics:
     outcomes: Dict[int, str] = field(default_factory=dict)
     bytes_sent: int = 0
     bytes_received: int = 0
+    connects: int = 0
+
+
+# Idle connections kept for the next retrieval: (host, port) -> socket.
+_idle: Dict[tuple, socket.socket] = {}
+_idle_lock = threading.Lock()
+
+
+def _take_idle(endpoint: tuple) -> Optional[socket.socket]:
+    """The idle socket to `endpoint`, unless its peer closed or wrote to it."""
+    with _idle_lock:
+        sock = _idle.pop(endpoint, None)
+    if sock is not None:
+        try:
+            sock.recv(1, socket.MSG_PEEK)  # EOF, stray data or an error: stale
+        except BlockingIOError:
+            return sock
+        except OSError:
+            pass
+        sock.close()
+    return None
+
+
+def _keep_idle(endpoints: Sequence[tuple], kept: Dict[tuple, socket.socket]) -> None:
+    """Keep `kept` idle, and no other socket but those to `endpoints`."""
+    with _idle_lock:
+        stale = [_idle.pop(ep) for ep in list(_idle) if ep not in endpoints or ep in kept]
+        _idle.update(kept)
+    for sock in stale:
+        sock.close()
+
+
+atexit.register(_keep_idle, (), {})  # closes them all, so none is left to the collector
 
 
 class _Peer(_Conn):
@@ -257,8 +298,10 @@ class _Peer(_Conn):
     def __init__(self, sid: int):
         super().__init__()
         self.sid = sid
-        self.addrs: list = []  # addresses not yet tried
+        self.endpoint: tuple = ()
+        self.addrs: Optional[list] = None  # addresses not yet tried; None: unresolved
         self.connecting = False
+        self.reused = False  # its socket was idle, kept from a past retrieval
         self.asked = 0  # columns of the FETCH in flight
         self.expires = math.inf  # when the FETCH in flight fails
 
@@ -266,9 +309,11 @@ class _Peer(_Conn):
 class _Retrieval:
     """One retrieval's connections and the selector loop that moves them on.
 
-    Every server is connected to and, once connected, sent its query: the
-    sub-queries it holds. A server settles in `wait` when its handshake
-    completes or fails; one still unsettled when the wait ends is late.
+    Every server is connected to, or its idle connection taken, and then
+    sent its query: the sub-queries it holds. A server settles in `wait`
+    when its handshake completes or fails; one still unsettled when the
+    wait ends is late. A reused connection that fails before any reply
+    is replaced by a fresh connect, whose failure alone settles a server.
     Each responder then holds the prefix columns in `columns` and is sent
     a FETCH for the rest of the plan's prefix, `want`, with the
     sub-queries of those columns it has not been sent, whenever it holds
@@ -289,21 +334,32 @@ class _Retrieval:
         self.mismatch: Optional[HandshakeMismatch] = None
         self.columns: Dict[int, List[tuple]] = {}  # responder -> slabs held
         self.want = 0  # prefix columns every responder should hold
+        self.connects = 0
 
     def connect(self, endpoints: Sequence[Tuple[str, int]]) -> None:
-        """Start a non-blocking connect to every endpoint, trying each of
-        its addresses in turn as socket.create_connection does."""
+        """Take each endpoint's idle connection, if it is still open, or
+        start a non-blocking connect to it."""
         for peer, endpoint in zip(self.peers, endpoints):
-            try:
-                peer.addrs = socket.getaddrinfo(*endpoint[:2], 0, socket.SOCK_STREAM)
-            except OSError:
-                self._fail(peer, "error")
-                continue
-            self._connect(peer, 0)
+            peer.endpoint = tuple(endpoint[:2])
+            peer.sock = _take_idle(peer.endpoint)
+            if peer.sock is None:
+                self._connect(peer)
+            else:  # connected: send its QUERY now
+                peer.reused = peer.connecting = True
+                self._step(peer, _WRITE)
 
-    def _connect(self, peer: _Peer, error: int) -> None:
+    def _connect(self, peer: _Peer, error: int = 0) -> None:
+        """Start a non-blocking connect to the endpoint's next address,
+        resolved on the first call, as socket.create_connection does."""
+        if peer.addrs is None:
+            peer.reused = False
+            try:
+                peer.addrs = socket.getaddrinfo(*peer.endpoint, 0, socket.SOCK_STREAM)
+            except OSError:
+                return self._fail(peer, "error")
         while peer.addrs:
             family, kind, proto, _, addr = peer.addrs.pop(0)
+            self.connects += 1
             try:
                 peer.sock = socket.socket(family, kind, proto)
                 peer.sock.setblocking(False)
@@ -319,6 +375,8 @@ class _Retrieval:
 
     def _fail(self, peer: _Peer, outcome: str) -> None:
         peer.close(self.sel)
+        if peer.reused and not peer.received:  # stale: the server may be up
+            return self._connect(peer)
         self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
 
     def _lose(self, peer: _Peer, exc: Exception) -> None:
@@ -445,10 +503,17 @@ class _Retrieval:
                 break
         return plan, self.columns
 
-    def close(self) -> None:
+    def close(self, keep: bool = False) -> None:
+        """Close every connection but, with `keep`, the quiet ones decoded from."""
+        kept = {}
         for peer in self.peers:
+            if keep and peer.sid in self.columns and not (
+                    peer.asked or peer.inbuf or peer.out):  # idle, so unwatched
+                kept[peer.endpoint], peer.sock = peer.sock, None
             peer.close(self.sel)
         self.sel.close()
+        if kept:
+            _keep_idle([peer.endpoint for peer in self.peers], kept)
 
 
 def retrieve(
@@ -481,6 +546,9 @@ def retrieve(
     with the others and fetches from them only the extra columns, or
     raises InsufficientResponders if fewer than k are left. It all runs
     in the caller's thread.
+
+    The connections of the responders it decodes from stay open for the
+    next retrieval to the same endpoints; every other one is closed.
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")
@@ -490,13 +558,14 @@ def retrieve(
     queries = protocol.make_queries(
         params, V, i, seed=seed, columns=params.prefix_cols(wait.target))
     run = _Retrieval(queries, V, wait)
+    decoded = None
     try:
         run.connect(endpoints)
         responders = run.choose_responders()
         plan, responses = run.fetch()
+        decoded = protocol.decode_file(params, V, plan, responses)
     finally:
-        run.close()
-    decoded = protocol.decode_file(params, V, plan, responses)
+        run.close(keep=decoded is not None)
     return decoded, RetrievalMetrics(
         realized_mu=plan.mu,
         wait_s=wait.ended,
@@ -505,4 +574,5 @@ def retrieve(
         outcomes=wait.outcomes(responders, responses),
         bytes_sent=sum(peer.sent for peer in run.peers),
         bytes_received=sum(peer.received for peer in run.peers),
+        connects=run.connects,
     )

@@ -139,7 +139,7 @@ def _os_symbols(q: int, count: int) -> List[int]:
     while len(out) < count:
         need = count - len(out)
         draws = ints_from_bytes(os.urandom(need * w), w, need)
-        out.extend(v % q for v in draws if v < limit)
+        out += [v % q for v in draws if v < limit]
     return out
 
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import os
 import random
 import socket
 import socketserver
@@ -671,3 +672,156 @@ def test_session_ids_wrap_at_the_u32_limit(cluster321):
     for i in (1, 2, 1):
         decoded, _ = retrieve(endpoints, params, V, i, seed=i)
         assert decoded == files[i - 1]
+
+
+def test_second_retrieval_reuses_every_connection(cluster321, monkeypatch):
+    params, V, files, _, endpoints = cluster321
+    accepts = []
+    accept = net.PIRServer._accept
+
+    def counting(self, sel):
+        accepts.append(self)
+        return accept(self, sel)
+
+    monkeypatch.setattr(net.PIRServer, "_accept", counting)
+    _, first = retrieve(endpoints, params, V, 1, seed=1)
+    assert first.connects == params.n and len(accepts) == params.n
+    del accepts[:]
+    decoded, second = retrieve(endpoints, params, V, 2, seed=2)
+    assert decoded == files[1]
+    assert second.connects == 0 and accepts == []
+    assert second.outcomes == {1: "ok", 2: "ok", 3: "ok"}
+
+
+def test_a_stale_connection_is_replaced_by_a_fresh_connect(cluster321, monkeypatch):
+    params, V, files, servers, endpoints = cluster321
+    retrieve(endpoints, params, V, 1, seed=1)
+    shutdown(servers[2:])
+    encoded = []
+    encode_query = wire.encode_query
+
+    def counting(*args):
+        encoded.append(args[2])
+        return encode_query(*args)
+
+    monkeypatch.setattr(wire, "encode_query", counting)
+    # The server closed its idle connection, which the client sees before
+    # sending a QUERY over it; the fresh connect is refused.
+    decoded, metrics = retrieve(endpoints, params, V, 2, seed=2)
+    assert decoded == files[1]
+    assert sorted(encoded) == [1, 2]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "refused"}
+    assert metrics.connects == 1
+    port = endpoints[2][1]
+    restarted = serve("127.0.0.1", port, Database.from_files(params, files), params, V)
+    try:
+        decoded, metrics = retrieve(endpoints, params, V, 1, seed=3)
+    finally:
+        shutdown([restarted])
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
+    assert metrics.connects == 1
+
+
+def test_a_reused_connection_that_fails_falls_back_to_a_fresh_one(cluster321, monkeypatch):
+    params, V, files, servers, endpoints = cluster321
+    retrieve(endpoints, params, V, 1, seed=1)
+    dispatch = net.PIRServer._dispatch
+
+    def breaks_reused(self, conn, msg_type, payload):
+        # Server 1 drops a connection that already holds a session, as one
+        # that closes idle connections would after the client's check.
+        if self is servers[0] and msg_type == wire.MSG_QUERY and conn.session:
+            raise OSError("connection dropped")
+        return dispatch(self, conn, msg_type, payload)
+
+    monkeypatch.setattr(net.PIRServer, "_dispatch", breaks_reused)
+    decoded, metrics = retrieve(endpoints, params, V, 2, seed=2)
+    assert decoded == files[1]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
+    assert metrics.connects == 1
+
+
+def idle_endpoints(endpoints):
+    return {ep for ep in map(tuple, endpoints) if ep in net._idle}
+
+
+def test_a_retrieval_that_raises_keeps_no_connection(cluster321):
+    params, V, _, _, endpoints = cluster321
+    retrieve(endpoints, params, V, 1, seed=1)
+    assert idle_endpoints(endpoints) == set(endpoints)
+    other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
+    with pytest.raises(HandshakeMismatch):
+        retrieve(endpoints, other, default_encoding_matrix(other), 1, seed=0)
+    assert idle_endpoints(endpoints) == set()
+    # Server 1 answers in full, but the two stubs drop mid-fetch.
+    retrieve(endpoints, params, V, 1, seed=1)
+    stubs = [serve_stub() for _ in range(2)]
+    try:
+        with pytest.raises(InsufficientResponders):
+            retrieve(endpoints[:1] + [stub.server_address for stub in stubs],
+                     params, V, 1, deadline_s=5, seed=7)
+    finally:
+        shutdown(stubs)
+    assert tuple(endpoints[0]) not in net._idle
+
+
+def test_only_the_responders_decoded_from_are_kept(cluster321):
+    params, V, files, _, endpoints = cluster321
+    decoded, metrics = retrieve(endpoints, params, V, 1, wait_for=2, seed=8)
+    assert decoded == files[0]
+    ok = {tuple(endpoints[sid - 1]) for sid, out in metrics.outcomes.items() if out == "ok"}
+    assert len(ok) == 2
+    assert idle_endpoints(endpoints) == ok
+
+
+def test_idle_connections_are_bounded_by_the_latest_retrieval():
+    params = PARAMS321
+    V = default_encoding_matrix(params)
+    files = [[i] * params.file_symbols for i in range(params.m)]
+    fds = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i in range(5):
+            servers, endpoints = start_cluster(params, V, files)
+            try:
+                decoded, _ = retrieve(endpoints, params, V, 1, seed=i)
+            finally:
+                shutdown(servers)
+            assert decoded == files[0]
+            assert len(net._idle) <= params.n
+            with suppress(FileNotFoundError):
+                fds.append(len(os.listdir("/proc/self/fd")))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    if fds:
+        assert fds[-1] <= fds[0]
+
+
+def test_concurrent_retrievals_share_the_idle_connections(cluster321):
+    params, V, files, _, endpoints = cluster321
+    failures = []
+
+    def loop(offset):
+        for trial in range(5):
+            i = (trial + offset) % params.m + 1
+            try:
+                decoded, _ = retrieve(endpoints, params, V, i, deadline_s=5)
+                assert decoded == files[i - 1]
+            except Exception as exc:  # reported below, from the test's thread
+                failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=loop, args=(offset,)) for offset in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=20)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert idle_endpoints(endpoints) == set(endpoints)
+    assert len(net._idle) <= params.n
