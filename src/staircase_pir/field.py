@@ -219,9 +219,6 @@ class Matrix:
     def inverse(self) -> "Matrix":
         return self.solve(Matrix.identity(self.field, self.nrows))
 
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
 
 def vandermonde(field: PrimeField, points: Sequence[int], cols: int) -> Matrix:
     """Rows (p^0, p^1, ..., p^(cols-1)) for each evaluation point p."""

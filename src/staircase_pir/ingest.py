@@ -60,11 +60,6 @@ def unpack_symbols(symbols: Sequence[int], bits: int, orig_len: int) -> bytes:
     return bytes(out[:orig_len])
 
 
-def symbols_needed(byte_len: int, q: int) -> int:
-    b = bits_per_symbol(q)
-    return math.ceil(byte_len * 8 / b)
-
-
 def ingest_files(
     named_contents: Sequence[Tuple[str, bytes]],
     n: int,

@@ -18,20 +18,20 @@ adds those of the columns a smaller mu, or a re-plan after a drop, reads
 too. Which columns a server is sent depends on the target and on how
 many servers answered, never on the file. On the bulk benchmark's
 (4,2,1) GF(257) scheme with all four servers up, a retrieval sends each
-server a 913-byte QUERY and a 14-byte FETCH of no sub-queries (3,708
-bytes up) and reads back 676 bytes.
+server a 913-byte QUERY and an 8-byte FETCH (3,684 bytes up), and reads
+back an 8-byte acknowledgement and a 153-byte RESPONSE (644 bytes down).
 
 The connections of the responders a retrieval decoded from stay open, at
-most n, for the next retrieval to the same endpoints. Each QUERY is a new
-session with fresh randomness: a server can link the retrievals made over
-one connection, as their source address lets it, but no query depends on i.
+most n, for the next retrieval to the same endpoints. Each QUERY replaces
+what its connection held, with fresh randomness: a server can link the
+retrievals over one connection, as their source address lets it, but no
+query depends on i.
 """
 
 from __future__ import annotations
 
 import atexit
 import errno
-import itertools
 import math
 import selectors
 import socket
@@ -65,14 +65,15 @@ _WRITE = selectors.EVENT_WRITE
 
 class _Conn:
     """A non-blocking socket, the bytes read from it that do not yet make
-    a whole frame, the bytes still to write to it, and its session."""
+    a whole frame, and the bytes still to write to it."""
 
     def __init__(self, sock: Optional[socket.socket] = None):
         self.sock = sock
         self.inbuf = bytearray()
         self.out = memoryview(b"")
         self.events = 0  # what the selector watches it for; 0: unregistered
-        self.session = None
+        self.pending: Optional[list] = None  # a server's unanswered sub-queries; None: no QUERY
+        self.since_query = 0  # sub-queries a server was sent since the latest QUERY
         self.sent = self.received = 0  # bytes, over every socket it has had
 
     def watch(self, sel: selectors.BaseSelector, events: int) -> None:
@@ -120,8 +121,9 @@ class PIRServer:
     its whole frames one at a time and writes the replies back. A
     connection is read only while it has nothing left to send, so a peer
     that never reads holds at most one frame and one reply of memory.
-    A connection holds one session: (id, query) of its latest QUERY, whose
-    sub-queries its FETCHes top up.
+    The connection is the session: a FETCH is answered with the
+    projections of the sub-queries sent over it since its latest QUERY
+    and not yet answered (see the wire module).
     """
 
     def __init__(self, address, database: protocol.Database, params: SchemeParams,
@@ -131,7 +133,6 @@ class PIRServer:
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         # Frames announcing more than this are refused unread.
         self.max_payload = wire.max_request_payload(params)
-        self.session_counter = itertools.count(1)
         self.socket = socket.create_server(address)
         self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
@@ -209,20 +210,20 @@ class PIRServer:
 
     def _dispatch(self, conn: _Conn, msg_type: int, payload: bytes) -> bytes:
         if msg_type == wire.MSG_QUERY:
-            _, subqueries = wire.decode_query(payload, self.params, self.fingerprint)
-            conn.session = (next(self.session_counter) % wire.SESSION_IDS,
-                            protocol.Query(subqueries))
-            return wire.encode_response(conn.session[0], [], self.params.q)
+            _, conn.pending = wire.decode_query(payload, self.params, self.fingerprint)
+            conn.since_query = len(conn.pending)
+            return wire.encode_response(self.params.q, [])
         if msg_type == wire.MSG_FETCH:
-            # Each column costs a projection: decode_fetch refuses repeats before any.
-            held = conn.session[1].subqueries if conn.session else []
-            session_id, columns, added = wire.decode_fetch(payload, self.params, len(held))
-            if conn.session is None or conn.session[0] != session_id:
-                return wire.encode_error(wire.ERR_BAD_SESSION, "unknown session")
-            held += added
-            return wire.encode_response(
-                session_id, protocol.server_respond(self.database, conn.session[1], columns),
-                self.params.q)
+            # Each sub-query costs a projection: all are refused before any.
+            if conn.pending is None:
+                raise MalformedFrame("FETCH before any QUERY")
+            held = conn.pending + wire.decode_fetch(payload, self.params, conn.since_query)
+            if not held:
+                raise MalformedFrame("FETCH with nothing to answer")
+            conn.since_query += len(held) - len(conn.pending)
+            conn.pending = []
+            return wire.encode_response(self.params.q, protocol.server_respond(
+                self.database, protocol.Query(held), range(len(held))))
         return wire.encode_error(wire.ERR_MALFORMED, f"unexpected type {msg_type}")
 
 
@@ -292,8 +293,7 @@ atexit.register(_keep_idle, (), {})  # closes them all, so none is left to the c
 
 
 class _Peer(_Conn):
-    """The client's connection to one server; its session is the id the
-    server acknowledged the QUERY with."""
+    """The client's connection to one server."""
 
     def __init__(self, sid: int):
         super().__init__()
@@ -382,7 +382,7 @@ class _Retrieval:
     def _lose(self, peer: _Peer, exc: Exception) -> None:
         """A connection failed: before its handshake completed its server
         has failed; after, it is dropped as a responder."""
-        if peer.session is not None:
+        if peer.sid in self.wait.arrived:  # its QUERY was acknowledged
             peer.close(self.sel)
             self.columns.pop(peer.sid, None)
         elif isinstance(exc, HandshakeMismatch):
@@ -425,8 +425,8 @@ class _Retrieval:
                 raise HandshakeMismatch(message)
             raise StaircasePIRError(message)
         peer.expires = math.inf
-        if peer.session is None:
-            peer.session, _ = wire.decode_response(payload, 0, self.params.q)
+        if peer.sid not in self.wait.arrived:
+            wire.decode_response(payload, 0, self.params.q)  # the acknowledgement
             self.wait.settle(peer.sid, time.monotonic() - self.start)
         else:
             _, slabs = wire.decode_response(payload, self.params.s, self.params.q)
@@ -439,19 +439,17 @@ class _Retrieval:
             peer.watch(self.sel, 0)  # idle until it is fetched from
 
     def _request(self, peer: _Peer) -> None:
-        """Send the responder a FETCH for the prefix columns it lacks, unless
-        it has one in flight."""
+        """Send the responder a FETCH, unless it has one in flight, adding the
+        sub-queries it was not sent; all the prefix columns it lacks come back."""
         held = len(self.columns[peer.sid])
         if peer.asked or held >= self.want:
             return
         query = self.queries[peer.sid - 1]
         sent = len(query.subqueries)  # every one expanded so far has been sent
         query.expand_to(self.want)
-        added = query.subqueries[sent:]
         peer.asked = self.want - held
         peer.expires = time.monotonic() + self.wait.deadline
-        peer.out = memoryview(wire.encode_fetch(
-            peer.session, range(held, self.want), added, self.params))
+        peer.out = memoryview(wire.encode_fetch(self.params, query.subqueries[sent:]))
         try:
             self._send(peer)
         except OSError as exc:
@@ -538,9 +536,10 @@ def retrieve(
     OutOfRange before anything is sent.
 
     Each QUERY carries the sub-queries of the first
-    prefix_cols(wait_for or n) columns. The responders are then sent a
-    FETCH for the plan's prefix columns, all at once, which carries the
-    sub-queries of the columns past that. A responder whose FETCH fails,
+    prefix_cols(wait_for or n) columns; its acknowledgement is 8 bytes. The
+    responders are then sent a FETCH, all at once, adding the sub-queries
+    of the plan's prefix columns past those (8 bytes if none), and answer
+    with all its prefix columns. A responder whose FETCH fails,
     or whose FETCH round trip as a whole takes longer than `deadline_s`
     (however its bytes trickle in), is dropped: the client plans again
     with the others and fetches from them only the extra columns, or

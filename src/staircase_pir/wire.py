@@ -18,34 +18,38 @@ Message types:
              server id (varint), count (varint), then the sub-queries of
              columns 0..count-1, query_length = alpha'*m symbols each, as
              one block. A count outside [1, alpha] is refused unread.
-  2 FETCH    session id (u32), column count (varint), column indices
-             (varints), then one sub-query for each named column the
-             session does not hold yet, in column order, as one block.
-             Those columns must be the next ones after the held prefix,
-             so a session always holds a prefix of its alpha sub-queries.
-  3 RESPONSE session id (u32), column count (varint), then the s symbols
-             of each column, as one block. A zero-column RESPONSE
-             acknowledges a QUERY and carries the server-assigned session id.
+  2 FETCH    count (varint), then the sub-queries of the next count
+             columns, as one block.
+  3 RESPONSE count (varint), then the s symbols of each of count columns,
+             as one block. A zero-column RESPONSE acknowledges a QUERY.
   4 ERROR    code (varint), UTF-8 message of at most ERROR_TEXT_BYTES
              bytes.
 
+The connection is the session. A server holds the sub-queries it was sent
+over a connection since its latest QUERY and has not answered yet. It
+answers a FETCH with the projections of all of them, the QUERY's first,
+and then holds none. Before any projection it refuses a FETCH on a
+connection with no QUERY, one that takes the sub-queries since the QUERY
+past alpha, and one that leaves nothing to answer.
+
 A client sends a QUERY with the columns its download at the hoped-for
-responder count reads, and tops the session up in a FETCH only if fewer
-servers answer. A frame's size depends only on the params, the server id
-and the columns it names and adds, never on how many sessions came
-before: the session id has a fixed width, and a server's session counter
-wraps at SESSION_IDS. On the bulk benchmark's (4,2,1) GF(257) scheme, 64
-files of 384 bytes and s=64, all four servers up, a QUERY of 2 columns
-is an 8-byte header and a 905-byte payload (768 symbols in 864 bytes), a
-FETCH of those 2 columns 7 + 7 bytes, an acknowledgement 7 + 5 and a
-RESPONSE of 2 columns 8 + 149 (128 symbols in 144 bytes). With two
-servers up, each FETCH names all 6 columns and adds 4 sub-queries:
-8 + 1,739 bytes.
+responder count reads. Its FETCH adds the columns a smaller responder
+count reads, if fewer servers answer. A frame's size depends only on the
+params, the server id and how many sub-queries and columns it carries.
+On the bulk benchmark's (4,2,1) GF(257) scheme, 64 files of 384 bytes and
+s=64, all four servers up:
+  QUERY of 2 columns            8 + 905 bytes (768 symbols in 864 bytes)
+  FETCH adding none             7 + 1
+  acknowledgement               7 + 1
+  RESPONSE of 2 columns         8 + 145 (128 symbols in 144 bytes)
+With two servers up, each FETCH adds 4 sub-queries, 8 + 1,729 bytes, and
+each RESPONSE carries 6 columns, 8 + 433.
 
 Version 1 sent one coefficient per database symbol and every symbol as a
 u64; version 2 sent ceil(b/8) bytes a symbol and u64 integers; version 3
-sent every sub-query in the QUERY and none in a FETCH. Version 4 frames
-are the only ones read.
+sent every sub-query in the QUERY and none in a FETCH; version 4 named a
+u32 session id in every FETCH and RESPONSE and the columns in a FETCH.
+Version 5 frames are the only ones read.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .field import ints_from_bytes, ints_to_bytes
 from .params import SchemeParams
 
 MAGIC = b"SPIR"
-VERSION = 4
+VERSION = 5
 
 MSG_QUERY = 1
 MSG_FETCH = 2
@@ -68,20 +72,15 @@ MSG_RESPONSE = 3
 MSG_ERROR = 4
 
 ERR_HANDSHAKE = 1
-ERR_BAD_SESSION = 2
 ERR_MALFORMED = 4
 
 # An ERROR's message is cut to this many bytes, so a reply has a largest
 # size (max_reply_payload) that a client can refuse to buffer past.
 ERROR_TEXT_BYTES = 256
 
-# Session ids are u32s: a server hands out its counter modulo this.
-SESSION_IDS = 1 << 32
-
 _PREFIX = struct.Struct("<4sBB")  # magic, version, type; the varint length follows
-_SESSION = struct.Struct("<I")
 _VARINT_MAX = 10  # bytes of the longest varint, one below 2**64
-# Payloads are read at most this many bytes at a time, so a header that
+# A socket is read at most this many bytes at a time, so a header that
 # announces a huge length costs memory only as its bytes arrive.
 READ_CHUNK = 1 << 16
 
@@ -171,19 +170,6 @@ def _check_header(header, max_payload: Optional[int]) -> Optional[Tuple[int, int
     return msg_type, length, size
 
 
-def read_frame(readable, max_payload: Optional[int] = None) -> Tuple[int, bytes]:
-    """Read one frame from a file-like object with .read(n).
-
-    A header announcing more than `max_payload` bytes is rejected before
-    any of the payload is read.
-    """
-    header = _read_exact(readable, _PREFIX.size)
-    while (found := _check_header(header, max_payload)) is None:
-        header += _read_exact(readable, 1)
-    msg_type, length, _ = found
-    return msg_type, _read_exact(readable, length)
-
-
 def split_frame(buf: bytearray, max_payload: Optional[int] = None
                 ) -> Optional[Tuple[int, bytes]]:
     """Take the first whole frame off the front of `buf`: (type, payload),
@@ -203,18 +189,6 @@ def split_frame(buf: bytearray, max_payload: Optional[int] = None
     payload = bytes(buf[start:end])
     del buf[:end]
     return msg_type, payload
-
-
-def _read_exact(readable, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = readable.read(min(remaining, READ_CHUNK))
-        if not chunk:
-            raise MalformedFrame("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 class _Layout(NamedTuple):
@@ -346,21 +320,17 @@ def _unpack_subqueries(payload: bytes, count: int, params: SchemeParams,
 
 def max_request_payload(params: SchemeParams) -> int:
     """Largest payload a client sends to a server with these params: its
-    QUERY of all alpha columns with the largest server id, n, or a FETCH
-    of all alpha columns that adds alpha - 1 sub-queries to a QUERY of
-    one, whichever is larger."""
-    query = (len(_query_prefix(params, bytes(32)) + pack_varints([params.n, params.alpha]))
-             + symbols_size(params.alpha * params.query_length, params.q))
-    fetch = (_SESSION.size + len(pack_varints([params.alpha, *range(params.alpha)]))
-             + symbols_size((params.alpha - 1) * params.query_length, params.q))
-    return max(query, fetch)
+    QUERY of all alpha columns with the largest server id, n. A FETCH
+    adds at most alpha - 1 sub-queries and carries no params, so it is
+    smaller."""
+    return (len(_query_prefix(params, bytes(32)) + pack_varints([params.n, params.alpha]))
+            + symbols_size(params.alpha * params.query_length, params.q))
 
 
 def max_reply_payload(params: SchemeParams) -> int:
     """Largest payload a server with these params sends a client: a
     RESPONSE of all alpha columns, or an ERROR, whichever is larger."""
-    response = (_SESSION.size + len(_varint_bytes(params.alpha))
-                + symbols_size(params.alpha * params.s, params.q))
+    response = len(_varint_bytes(params.alpha)) + symbols_size(params.alpha * params.s, params.q)
     return max(response, _VARINT_MAX + ERROR_TEXT_BYTES)
 
 
@@ -401,57 +371,39 @@ def decode_query(
     return server_id, _unpack_subqueries(payload, count, params, off)
 
 
-def _unpack_session(payload: bytes) -> Tuple[int, int, int]:
-    """(session id, column count, offset after them) of a FETCH or RESPONSE."""
-    if len(payload) < _SESSION.size:
-        raise MalformedFrame("payload truncated")
-    (session_id,) = _SESSION.unpack_from(payload)
-    return (session_id, *_unpack_varint(payload, _SESSION.size))
+def encode_fetch(params: SchemeParams, subqueries) -> bytes:
+    """A FETCH adding `subqueries`, those of the next columns in order."""
+    return pack_frame(MSG_FETCH, _varint_bytes(len(subqueries))
+                      + (_pack_subqueries(subqueries, params) if subqueries else b""))
 
 
-def encode_fetch(session_id: int, columns: Sequence[int], subqueries=(),
-                 params: Optional[SchemeParams] = None) -> bytes:
-    """A FETCH of `columns`, adding `subqueries`: those of the columns the
-    session does not hold yet, in column order (`params` needed if any)."""
-    head = _SESSION.pack(session_id) + pack_varints([len(columns), *columns])
-    return pack_frame(MSG_FETCH, head + (_pack_subqueries(subqueries, params)
-                                         if subqueries else b""))
+def decode_fetch(payload: bytes, params: SchemeParams, received: int) -> List[List[int]]:
+    """The sub-queries a FETCH adds, on a connection sent `received` of
+    them since its QUERY. A count that takes them past alpha is refused
+    before any symbol is read."""
+    count, off = _unpack_varint(payload, 0)
+    if count > params.alpha - received:
+        raise MalformedFrame(f"FETCH of {count} sub-queries after {received}"
+                             f" takes them past alpha = {params.alpha}")
+    return _unpack_subqueries(payload, count, params, off)
 
 
-def decode_fetch(payload: bytes, params: SchemeParams, held: int
-                 ) -> Tuple[int, List[int], List[List[int]]]:
-    """(session id, columns, added sub-queries) of a FETCH to a session
-    that holds the sub-queries of columns 0..held-1.
-
-    The columns must not repeat, and those at or past `held` must be
-    exactly the next ones, below alpha; each adds the sub-query that the
-    payload carries for it, so the count is implied by the columns.
-    """
-    session_id, count, off = _unpack_session(payload)
-    if count > len(payload) - off:  # a column takes at least a byte
-        raise MalformedFrame("payload truncated")
-    columns, off = _unpack_varints(payload, count, off)
-    added = sorted(c for c in columns if c >= held)
-    if (len(set(columns)) != count or added != list(range(held, held + len(added)))
-            or held + len(added) > params.alpha):
-        raise MalformedFrame("FETCH columns repeat, skip a column or exceed alpha")
-    return session_id, columns, _unpack_subqueries(payload, len(added), params, off)
-
-
-def encode_response(session_id: int, columns: Sequence[Sequence[int]], q: int) -> bytes:
+def encode_response(q: int, columns: Sequence[Sequence[int]]) -> bytes:
+    """A RESPONSE carrying `columns`, s symbols each; none: an acknowledgement."""
     symbols = list(itertools.chain.from_iterable(columns))
-    return pack_frame(MSG_RESPONSE, _SESSION.pack(session_id)
-                      + _varint_bytes(len(columns)) + pack_symbols(symbols, q))
+    return pack_frame(MSG_RESPONSE, _varint_bytes(len(columns)) + pack_symbols(symbols, q))
 
 
 def decode_response(payload: bytes, s: int, q: int) -> Tuple[int, List[tuple]]:
-    session_id, count, off = _unpack_session(payload)
+    """(column count, columns) of a RESPONSE of s-symbol columns; s=0 reads
+    an acknowledgement, which carries none."""
+    count, off = _unpack_varint(payload, 0)
     if count and not s:
         raise MalformedFrame("columns in an acknowledgement")
     flat, off = unpack_symbols(payload, count * s, q, off)
     if off != len(payload):
         raise MalformedFrame("trailing bytes in RESPONSE")
-    return session_id, [flat[c * s : (c + 1) * s] for c in range(count)]
+    return count, [flat[c * s : (c + 1) * s] for c in range(count)]
 
 
 def encode_error(code: int, message: str) -> bytes:

@@ -3,12 +3,14 @@
 `bench/tracing.py` replaces package functions by name and reads some of
 their arguments and results by position (the sub-queries `encode_query`
 encodes, the columns `encode_response` encodes, the columns
-`decode_response` returns, the queries `make_queries` returns). A renamed
-function or a reshaped signature would otherwise show only when a traced
-benchmark run fails.
+`decode_response` returns, the queries `make_queries` returns), and
+derives every per-layer metric BENCHMARK.json declares from the spans. A
+renamed function, a reshaped signature or a message flow without one of
+those spans would otherwise show only when a traced benchmark run fails.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import Database, default_encoding_matrix
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCHMARK_JSON = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def load_tracing():
@@ -28,8 +31,13 @@ def load_tracing():
     return module
 
 
-def test_traced_retrieval_decodes_and_counts_every_byte():
-    tracing = load_tracing()
+# The per-layer metrics the harness adds itself, outside retrieval_layers.
+HARNESS_LAYERS = {"net.handshake_wait_ms", "ingest.ingest_dir_s", "trace.overhead_pct"}
+
+
+def traced_retrieval(tracing, down):
+    """(spans, decoded, file, metrics, params) of one traced retrieval of
+    file 2 from a fresh cluster whose last `down` servers refuse."""
     params = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=2)
     V = default_encoding_matrix(params)
     rng = random.Random(0)
@@ -41,23 +49,41 @@ def test_traced_retrieval_decodes_and_counts_every_byte():
         net.serve("127.0.0.1", 0, Database.from_files(params, files), params, V)
         for _ in range(params.n)
     ]
+    endpoints = [srv.server_address for srv in servers]
+    for srv in servers[params.n - down:]:
+        srv.shutdown()
+        srv.server_close()
     tracer = tracing.Tracer()
     try:
         tracer.retrieval = 1
         tracer.install()
         # Through the module, as the benchmark calls it: the tracer wraps
         # module attributes, not names imported before it was installed.
-        decoded, metrics = net.retrieve(
-            [srv.server_address for srv in servers], params, V, 2, seed=3
-        )
+        decoded, metrics = net.retrieve(endpoints, params, V, 2, seed=3)
     finally:
         tracer.uninstall()
-        for srv in servers:
+        for srv in servers[: params.n - down]:
             srv.shutdown()
             srv.server_close()
-    assert decoded == files[1]
-
     spans = tracing.by_retrieval(tracer.spans)[1]
+    return spans, decoded, files[1], metrics, params
+
+
+def assert_layers_and_bytes(tracing, spans, metrics):
+    """retrieval_layers yields every per-layer metric the benchmark
+    declares but those the harness adds, and the traced frames are every
+    byte the client's sockets moved."""
+    declared = json.loads(BENCHMARK_JSON.read_text())["per_layer"]
+    expected = {metric["name"] for metric in declared} - HARNESS_LAYERS
+    assert expected <= set(tracing.retrieval_layers(spans))
+    assert tracing.upload_download(spans) == (metrics.bytes_sent, metrics.bytes_received)
+
+
+def test_traced_retrieval_decodes_and_counts_every_byte():
+    tracing = load_tracing()
+    spans, decoded, expected_file, metrics, params = traced_retrieval(tracing, down=0)
+    assert decoded == expected_file
+
     # Every traced layer a retrieval with no failed server passes through.
     # "net.connect" wraps socket.create_connection, which net does not call:
     # it connects each socket itself, without blocking.
@@ -68,10 +94,23 @@ def test_traced_retrieval_decodes_and_counts_every_byte():
     assert expected <= {sp.name for sp in spans}
     assert not any(sp.attrs and "error" in sp.attrs for sp in spans)
 
-    assert tracing.upload_download(spans) == (metrics.bytes_sent, metrics.bytes_received)
+    assert_layers_and_bytes(tracing, spans, metrics)
     layers = tracing.retrieval_layers(spans)
     assert layers["wire.frames.query"] == layers["wire.frames.ack"] == params.n
     assert layers["wire.frames.fetch"] == layers["wire.frames.response"] == params.n
     assert layers["protocol.query_symbols"] == (
         params.n * params.prefix_cols(params.n) * params.query_length
     )
+
+
+def test_traced_retrieval_with_a_refused_server_counts_every_byte():
+    tracing = load_tracing()
+    spans, decoded, expected_file, metrics, params = traced_retrieval(tracing, down=1)
+    assert decoded == expected_file
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "refused"}
+    assert_layers_and_bytes(tracing, spans, metrics)
+    layers = tracing.retrieval_layers(spans)
+    # The two responders are each sent a QUERY, then a FETCH that tops
+    # their prefix up from prefix_cols(3) to prefix_cols(2) columns.
+    assert layers["wire.frames.query"] == layers["wire.frames.ack"] == 2
+    assert layers["wire.frames.fetch"] == layers["wire.frames.response"] == 2

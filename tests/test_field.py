@@ -84,7 +84,7 @@ def test_vandermonde_always_invertible(q):
     f = PrimeField(q)
     for c in range(1, min(7, q)):
         for points in itertools.combinations(range(1, q), c):
-            assert vandermonde(f, points, c).is_invertible()
+            assert vandermonde(f, points, c).rank() == c
 
 
 def test_matrix_solve_identity_and_self():
@@ -113,7 +113,7 @@ def test_matrix_solve_random_roundtrip(q):
     while done < 200:
         n = rng.randrange(1, 5)
         A = Matrix(f, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
-        if not A.is_invertible():
+        if A.rank() != n:
             continue
         X = Matrix(f, [[rng.randrange(q) for _ in range(3)] for _ in range(n)])
         assert A.solve(A.mul(X)) == X

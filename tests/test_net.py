@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import os
 import random
@@ -14,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from framing import read_frame
 from staircase_pir.errors import (
     HandshakeMismatch,
     InsufficientResponders,
@@ -63,9 +63,9 @@ class _DropOnFetch(socketserver.BaseRequestHandler):
     def handle(self):
         # The client may hang up first, once it has given up on this server.
         with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
-            wire.read_frame(reader)
-            self.request.sendall(wire.encode_response(1, [], 257))
-            wire.read_frame(reader)
+            read_frame(reader)
+            self.request.sendall(wire.encode_response(257, []))
+            read_frame(reader)
 
 
 class _StallOnFetch(socketserver.BaseRequestHandler):
@@ -73,9 +73,9 @@ class _StallOnFetch(socketserver.BaseRequestHandler):
 
     def handle(self):
         with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
-            wire.read_frame(reader)
-            self.request.sendall(wire.encode_response(1, [], 257))
-            wire.read_frame(reader)
+            read_frame(reader)
+            self.request.sendall(wire.encode_response(257, []))
+            read_frame(reader)
             self.server.release.wait(10)
 
 
@@ -85,11 +85,10 @@ class _TrickleOnFetch(socketserver.BaseRequestHandler):
 
     def handle(self):
         with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
-            _, held = wire.decode_query(wire.read_frame(reader)[1], PARAMS321, FP321)
-            self.request.sendall(wire.encode_response(1, [], 257))
-            payload = wire.read_frame(reader)[1]
-            _, columns, _ = wire.decode_fetch(payload, PARAMS321, len(held))
-            reply = wire.encode_response(1, [[0] * 2] * len(columns), 257)
+            _, held = wire.decode_query(read_frame(reader)[1], PARAMS321, FP321)
+            self.request.sendall(wire.encode_response(257, []))
+            held += wire.decode_fetch(read_frame(reader)[1], PARAMS321, len(held))
+            reply = wire.encode_response(257, [[0] * 2] * len(held))
             for i in range(len(reply)):
                 if self.server.release.wait(0.05):
                     return
@@ -102,7 +101,7 @@ class _HugeReply(socketserver.BaseRequestHandler):
 
     def handle(self):
         with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
-            wire.read_frame(reader)
+            read_frame(reader)
             self.request.sendall(wire.frame_header(wire.MSG_RESPONSE, 1 << 40))
             self.server.release.wait(10)
 
@@ -407,7 +406,7 @@ def exchange(sock, frame):
     """Send one frame and read the one reply (the server sends nothing else)."""
     sock.sendall(frame)
     with sock.makefile("rb") as reader:
-        return wire.read_frame(reader)
+        return read_frame(reader)
 
 
 @pytest.mark.parametrize("field,value", [(0, 65536), (3, 0)])
@@ -428,20 +427,22 @@ def test_server_answers_hostile_query_header(cluster321, field, value):
     assert wire.decode_error(reply)[0] == wire.ERR_HANDSHAKE
 
 
-def test_new_query_replaces_the_session(cluster321):
-    params, V, _, _, endpoints = cluster321
+def test_new_query_replaces_what_the_server_holds(cluster321):
+    params, V, files, _, endpoints = cluster321
+    db = Database.from_files(params, files)
     fp = matrix_fingerprint(params, V)
-    subqueries = make_queries(params, V, 1, seed=0)[0].subqueries
-    query = wire.encode_query(params, fp, 1, subqueries)
+    first, second = (make_queries(params, V, i, seed=i)[0].subqueries for i in (1, 2))
     with socket.create_connection(endpoints[0], timeout=2) as sock:
-        first, _ = wire.decode_response(exchange(sock, query)[1], 0, params.q)
-        second, _ = wire.decode_response(exchange(sock, query)[1], 0, params.q)
-        msg_type, reply = exchange(sock, wire.encode_fetch(first, [0]))
-        assert msg_type == wire.MSG_ERROR
-        assert wire.decode_error(reply)[0] == wire.ERR_BAD_SESSION
-        msg_type, reply = exchange(sock, wire.encode_fetch(second, [0]))
-        assert msg_type == wire.MSG_RESPONSE
-        assert wire.decode_response(reply, params.s, params.q)[0] == second
+        for subqueries in (first[:2], second[:1]):
+            msg_type, ack = exchange(sock, wire.encode_query(params, fp, 1, subqueries))
+            assert msg_type == wire.MSG_RESPONSE
+            assert wire.decode_response(ack, 0, params.q) == (0, [])
+        # Only the second QUERY's sub-query is held, and the count since a
+        # QUERY starts again from it: the FETCH may add all alpha - 1 others.
+        msg_type, reply = exchange(sock, wire.encode_fetch(params, second[1:]))
+    assert msg_type == wire.MSG_RESPONSE
+    assert wire.decode_response(reply, params.s, params.q)[1] == [
+        db.project(sub) for sub in second]
 
 
 def test_endpoint_count_checked(cluster321):
@@ -474,31 +475,6 @@ def test_server_refuses_oversized_frame(cluster321, excess):
     assert decoded == files[0]
 
 
-def test_server_refuses_repeated_fetch_columns():
-    # The scheme of the bulk benchmark, where a FETCH of 580 columns still
-    # fits under the frame cap.
-    params = SchemeParams(n=4, k=2, t=1, m=64, q=257, s=1)
-    V = default_encoding_matrix(params)
-    files = [[i % params.q] * params.file_symbols for i in range(params.m)]
-    servers, endpoints = start_cluster(params, V, files, count=1)
-    fp = matrix_fingerprint(params, V)
-    subqueries = make_queries(params, V, 1, seed=0)[0].subqueries
-    try:
-        with socket.create_connection(endpoints[0], timeout=2) as sock:
-            ack = exchange(sock, wire.encode_query(params, fp, 1, subqueries))[1]
-            session, _ = wire.decode_response(ack, 0, params.q)
-            for columns in ([0] * 580, [0, 0]):
-                msg_type, reply = exchange(sock, wire.encode_fetch(session, columns))
-                assert msg_type == wire.MSG_ERROR
-                assert wire.decode_error(reply)[0] == wire.ERR_MALFORMED
-            columns = list(range(params.alpha))
-            msg_type, reply = exchange(sock, wire.encode_fetch(session, columns))
-            assert msg_type == wire.MSG_RESPONSE
-            assert len(wire.decode_response(reply, params.s, params.q)[1]) == params.alpha
-    finally:
-        shutdown(servers)
-
-
 @pytest.fixture
 def spied_projections(monkeypatch):
     """The number of times any server has projected, as a one-item list."""
@@ -513,15 +489,21 @@ def spied_projections(monkeypatch):
     return calls
 
 
-def open_session(sock, params, V, count):
+def send_query(sock, params, V, count):
     """Send a QUERY of the first `count` sub-queries of server 1's query for
-    file 1; that query, with all alpha sub-queries, and the acknowledged
-    session id."""
+    file 1, and check its acknowledgement; that query, with all alpha
+    sub-queries."""
     query = make_queries(params, V, 1, seed=0)[0]
     frame = wire.encode_query(
         params, matrix_fingerprint(params, V), 1, query.subqueries[:count])
-    session, _ = wire.decode_response(exchange(sock, frame)[1], 0, params.q)
-    return query, session
+    assert exchange(sock, frame) == (wire.MSG_RESPONSE, wire.pack_varints([0]))
+    return query
+
+
+def assert_refused(sock, frame):
+    msg_type, reply = exchange(sock, frame)
+    assert msg_type == wire.MSG_ERROR
+    assert wire.decode_error(reply)[0] == wire.ERR_MALFORMED
 
 
 @pytest.fixture
@@ -536,23 +518,65 @@ def server421():
     shutdown(servers)
 
 
-@pytest.mark.parametrize("columns,added", [
-    ([0, 1, 2, 3], [2]),  # too few sub-queries for the columns it adds
-    ([0, 1, 2], [2, 3]),  # too many
-    ([2], []),  # a column past the held prefix, without its sub-query
-    ([3], [3]),  # a sub-query for a column that skips column 2
-], ids=["short", "long", "missing", "gap"])
+def fetch_frame(params, count, subqueries):
+    """A FETCH of `count` whose payload carries `subqueries`."""
+    _, body = wire.split_frame(bytearray(wire.encode_fetch(params, subqueries)))
+    return wire.pack_frame(wire.MSG_FETCH, wire.pack_varints([count]) + body[1:])
+
+
+@pytest.mark.parametrize("count,carried", [(2, 1), (1, 2), (1, 0)],
+                         ids=["short", "long", "missing"])
 def test_server_refuses_a_fetch_whose_sub_queries_do_not_match_its_columns(
-        server421, spied_projections, columns, added):
+        server421, spied_projections, count, carried):
+    # The columns a FETCH adds are the next `count`: it must carry a
+    # sub-query for each, no fewer and no more.
     params, V, endpoint = server421
     with socket.create_connection(endpoint, timeout=2) as sock:
-        query, session = open_session(sock, params, V, 2)
-        subqueries = [query.subqueries[c] for c in added]
-        frame = wire.encode_fetch(session, columns, subqueries, params)
-        msg_type, reply = exchange(sock, frame)
-    assert msg_type == wire.MSG_ERROR
-    assert wire.decode_error(reply)[0] == wire.ERR_MALFORMED
+        query = send_query(sock, params, V, 2)
+        assert_refused(sock, fetch_frame(params, count, query.subqueries[2 : 2 + carried]))
     assert spied_projections == [0]
+
+
+def test_server_refuses_a_fetch_before_any_query(server421, spied_projections):
+    params, V, endpoint = server421
+    query = make_queries(params, V, 1, seed=0)[0]
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        for added in ([], query.subqueries[:1]):
+            assert_refused(sock, wire.encode_fetch(params, added))
+    assert spied_projections == [0]
+
+
+def test_server_refuses_a_fetch_past_alpha_before_any_projection(server421, spied_projections):
+    params, V, endpoint = server421
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        query = send_query(sock, params, V, 2)
+        # 2 + 5 sub-queries since the QUERY, past alpha = 6; then a count
+        # far past it, with no symbols, which is refused unread.
+        assert_refused(sock, wire.encode_fetch(params, query.subqueries[1:]))
+        assert_refused(sock, wire.pack_frame(wire.MSG_FETCH, wire.pack_varints([2**40])))
+        assert spied_projections == [0]
+        # The refusals left the 2 held: topped up to alpha, all 6 are answered.
+        msg_type, reply = exchange(sock, wire.encode_fetch(params, query.subqueries[2:]))
+        assert msg_type == wire.MSG_RESPONSE
+        assert len(wire.decode_response(reply, params.s, params.q)[1]) == params.alpha
+        # Nothing more fits under alpha.
+        assert_refused(sock, wire.encode_fetch(params, query.subqueries[:1]))
+    assert spied_projections == [params.alpha]
+
+
+def test_server_refuses_a_fetch_with_nothing_to_answer(server421, spied_projections):
+    params, V, endpoint = server421
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        query = send_query(sock, params, V, 2)
+        msg_type, reply = exchange(sock, wire.encode_fetch(params, []))
+        assert msg_type == wire.MSG_RESPONSE
+        assert wire.decode_response(reply, params.s, params.q)[0] == 2
+        assert_refused(sock, wire.encode_fetch(params, []))
+        assert spied_projections == [2]
+        # A top-up is answered with only the columns it adds.
+        msg_type, reply = exchange(sock, wire.encode_fetch(params, query.subqueries[2:3]))
+        assert wire.decode_response(reply, params.s, params.q)[0] == 1
+    assert spied_projections == [3]
 
 
 @pytest.mark.parametrize("count", [0, 7, 2**40])
@@ -567,9 +591,8 @@ def test_server_refuses_a_query_count_outside_1_to_alpha(
         assert msg_type == wire.MSG_ERROR
         assert wire.decode_error(reply)[0] == wire.ERR_MALFORMED
         # The connection still serves a FETCH topping up a good QUERY.
-        query, session = open_session(sock, params, V, 1)
-        frame = wire.encode_fetch(session, [0, 1, 2], query.subqueries[1:3], params)
-        msg_type, reply = exchange(sock, frame)
+        query = send_query(sock, params, V, 1)
+        msg_type, reply = exchange(sock, wire.encode_fetch(params, query.subqueries[1:3]))
     assert msg_type == wire.MSG_RESPONSE
     assert len(wire.decode_response(reply, params.s, params.q)[1]) == 3
     assert spied_projections == [3]
@@ -600,9 +623,8 @@ def test_replan_tops_up_only_the_columns_the_survivors_lack(cluster321, monkeypa
         expected = make_queries(params, V, 2, seed=6)[sid - 1].subqueries
         (_, query), (_, fetch), (_, top_up) = received[id(srv)]
         assert wire.decode_query(query, params, fp)[1] == expected[:first]
-        assert wire.decode_fetch(fetch, params, first)[1:] == (list(range(first)), [])
-        assert wire.decode_fetch(top_up, params, first)[1:] == (
-            list(range(first, full)), expected[first:full])
+        assert wire.decode_fetch(fetch, params, first) == []
+        assert wire.decode_fetch(top_up, params, first) == expected[first:full]
 
 
 @pytest.mark.parametrize("wait_for", [1, 4])
@@ -653,25 +675,6 @@ def test_retrieval_bytes_are_the_frames_encoded(cluster321, monkeypatch, down):
     assert frames["query"] and frames["fetch"] and frames["response"]
     assert metrics.bytes_sent == frames["query"] + frames["fetch"]
     assert metrics.bytes_received == frames["response"] + frames["error"]
-
-
-def test_session_ids_wrap_at_the_u32_limit(cluster321):
-    params, V, files, servers, endpoints = cluster321
-    for srv in servers:
-        srv.session_counter = itertools.count(wire.SESSION_IDS - 2)
-    fp = matrix_fingerprint(params, V)
-    query = wire.encode_query(params, fp, 1, make_queries(params, V, 1, seed=0)[0].subqueries)
-    with socket.create_connection(endpoints[0], timeout=2) as sock:
-        sessions = [wire.decode_response(exchange(sock, query)[1], 0, params.q)[0]
-                    for _ in range(3)]
-        assert sessions == [wire.SESSION_IDS - 2, wire.SESSION_IDS - 1, 0]
-        msg_type, reply = exchange(sock, wire.encode_fetch(0, [0]))
-        assert msg_type == wire.MSG_RESPONSE
-        assert wire.decode_response(reply, params.s, params.q)[0] == 0
-    # The other servers hand out 2**32 - 2, 2**32 - 1 and 0 to these retrievals.
-    for i in (1, 2, 1):
-        decoded, _ = retrieve(endpoints, params, V, i, seed=i)
-        assert decoded == files[i - 1]
 
 
 def test_second_retrieval_reuses_every_connection(cluster321, monkeypatch):
@@ -729,9 +732,9 @@ def test_a_reused_connection_that_fails_falls_back_to_a_fresh_one(cluster321, mo
     dispatch = net.PIRServer._dispatch
 
     def breaks_reused(self, conn, msg_type, payload):
-        # Server 1 drops a connection that already holds a session, as one
+        # Server 1 drops a connection that already served a QUERY, as one
         # that closes idle connections would after the client's check.
-        if self is servers[0] and msg_type == wire.MSG_QUERY and conn.session:
+        if self is servers[0] and msg_type == wire.MSG_QUERY and conn.pending is not None:
             raise OSError("connection dropped")
         return dispatch(self, conn, msg_type, payload)
 

@@ -75,7 +75,7 @@ def split_symbols(frames, fingerprint):
             _, carried = wire.decode_query(payload, PARAMS, fingerprint)
         else:
             assert msg_type == wire.MSG_FETCH
-            _, _, carried = wire.decode_fetch(payload, PARAMS, len(subqueries))
+            carried = wire.decode_fetch(payload, PARAMS, len(subqueries))
         subqueries += carried
         size = wire.symbols_size(len(carried) * per, PARAMS.q)
         shapes.append((msg_type, payload[: len(payload) - size]))

@@ -2,19 +2,21 @@ import io
 import random
 import struct
 from contextlib import suppress
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircase_pir import wire
+from framing import read_frame
+from staircase_pir import net, wire
 from staircase_pir.errors import HandshakeMismatch, MalformedFrame, StaircasePIRError
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import default_encoding_matrix, make_queries, matrix_fingerprint
 
 
 def roundtrip(frame):
-    return wire.read_frame(io.BytesIO(frame))
+    return read_frame(io.BytesIO(frame))
 
 
 def test_frame_roundtrip():
@@ -54,9 +56,9 @@ def test_frame_length_capped_before_payload_is_read():
     frame = wire.pack_frame(wire.MSG_QUERY, b"x" * 100)
     reader = io.BytesIO(frame)
     with pytest.raises(MalformedFrame):
-        wire.read_frame(reader, max_payload=99)
+        read_frame(reader, max_payload=99)
     assert reader.tell() == len(frame) - 100  # the header only
-    assert wire.read_frame(io.BytesIO(frame), max_payload=100)[1] == b"x" * 100
+    assert read_frame(io.BytesIO(frame), max_payload=100)[1] == b"x" * 100
 
 
 def test_split_frame_waits_for_a_whole_frame():
@@ -221,7 +223,7 @@ def decodes_or_refuses(decode, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=200), st.sampled_from([None, 0, 64]))
 def test_fuzz_read_frame(data, cap):
-    decodes_or_refuses(wire.read_frame, io.BytesIO(data), cap)
+    decodes_or_refuses(read_frame, io.BytesIO(data), cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -229,19 +231,18 @@ def test_fuzz_read_frame(data, cap):
 def test_fuzz_read_frame_lengths(length, tail):
     # A frame header announcing any length, followed by fewer bytes.
     frame = wire.frame_header(wire.MSG_QUERY, length)
-    decodes_or_refuses(wire.read_frame, io.BytesIO(frame + tail))
+    decodes_or_refuses(read_frame, io.BytesIO(frame + tail))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=200), st.sampled_from([None, 0, 64]), st.integers(1, 40))
 def test_fuzz_split_frame(data, cap, chunk):
-    # Fed in chunks, the splitter takes off the frames read_frame reads,
-    # and refuses exactly where read_frame does.
-    reader = io.BytesIO(data)
-    expected = []
+    # Fed in chunks, the splitter takes off the frames it takes off the
+    # whole buffer, and refuses exactly where it refuses that.
+    whole, expected = bytearray(data), []
     with suppress(StaircasePIRError):
-        while reader.tell() < len(data):
-            expected.append(wire.read_frame(reader, cap))
+        while (frame := wire.split_frame(whole, cap)) is not None:
+            expected.append(frame)
     buf, got = bytearray(), []
     with suppress(StaircasePIRError):
         for start in range(0, len(data), chunk):
@@ -255,8 +256,8 @@ def test_fuzz_split_frame(data, cap, chunk):
 @given(st.binary(max_size=300))
 def test_fuzz_decoders_on_arbitrary_bytes(payload):
     decodes_or_refuses(wire.decode_query, payload, FUZZ_PARAMS, FUZZ_FP)
-    for held in (0, 1, FUZZ_PARAMS.alpha):
-        decodes_or_refuses(wire.decode_fetch, payload, FUZZ_PARAMS, held)
+    for received in (0, 1, FUZZ_PARAMS.alpha):
+        decodes_or_refuses(wire.decode_fetch, payload, FUZZ_PARAMS, received)
     decodes_or_refuses(wire.decode_response, payload, FUZZ_PARAMS.s, FUZZ_PARAMS.q)
     decodes_or_refuses(wire.decode_response, payload, 0, FUZZ_PARAMS.q)
     decodes_or_refuses(wire.decode_error, payload)
@@ -279,55 +280,54 @@ FETCH_PARAMS = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)  # alpha = 6
 
 
 def test_fetch_roundtrip():
-    frame = wire.encode_fetch(7, [0, 2, 5])
+    frame = wire.encode_fetch(FETCH_PARAMS, [])
     msg_type, payload = roundtrip(frame)
     assert msg_type == wire.MSG_FETCH
-    assert wire.decode_fetch(payload, FETCH_PARAMS, 6) == (7, [0, 2, 5], [])
+    assert payload == b"\x00"  # a count of 0
+    assert wire.decode_fetch(payload, FETCH_PARAMS, 6) == []
 
 
 def test_fetch_carries_the_sub_queries_of_the_columns_it_adds():
     params = FETCH_PARAMS
     V = default_encoding_matrix(params)
     subqueries = make_queries(params, V, 2, seed=0)[1].subqueries
-    # A session holding 2 columns is fetched 5: it adds columns 2, 3 and 4.
-    frame = wire.encode_fetch(7, [4, 0, 2, 1, 3], subqueries[2:5], params)
+    # A connection sent 2 sub-queries is sent those of columns 2, 3 and 4.
+    frame = wire.encode_fetch(params, subqueries[2:5])
     payload = roundtrip(frame)[1]
     per = params.query_length
-    assert len(payload) == 4 + 6 + wire.symbols_size(3 * per, params.q)
-    assert wire.decode_fetch(payload, params, 2) == (7, [4, 0, 2, 1, 3], subqueries[2:5])
-    for held in (1, 3):  # the sub-queries are one too few, or one too many
-        with pytest.raises(MalformedFrame):
-            wire.decode_fetch(payload, params, held)
+    assert len(payload) == 1 + wire.symbols_size(3 * per, params.q)
+    for received in (0, 2, 3):
+        assert wire.decode_fetch(payload, params, received) == subqueries[2:5]
+    for received in (4, 6):  # 3 more would take it past alpha = 6
+        with pytest.raises(MalformedFrame, match="past alpha"):
+            wire.decode_fetch(payload, params, received)
 
 
-@pytest.mark.parametrize("columns,held", [
-    ([0, 0], 6),  # a repeat
-    ([1, 1], 1),  # a repeat of an added column
-    ([3], 2),  # skips column 2
-    ([6], 6),  # past alpha
-], ids=["repeat", "repeat-added", "gap", "past-alpha"])
-def test_fetch_columns_refused_before_any_symbol(columns, held):
-    # No symbols follow the columns: they are refused by themselves.
-    payload = roundtrip(wire.encode_fetch(1, columns))[1]
-    with pytest.raises(MalformedFrame, match="FETCH columns"):
-        wire.decode_fetch(payload, FETCH_PARAMS, held)
+@pytest.mark.parametrize("count,received", [(1, 6), (4, 3), (7, 0), (2**63, 0)],
+                         ids=["past-alpha", "past-alpha-after-3", "more-than-alpha", "huge"])
+def test_fetch_columns_refused_before_any_symbol(count, received):
+    # No symbols follow the count of columns a FETCH adds: a count that
+    # takes the columns sent since the QUERY past alpha is refused by itself.
+    payload = wire.pack_varints([count])
+    with pytest.raises(MalformedFrame, match="past alpha"):
+        wire.decode_fetch(payload, FETCH_PARAMS, received)
 
 
 def test_response_roundtrip():
     cols = [(1, 2), (3, 4), (250, 0)]
-    frame = wire.encode_response(9, cols, 257)
+    frame = wire.encode_response(257, cols)
     msg_type, payload = roundtrip(frame)
     assert msg_type == wire.MSG_RESPONSE
-    assert wire.decode_response(payload, 2, 257) == (9, cols)
+    assert wire.decode_response(payload, 2, 257) == (3, cols)
 
 
 def test_response_is_compact_and_rejects_truncation():
     cols = [(1, 65536), (3, 4)]
-    _, payload = roundtrip(wire.encode_response(9, cols, 65537))
-    # Session id, column count; 17-bit symbols: 2 byte planes and a bit plane.
-    assert len(payload) == 4 + 1 + 2 * 4 + 1
-    assert wire.decode_response(payload, 2, 65537) == (9, cols)
-    for cut in (1, 3, 12):
+    _, payload = roundtrip(wire.encode_response(65537, cols))
+    # Column count; 17-bit symbols: 2 byte planes and a bit plane.
+    assert len(payload) == 1 + 2 * 4 + 1
+    assert wire.decode_response(payload, 2, 65537) == (2, cols)
+    for cut in (1, 3, 10):
         with pytest.raises(MalformedFrame):
             wire.decode_response(payload[:-cut], 2, 65537)
     with pytest.raises(MalformedFrame):
@@ -338,15 +338,16 @@ def test_response_column_count_checked_first():
     # A count far past the payload is refused before any column is read;
     # an acknowledgement (s=0) carries no columns at all.
     with pytest.raises(MalformedFrame):
-        wire.decode_response(struct.pack("<I", 1) + wire.pack_varints([2**60]), 2, 5)
-    with pytest.raises(MalformedFrame):
-        wire.decode_response(struct.pack("<I", 1) + wire.pack_varints([10**6]), 0, 5)
+        wire.decode_response(wire.pack_varints([2**60]), 2, 5)
+    with pytest.raises(MalformedFrame, match="acknowledgement"):
+        wire.decode_response(wire.pack_varints([10**6]), 0, 5)
 
 
 def test_response_ack_has_no_columns():
-    # The session-assignment ack is a RESPONSE with zero columns.
-    _, payload = roundtrip(wire.encode_response(4, [], 257))
-    assert wire.decode_response(payload, 0, 257) == (4, [])
+    # The acknowledgement of a QUERY is a RESPONSE with zero columns.
+    _, payload = roundtrip(wire.encode_response(257, []))
+    assert payload == b"\x00"
+    assert wire.decode_response(payload, 0, 257) == (0, [])
 
 
 def test_error_roundtrip():
@@ -368,7 +369,7 @@ def test_error_message_is_cut_between_characters():
 def test_max_reply_payload_is_the_largest_reply(q):
     params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=512)
     columns = [[q - 1] * params.s] * params.alpha
-    response = wire.encode_response(wire.SESSION_IDS - 1, columns, q)
+    response = wire.encode_response(q, columns)
     assert len(roundtrip(response)[1]) == wire.max_reply_payload(params)
     error = wire.encode_error(wire.ERR_MALFORMED, "x" * 10 * wire.ERROR_TEXT_BYTES)
     assert len(roundtrip(error)[1]) <= wire.max_reply_payload(params)
@@ -448,17 +449,12 @@ def test_symbols_refuse_a_value_past_their_bits():
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    symbol_blocks(counts=st.integers(0, 40)),
-    st.integers(1, 4),
-    st.integers(0, wire.SESSION_IDS - 1),
-    st.data(),
-)
-def test_response_refuses_truncation_and_trailing_bytes(block, s, session, data):
+@given(symbol_blocks(counts=st.integers(0, 40)), st.integers(1, 4), st.data())
+def test_response_refuses_truncation_and_trailing_bytes(block, s, data):
     q, values = block
     columns = [tuple(values[c : c + s]) for c in range(0, len(values) - len(values) % s, s)]
-    payload = roundtrip(wire.encode_response(session, columns, q))[1]
-    assert wire.decode_response(payload, s, q) == (session, columns)
+    payload = roundtrip(wire.encode_response(q, columns))[1]
+    assert wire.decode_response(payload, s, q) == (len(columns), columns)
     cut = data.draw(st.integers(1, len(payload)))
     with pytest.raises(MalformedFrame):
         wire.decode_response(payload[:-cut], s, q)
@@ -467,18 +463,23 @@ def test_response_refuses_truncation_and_trailing_bytes(block, s, session, data)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, wire.SESSION_IDS - 1), st.integers(0, 6), st.integers(0, 6),
-       st.randoms(use_true_random=False))
-def test_fetch_roundtrip_any_columns(session, held, want, rng):
-    # Any order of the columns of a prefix, of which those at or past the
-    # held ones are added.
-    params = FETCH_PARAMS
-    columns = list(range(want))
-    rng.shuffle(columns)
-    added = [[rng.randrange(params.q) for _ in range(params.query_length)]
-             for _ in range(held, want)]
-    payload = roundtrip(wire.encode_fetch(session, columns, added, params))[1]
-    assert wire.decode_fetch(payload, params, held) == (session, columns, added)
+@given(st.sampled_from(CODEC_QS), st.integers(0, 6), st.data())
+def test_fetch_roundtrip_any_columns(q, received, data):
+    # Any number of sub-queries a connection sent `received` may still add.
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=q, s=2)  # alpha = 6
+    count = data.draw(st.integers(0, params.alpha - received))
+    symbol = st.integers(0, q - 1)
+    per = params.query_length
+    added = data.draw(st.lists(st.lists(symbol, min_size=per, max_size=per),
+                               min_size=count, max_size=count))
+    payload = roundtrip(wire.encode_fetch(params, added))[1]
+    assert wire.decode_fetch(payload, params, received) == added
+    cut = data.draw(st.integers(1, len(payload)))
+    with pytest.raises(MalformedFrame):
+        wire.decode_fetch(payload[:-cut], params, received)
+    with pytest.raises(MalformedFrame):
+        wire.decode_fetch(payload + data.draw(st.binary(min_size=1, max_size=4)),
+                          params, received)
 
 
 @pytest.mark.parametrize("varint", [
@@ -488,11 +489,10 @@ def test_fetch_roundtrip_any_columns(session, held, want, rng):
     b"\xff" * 11,  # more bytes than any value below 2**64 needs
 ], ids=["zero-last-byte", "zero-third-byte", "2**64", "11-bytes"])
 def test_overlong_varints_are_refused(varint):
-    session = struct.pack("<I", 1)
     with pytest.raises(MalformedFrame):
-        wire.decode_fetch(session + varint, FETCH_PARAMS, 6)
+        wire.decode_fetch(varint, FETCH_PARAMS, 0)
     with pytest.raises(MalformedFrame):
-        wire.decode_response(session + varint, 2, 5)
+        wire.decode_response(varint, 2, 5)
     with pytest.raises(MalformedFrame):
         wire.decode_error(varint + b"message")
     header = wire.frame_header(wire.MSG_FETCH, 0)[:-1] + varint
@@ -504,11 +504,10 @@ def test_overlong_varints_are_refused(varint):
 
 @pytest.mark.parametrize("varint", [b"", b"\x80", b"\xff\xff"], ids=["empty", "1-byte", "2-bytes"])
 def test_truncated_varints_are_refused(varint):
-    session = struct.pack("<I", 1)
     with pytest.raises(MalformedFrame):
-        wire.decode_fetch(session + varint, FETCH_PARAMS, 6)
+        wire.decode_fetch(varint, FETCH_PARAMS, 0)
     with pytest.raises(MalformedFrame):
-        wire.decode_fetch(session + wire.pack_varints([2]) + b"\x01" + varint, FETCH_PARAMS, 6)
+        wire.decode_response(varint, 2, 5)
     with pytest.raises(MalformedFrame):
         wire.decode_error(varint)
     # A frame header whose length has not all arrived waits for the rest.
@@ -537,6 +536,17 @@ def test_version_3_frames_are_refused(msg_type):
         wire.split_frame(bytearray(frame))
 
 
+@pytest.mark.parametrize("msg_type", [wire.MSG_FETCH, wire.MSG_RESPONSE])
+def test_version_4_frames_are_refused(msg_type):
+    # A version 4 FETCH or RESPONSE opened with a u32 session id.
+    payload = struct.pack("<I", 1) + wire.pack_varints([0])
+    frame = struct.pack("<4sBB", wire.MAGIC, 4, msg_type) + wire.pack_varints([5]) + payload
+    with pytest.raises(MalformedFrame, match="version 4"):
+        roundtrip(frame)
+    with pytest.raises(MalformedFrame, match="version 4"):
+        wire.split_frame(bytearray(frame))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 257, 65537, 2**31 - 1])
 def test_max_request_payload_is_the_largest_query(q):
     params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=5)
@@ -546,27 +556,40 @@ def test_max_request_payload_is_the_largest_query(q):
     sizes = [len(roundtrip(wire.encode_query(params, bytes(32), sid, subqueries))[1])
              for sid in range(1, params.n + 1)]
     assert max(sizes) == wire.max_request_payload(params)
-    # A FETCH of every column, topping up a QUERY of one.
-    fetch_all = wire.encode_fetch(
-        wire.SESSION_IDS - 1, range(params.alpha), subqueries[1:], params)
-    assert len(roundtrip(fetch_all)[1]) <= wire.max_request_payload(params)
+    # The largest FETCH, topping up a QUERY of one to all alpha columns.
+    fetch_all = wire.encode_fetch(params, subqueries[1:])
+    assert len(roundtrip(fetch_all)[1]) < wire.max_request_payload(params)
 
 
-def test_max_request_payload_covers_a_fetch_larger_than_any_query():
-    # alpha = 60 columns of 120 one-bit symbols: the FETCH's 60 column
-    # bytes outweigh the one sub-query and the header it lacks.
-    params = SchemeParams(n=8, k=4, t=2, m=1, q=2)
-    subqueries = [[1] * params.query_length] * (params.alpha - 1)
-    fetch_all = wire.encode_fetch(
-        wire.SESSION_IDS - 1, range(params.alpha), subqueries, params)
-    assert len(roundtrip(fetch_all)[1]) == wire.max_request_payload(params)
-    query = wire.encode_query(
-        params, bytes(32), params.n, subqueries + [[0] * params.query_length])
-    assert len(roundtrip(query)[1]) < wire.max_request_payload(params)
+BULK = SchemeParams(n=4, k=2, t=1, m=64, q=257, s=64)  # the bulk benchmark's scheme
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_frame_sizes_do_not_depend_on_the_session_id():
-    for session in (0, 1, 200, wire.SESSION_IDS - 1):
-        assert len(wire.encode_response(session, [], 257)) == 12
-        assert len(wire.encode_response(session, [(1, 2)] * 2, 257)) == 7 + 4 + 1 + 4 + 1
-        assert len(wire.encode_fetch(session, [0, 1])) == 7 + 4 + 1 + 2
+def test_documented_frame_sizes():
+    # The sizes the wire module, README and net document, as (header,
+    # payload) bytes.
+    V = default_encoding_matrix(BULK)
+    query = make_queries(BULK, V, 1, seed=0, columns=BULK.prefix_cols(4))[3]
+    query.expand_to(BULK.prefix_cols(2))
+    slab = [BULK.q - 1] * BULK.s
+    frames = {
+        "QUERY": (wire.encode_query(BULK, bytes(32), 4, query.subqueries[:2]), (8, 905)),
+        "FETCH": (wire.encode_fetch(BULK, []), (7, 1)),
+        "ack": (wire.encode_response(BULK.q, []), (7, 1)),
+        "RESPONSE": (wire.encode_response(BULK.q, [slab] * 2), (8, 145)),
+        # Two servers up: a FETCH adds 4 sub-queries and 6 columns come back.
+        "top-up FETCH": (wire.encode_fetch(BULK, query.subqueries[2:]), (8, 1729)),
+        "RESPONSE of 6": (wire.encode_response(BULK.q, [slab] * 6), (8, 433)),
+    }
+    readme = README.read_text()
+    for name, (frame, (header, payload)) in frames.items():
+        assert len(roundtrip(frame)[1]) == payload, name
+        assert len(frame) == header + payload, name
+        text = f"{header} + {payload:,}"
+        assert text in wire.__doc__ and text in readme, name
+    # A retrieval from all four: a QUERY and a FETCH up, an ack and a RESPONSE down.
+    sizes = {name: len(frame) for name, (frame, _) in frames.items()}
+    up, down = 4 * (sizes["QUERY"] + sizes["FETCH"]), 4 * (sizes["ack"] + sizes["RESPONSE"])
+    assert (up, down) == (3684, 644)
+    assert "3,684 bytes up" in net.__doc__ and "644 bytes down" in net.__doc__
+    assert "3,684 bytes up and 644 down" in readme
