@@ -7,19 +7,28 @@ thread, over its n connections. Neither starts a thread per connection
 or per retrieval, so an idle peer holds a buffer, not a thread.
 
 Each server holds the replicated database and answers QUERY/FETCH
-frames; the client queries all n servers, waits for the responders
-protocol.ResponderWait chooses, then fetches from all of them at once
-only the prefix columns the plan needs, planning again if one drops.
+frames. The client connects to all n servers and plans its download for
+mu = min(target, servers connected), target being wait_for or n, as soon
+as target servers are connected or every connect has completed or
+failed. Each server is sent its QUERY once its connection is up, and the
+first mu connected are sent the plan's FETCH in the same write. A server
+answers the frames it has read together, so the acknowledgement and the
+RESPONSE come back in one write: with every connection reused and every
+server up, a retrieval is one write each way per server. The client
+waits for the responders protocol.ResponderWait chooses, fetches from
+them any prefix columns the plan still needs, and plans again if one
+drops.
 
 A download from mu responders reads the first prefix_cols(mu) columns of
 each, a prefix that shrinks as mu grows. So a QUERY carries only the
 sub-queries of the prefix for the target (wait_for, or n), and a FETCH
 adds those of the columns a smaller mu, or a re-plan after a drop, reads
 too. Which columns a server is sent depends on the target and on how
-many servers answered, never on the file. On the bulk benchmark's
-(4,2,1) GF(257) scheme with all four servers up, a retrieval sends each
-server a 913-byte QUERY and an 8-byte FETCH (3,684 bytes up), and reads
-back an 8-byte acknowledgement and a 153-byte RESPONSE (644 bytes down).
+many servers connected and answered, never on the file. On the bulk
+benchmark's (4,2,1) GF(257) scheme with all four servers up, a retrieval
+sends each server a 913-byte QUERY and an 8-byte FETCH in one write
+(3,684 bytes up), and reads back an 8-byte acknowledgement and a
+153-byte RESPONSE in one write (644 bytes down).
 
 The connections of the responders a retrieval decoded from stay open, at
 most n, for the next retrieval to the same endpoints. Each QUERY replaces
@@ -117,10 +126,15 @@ class _Conn:
 class PIRServer:
     """One server: a listening socket and the selector loop that serves it.
 
-    The loop accepts connections, reads each into its own buffer, answers
-    its whole frames one at a time and writes the replies back. A
-    connection is read only while it has nothing left to send, so a peer
-    that never reads holds at most one frame and one reply of memory.
+    The loop accepts connections and reads each into its own buffer. It
+    answers the whole frames read so far in batches, each written in one
+    send, so a QUERY and the FETCH behind it get their acknowledgement and
+    RESPONSE in one write. A batch takes replies while it is under one
+    largest reply (a RESPONSE of max_reply_payload bytes with its header),
+    so it stays under two. A connection is read only while it has nothing
+    left to send, so a peer that never reads holds at most the frames of
+    one read (wire.READ_CHUNK bytes, or one larger frame) and a batch of
+    replies.
     The connection is the session: a FETCH is answered with the
     projections of the sub-queries sent over it since its latest QUERY
     and not yet answered (see the wire module).
@@ -133,6 +147,10 @@ class PIRServer:
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         # Frames announcing more than this are refused unread.
         self.max_payload = wire.max_request_payload(params)
+        # A batch of replies written in one send takes replies while it is
+        # shorter than the largest reply frame.
+        largest = wire.max_reply_payload(params)
+        self.largest_reply = len(wire.frame_header(wire.MSG_RESPONSE, largest)) + largest
         self.socket = socket.create_server(address)
         self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
@@ -178,7 +196,9 @@ class PIRServer:
 
     def _serve(self, sel, conn: _Conn) -> None:
         """Write what `conn` is owed, or read from it; then answer its whole
-        frames until a reply cannot be written at once."""
+        frames, each batch of replies in one write, until a batch cannot be
+        written at once. A batch takes replies while it is under one largest
+        reply, so it never reaches two."""
         try:
             if conn.out:
                 conn.flush()
@@ -186,10 +206,15 @@ class PIRServer:
                 conn.close(sel)
                 return
             while not conn.out:
-                frame = wire.split_frame(conn.inbuf, self.max_payload)
-                if frame is None:
+                owed = b""
+                while len(owed) < self.largest_reply:
+                    frame = wire.split_frame(conn.inbuf, self.max_payload)
+                    if frame is None:
+                        break
+                    owed += self._reply(conn, *frame)
+                if not owed:
                     break
-                conn.out = memoryview(self._reply(conn, *frame))
+                conn.out = memoryview(owed)
                 conn.flush()
         except (OSError, MalformedFrame):  # a broken connection, or a bad header
             conn.close(sel)
@@ -210,6 +235,7 @@ class PIRServer:
 
     def _dispatch(self, conn: _Conn, msg_type: int, payload: bytes) -> bytes:
         if msg_type == wire.MSG_QUERY:
+            conn.pending = None  # a refused QUERY leaves a FETCH behind it nothing to top up
             _, conn.pending = wire.decode_query(payload, self.params, self.fingerprint)
             conn.since_query = len(conn.pending)
             return wire.encode_response(self.params.q, [])
@@ -300,8 +326,9 @@ class _Peer(_Conn):
         self.sid = sid
         self.endpoint: tuple = ()
         self.addrs: Optional[list] = None  # addresses not yet tried; None: unresolved
-        self.connecting = False
+        self.connecting = False  # its socket has not been sent a QUERY yet
         self.reused = False  # its socket was idle, kept from a past retrieval
+        self.slabs: List[tuple] = []  # the columns it answered, in order
         self.asked = 0  # columns of the FETCH in flight
         self.expires = math.inf  # when the FETCH in flight fails
 
@@ -309,16 +336,25 @@ class _Peer(_Conn):
 class _Retrieval:
     """One retrieval's connections and the selector loop that moves them on.
 
-    Every server is connected to, or its idle connection taken, and then
-    sent its query: the sub-queries it holds. A server settles in `wait`
-    when its handshake completes or fails; one still unsettled when the
-    wait ends is late. A reused connection that fails before any reply
-    is replaced by a fresh connect, whose failure alone settles a server.
-    Each responder then holds the prefix columns in `columns` and is sent
-    a FETCH for the rest of the plan's prefix, `want`, with the
-    sub-queries of those columns it has not been sent, whenever it holds
-    fewer and has none in flight. A FETCH that fails, or whose round trip
-    outlives the deadline, drops its server from `columns`. Only
+    Every server is connected to, or its idle connection taken. One
+    selector pass that does not wait then finds the connects that have
+    already completed or failed, before any QUERY goes out. The download
+    is planned as soon as `target` connections are up, or every connect
+    has completed or failed: mu = min(target, connections up), if at least
+    k. Each server is sent its QUERY once its connection is up, and the
+    first mu up (`columns`) a FETCH for the plan's prefix, `want`, in the
+    same write, or at once when the plan is made if their QUERY went out
+    before it. A server settles in `wait` when its acknowledgement arrives
+    or its handshake fails; one still unsettled when the wait ends is
+    late. A reused connection that fails before any reply is replaced by a
+    fresh connect, whose failure alone settles a server.
+
+    The responders then replace `columns`. Each is sent a FETCH for the
+    plan's prefix columns it lacks, whenever it has none in flight, with
+    the sub-queries of those columns it has not been sent. A FETCH that
+    fails, or whose round trip outlives the deadline, drops its server
+    from `columns`; the round trip counts from the server's
+    acknowledgement, or from the FETCH if that was sent after it. Only
     connections with a reply due are in the selector.
     """
 
@@ -327,26 +363,38 @@ class _Retrieval:
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         self.max_reply = wire.max_reply_payload(params)
         self.queries = queries
+        self.first = params.prefix_cols(wait.target)  # the columns a QUERY carries
         self.wait = wait
         self.sel = selectors.DefaultSelector()
         self.start = time.monotonic()
         self.peers = [_Peer(sid) for sid in range(1, params.n + 1)]
+        self.up: List[_Peer] = []  # connected, in the order their connects completed
+        self.started = False  # QUERYs go out once the first selector pass is done
         self.mismatch: Optional[HandshakeMismatch] = None
-        self.columns: Dict[int, List[tuple]] = {}  # responder -> slabs held
-        self.want = 0  # prefix columns every responder should hold
+        self.columns: Dict[int, List[tuple]] = {}  # server fetched from -> slabs held
+        self.want = 0  # prefix columns every server fetched from should hold; 0: no plan
         self.connects = 0
 
     def connect(self, endpoints: Sequence[Tuple[str, int]]) -> None:
         """Take each endpoint's idle connection, if it is still open, or
-        start a non-blocking connect to it."""
+        start a non-blocking connect to it; then plan if the connects
+        settled so far allow it, and send every QUERY that can go out."""
         for peer, endpoint in zip(self.peers, endpoints):
             peer.endpoint = tuple(endpoint[:2])
             peer.sock = _take_idle(peer.endpoint)
             if peer.sock is None:
                 self._connect(peer)
-            else:  # connected: send its QUERY now
+            else:
                 peer.reused = peer.connecting = True
-                self._step(peer, _WRITE)
+                self.up.append(peer)
+        # A pass that does not wait: the connects that have completed or
+        # failed by now (on loopback, every one) count toward the plan.
+        for key, mask in self.sel.select(0):
+            self._step(key.data, mask)
+        self.started = True
+        self._plan()
+        for peer in list(self.up):
+            self._step(peer, _WRITE)
 
     def _connect(self, peer: _Peer, error: int = 0) -> None:
         """Start a non-blocking connect to the endpoint's next address,
@@ -376,8 +424,10 @@ class _Retrieval:
     def _fail(self, peer: _Peer, outcome: str) -> None:
         peer.close(self.sel)
         if peer.reused and not peer.received:  # stale: the server may be up
+            peer.asked = 0  # what the stale socket was sent goes out again
             return self._connect(peer)
         self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
+        self._plan()
 
     def _lose(self, peer: _Peer, exc: Exception) -> None:
         """A connection failed: before its handshake completed its server
@@ -391,26 +441,54 @@ class _Retrieval:
         else:
             self._fail(peer, "error")
 
+    def _plan(self) -> None:
+        """Plan the download, once, when `target` connections are up or
+        every connect has completed or failed: FETCH from the first
+        mu = min(target, up), each with its QUERY or, if that went out
+        before, at once."""
+        if self.want:
+            return
+        up = [peer for peer in self.up if peer.sock is not None]
+        if len(up) < self.wait.target and not all(
+                peer in self.up or peer.sid in self.wait.failures for peer in self.peers):
+            return
+        mu = min(self.wait.target, len(up))
+        if mu < self.params.k:  # fewer than k: the wait decides
+            return
+        self.want = self.params.prefix_cols(mu)
+        self.columns = {peer.sid: peer.slabs for peer in up[:mu]}
+        for peer in up[:mu]:
+            if not peer.connecting:
+                self._request(peer)
+
     def _step(self, peer: _Peer, mask: int) -> None:
         """Move one connection on after its socket became ready."""
         try:
             if mask & _WRITE:
-                if peer.connecting:
-                    error = peer.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-                    if error:
-                        peer.close(self.sel)
-                        return self._connect(peer, error)
-                    peer.connecting = False
-                    # Encoded only now, so a server that is down costs no upload.
-                    peer.out = memoryview(wire.encode_query(
-                        self.params, self.fingerprint, peer.sid,
-                        self.queries[peer.sid - 1].subqueries))
-                self._send(peer)
-                return
+                if not peer.connecting:
+                    return self._send(peer)
+                error = peer.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if error:
+                    peer.close(self.sel)
+                    return self._connect(peer, error)
+                if peer not in self.up:
+                    self.up.append(peer)
+                if not self.started:  # the first pass only finds which connects are up
+                    return
+                self._plan()
+                peer.connecting = False
+                # Encoded only now, so a server that is down costs no upload.
+                peer.out = memoryview(wire.encode_query(
+                    self.params, self.fingerprint, peer.sid,
+                    self.queries[peer.sid - 1].subqueries[: self.first]))
+                return self._request(peer)  # with the plan's FETCH, if it has one
             if not peer.recv():
                 raise MalformedFrame("connection closed mid-frame")
-            frame = wire.split_frame(peer.inbuf, self.max_reply)
-            if frame is not None:
+            # An acknowledgement and a RESPONSE may arrive together.
+            while peer.sock is not None:
+                frame = wire.split_frame(peer.inbuf, self.max_reply)
+                if frame is None:
+                    break
                 self._on_frame(peer, *frame)
         except (OSError, StaircasePIRError) as exc:
             self._lose(peer, exc)
@@ -424,36 +502,41 @@ class _Retrieval:
             if code == wire.ERR_HANDSHAKE:
                 raise HandshakeMismatch(message)
             raise StaircasePIRError(message)
-        peer.expires = math.inf
         if peer.sid not in self.wait.arrived:
             wire.decode_response(payload, 0, self.params.q)  # the acknowledgement
-            self.wait.settle(peer.sid, time.monotonic() - self.start)
+            now = time.monotonic()
+            self.wait.settle(peer.sid, now - self.start)
+            if peer.asked:  # its FETCH went with the QUERY: the round trip starts now
+                peer.expires = now + self.wait.deadline
         else:
             _, slabs = wire.decode_response(payload, self.params.s, self.params.q)
             if len(slabs) != peer.asked:
                 raise MalformedFrame(f"{len(slabs)} columns for a FETCH of {peer.asked}")
-            self.columns[peer.sid].extend(slabs)
-            peer.asked = 0
+            peer.slabs.extend(slabs)
+            peer.asked, peer.expires = 0, math.inf
             self._request(peer)
         if not peer.asked:
             peer.watch(self.sel, 0)  # idle until it is fetched from
 
     def _request(self, peer: _Peer) -> None:
-        """Send the responder a FETCH, unless it has one in flight, adding the
-        sub-queries it was not sent; all the prefix columns it lacks come back."""
-        held = len(self.columns[peer.sid])
-        if peer.asked or held >= self.want:
-            return
-        query = self.queries[peer.sid - 1]
-        sent = len(query.subqueries)  # every one expanded so far has been sent
-        query.expand_to(self.want)
-        peer.asked = self.want - held
-        peer.expires = time.monotonic() + self.wait.deadline
-        peer.out = memoryview(wire.encode_fetch(self.params, query.subqueries[sent:]))
-        try:
-            self._send(peer)
-        except OSError as exc:
-            self._lose(peer, exc)
+        """Queue the peer a FETCH if it is fetched from, has none in flight
+        and holds fewer than `want` columns, behind its QUERY if that is not
+        written yet; then write what it is owed. The FETCH adds the
+        sub-queries the peer was not sent; all the columns it lacks come back."""
+        held = len(peer.slabs)
+        if peer.sid in self.columns and not peer.asked and held < self.want:
+            query = self.queries[peer.sid - 1]
+            query.expand_to(self.want)
+            peer.asked = self.want - held
+            if peer.sid in self.wait.arrived:  # else from its acknowledgement
+                peer.expires = time.monotonic() + self.wait.deadline
+            peer.out = memoryview(bytes(peer.out) + wire.encode_fetch(
+                self.params, query.subqueries[max(held, self.first) : self.want]))
+        if peer.out:
+            try:
+                self._send(peer)
+            except OSError as exc:
+                self._lose(peer, exc)
 
     def _run_until(self, done: Callable[[], bool], until: float) -> None:
         """Handle socket events until done() holds or `until` has passed. A
@@ -482,7 +565,8 @@ class _Retrieval:
         for peer in self.peers:
             if peer.sid not in responders:
                 peer.close(self.sel)
-        self.columns = {sid: [] for sid in responders}
+        self.columns = {peer.sid: peer.slabs for peer in self.peers
+                        if peer.sid in responders and peer.sock is not None}
         return responders
 
     def fetch(self):
@@ -535,13 +619,24 @@ def retrieve(
     outside [k, n], or a `deadline_s` outside (0, MAX_DEADLINE_S], raises
     OutOfRange before anything is sent.
 
-    Each QUERY carries the sub-queries of the first
-    prefix_cols(wait_for or n) columns; its acknowledgement is 8 bytes. The
-    responders are then sent a FETCH, all at once, adding the sub-queries
-    of the plan's prefix columns past those (8 bytes if none), and answer
-    with all its prefix columns. A responder whose FETCH fails,
-    or whose FETCH round trip as a whole takes longer than `deadline_s`
-    (however its bytes trickle in), is dropped: the client plans again
+    Each QUERY carries the sub-queries of the first prefix_cols(target)
+    columns, target being wait_for or n; its acknowledgement is 8 bytes.
+    The download is planned for mu = min(target, servers connected) as
+    soon as target servers are connected or every connect has completed
+    or failed; connects that completed or failed before the first QUERY
+    (on loopback, all of them) count. The first mu servers to connect are
+    sent a FETCH in the same write as their QUERY, or as soon as the plan
+    is made if their QUERY went before it. It adds the sub-queries of the
+    plan's prefix columns past the QUERY's (8 bytes if none), and the
+    server answers it with all those columns, in the same write as the
+    acknowledgement. A QUERY never waits for the plan or for another
+    server. Once the wait ends, a responder that lacks columns of the
+    plan, redone for the responders, is sent a FETCH for them. A
+    responder whose FETCH fails, or whose FETCH round trip as a whole
+    takes longer than `deadline_s` (however its bytes trickle in), is
+    dropped. The round trip counts from the server's acknowledgement, or
+    from the FETCH if that was sent later, so a server silent until the
+    deadline is late, not dropped. After a drop the client plans again
     with the others and fetches from them only the extra columns, or
     raises InsufficientResponders if fewer than k are left. It all runs
     in the caller's thread.

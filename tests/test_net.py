@@ -651,6 +651,20 @@ def test_retrieve_reports_the_deadline_it_waited_out(cluster321):
     assert 0.3 <= metrics.wait_s <= elapsed
 
 
+def test_a_hung_connect_holds_back_no_other_query(cluster321):
+    params, V, files, _, endpoints = cluster321
+    with socket.create_server(("127.0.0.1", 0), backlog=0) as full, \
+            socket.create_connection(full.getsockname(), timeout=2):
+        # The connection above fills its accept queue, so the retrieval's
+        # connect never completes and no plan is made before the deadline.
+        decoded, metrics = retrieve(
+            endpoints[:2] + [full.getsockname()], params, V, 1, deadline_s=0.3, seed=2
+        )
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "late"}
+    assert 0.3 <= metrics.wait_s
+
+
 @pytest.mark.parametrize("down", [0, 1])
 def test_retrieval_bytes_are_the_frames_encoded(cluster321, monkeypatch, down):
     # What the client's sockets wrote and read is exactly the frames the
@@ -828,3 +842,111 @@ def test_concurrent_retrievals_share_the_idle_connections(cluster321):
     assert failures == []
     assert idle_endpoints(endpoints) == set(endpoints)
     assert len(net._idle) <= params.n
+
+
+def test_each_side_writes_once_per_server(cluster321, monkeypatch):
+    # A QUERY goes out with its FETCH, and the server answers both in one
+    # reply: on reused connections that is one write each way per server.
+    params, V, files, _, endpoints = cluster321
+    retrieve(endpoints, params, V, 1, seed=1)
+    writes, reads = {}, {}
+    flush, recv = net._Conn.flush, net._Conn.recv
+
+    def counting(calls, method):
+        def wrapped(conn):
+            key = ("client", conn.sid) if isinstance(conn, net._Peer) else ("server", id(conn))
+            calls[key] = calls.get(key, 0) + 1
+            return method(conn)
+        return wrapped
+
+    monkeypatch.setattr(net._Conn, "flush", counting(writes, flush))
+    monkeypatch.setattr(net._Conn, "recv", counting(reads, recv))
+    decoded, metrics = retrieve(endpoints, params, V, 2, seed=2)
+    monkeypatch.undo()
+    assert decoded == files[1]
+    assert metrics.connects == 0
+    assert {key: count for key, count in writes.items() if key[0] == "client"} == {
+        ("client", sid): 1 for sid in range(1, params.n + 1)}
+    served = [key for key in writes if key[0] == "server"]
+    assert len(served) == params.n
+    assert all(writes[key] == reads[key] == 1 for key in served)
+
+
+def test_wait_for_pipelines_only_wait_for_fetches(cluster321, monkeypatch):
+    # The plan is made for min(wait_for, connected) = 2 servers, so only two
+    # FETCHes go out before any acknowledgement is read.
+    params, V, files, _, endpoints = cluster321
+    events = []
+    encode_fetch, decode_response = wire.encode_fetch, wire.decode_response
+
+    def fetching(*args):
+        events.append("fetch")
+        return encode_fetch(*args)
+
+    def decoding(payload, s, q):
+        events.append("response" if s else "ack")
+        return decode_response(payload, s, q)
+
+    monkeypatch.setattr(wire, "encode_fetch", fetching)
+    monkeypatch.setattr(wire, "decode_response", decoding)
+    for i in (1, 2):  # fresh connections, then reused ones
+        del events[:]
+        decoded, metrics = retrieve(endpoints, params, V, i, wait_for=2, seed=i)
+        assert decoded == files[i - 1]
+        assert metrics.realized_mu == 2
+        assert "ack" in events
+        assert events[: events.index("ack")].count("fetch") <= 2
+
+
+def test_a_refused_handshake_with_a_fetch_behind_it_projects_nothing(
+        cluster321, monkeypatch, spied_projections):
+    # Server 3 is down, so the plan is for mu = 2 and each QUERY carries a
+    # FETCH adding a column. Over connections reused from a retrieval that
+    # succeeded, the QUERY is refused: the FETCH behind it tops up nothing.
+    params, V, _, servers, endpoints = cluster321
+    retrieve(endpoints, params, V, 1, seed=1)
+    shutdown(servers[2:])
+    projected = spied_projections[0]
+    received = {id(srv): [] for srv in servers}
+    dispatch = net.PIRServer._dispatch
+
+    def recording(self, conn, msg_type, payload):
+        received[id(self)].append(msg_type)
+        return dispatch(self, conn, msg_type, payload)
+
+    monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
+    other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
+    with pytest.raises(HandshakeMismatch):
+        retrieve(endpoints, other, default_encoding_matrix(other), 1, seed=0)
+    assert [received[id(srv)] for srv in servers[:2]] == [[wire.MSG_QUERY, wire.MSG_FETCH]] * 2
+    assert spied_projections == [projected]
+
+
+def test_server_batches_stay_under_two_largest_replies(server421, monkeypatch):
+    # A peer pipelines 50 QUERY + FETCH pairs in one write and never reads;
+    # the server answers them in batches that each stay under two replies.
+    params, V, endpoint = server421
+    largest = wire.max_reply_payload(params)
+    bound = 2 * (len(wire.frame_header(wire.MSG_RESPONSE, largest)) + largest)
+    owed, served = [], []
+    flush = net._Conn.flush
+
+    def recording(conn):
+        if not isinstance(conn, net._Peer):
+            owed.append(len(conn.out))
+            served.append(conn)
+        return flush(conn)
+
+    monkeypatch.setattr(net._Conn, "flush", recording)
+    query = make_queries(params, V, 1, seed=0)[0]
+    pair = (wire.encode_query(params, matrix_fingerprint(params, V), 1, query.subqueries[:2])
+            + wire.encode_fetch(params, query.subqueries[2:]))
+    reply = (wire.encode_response(params.q, [])
+             + wire.encode_response(params.q, [[0] * params.s] * params.alpha))
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        sock.sendall(pair * 50)
+        end = time.monotonic() + 5
+        while not (served and served[-1].sent == 50 * len(reply)) and time.monotonic() < end:
+            time.sleep(0.01)
+        assert served and served[-1].sent == 50 * len(reply)
+    assert 0 < max(owed) <= bound
