@@ -136,16 +136,21 @@ def write_manifest(path: str, manifest: Dict) -> None:
 def read_manifest(path: str) -> Dict:
     """The manifest at `path`; ValueError unless it has integer n, k, t, m,
     q, s and bits_per_symbol, and m file entries, each with an integer
-    orig_len >= 0."""
+    orig_len >= 0, or the error SchemeParams raises for its scheme. It must
+    also restore each file's own bytes: a symbol carries bits_per_symbol in
+    [1, q.bit_length() - 1] bits, and no orig_len exceeds the bytes a
+    file's symbols hold."""
     with open(path) as fh:
         manifest = json.load(fh)
     ints = ("n", "k", "t", "m", "q", "s", "bits_per_symbol")
     try:
         if (all(type(manifest[key]) is int for key in ints)
                 and len(manifest["files"]) == manifest["m"]
-                and all(type(f["orig_len"]) is int and f["orig_len"] >= 0
-                        for f in manifest["files"])):
-            return manifest
+                and 1 <= manifest["bits_per_symbol"] < manifest["q"].bit_length()):
+            held = params_from_manifest(manifest).file_symbols * manifest["bits_per_symbol"] // 8
+            if all(type(f["orig_len"]) is int and 0 <= f["orig_len"] <= held
+                   for f in manifest["files"]):
+                return manifest
     except (KeyError, TypeError):  # a key missing, or a value of the wrong kind
         pass
     raise ValueError(f"{path} is not a manifest of the form ingest writes")

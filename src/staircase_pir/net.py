@@ -7,28 +7,44 @@ thread, over its n connections. Neither starts a thread per connection
 or per retrieval, so an idle peer holds a buffer, not a thread.
 
 Each server holds the replicated database and answers QUERY/FETCH
-frames. The client connects to all n servers and plans its download for
-mu = min(target, servers connected), target being wait_for or n, as soon
-as target servers are connected or every connect has completed or
-failed. Each server is sent its QUERY once its connection is up, and the
-first mu connected are sent the plan's FETCH in the same write. A server
-answers the frames it has read together, so the acknowledgement and the
-RESPONSE come back in one write: with every connection reused and every
-server up, a retrieval is one write each way per server. The client
-waits for the responders protocol.ResponderWait chooses, fetches from
-them any prefix columns the plan still needs, and plans again if one
-drops.
+frames. A retrieval applies one rule: decode from the mu servers that
+respond, reading the first prefix_cols(mu) columns of each, and apply it
+again when one drops. Every plan it makes is a protocol.DownloadPlan.
 
-A download from mu responders reads the first prefix_cols(mu) columns of
-each, a prefix that shrinks as mu grows. So a QUERY carries only the
-sub-queries of the prefix for the target (wait_for, or n), and a FETCH
-adds those of the columns a smaller mu, or a re-plan after a drop, reads
-too. Which columns a server is sent depends on the target and on how
-many servers connected and answered, never on the file. On the bulk
-benchmark's (4,2,1) GF(257) scheme with all four servers up, a retrieval
-sends each server a 913-byte QUERY and an 8-byte FETCH in one write
-(3,684 bytes up), and reads back an 8-byte acknowledgement and a
-153-byte RESPONSE in one write (644 bytes down).
+- The client takes each server's idle connection, or starts a connect
+  to it, and makes one selector pass that does not wait: the connects
+  that have completed or failed by then (on loopback, every one) are
+  known before any QUERY goes out. Each server is sent its QUERY once
+  its connection is up, never held back for another server. A reused
+  connection that fails before its first reply is replaced by one fresh
+  connect, whose failure alone settles the server.
+- The first plan is for mu = min(target, servers connected), target
+  being wait_for or n, made once target servers are connected or every
+  connect has completed or failed. The first mu to connect are sent the
+  plan's FETCH in the same write as their QUERY, or at once if their
+  QUERY went out before it. A server answers the frames it has read together, so
+  the acknowledgement and the RESPONSE come back in one write: with
+  every connection reused and every server up, a retrieval is one write
+  each way per server.
+- The client waits for acknowledgements as protocol.ResponderWait
+  decides: a server settles when its acknowledgement arrives or its
+  connection fails. A server that refuses its QUERY ends the retrieval
+  at once.
+- When the wait ends, the plan is made again for the responders the
+  wait chose, and each is sent a FETCH for the prefix columns it lacks,
+  if any. A responder whose FETCH fails, or whose round trip outlives
+  the deadline, is dropped, and the plan is made again for the others.
+  The round trip counts from the server's acknowledgement, or from the
+  FETCH if that was sent after it.
+
+A QUERY carries only the sub-queries of the prefix for the target, and
+a FETCH adds those of the columns a smaller mu, or a plan made again
+after a drop, reads too. Which columns a server is sent depends on the
+target and on how many servers connected and answered, never on the
+file. On the bulk benchmark's (4,2,1) GF(257) scheme with all four
+servers up, a retrieval sends each server a 913-byte QUERY and an 8-byte
+FETCH in one write (3,684 bytes up), and reads back an 8-byte
+acknowledgement and a 153-byte RESPONSE in one write (644 bytes down).
 
 The connections of the responders a retrieval decoded from stay open, at
 most n, for the next retrieval to the same endpoints. Each QUERY replaces
@@ -48,7 +64,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import protocol, wire
 from .errors import (
@@ -334,28 +350,15 @@ class _Peer(_Conn):
 
 
 class _Retrieval:
-    """One retrieval's connections and the selector loop that moves them on.
+    """One retrieval's connections, download plan and selector loop.
 
-    Every server is connected to, or its idle connection taken. One
-    selector pass that does not wait then finds the connects that have
-    already completed or failed, before any QUERY goes out. The download
-    is planned as soon as `target` connections are up, or every connect
-    has completed or failed: mu = min(target, connections up), if at least
-    k. Each server is sent its QUERY once its connection is up, and the
-    first mu up (`columns`) a FETCH for the plan's prefix, `want`, in the
-    same write, or at once when the plan is made if their QUERY went out
-    before it. A server settles in `wait` when its acknowledgement arrives
-    or its handshake fails; one still unsettled when the wait ends is
-    late. A reused connection that fails before any reply is replaced by a
-    fresh connect, whose failure alone settles a server.
-
-    The responders then replace `columns`. Each is sent a FETCH for the
-    plan's prefix columns it lacks, whenever it has none in flight, with
-    the sub-queries of those columns it has not been sent. A FETCH that
-    fails, or whose round trip outlives the deadline, drops its server
-    from `columns`; the round trip counts from the server's
-    acknowledgement, or from the FETCH if that was sent after it. Only
-    connections with a reply due are in the selector.
+    run() takes the retrieval through the module's flow and returns
+    (plan, responses), responses mapping each of the plan's responders to
+    the columns it answered, at least plan.prefix_cols of them. It raises
+    HandshakeMismatch as soon as a server refuses its QUERY, and
+    InsufficientResponders if fewer than k servers acknowledged theirs by
+    the end of the wait, or fewer than k responders are left after drops.
+    `responders` holds the servers the wait chose once it has ended.
     """
 
     def __init__(self, queries, V: Matrix, wait: protocol.ResponderWait):
@@ -369,16 +372,12 @@ class _Retrieval:
         self.start = time.monotonic()
         self.peers = [_Peer(sid) for sid in range(1, params.n + 1)]
         self.up: List[_Peer] = []  # connected, in the order their connects completed
-        self.started = False  # QUERYs go out once the first selector pass is done
-        self.mismatch: Optional[HandshakeMismatch] = None
-        self.columns: Dict[int, List[tuple]] = {}  # server fetched from -> slabs held
-        self.want = 0  # prefix columns every server fetched from should hold; 0: no plan
+        self.plan: Optional[protocol.DownloadPlan] = None  # the servers fetched from
+        self.responders: Optional[List[int]] = None  # None: still waiting
         self.connects = 0
 
-    def connect(self, endpoints: Sequence[Tuple[str, int]]) -> None:
-        """Take each endpoint's idle connection, if it is still open, or
-        start a non-blocking connect to it; then plan if the connects
-        settled so far allow it, and send every QUERY that can go out."""
+    def run(self, endpoints: Sequence[Tuple[str, int]]):
+        """(plan, responses), as the class docstring says."""
         for peer, endpoint in zip(self.peers, endpoints):
             peer.endpoint = tuple(endpoint[:2])
             peer.sock = _take_idle(peer.endpoint)
@@ -388,13 +387,32 @@ class _Retrieval:
                 peer.reused = peer.connecting = True
                 self.up.append(peer)
         # A pass that does not wait: the connects that have completed or
-        # failed by now (on loopback, every one) count toward the plan.
-        for key, mask in self.sel.select(0):
-            self._step(key.data, mask)
-        self.started = True
-        self._plan()
+        # failed by now (on loopback, every one) count toward the first plan.
+        for key, _ in self.sel.select(0):
+            self._connected(key.data)
         for peer in list(self.up):
-            self._step(peer, _WRITE)
+            self._query(peer)
+        until = self.start + self.wait.deadline  # the wait's end; then only FETCH expiries
+        while self.responders is None or any(
+                len(self.peers[sid - 1].slabs) < self.plan.prefix_cols
+                for sid in self.plan.responders):
+            now = time.monotonic()
+            if self.responders is None and (self.wait.done or now >= until):
+                self.responders = self.wait.responders()
+                for peer in self.peers:
+                    if peer.sid not in self.responders:
+                        peer.close(self.sel)
+                self._replan(self.responders)
+                until = math.inf
+                continue
+            pending = [key.data for key in self.sel.get_map().values()]  # a reply due
+            for key, mask in self.sel.select(min([until] + [p.expires for p in pending]) - now):
+                self._step(key.data, mask)
+            now = time.monotonic()
+            for peer in pending:  # a FETCH that outlives its expiry fails as if timed out
+                if peer.events and peer.expires <= now:
+                    self._fail(peer, TimeoutError())
+        return self.plan, {sid: self.peers[sid - 1].slabs for sid in self.plan.responders}
 
     def _connect(self, peer: _Peer, error: int = 0) -> None:
         """Start a non-blocking connect to the endpoint's next address,
@@ -403,8 +421,8 @@ class _Retrieval:
             peer.reused = False
             try:
                 peer.addrs = socket.getaddrinfo(*peer.endpoint, 0, socket.SOCK_STREAM)
-            except OSError:
-                return self._fail(peer, "error")
+            except OSError as exc:
+                return self._fail(peer, exc)
         while peer.addrs:
             family, kind, proto, _, addr = peer.addrs.pop(0)
             self.connects += 1
@@ -419,69 +437,79 @@ class _Retrieval:
                 peer.watch(self.sel, _WRITE)
                 return
             peer.close(self.sel)
-        self._fail(peer, "refused" if error == errno.ECONNREFUSED else "error")
+        self._fail(peer, OSError(error, "connect failed"))  # ConnectionRefusedError if refused
 
-    def _fail(self, peer: _Peer, outcome: str) -> None:
-        peer.close(self.sel)
-        if peer.reused and not peer.received:  # stale: the server may be up
-            peer.asked = 0  # what the stale socket was sent goes out again
-            return self._connect(peer)
-        self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
-        self._plan()
-
-    def _lose(self, peer: _Peer, exc: Exception) -> None:
-        """A connection failed: before its handshake completed its server
-        has failed; after, it is dropped as a responder."""
-        if peer.sid in self.wait.arrived:  # its QUERY was acknowledged
+    def _connected(self, peer: _Peer) -> bool:
+        """Whether the peer's connect completed; if it failed, the next
+        address is tried."""
+        error = peer.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if error:
             peer.close(self.sel)
-            self.columns.pop(peer.sid, None)
+            self._connect(peer, error)
+            return False
+        if peer not in self.up:
+            self.up.append(peer)
+        return True
+
+    def _fail(self, peer: _Peer, exc: Exception) -> None:
+        """A connection failed. After its server's acknowledgement, the server
+        is dropped, and once the wait is over the plan is made again without
+        it. Before, a refused QUERY ends the retrieval, a reused socket that
+        failed before any reply is replaced by a fresh connect, and anything
+        else settles the server as failed."""
+        peer.close(self.sel)
+        if peer.sid in self.wait.arrived:
+            if self.responders is not None:
+                self._replan(self.plan.responders)
         elif isinstance(exc, HandshakeMismatch):
-            self._fail(peer, "handshake-mismatch")
-            self.mismatch = self.mismatch or exc
+            raise exc
+        elif peer.reused and not peer.received:  # stale: the server may be up
+            peer.asked = 0  # what the stale socket was sent goes out again
+            self._connect(peer)
         else:
-            self._fail(peer, "error")
+            outcome = "refused" if isinstance(exc, ConnectionRefusedError) else "error"
+            self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
+            self._plan()
 
     def _plan(self) -> None:
-        """Plan the download, once, when `target` connections are up or
-        every connect has completed or failed: FETCH from the first
-        mu = min(target, up), each with its QUERY or, if that went out
-        before, at once."""
-        if self.want:
-            return
+        """Make the first plan, unless there is one, once `target`
+        connections are up or every connect has completed or failed: for
+        the first mu = min(target, up) to connect, if at least k."""
         up = [peer for peer in self.up if peer.sock is not None]
-        if len(up) < self.wait.target and not all(
-                peer in self.up or peer.sid in self.wait.failures for peer in self.peers):
-            return
-        mu = min(self.wait.target, len(up))
-        if mu < self.params.k:  # fewer than k: the wait decides
-            return
-        self.want = self.params.prefix_cols(mu)
-        self.columns = {peer.sid: peer.slabs for peer in up[:mu]}
-        for peer in up[:mu]:
-            if not peer.connecting:
+        if self.plan is None and len(up) >= self.params.k and (
+                len(up) >= self.wait.target or all(
+                    peer in self.up or peer.sid in self.wait.failures for peer in self.peers)):
+            self._replan([peer.sid for peer in up[: self.wait.target]])
+
+    def _replan(self, sids) -> None:
+        """Plan the download from the servers `sids` still connected, and
+        send each the FETCH it now lacks, or leave it to go with the QUERY."""
+        peers = [peer for peer in self.peers if peer.sid in sids and peer.sock is not None]
+        self.plan = protocol.plan_download(self.params, [peer.sid for peer in peers])
+        for peer in peers:
+            if peer.sock is not None and not peer.connecting:  # a drop may have closed it
                 self._request(peer)
+
+    def _query(self, peer: _Peer) -> None:
+        """Send the peer its QUERY, with the plan's FETCH if it is fetched
+        from; the first plan is made first if its connection allows it."""
+        self._plan()
+        peer.connecting = False
+        # Encoded only now, so a server that is down costs no upload.
+        peer.out = memoryview(wire.encode_query(
+            self.params, self.fingerprint, peer.sid,
+            self.queries[peer.sid - 1].subqueries[: self.first]))
+        self._request(peer)
 
     def _step(self, peer: _Peer, mask: int) -> None:
         """Move one connection on after its socket became ready."""
         try:
             if mask & _WRITE:
                 if not peer.connecting:
-                    return self._send(peer)
-                error = peer.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-                if error:
-                    peer.close(self.sel)
-                    return self._connect(peer, error)
-                if peer not in self.up:
-                    self.up.append(peer)
-                if not self.started:  # the first pass only finds which connects are up
-                    return
-                self._plan()
-                peer.connecting = False
-                # Encoded only now, so a server that is down costs no upload.
-                peer.out = memoryview(wire.encode_query(
-                    self.params, self.fingerprint, peer.sid,
-                    self.queries[peer.sid - 1].subqueries[: self.first]))
-                return self._request(peer)  # with the plan's FETCH, if it has one
+                    self._request(peer)
+                elif self._connected(peer):
+                    self._query(peer)
+                return
             if not peer.recv():
                 raise MalformedFrame("connection closed mid-frame")
             # An acknowledgement and a RESPONSE may arrive together.
@@ -491,10 +519,7 @@ class _Retrieval:
                     break
                 self._on_frame(peer, *frame)
         except (OSError, StaircasePIRError) as exc:
-            self._lose(peer, exc)
-
-    def _send(self, peer: _Peer) -> None:
-        peer.watch(self.sel, _READ if peer.flush() else _WRITE)
+            self._fail(peer, exc)
 
     def _on_frame(self, peer: _Peer, msg_type: int, payload: bytes) -> None:
         if msg_type == wire.MSG_ERROR:
@@ -519,77 +544,31 @@ class _Retrieval:
             peer.watch(self.sel, 0)  # idle until it is fetched from
 
     def _request(self, peer: _Peer) -> None:
-        """Queue the peer a FETCH if it is fetched from, has none in flight
-        and holds fewer than `want` columns, behind its QUERY if that is not
-        written yet; then write what it is owed. The FETCH adds the
-        sub-queries the peer was not sent; all the columns it lacks come back."""
-        held = len(peer.slabs)
-        if peer.sid in self.columns and not peer.asked and held < self.want:
+        """Queue the peer a FETCH if the plan fetches from it, it has none in
+        flight and it holds fewer than the plan's prefix columns, behind its
+        QUERY if that is not written yet; then write what it is owed. The
+        FETCH adds the sub-queries the peer was not sent; all the columns it
+        lacks come back."""
+        held, plan = len(peer.slabs), self.plan
+        if plan and peer.sid in plan.responders and not peer.asked and held < plan.prefix_cols:
             query = self.queries[peer.sid - 1]
-            query.expand_to(self.want)
-            peer.asked = self.want - held
+            query.expand_to(plan.prefix_cols)
+            peer.asked = plan.prefix_cols - held
             if peer.sid in self.wait.arrived:  # else from its acknowledgement
                 peer.expires = time.monotonic() + self.wait.deadline
             peer.out = memoryview(bytes(peer.out) + wire.encode_fetch(
-                self.params, query.subqueries[max(held, self.first) : self.want]))
+                self.params, query.subqueries[max(held, self.first) : plan.prefix_cols]))
         if peer.out:
             try:
-                self._send(peer)
+                peer.watch(self.sel, _READ if peer.flush() else _WRITE)
             except OSError as exc:
-                self._lose(peer, exc)
-
-    def _run_until(self, done: Callable[[], bool], until: float) -> None:
-        """Handle socket events until done() holds or `until` has passed. A
-        connection whose FETCH outlives its expiry fails as if its socket
-        had timed out."""
-        while not done():
-            now = time.monotonic()
-            if now >= until:
-                return
-            pending = [key.data for key in self.sel.get_map().values()]
-            wake = min([until] + [peer.expires for peer in pending])
-            for key, mask in self.sel.select(wake - now):
-                self._step(key.data, mask)
-            now = time.monotonic()
-            for peer in pending:
-                if peer.events and peer.expires <= now:
-                    self._lose(peer, TimeoutError())
-
-    def choose_responders(self) -> List[int]:
-        """Handle handshakes until the wait is done or its deadline has
-        passed; then keep only the responders' connections."""
-        self._run_until(lambda: self.wait.done, self.start + self.wait.deadline)
-        if self.mismatch is not None:
-            raise self.mismatch
-        responders = self.wait.responders()
-        for peer in self.peers:
-            if peer.sid not in responders:
-                peer.close(self.sel)
-        self.columns = {peer.sid: peer.slabs for peer in self.peers
-                        if peer.sid in responders and peer.sock is not None}
-        return responders
-
-    def fetch(self):
-        """(plan, responses) once every responder still up holds its plan's
-        prefix; a responder that drops is left out and the plan redone."""
-        while True:
-            # Prefixes nest, so the survivors only fetch the extra columns.
-            plan = protocol.plan_download(self.params, list(self.columns))
-            self.want = plan.prefix_cols
-            for sid in list(self.columns):
-                self._request(self.peers[sid - 1])
-            self._run_until(lambda: len(self.columns) < plan.mu or all(
-                len(held) >= plan.prefix_cols for held in self.columns.values()),
-                math.inf)
-            if len(self.columns) == plan.mu:
-                break
-        return plan, self.columns
+                self._fail(peer, exc)
 
     def close(self, keep: bool = False) -> None:
         """Close every connection but, with `keep`, the quiet ones decoded from."""
         kept = {}
         for peer in self.peers:
-            if keep and peer.sid in self.columns and not (
+            if keep and peer.sid in self.plan.responders and not (
                     peer.asked or peer.inbuf or peer.out):  # idle, so unwatched
                 kept[peer.endpoint], peer.sock = peer.sock, None
             peer.close(self.sel)
@@ -607,45 +586,36 @@ def retrieve(
     deadline_s: float = 1.0,
     seed=None,
 ) -> Tuple[List[int], RetrievalMetrics]:
-    """Query all n endpoints and decode from the responders.
+    """File i, from the servers at `endpoints`, one per server id, and what
+    the retrieval did; the module docstring describes the flow.
 
     The policy is two values, as protocol.ResponderWait defines them: the
     client waits for the first `wait_for` servers (None: all n) to
-    complete the query handshake, but no longer than `deadline_s`
-    seconds, and decodes from those that did. It also stops waiting once
-    every server has settled, so a server whose connection is refused or
-    broken, or whose handshake is refused, costs nothing, and only a
-    silent one costs the deadline; it is then "late". A `wait_for`
-    outside [k, n], or a `deadline_s` outside (0, MAX_DEADLINE_S], raises
-    OutOfRange before anything is sent.
-
-    Each QUERY carries the sub-queries of the first prefix_cols(target)
-    columns, target being wait_for or n; its acknowledgement is 8 bytes.
-    The download is planned for mu = min(target, servers connected) as
-    soon as target servers are connected or every connect has completed
-    or failed; connects that completed or failed before the first QUERY
-    (on loopback, all of them) count. The first mu servers to connect are
-    sent a FETCH in the same write as their QUERY, or as soon as the plan
-    is made if their QUERY went before it. It adds the sub-queries of the
-    plan's prefix columns past the QUERY's (8 bytes if none), and the
-    server answers it with all those columns, in the same write as the
-    acknowledgement. A QUERY never waits for the plan or for another
-    server. Once the wait ends, a responder that lacks columns of the
-    plan, redone for the responders, is sent a FETCH for them. A
-    responder whose FETCH fails, or whose FETCH round trip as a whole
+    acknowledge their QUERY, but no longer than `deadline_s` seconds, and
+    decodes from those that did. It also stops waiting once every server
+    has settled, so a server whose connection is refused or broken costs
+    nothing, and only a silent one costs the deadline; it is then "late".
+    A responder whose FETCH fails, or whose FETCH round trip as a whole
     takes longer than `deadline_s` (however its bytes trickle in), is
-    dropped. The round trip counts from the server's acknowledgement, or
-    from the FETCH if that was sent later, so a server silent until the
-    deadline is late, not dropped. After a drop the client plans again
-    with the others and fetches from them only the extra columns, or
-    raises InsufficientResponders if fewer than k are left. It all runs
-    in the caller's thread.
+    dropped, and the others are fetched from.
+
+    Before anything is sent, it raises ValueError unless there are n
+    endpoints, all different, and OutOfRange for a `wait_for` outside
+    [k, n] or a `deadline_s` outside (0, MAX_DEADLINE_S]. Endpoints are
+    compared as given: two spellings of one host, such as "localhost" and
+    "127.0.0.1", are not caught. It raises HandshakeMismatch as soon as a
+    server refuses its QUERY, and InsufficientResponders if fewer than k
+    servers acknowledged by the end of the wait, or fewer than k
+    responders are left after drops.
 
     The connections of the responders it decodes from stay open for the
     next retrieval to the same endpoints; every other one is closed.
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")
+    if len({tuple(endpoint[:2]) for endpoint in endpoints}) < params.n:
+        # One server would hold two servers' sub-queries, which t=1 does not cover.
+        raise ValueError("each endpoint must be given once")
     wait = protocol.ResponderWait(params, wait_for, deadline_s)  # refuses deadline_s <= 0
     if deadline_s > MAX_DEADLINE_S:
         raise OutOfRange(f"deadline_s must be at most {MAX_DEADLINE_S}, got {deadline_s}")
@@ -654,9 +624,7 @@ def retrieve(
     run = _Retrieval(queries, V, wait)
     decoded = None
     try:
-        run.connect(endpoints)
-        responders = run.choose_responders()
-        plan, responses = run.fetch()
+        plan, responses = run.run(endpoints)
         decoded = protocol.decode_file(params, V, plan, responses)
     finally:
         run.close(keep=decoded is not None)
@@ -665,7 +633,7 @@ def retrieve(
         wait_s=wait.ended,
         symbols=plan.total_symbols,
         rate=plan.rate,
-        outcomes=wait.outcomes(responders, responses),
+        outcomes=wait.outcomes(run.responders, responses),
         bytes_sent=sum(peer.sent for peer in run.peers),
         bytes_received=sum(peer.received for peer in run.peers),
         connects=run.connects,

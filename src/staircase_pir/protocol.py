@@ -204,7 +204,7 @@ class ResponderWait:
     that never settle) has none. Outcomes: "ok" (decoded from),
     "dropped-mid-fetch" (a responder whose FETCH failed), "late"
     (unsettled when the wait ended, or beaten by the first `target`), or
-    the failure it settled with: "refused", "handshake-mismatch", "error".
+    the failure it settled with: "refused" or "error".
     """
 
     def __init__(self, params: SchemeParams, wait_for: Optional[int], deadline: float):

@@ -116,6 +116,9 @@ def _bad_manifests(manifest):
         "keys": {"n": 3},
         "short-files": {**good, "files": good["files"][:-1]},
         "no-width": {key: value for key, value in good.items() if key != "bits_per_symbol"},
+        "wide-symbols": {**good, "bits_per_symbol": 9},
+        "long-file": {**good, "files": [{**good["files"][0], "orig_len": 10**6},
+                                        *good["files"][1:]]},
     }
 
 
@@ -135,6 +138,11 @@ def _bad_manifests(manifest):
      "--i", "1"],
     ["retrieve", "--manifest", "{tmp}/no-width.json", "--endpoints", "{endpoints}",
      "--i", "1"],
+    ["retrieve", "--manifest", "{tmp}/wide-symbols.json", "--endpoints", "{endpoints}",
+     "--i", "1"],
+    ["retrieve", "--manifest", "{tmp}/long-file.json", "--endpoints", "{endpoints}",
+     "--i", "1"],
+    ["retrieve", "--manifest", "{manifest}", "--endpoints", "{repeated}", "--i", "1"],
     ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
      "--data-dir", "{empty}"],
     ["serve", "--n", "3", "--k", "2", "--t", "1", "--listen", "127.0.0.1:0",
@@ -144,21 +152,24 @@ def _bad_manifests(manifest):
         "simulate-reps-0",
         "demo-mu-0", "retrieve-mu-0", "retrieve-deadline-inf",
         "retrieve-manifest-keys", "retrieve-manifest-short-files",
-        "retrieve-manifest-no-width", "serve-empty-dir",
+        "retrieve-manifest-no-width", "retrieve-manifest-wide-symbols",
+        "retrieve-manifest-long-file", "retrieve-repeated-endpoint", "serve-empty-dir",
         "serve-missing-dir"])
 def test_rejected_value_is_one_error_line(argv, capsys, tmp_path, request):
     # A value the parser accepts but the scheme or the file system does not:
     # one `error:` line and exit 1, not a traceback. A retrieval is refused
     # from servers that are up and would serve it.
     (tmp_path / "empty").mkdir()
-    manifest, endpoints = None, None
+    manifest, endpoints, repeated = None, None, None
     if argv[0] == "retrieve":
         _, manifest, endpoints = request.getfixturevalue("deployment")
+        repeated = ",".join(endpoints[:1] + endpoints[:-1])
         endpoints = ",".join(endpoints)
         for name, bad in _bad_manifests(manifest).items():
             (tmp_path / f"{name}.json").write_text(json.dumps(bad))
     argv = [arg.format(empty=tmp_path / "empty", missing=tmp_path / "missing",
-                       manifest=manifest, endpoints=endpoints, tmp=tmp_path)
+                       manifest=manifest, endpoints=endpoints, repeated=repeated,
+                       tmp=tmp_path)
             for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -85,6 +85,24 @@ def test_ingest_dir_and_manifest_roundtrip(tmp_path):
     assert ingest.params_from_manifest(loaded) == params
 
 
+@pytest.mark.parametrize("bits,orig_len", [(0, 9), (9, 9), (8, 11), (8, 10**6)],
+                         ids=["no-bits", "wider-than-q", "past-the-symbols", "far-past"])
+def test_read_manifest_refuses_a_manifest_that_restores_wrong_bytes(tmp_path, bits, orig_len):
+    # At q=257 a symbol holds 8 bits, and the 9 bytes below get a file of
+    # 10 symbols: 9 bits would restore other bytes, 0 none, and a longer
+    # orig_len would return the padding.
+    _, _, manifest = ingest.ingest_files([("a", b"staircase")], n=3, k=2, t=1, q=257)
+    path = str(tmp_path / "manifest.json")
+    manifest["files"][0]["orig_len"] = 10  # every byte the symbols hold
+    ingest.write_manifest(path, manifest)
+    assert ingest.read_manifest(path) == manifest
+    manifest["bits_per_symbol"] = bits
+    manifest["files"][0]["orig_len"] = orig_len
+    ingest.write_manifest(path, manifest)
+    with pytest.raises(ValueError):
+        ingest.read_manifest(path)
+
+
 def test_explicit_batch_width_validated():
     with pytest.raises(ValueError):
         ingest.ingest_files([("big", b"x" * 100)], n=3, k=2, t=1, q=257, s=1)

@@ -911,13 +911,19 @@ def test_a_refused_handshake_with_a_fetch_behind_it_projects_nothing(
     dispatch = net.PIRServer._dispatch
 
     def recording(self, conn, msg_type, payload):
-        received[id(self)].append(msg_type)
-        return dispatch(self, conn, msg_type, payload)
+        try:
+            return dispatch(self, conn, msg_type, payload)
+        finally:  # once answered, or refused
+            received[id(self)].append(msg_type)
 
     monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
     other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
     with pytest.raises(HandshakeMismatch):
         retrieve(endpoints, other, default_encoding_matrix(other), 1, seed=0)
+    # The first refusal ends the retrieval, so the other server may still be answering.
+    end = time.monotonic() + 5
+    while any(len(received[id(srv)]) < 2 for srv in servers[:2]) and time.monotonic() < end:
+        time.sleep(0.01)
     assert [received[id(srv)] for srv in servers[:2]] == [[wire.MSG_QUERY, wire.MSG_FETCH]] * 2
     assert spied_projections == [projected]
 
@@ -950,3 +956,69 @@ def test_server_batches_stay_under_two_largest_replies(server421, monkeypatch):
             time.sleep(0.01)
         assert served and served[-1].sent == 50 * len(reply)
     assert 0 < max(owed) <= bound
+
+
+def test_each_side_writes_once_per_responder_with_a_server_refused(cluster321, monkeypatch):
+    # The selector pass that does not wait finds server 3's connect refused
+    # before any QUERY goes out, so the plan, for mu = 2, is made first and
+    # each responder's QUERY carries its FETCH.
+    params, V, files, servers, endpoints = cluster321
+    retrieve(endpoints, params, V, 1, seed=1)
+    shutdown(servers[2:])
+    retrieve(endpoints, params, V, 2, seed=2)  # drops server 3's stale idle socket
+    writes, reads = {}, {}
+    flush, recv = net._Conn.flush, net._Conn.recv
+
+    def counting(calls, method):
+        def wrapped(conn):
+            key = ("client", conn.sid) if isinstance(conn, net._Peer) else ("server", id(conn))
+            calls[key] = calls.get(key, 0) + 1
+            return method(conn)
+        return wrapped
+
+    monkeypatch.setattr(net._Conn, "flush", counting(writes, flush))
+    monkeypatch.setattr(net._Conn, "recv", counting(reads, recv))
+    decoded, metrics = retrieve(endpoints, params, V, 1, seed=3)
+    monkeypatch.undo()
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "refused"}
+    assert {key: count for key, count in writes.items() if key[0] == "client"} == {
+        ("client", 1): 1, ("client", 2): 1}
+    served = [key for key in writes if key[0] == "server"]
+    assert len(served) == 2
+    assert all(writes[key] == reads[key] == 1 for key in served)
+
+
+def test_a_refused_query_ends_the_retrieval_at_once(cluster321):
+    # Server 2 runs other params, and server 3 never answers: the refusal
+    # raises as it arrives, not once server 3's deadline has passed.
+    params, V, _, _, endpoints = cluster321
+    other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
+    mismatched = serve("127.0.0.1", 0, Database(other, [0] * other.x_length), other,
+                       default_encoding_matrix(other))
+    try:
+        with socket.create_server(("127.0.0.1", 0)) as silent, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mixed = [endpoints[0], mismatched.server_address, silent.getsockname()]
+            start = time.monotonic()
+            with pytest.raises(HandshakeMismatch):
+                retrieve(mixed, params, V, 1, deadline_s=3, seed=0)
+            elapsed = time.monotonic() - start
+            gc.collect()
+    finally:
+        shutdown([mismatched])
+    assert elapsed < 1
+    assert idle_endpoints(mixed) == set()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_retrieve_refuses_a_repeated_endpoint(cluster321, monkeypatch):
+    # That server would receive two servers' sub-queries, whose masks it
+    # could then cancel.
+    params, V, _, _, endpoints = cluster321
+    resolved = []
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args: resolved.append(args))
+    with pytest.raises(ValueError):
+        retrieve(endpoints[:1] + endpoints[:-1], params, V, 1)
+    assert resolved == []  # refused before any connect
