@@ -98,9 +98,9 @@ def cmd_params(args) -> int:
 
 def cmd_demo(args) -> int:
     example = examples.example1 if args.example == 1 else examples.example2
-    params, V, row_order = example(m=args.m)
+    params, V = example(m=args.m)
     rng = random.Random(args.seed)
-    queries = protocol.make_queries(params, V, args.i, args.seed, row_order)
+    queries = protocol.make_queries(params, V, args.i, args.seed)
 
     x = [rng.randrange(params.q) for _ in range(params.x_length)]
     db = protocol.Database(params, x)
@@ -112,12 +112,12 @@ def cmd_demo(args) -> int:
             sid: protocol.server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in responders
         }
-        decoded = protocol.decode_file(params, V, plan, responses, row_order)
+        decoded = protocol.decode_file(params, V, plan, responses)
         records.append({"mu": mu, "responders": responders, "symbols": plan.total_symbols,
                         "rate": plan.rate, "decoded": decoded == db.file_content(args.i)})
 
     def text(records):
-        layout = staircase.grid_layout(params, row_order)
+        layout = staircase.grid_layout(params)
         yield f"scheme (n,k,t) = ({params.n},{params.k},{params.t}) over GF({params.q})"
         yield (f"alpha = {params.alpha}, alpha' = {params.alpha_prime}, "
                f"block columns = {params.block_cols}")
@@ -127,7 +127,7 @@ def cmd_demo(args) -> int:
                      for c in range(params.alpha)]
             yield "  [ " + " | ".join(f"{cell:<18}" for cell in cells) + "]"
         yield "\nqueries Q = V*M (per server):"
-        for sid, row in enumerate(staircase.query_matrix(params, V, row_order), start=1):
+        for sid, row in enumerate(staircase.query_matrix(params, V), start=1):
             yield f"  server {sid}: " + " | ".join(
                 examples.format_coeffs(params, sym) for sym in row)
         for rec in records:

@@ -174,50 +174,43 @@ class Matrix:
         return Matrix(self.field, [[self.rows[i][j] for j in cols] for i in row_idx])
 
     def rank(self) -> int:
-        work = [row[:] for row in self.rows]
-        q = self.field.q
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, len(work)) if work[i][c] % q), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = pow(work[r][c], q - 2, q)
-            work[r] = [(v * inv) % q for v in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [(a - f * b) % q for a, b in zip(work[i], work[r])]
-            r += 1
-            if r == len(work):
-                break
-        return r
+        return _reduce([row[:] for row in self.rows], self.ncols, self.field.q)
 
     def solve(self, rhs: "Matrix") -> "Matrix":
-        """Return X with self @ X = rhs. Gaussian elimination, first nonzero pivot."""
+        """Return X with self @ X = rhs, by Gauss-Jordan elimination on [self | rhs]."""
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("solve needs a square matrix")
         if rhs.nrows != n:
             raise DimensionMismatch("rhs row count mismatch")
-        q = self.field.q
-        w = rhs.ncols
-        aug = [self.rows[i][:] + rhs.rows[i][:] for i in range(n)]
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if aug[i][c] % q), None)
-            if pivot is None:
-                raise Singular("matrix is singular")
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            inv = pow(aug[c][c], q - 2, q)
-            aug[c] = [(v * inv) % q for v in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[c])]
-        return Matrix(self.field, [row[n : n + w] for row in aug])
+        aug = [row + extra for row, extra in zip(self.rows, rhs.rows)]
+        if _reduce(aug, n, self.field.q) < n:
+            raise Singular("matrix is singular")
+        return Matrix(self.field, [row[n:] for row in aug])
 
     def inverse(self) -> "Matrix":
         return self.solve(Matrix.identity(self.field, self.nrows))
+
+
+def _reduce(work: List[List[int]], cols: int, q: int) -> int:
+    """Gauss-Jordan elimination of `work` over its first `cols` columns, in
+    place, taking the first nonzero pivot of each column; returns the rank."""
+    r = 0
+    for c in range(cols):
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if work[i][c] % q), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = pow(work[r][c], q - 2, q)
+        work[r] = [(v * inv) % q for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(a - f * b) % q for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
 
 
 def vandermonde(field: PrimeField, points: Sequence[int], cols: int) -> Matrix:

@@ -16,6 +16,10 @@ from .errors import InvalidK, InvalidThreshold, OutOfRange
 from .field import PrimeField, is_prime
 from .errors import NotPrime
 
+# Vertical order of payload vs randomness rows inside each block.
+PAYLOAD_FIRST = "payload_first"
+RANDOMNESS_FIRST = "randomness_first"
+
 # A quantity derived from (n, k, t, m, q, s) once, in __post_init__; it is
 # left out of __init__, equality, hash and repr.
 _derived = partial(field, init=False, compare=False, repr=False)
@@ -29,6 +33,15 @@ class SchemeParams:
     so a server answers every sub-query with s symbols. Queries do not
     grow with s: a sub-query has one coefficient per slab, alpha' * m of
     them, whatever s is. s=1 gives one symbol per part.
+
+    The row order puts each block's payload rows above (PAYLOAD_FIRST) or
+    below (RANDOMNESS_FIRST) its randomness rows. The construction works
+    with either, but the encoder and the decoder must use the same one,
+    and for a given V privacy may hold under one order only: Example 1's
+    lower-triangular V is private only with randomness first. The order
+    is not on the wire and a server never reads it, so two params that
+    differ only in their order are different schemes to the encoder and
+    the decoder but the same scheme to a server.
     """
 
     n: int
@@ -37,6 +50,7 @@ class SchemeParams:
     m: int
     q: int
     s: int = 1
+    row_order: str = PAYLOAD_FIRST
 
     h: int = _derived()  # blocks: one per tolerated responder count
     alpha: int = _derived()  # sub-queries per query: lcm of alpha_1..alpha_{n-k}, 1 if empty
@@ -61,6 +75,8 @@ class SchemeParams:
             raise ValueError("m must be >= 1")
         if self.s < 1:
             raise ValueError("s must be >= 1")
+        if self.row_order not in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
+            raise ValueError(f"unknown row order {self.row_order!r}")
         # Set with object.__setattr__, not cached through __dict__ (as
         # functools.cached_property does): on CPython 3.11 touching an
         # instance's __dict__ slows every later field read on it.

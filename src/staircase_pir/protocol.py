@@ -131,16 +131,15 @@ def make_queries(
     V: Matrix,
     i: int,
     seed=None,
-    row_order: str = staircase.DEFAULT_ROW_ORDER,
     columns: Optional[int] = None,
 ) -> List[Query]:
     """Every server's query for file i, from one randomness draw and one
     grid. Only the sub-queries of the first `columns` columns (None: all
     alpha) are expanded here; Query.expand_to expands the rest."""
     randomness = staircase.generate_randomness(params, seed)
-    grid = staircase.build_message_grid(params, i, randomness, row_order)
+    grid = staircase.build_message_grid(params, i, randomness)
     rows = staircase.encode_shares(params, V, grid, columns)
-    symbolic = staircase.query_matrix(params, V, row_order)
+    symbolic = staircase.query_matrix(params, V)
     return [Query(row, grid, sym) for row, sym in zip(rows, symbolic)]
 
 
@@ -259,7 +258,6 @@ def decode_file(
     V: Matrix,
     plan: DownloadPlan,
     responses: Dict[int, Sequence[Sequence[int]]],
-    row_order: str = staircase.DEFAULT_ROW_ORDER,
 ) -> List[int]:
     """Decode the requested file from the plan's prefix responses.
 
@@ -272,9 +270,7 @@ def decode_file(
         if got < plan.prefix_cols:
             raise MissingResponse(
                 f"server {sid} sent {got} of {plan.prefix_cols} prefix columns")
-    parts = staircase.peel_decode(
-        params, V, list(plan.responders), responses, width=params.s, row_order=row_order
-    )
+    parts = staircase.peel_decode(params, V, list(plan.responders), responses, width=params.s)
     return [sym for part in parts for sym in part]
 
 

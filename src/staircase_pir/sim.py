@@ -7,7 +7,8 @@ cutoff). Latency is modeled per whole server response: once a
 server answers, all of its prefix columns are fetchable, so none drops
 mid-fetch. The simulated clock is integer microseconds and events are
 ordered by (time, server id), so runs are fully deterministic under a
-fixed seed.
+fixed seed. Every repetition retrieves file 1: which file is requested
+changes neither the wait nor the download plan.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class SimConfig:
     deadline_ms: Optional[float] = None  # None: no cutoff
     seed: int = 0
     repetitions: int = 1
-    file_index: int = 1
 
     def __post_init__(self):
         if len(self.latencies) != self.params.n:
@@ -104,7 +104,7 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
         V = protocol.default_encoding_matrix(params)
     rng = random.Random(config.seed)
     db = protocol.Database(params, [rng.randrange(params.q) for _ in range(params.x_length)])
-    expected = db.file_content(config.file_index)
+    expected = db.file_content(1)
     results = []
     for _ in range(config.repetitions):
         wait = config.responder_wait()
@@ -123,7 +123,7 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
             continue
         plan = protocol.plan_download(params, responders)
         queries = protocol.make_queries(
-            params, V, config.file_index, seed=rng.random(), columns=plan.prefix_cols)
+            params, V, 1, seed=rng.random(), columns=plan.prefix_cols)
         responses = {
             sid: protocol.server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in responders

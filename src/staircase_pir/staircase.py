@@ -7,12 +7,13 @@ mu_{j-1} of the earlier blocks (the staircase step) over fresh
 randomness and zero padding. Multiplying the grid by an n x n encoding
 matrix V yields one row of alpha sub-queries (or sub-shares) per server.
 
-The layout is a pure function of the parameters and the row order: one
-table holding, per cell, its index in the basis (payload_1..payload_alpha',
-r_1..r_{t*alpha}), or None for a zero cell. Every cell is thus a unit
-vector over that basis, and the symbolic Q = V*M is computed once per
-(params, V, row order); a query set expands it with its own payload and
-randomness. The decoder only needs the layout, never the randomness.
+The layout is a pure function of the parameters, the row order of the
+blocks (a `SchemeParams` field) included: one table holding, per cell, its
+index in the basis (payload_1..payload_alpha', r_1..r_{t*alpha}), or None
+for a zero cell. Every cell is thus a unit vector over that basis, and
+the symbolic Q = V*M is computed once per (params, V); a query set
+expands it with its own payload and randomness. The decoder only needs
+the layout, never the randomness.
 """
 
 from __future__ import annotations
@@ -32,20 +33,16 @@ from .errors import (
 )
 from .field import (Matrix, ints_from_bytes, lane_bytes, pack_lanes, prefix_invertible,
                     unpack_lanes)
-from .params import SchemeParams
-
-# Vertical order of payload vs randomness rows inside each block. The
-# construction works with either; both encoder and decoder must agree.
-PAYLOAD_FIRST = "payload_first"
-RANDOMNESS_FIRST = "randomness_first"
-DEFAULT_ROW_ORDER = PAYLOAD_FIRST
+# The row orders are defined with SchemeParams and re-exported from here.
+from .params import PAYLOAD_FIRST, RANDOMNESS_FIRST, SchemeParams
 
 Cell = Tuple[int, int]  # (row, global column), 0-based
 
 
 @dataclass(frozen=True)
 class GridLayout:
-    """The staircase grid as one table of basis indices.
+    """The staircase grid of `params`, in its row order, as one table of
+    basis indices.
 
     cells[r][c] is the basis index of cell (r, c): payload vector c at c,
     randomness vector u at alpha' + u, or None for a zero cell. A replica
@@ -53,7 +50,6 @@ class GridLayout:
     """
 
     params: SchemeParams
-    row_order: str
     cells: tuple  # n rows of alpha entries
 
     def col_range(self, block: int) -> range:
@@ -72,16 +68,14 @@ class GridLayout:
 
 
 @lru_cache(maxsize=None)
-def grid_layout(params: SchemeParams, row_order: str = DEFAULT_ROW_ORDER) -> GridLayout:
-    if row_order not in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
-        raise ValueError(f"unknown row order {row_order!r}")
+def grid_layout(params: SchemeParams) -> GridLayout:
     cols = params.block_cols
     cells: List[List[Optional[int]]] = [[None] * params.alpha for _ in range(params.n)]
     rand_next = params.alpha_prime
     col_base = 0
     for j in range(1, params.h + 1):
         a_j = params.alpha_j(j)
-        if row_order == PAYLOAD_FIRST:
+        if params.row_order == PAYLOAD_FIRST:
             payload_rows = list(range(a_j))
             rand_rows = list(range(a_j, a_j + params.t))
         else:
@@ -103,7 +97,7 @@ def grid_layout(params: SchemeParams, row_order: str = DEFAULT_ROW_ORDER) -> Gri
                 rand_next += 1
         col_base += cols[j - 1]
     assert rand_next == params.alpha_prime + params.randomness_count
-    return GridLayout(params, row_order, tuple(map(tuple, cells)))
+    return GridLayout(params, tuple(map(tuple, cells)))
 
 
 def generate_randomness(
@@ -165,7 +159,6 @@ class MessageGrid:
         params: SchemeParams,
         payload: Sequence[Sequence[int]],
         randomness: Sequence[Sequence[int]],
-        row_order: str = DEFAULT_ROW_ORDER,
     ):
         if len(payload) != params.alpha_prime:
             raise ValueError(
@@ -179,7 +172,7 @@ class MessageGrid:
         if len(widths) != 1:
             raise ValueError("payload and randomness vectors must share one length")
         self.params = params
-        self.layout = grid_layout(params, row_order)
+        self.layout = grid_layout(params)
         self.payload = [list(v) for v in payload]
         self.randomness = [list(v) for v in randomness]
         self.width = widths.pop()
@@ -206,16 +199,13 @@ class MessageGrid:
 
 
 def build_message_grid(
-    params: SchemeParams,
-    file_index: int,
-    randomness: Sequence[Sequence[int]],
-    row_order: str = DEFAULT_ROW_ORDER,
+    params: SchemeParams, file_index: int, randomness: Sequence[Sequence[int]]
 ) -> MessageGrid:
     """PIR grid: payload = the alpha' part selectors of file `file_index`."""
     payload = [
         expand_unit(params, c, file_index) for c in range(1, params.alpha_prime + 1)
     ]
-    return MessageGrid(params, payload, randomness, row_order)
+    return MessageGrid(params, payload, randomness)
 
 
 def validate_encoding_matrix(V: Matrix, params: SchemeParams) -> bool:
@@ -229,22 +219,20 @@ def validate_encoding_matrix(V: Matrix, params: SchemeParams) -> bool:
     return prefix_invertible(V, sizes)
 
 
-def query_matrix(
-    params: SchemeParams, V: Matrix, row_order: str = DEFAULT_ROW_ORDER
-) -> Tuple[Tuple[tuple, ...], ...]:
+def query_matrix(params: SchemeParams, V: Matrix) -> Tuple[Tuple[tuple, ...], ...]:
     """Symbolic Q = V * M: per server, alpha coefficient vectors over
     (payloads, randomness). It depends on neither the file index nor the
     randomness, so it is computed, and V checked, once per deployment."""
-    return _query_matrix(params, V.field, tuple(map(tuple, V.rows)), row_order)
+    return _query_matrix(params, V.field, tuple(map(tuple, V.rows)))
 
 
 @lru_cache(maxsize=32)
-def _query_matrix(params: SchemeParams, field, rows: tuple, row_order: str):
+def _query_matrix(params: SchemeParams, field, rows: tuple):
     if not validate_encoding_matrix(Matrix(field, rows), params):
         raise BadEncodingMatrix("encoding matrix fails prefix invertibility")
     q = params.q
     basis = params.alpha_prime + params.randomness_count
-    cells = grid_layout(params, row_order).cells
+    cells = grid_layout(params).cells
     out = []
     for vrow in rows:
         srow = []
@@ -269,7 +257,7 @@ def encode_shares(
     expanded with this grid's payload and randomness."""
     return [
         [grid.expand(sym) for sym in row[:columns]]
-        for row in query_matrix(params, V, grid.layout.row_order)
+        for row in query_matrix(params, V)
     ]
 
 
@@ -279,7 +267,6 @@ def peel_decode(
     responders: Sequence[int],
     projections,
     width: int = 1,
-    row_order: str = DEFAULT_ROW_ORDER,
 ) -> List[tuple]:
     """Level-by-level decoder.
 
@@ -299,7 +286,7 @@ def peel_decode(
     if mu > params.n:
         raise OutOfRange(f"got {mu} responders for n={params.n}")
     j = params.level_for(mu)
-    layout = grid_layout(params, row_order)
+    layout = grid_layout(params)
     q = params.q
     prefix = params.prefix_cols(mu)
     for sid in responders:
@@ -351,7 +338,6 @@ def ss_share(
     V: Matrix,
     secret: Sequence[Sequence[int]],
     seed=None,
-    row_order: str = DEFAULT_ROW_ORDER,
 ) -> List[List[List[int]]]:
     """Share alpha' secret vectors: the PIR grid with the secret as payload.
 
@@ -362,16 +348,11 @@ def ss_share(
     if len(secret) != params.alpha_prime:
         raise ValueError(f"secret must have {params.alpha_prime} vectors")
     randomness = generate_randomness(params, seed, width=len(secret[0]))
-    grid = MessageGrid(params, secret, randomness, row_order)
+    grid = MessageGrid(params, secret, randomness)
     return encode_shares(params, V, grid)
 
 
-def ss_reconstruct(
-    params: SchemeParams,
-    V: Matrix,
-    share_prefixes,
-    row_order: str = DEFAULT_ROW_ORDER,
-) -> List[List[int]]:
+def ss_reconstruct(params: SchemeParams, V: Matrix, share_prefixes) -> List[List[int]]:
     """Reconstruct the secret from prefix sub-shares of any d in [k, n] servers.
 
     share_prefixes: mapping server id -> list of sub-share vectors (the
@@ -381,6 +362,5 @@ def ss_reconstruct(
     if len(widths) != 1:
         raise ValueError("sub-shares must share one length")
     width = widths.pop()
-    decoded = peel_decode(params, V, sorted(share_prefixes), share_prefixes,
-                          width=width, row_order=row_order)
+    decoded = peel_decode(params, V, sorted(share_prefixes), share_prefixes, width=width)
     return [list(v) for v in decoded]

@@ -70,7 +70,6 @@ def exhaustive_work(params: SchemeParams) -> int:
 def verify_privacy_exhaustive(
     params: SchemeParams,
     V: Matrix,
-    row_order: str = staircase.DEFAULT_ROW_ORDER,
     mutate_zero_randomness: Optional[int] = None,
 ) -> PrivacyReport:
     """Enumerate ALL randomness assignments; exact multiset equality across i.
@@ -82,14 +81,13 @@ def verify_privacy_exhaustive(
     if work > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
             f"{work} sub-query expansions exceed cap {EXHAUSTIVE_CAP}")
-    sym = staircase.query_matrix(params, V, row_order)
+    sym = staircase.query_matrix(params, V)
     rand_vecs = params.randomness_count
     vec_len = params.query_length
     zeros = [(0,) * vec_len] * rand_vecs
 
     files = range(1, params.m + 1)
-    payloads = [staircase.build_message_grid(params, i, zeros, row_order).payload
-                for i in files]
+    payloads = [staircase.build_message_grid(params, i, zeros).payload for i in files]
     report = PrivacyReport(params=params, mode="exhaustive", histograms={
         subset: {i: {} for i in files}
         for subset in itertools.combinations(range(1, params.n + 1), params.t)
@@ -100,7 +98,7 @@ def verify_privacy_exhaustive(
             rvecs[mutate_zero_randomness] = zeros[0]
         for i, payload in zip(files, payloads):
             # One grid per assignment and file; each server's view is expanded once.
-            grid = staircase.MessageGrid(params, payload, rvecs, row_order)
+            grid = staircase.MessageGrid(params, payload, rvecs)
             views = [[tuple(grid.expand(coeffs)) for coeffs in row] for row in sym]
             for subset, hists in report.histograms.items():
                 key = tuple(sub for sid in subset for sub in views[sid - 1])
@@ -113,11 +111,10 @@ def verify_privacy_exhaustive(
 def verify_privacy_rank(
     params: SchemeParams,
     V: Matrix,
-    row_order: str = staircase.DEFAULT_ROW_ORDER,
     mutate_zero_randomness: Optional[int] = None,
 ) -> PrivacyReport:
     """Full-rank randomness coefficients for every t-subset's sub-queries."""
-    sym = staircase.query_matrix(params, V, row_order)
+    sym = staircase.query_matrix(params, V)
     ap = params.alpha_prime
     ta = params.randomness_count
     report = PrivacyReport(params=params, mode="rank")
@@ -135,11 +132,7 @@ def verify_privacy_rank(
 
 
 def verify_robustness(
-    params: SchemeParams,
-    V: Matrix,
-    trials: int = 1,
-    seed: int = 0,
-    row_order: str = staircase.DEFAULT_ROW_ORDER,
+    params: SchemeParams, V: Matrix, trials: int = 1, seed: int = 0
 ) -> RobustnessReport:
     """Every subset of size >= k decodes every file on every trial."""
     if trials < 1:
@@ -156,9 +149,7 @@ def verify_robustness(
         x = [rng.randrange(params.q) for _ in range(params.x_length)]
         db = protocol.Database(params, x)
         for i in range(1, params.m + 1):
-            queries = protocol.make_queries(
-                params, V, i, seed=rng.random(), row_order=row_order
-            )
+            queries = protocol.make_queries(params, V, i, seed=rng.random())
             expected = db.file_content(i)
             for subset in subsets:
                 plan = protocol.plan_download(params, subset)
@@ -168,7 +159,7 @@ def verify_robustness(
                     )
                     for sid in subset
                 }
-                got = protocol.decode_file(params, V, plan, responses, row_order)
+                got = protocol.decode_file(params, V, plan, responses)
                 if got != expected:
                     report.failures.append((subset, i, trial))
     return report

@@ -11,7 +11,7 @@ from fractions import Fraction
 from staircase_pir import ingest, net, sim, staircase
 from staircase_pir.examples import example1, example2, format_coeffs
 from staircase_pir.field import Matrix, PrimeField
-from staircase_pir.params import SchemeParams
+from staircase_pir.params import RANDOMNESS_FIRST, SchemeParams
 from staircase_pir.protocol import (
     Database,
     capacity_asymptotic,
@@ -22,7 +22,6 @@ from staircase_pir.protocol import (
     plan_download,
     server_respond,
 )
-from staircase_pir.staircase import RANDOMNESS_FIRST
 from staircase_pir.verify import verify_privacy_exhaustive, verify_privacy_rank
 
 
@@ -31,16 +30,16 @@ def report(num: int, desc: str, ok: bool):
     assert ok, f"criterion {num} failed: {desc}"
 
 
-def symbolic_queries(params, V, order):
+def symbolic_queries(params, V):
     return [
         [format_coeffs(params, sym) for sym in row]
-        for row in staircase.query_matrix(params, V, order)
+        for row in staircase.query_matrix(params, V)
     ]
 
 
 def test_criterion_1_triple_server_golden():
-    params, V, order = example1()
-    ok = symbolic_queries(params, V, order) == [
+    params, V = example1()
+    ok = symbolic_queries(params, V) == [
         ["r1", "r2"],
         ["e'1 + r1", "e'2 + r2"],
         ["2e'1 + e'2 + r1", "2e'2 + r2"],
@@ -54,7 +53,7 @@ def test_criterion_1_triple_server_golden():
         x = [rng.randrange(q) for _ in range(2 * m)]
         for i in range(1, m + 1):
             rnd = staircase.generate_randomness(params, trial * m + i)
-            grid = staircase.build_message_grid(params, i, rnd, order)
+            grid = staircase.build_message_grid(params, i, rnd)
             shares = staircase.encode_shares(params, V, grid)
             y = [
                 [sum(a * b for a, b in zip(vec, x)) % q for vec in shares[l]]
@@ -67,13 +66,13 @@ def test_criterion_1_triple_server_golden():
 
 
 def test_criterion_2_four_server_golden():
-    params, V, order = example2()
+    params, V = example2()
     ok = (
         [params.mu(j) for j in (1, 2, 3)] == [4, 3, 2]
         and params.alpha == 6
         and params.alpha_prime == 6
     )
-    layout = staircase.grid_layout(params, order)
+    layout = staircase.grid_layout(params)
     ok &= [
         [format_coeffs(params, layout.symbolic((r, c))) for c in range(6)]
         for r in range(4)
@@ -93,7 +92,7 @@ def test_criterion_2_four_server_golden():
         ["e'1 + 4e'2 + e'3 + 4r1", "e'4 + 4e'5 + e'6 + 4r2", "r1 + 4r2 + r3",
          "e'3 + 4r4", "e'6 + 4r5", "r3 + 4r6"],
     ]
-    ok &= symbolic_queries(params, V, order) == expected
+    ok &= symbolic_queries(params, V) == expected
 
     rng = random.Random(2)
     files = [
@@ -101,7 +100,7 @@ def test_criterion_2_four_server_golden():
         for _ in range(params.m)
     ]
     db = Database.from_files(params, files)
-    queries = make_queries(params, V, 1, seed=0, row_order=order)
+    queries = make_queries(params, V, 1, seed=0)
     for mu, symbols, rate in [(2, 12, Fraction(1, 2)), (3, 9, Fraction(2, 3)),
                               (4, 8, Fraction(3, 4))]:
         plan = plan_download(params, list(range(1, mu + 1)))
@@ -110,7 +109,7 @@ def test_criterion_2_four_server_golden():
             sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in range(1, mu + 1)
         }
-        ok &= decode_file(params, V, plan, responses, order) == files[0]
+        ok &= decode_file(params, V, plan, responses) == files[0]
     report(2, "4-server golden grid, 24 response vectors, rates 1/2 2/3 3/4", ok)
 
 
@@ -143,16 +142,16 @@ def test_criterion_3_universality():
 
 
 def small_exhaustive_instance():
-    params = SchemeParams(n=3, k=2, t=1, m=2, q=3)
+    params = SchemeParams(n=3, k=2, t=1, m=2, q=3, row_order=RANDOMNESS_FIRST)
     V = Matrix(PrimeField(3), [[1, 0, 0], [1, 1, 0], [1, 2, 1]])
     return params, V
 
 
 def test_criterion_4_privacy_exhaustive():
     params, V = small_exhaustive_instance()
-    clean = verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST)
+    clean = verify_privacy_exhaustive(params, V)
     mutated = verify_privacy_exhaustive(
-        params, V, RANDOMNESS_FIRST, mutate_zero_randomness=0
+        params, V, mutate_zero_randomness=0
     )
     ok = clean.ok and not mutated.ok
     report(4, "exhaustive query-distribution equality + mutation control", ok)
@@ -167,10 +166,10 @@ def test_criterion_5_privacy_rank():
     params, V = small_exhaustive_instance()
     for mutation in (None, 0):
         rank_ok = verify_privacy_rank(
-            params, V, RANDOMNESS_FIRST, mutate_zero_randomness=mutation
+            params, V, mutate_zero_randomness=mutation
         ).ok
         exh_ok = verify_privacy_exhaustive(
-            params, V, RANDOMNESS_FIRST, mutate_zero_randomness=mutation
+            params, V, mutate_zero_randomness=mutation
         ).ok
         ok &= rank_ok == exh_ok
     report(5, "full-rank randomness coefficients for every t-subset", ok)

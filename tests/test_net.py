@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import random
+import selectors
 import socket
 import socketserver
 import sys
@@ -21,6 +22,7 @@ from staircase_pir.errors import (
     StaircasePIRError,
 )
 from staircase_pir import net, protocol, wire
+from staircase_pir.examples import example1
 from staircase_pir.net import SHUTDOWN_POLL_S, retrieve, serve
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
@@ -104,6 +106,31 @@ class _HugeReply(socketserver.BaseRequestHandler):
             read_frame(reader)
             self.request.sendall(wire.frame_header(wire.MSG_RESPONSE, 1 << 40))
             self.server.release.wait(10)
+
+
+class _MalformedOnQuery(socketserver.BaseRequestHandler):
+    """Answers a QUERY with an ERR_MALFORMED error, then reads until the
+    client hangs up."""
+
+    def handle(self):
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            read_frame(reader)
+            self.request.sendall(wire.encode_error(wire.ERR_MALFORMED, "refused"))
+            reader.read()
+
+
+class _ShortOnFetch(socketserver.BaseRequestHandler):
+    """Acknowledges a QUERY of the cluster321 scheme, answers the FETCH with
+    one column fewer than the client asked for, then reads until the client
+    hangs up."""
+
+    def handle(self):
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            _, held = wire.decode_query(read_frame(reader)[1], PARAMS321, FP321)
+            self.request.sendall(wire.encode_response(257, []))
+            held += wire.decode_fetch(read_frame(reader)[1], PARAMS321, len(held))
+            self.request.sendall(wire.encode_response(257, [[0] * 2] * (len(held) - 1)))
+            reader.read()
 
 
 def serve_stub(handler=_DropOnFetch):
@@ -1022,3 +1049,137 @@ def test_retrieve_refuses_a_repeated_endpoint(cluster321, monkeypatch):
     with pytest.raises(ValueError):
         retrieve(endpoints[:1] + endpoints[:-1], params, V, 1)
     assert resolved == []  # refused before any connect
+
+
+def test_retrieve_reports_a_query_refused_as_malformed_as_an_error(cluster321):
+    params, V, files, _, endpoints = cluster321
+    stub = serve_stub(_MalformedOnQuery)
+    try:
+        decoded, metrics = retrieve(
+            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=5, seed=4
+        )
+    finally:
+        shutdown([stub])
+    assert decoded == files[0]
+    assert metrics.realized_mu == 2
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "error"}
+
+
+def test_retrieve_drops_a_responder_that_answers_a_column_short(cluster321):
+    params, V, files, _, endpoints = cluster321
+    stub = serve_stub(_ShortOnFetch)
+    try:
+        decoded, metrics = retrieve(
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5, seed=4
+        )
+    finally:
+        shutdown([stub])
+    # The plan for all three is made again for the two others.
+    assert decoded == files[1]
+    assert metrics.realized_mu == 2
+    assert metrics.rate == Fraction(1, 2)
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
+
+
+def test_example1_sends_server_1_the_same_sub_queries_for_every_file(monkeypatch):
+    # Example 1's V is private only with randomness above payload. The order
+    # is in its params, so retrieve, which takes no order, keeps it: server 1
+    # sees pure randomness, never the selector of the file asked for.
+    params, V = example1()
+    files = [[1, 2], [3, 4]]
+    servers, endpoints = start_cluster(params, V, files)
+    fingerprint = matrix_fingerprint(params, V)
+    seen = []
+    dispatch = net.PIRServer._dispatch
+
+    def recording(self, conn, msg_type, payload):
+        if self is servers[0] and msg_type == wire.MSG_QUERY:
+            seen.append(wire.decode_query(payload, params, fingerprint)[1])
+        return dispatch(self, conn, msg_type, payload)
+
+    monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
+    try:
+        for i in (1, 2):
+            decoded, _ = retrieve(endpoints, params, V, i, deadline_s=5, seed=7)
+            assert decoded == files[i - 1]
+    finally:
+        shutdown(servers)
+    assert len(seen) == 2 and seen[0] == seen[1]
+
+
+def small_window(sock):
+    """Give `sock`, before it connects, or a listening socket before it
+    accepts, a small receive buffer and small segments: a peer's send of
+    more than some tens of kilobytes to it is then cut short."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_MAXSEG, 536)
+
+
+def test_server_resumes_a_reply_its_socket_took_only_part_of(monkeypatch):
+    # A 221 kB RESPONSE to a peer with a small window: the server writes what
+    # the socket takes and the rest once the peer has read some.
+    params = SchemeParams(n=4, k=2, t=1, m=1, q=257, s=1 << 15)
+    V = default_encoding_matrix(params)
+    rng = random.Random(0)
+    files = [[rng.randrange(params.q) for _ in range(params.file_symbols)]]
+    query = make_queries(params, V, 1, seed=0)[0]
+    db = Database.from_files(params, files)
+    reply = (wire.encode_response(params.q, [])
+             + wire.encode_response(params.q, [db.project(sub) for sub in query.subqueries]))
+    resumed = []
+    serve_conn = net.PIRServer._serve
+
+    def recording(self, sel, conn):
+        if conn.out:  # owed bytes from an earlier write
+            resumed.append(len(conn.out))
+        return serve_conn(self, sel, conn)
+
+    monkeypatch.setattr(net.PIRServer, "_serve", recording)
+    servers, (endpoint,) = start_cluster(params, V, files, count=1)
+    try:
+        with socket.socket() as sock:
+            small_window(sock)
+            sock.settimeout(2)
+            sock.connect(endpoint)
+            start = time.monotonic()
+            sock.sendall(
+                wire.encode_query(params, matrix_fingerprint(params, V), 1,
+                                  query.subqueries[:2])
+                + wire.encode_fetch(params, query.subqueries[2:]))
+            with sock.makefile("rb") as reader:
+                received = reader.read(len(reply))
+            elapsed = time.monotonic() - start
+    finally:
+        shutdown(servers)
+    assert received == reply
+    assert elapsed < 1
+    assert resumed and max(resumed) < len(reply)
+
+
+def test_client_resumes_a_query_its_socket_took_only_part_of(monkeypatch):
+    # Server 3 has a small window, and a QUERY carries one 170 kB sub-query:
+    # the client writes what its socket takes and the rest once it is writable.
+    params = SchemeParams(n=3, k=2, t=1, m=40_000, q=65537)
+    V = default_encoding_matrix(params)
+    files = [[i, i + 1] for i in range(params.m)]
+    servers, endpoints = start_cluster(params, V, files)
+    small_window(servers[2].socket)
+    resumed = []
+    step = net._Retrieval._step
+
+    def recording(self, peer, mask):
+        if mask & selectors.EVENT_WRITE and not peer.connecting:
+            resumed.append(peer.sid)
+        return step(self, peer, mask)
+
+    monkeypatch.setattr(net._Retrieval, "_step", recording)
+    try:
+        start = time.monotonic()
+        decoded, metrics = retrieve(endpoints, params, V, 2, deadline_s=5)
+        elapsed = time.monotonic() - start
+    finally:
+        shutdown(servers)
+    assert decoded == files[1]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
+    assert elapsed < 1
+    assert 3 in resumed

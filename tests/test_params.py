@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from staircase_pir.errors import FieldTooSmall, InvalidK, InvalidThreshold, NotPrime
-from staircase_pir.params import SchemeParams
+from staircase_pir.params import PAYLOAD_FIRST, RANDOMNESS_FIRST, SchemeParams
 from staircase_pir.protocol import default_encoding_matrix
 
 
@@ -105,3 +106,14 @@ def test_reading_derived_values_keeps_equality_and_hash():
     assert p == fresh
     assert hash(p) == hash(fresh)
     assert {p: 1}[fresh] == 1
+
+
+def test_row_order_is_one_of_the_two_orders_and_part_of_the_scheme():
+    with pytest.raises(ValueError):
+        SchemeParams(n=3, k=2, t=1, m=2, q=5, row_order="x")
+    p = SchemeParams(n=3, k=2, t=1, m=2, q=5)
+    assert p.row_order == PAYLOAD_FIRST
+    # The grid and query caches are keyed by params, so the order must
+    # tell two params apart.
+    other = replace(p, row_order=RANDOMNESS_FIRST)
+    assert other != p and hash(other) != hash(p)

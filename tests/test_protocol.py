@@ -271,10 +271,10 @@ class TestRetrieval:
             "23b55e5ea4e144489b70f33a18a4d0d449ddef784cc165c7bc41dfc7a6c6c891")
 
     def test_example1_full_and_degraded(self):
-        params, V, order = example1()
+        params, V = example1()
         db, files = random_db(params, 2)
         for i in (1, 2):
-            queries = make_queries(params, V, i, seed=0, row_order=order)
+            queries = make_queries(params, V, i, seed=0)
             # All three servers answer: one response each.
             plan = plan_download(params, [1, 2, 3])
             assert plan.total_symbols == 3
@@ -282,7 +282,7 @@ class TestRetrieval:
                 sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
                 for sid in (1, 2, 3)
             }
-            assert decode_file(params, V, plan, responses, order) == files[i - 1]
+            assert decode_file(params, V, plan, responses) == files[i - 1]
             # One straggler: four responses from the survivors.
             plan = plan_download(params, [1, 2])
             assert plan.total_symbols == 4
@@ -290,12 +290,12 @@ class TestRetrieval:
                 sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
                 for sid in (1, 2)
             }
-            assert decode_file(params, V, plan, responses, order) == files[i - 1]
+            assert decode_file(params, V, plan, responses) == files[i - 1]
 
     def test_example2_all_subsets(self):
-        params, V, order = example2()
+        params, V = example2()
         db, files = random_db(params, 3)
-        queries = make_queries(params, V, 2, seed=5, row_order=order)
+        queries = make_queries(params, V, 2, seed=5)
         for mu in (2, 3, 4):
             for subset in itertools.combinations(range(1, 5), mu):
                 plan = plan_download(params, subset)
@@ -303,57 +303,57 @@ class TestRetrieval:
                     sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
                     for sid in subset
                 }
-                assert decode_file(params, V, plan, responses, order) == files[1]
+                assert decode_file(params, V, plan, responses) == files[1]
 
     def test_different_seeds_same_file(self):
-        params, V, order = example2()
+        params, V = example2()
         db, files = random_db(params, 4)
         for seed in (10, 11):
-            queries = make_queries(params, V, 1, seed=seed, row_order=order)
+            queries = make_queries(params, V, 1, seed=seed)
             plan = plan_download(params, [1, 3, 4])
             responses = {
                 sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
                 for sid in (1, 3, 4)
             }
-            assert decode_file(params, V, plan, responses, order) == files[0]
-        q1 = make_queries(params, V, 1, seed=10, row_order=order)
-        q2 = make_queries(params, V, 1, seed=11, row_order=order)
+            assert decode_file(params, V, plan, responses) == files[0]
+        q1 = make_queries(params, V, 1, seed=10)
+        q2 = make_queries(params, V, 1, seed=11)
         assert q1[0].subqueries != q2[0].subqueries
 
     def test_missing_response_detected(self):
-        params, V, order = example2()
+        params, V = example2()
         db, _ = random_db(params, 5)
-        queries = make_queries(params, V, 1, seed=0, row_order=order)
+        queries = make_queries(params, V, 1, seed=0)
         plan = plan_download(params, [1, 2, 3])
         responses = {
             sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
             for sid in (1, 2)
         }
         with pytest.raises(MissingResponse):
-            decode_file(params, V, plan, responses, order)
+            decode_file(params, V, plan, responses)
         # Every responder present, one of them a slab short of the prefix.
         responses[3] = server_respond(db, queries[2], range(plan.prefix_cols - 1))
         with pytest.raises(MissingResponse):
-            decode_file(params, V, plan, responses, order)
+            decode_file(params, V, plan, responses)
         responses[3].append(db.project(queries[2].subqueries[plan.prefix_cols - 1]))
-        assert decode_file(params, V, plan, responses, order) == db.file_content(1)
+        assert decode_file(params, V, plan, responses) == db.file_content(1)
 
     def test_server_respond_returns_columns_in_the_order_asked(self):
-        params, V, order = example2()
+        params, V = example2()
         db, _ = random_db(params, 7)
-        (query, *_) = make_queries(params, V, 1, seed=0, row_order=order)
+        (query, *_) = make_queries(params, V, 1, seed=0)
         assert server_respond(db, query, [3, 1]) == [
             db.project(query.subqueries[3]), db.project(query.subqueries[1])]
         assert server_respond(db, query, []) == []
 
     def test_server_respond_column_bounds(self):
-        params, V, order = example2()
+        params, V = example2()
         db, _ = random_db(params, 6)
-        queries = make_queries(params, V, 1, seed=0, row_order=order)
+        queries = make_queries(params, V, 1, seed=0)
         assert len(server_respond(db, queries[0], range(6))) == 6
         with pytest.raises(ColumnOutOfRange):
             server_respond(db, queries[0], [6])
-        prefix = make_queries(params, V, 1, seed=0, row_order=order, columns=2)
+        prefix = make_queries(params, V, 1, seed=0, columns=2)
         with pytest.raises(ColumnOutOfRange):
             server_respond(db, prefix[0], [2])
 
@@ -361,9 +361,9 @@ class TestRetrieval:
     def test_late_columns_are_those_of_a_full_expansion(self, columns):
         # One randomness draw and one grid: columns expanded later, one at
         # a time or all at once, are those make_queries expands for all.
-        params, V, order = example2()
-        full = make_queries(params, V, 2, seed=9, row_order=order)
-        prefix = make_queries(params, V, 2, seed=9, row_order=order, columns=columns)
+        params, V = example2()
+        full = make_queries(params, V, 2, seed=9)
+        prefix = make_queries(params, V, 2, seed=9, columns=columns)
         assert [len(query.subqueries) for query in prefix] == [columns] * params.n
         for query, whole in zip(prefix, full):
             assert query.subqueries == whole.subqueries[:columns]
@@ -374,7 +374,7 @@ class TestRetrieval:
 
 class TestDownloadPlan:
     def test_symbol_counts_and_rates(self):
-        params, _, _ = example2()
+        params, _ = example2()
         expected = {4: (8, Fraction(3, 4)), 3: (9, Fraction(2, 3)), 2: (12, Fraction(1, 2))}
         for mu, (symbols, rate) in expected.items():
             plan = plan_download(params, list(range(1, mu + 1)))
@@ -383,14 +383,14 @@ class TestDownloadPlan:
             assert plan.rate == rate
 
     def test_requires_k_responders(self):
-        params, _, _ = example2()
+        params, _ = example2()
         with pytest.raises(InsufficientResponders):
             plan_download(params, [1])
 
     def test_plan_independent_of_file_index(self):
         # The plan type has no file-index field at all; identical inputs
         # give identical plans.
-        params, _, _ = example2()
+        params, _ = example2()
         a = plan_download(params, [2, 4])
         b = plan_download(params, [4, 2])
         assert a == b

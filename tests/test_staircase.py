@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -35,8 +36,8 @@ from staircase_pir.staircase import (
 )
 
 
-def sym_grid(params, order):
-    layout = grid_layout(params, order)
+def sym_grid(params):
+    layout = grid_layout(params)
     return [
         [format_coeffs(params, layout.symbolic((r, c))) for c in range(params.alpha)]
         for r in range(params.n)
@@ -44,8 +45,8 @@ def sym_grid(params, order):
 
 
 def test_grid_example1():
-    params, V, order = example1()
-    assert sym_grid(params, order) == [
+    params, V = example1()
+    assert sym_grid(params) == [
         ["r1", "r2"],
         ["e'1", "e'2"],
         ["e'2", "0"],
@@ -53,8 +54,8 @@ def test_grid_example1():
 
 
 def test_grid_example2():
-    params, V, order = example2()
-    assert sym_grid(params, order) == [
+    params, V = example2()
+    assert sym_grid(params) == [
         ["e'1", "e'4", "r1", "e'3", "e'6", "r3"],
         ["e'2", "e'5", "r2", "r4", "r5", "r6"],
         ["e'3", "e'6", "r3", "0", "0", "0"],
@@ -69,7 +70,7 @@ def test_zero_rows_below_mu_j():
     for n, k, t in LAYOUT_SCHEMES:
         params = SchemeParams(n=n, k=k, t=t, m=1, q=257)
         for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
-            layout = grid_layout(params, order)
+            layout = grid_layout(replace(params, row_order=order))
             for j in range(1, params.h + 1):
                 for c in layout.col_range(j):
                     for r in range(params.mu(j), params.n):
@@ -82,7 +83,7 @@ def test_each_unit_appears_once_in_block_one():
     for n, k, t in LAYOUT_SCHEMES:
         params = SchemeParams(n=n, k=k, t=t, m=1, q=257)
         for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
-            layout = grid_layout(params, order)
+            layout = grid_layout(replace(params, row_order=order))
             units = [
                 row[c]
                 for row in layout.cells
@@ -147,7 +148,7 @@ def test_unseeded_queries_do_not_use_mersenne_twister(monkeypatch):
     def refuse(*args):
         raise AssertionError("random.Random used for query randomness")
 
-    params, V, order = example2()
+    params, V = example2()
     monkeypatch.setattr(random, "Random", refuse)
     queries = make_queries(params, V, 1)
     assert len(queries) == params.n
@@ -182,7 +183,8 @@ def test_encode_shares_matches_dense_product(nkt):
         V = default_encoding_matrix(params)
         w = params.query_length
         for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
-            grid = build_message_grid(params, 2, generate_randomness(params, s), order)
+            ordered = replace(params, row_order=order)
+            grid = build_message_grid(ordered, 2, generate_randomness(params, s))
             basis = grid.payload + grid.randomness
             M = Matrix(params.field, [
                 [sym for index in row for sym in ([0] * w if index is None else basis[index])]
@@ -192,22 +194,22 @@ def test_encode_shares_matches_dense_product(nkt):
                 [row[c * w : (c + 1) * w] for c in range(params.alpha)]
                 for row in V.mul(M).rows
             ]
-            assert encode_shares(params, V, grid) == expected
+            assert encode_shares(ordered, V, grid) == expected
 
 
 def test_query_matrix_computed_once_per_deployment():
-    params, V, order = example2()
-    first = staircase.query_matrix(params, V, order)
-    assert staircase.query_matrix(params, Matrix(params.field, V.rows), order) is first
-    grid = build_message_grid(params, 1, generate_randomness(params, 0), order)
+    params, V = example2()
+    first = staircase.query_matrix(params, V)
+    assert staircase.query_matrix(params, Matrix(params.field, V.rows)) is first
+    grid = build_message_grid(params, 1, generate_randomness(params, 0))
     hits = staircase._query_matrix.cache_info().hits
     encode_shares(params, V, grid)
     assert staircase._query_matrix.cache_info().hits == hits + 1
 
 
 def test_queries_example1_table():
-    params, V, order = example1()
-    sym_rows = staircase.query_matrix(params, V, order)
+    params, V = example1()
+    sym_rows = staircase.query_matrix(params, V)
     fmt = lambda l: [format_coeffs(params, s) for s in sym_rows[l]]
     assert fmt(0) == ["r1", "r2"]
     assert fmt(1) == ["e'1 + r1", "e'2 + r2"]
@@ -215,16 +217,16 @@ def test_queries_example1_table():
 
 
 def test_queries_example2_server2_first():
-    params, V, order = example2()
-    sym_rows = staircase.query_matrix(params, V, order)
+    params, V = example2()
+    sym_rows = staircase.query_matrix(params, V)
     assert format_coeffs(params, sym_rows[1][0]) == "e'1 + 2e'2 + 4e'3 + 3r1"
 
 
 def test_zero_grid_gives_zero_shares():
-    params, V, order = example2()
+    params, V = example2()
     zeros = [[0] * params.x_length for _ in range(params.alpha_prime)]
     rzeros = [[0] * params.x_length for _ in range(params.randomness_count)]
-    grid = staircase.MessageGrid(params, zeros, rzeros, order)
+    grid = staircase.MessageGrid(params, zeros, rzeros)
     shares = encode_shares(params, V, grid)
     assert all(
         all(v == 0 for v in sub) for row in shares for sub in row
@@ -232,31 +234,31 @@ def test_zero_grid_gives_zero_shares():
 
 
 def test_encode_rejects_bad_matrix():
-    params, _, order = example2()
+    params, _ = example2()
     bad = Matrix(params.field, [[1, 1, 1, 1]] * 4)
     rnd = generate_randomness(params, 0)
     with pytest.raises(BadEncodingMatrix):
-        encode_shares(params, bad, build_message_grid(params, 1, rnd, order))
+        encode_shares(params, bad, build_message_grid(params, 1, rnd))
 
 
 def test_validate_encoding_matrix_cases():
-    params2, V2, _ = example2()
+    params2, V2 = example2()
     assert validate_encoding_matrix(V2, params2)
-    params1, V1, _ = example1()
+    params1, V1 = example1()
     assert validate_encoding_matrix(V1, params1)
     dup = Matrix(params1.field, [[1, 1, 1], [1, 1, 1], [1, 2, 4]])
     assert not validate_encoding_matrix(dup, params1)
 
 
 def test_prefix_cols_example2():
-    params, _, _ = example2()
+    params, _ = example2()
     assert params.prefix_cols(3) == 3
     assert params.prefix_cols(4) == 2
     assert params.prefix_cols(2) == params.alpha
 
 
 def test_build_grid_file_index_bounds():
-    params, _, _ = example1()
+    params, _ = example1()
     rnd = generate_randomness(params, 0)
     with pytest.raises(FileIndexOutOfRange):
         build_message_grid(params, 0, rnd)
@@ -272,9 +274,9 @@ def project(x, vec, s, q):
     return tuple(out)
 
 
-def decode_once(params, V, order, responders, x, seed):
+def decode_once(params, V, responders, x, seed):
     rnd = generate_randomness(params, seed)
-    grid = build_message_grid(params, 1, rnd, order)
+    grid = build_message_grid(params, 1, rnd)
     shares = encode_shares(params, V, grid)
     prefix = params.prefix_cols(len(responders))
     proj = {
@@ -282,7 +284,7 @@ def decode_once(params, V, order, responders, x, seed):
               for c in range(prefix)]
         for sid in responders
     }
-    return peel_decode(params, V, responders, proj, width=params.s, row_order=order)
+    return peel_decode(params, V, responders, proj, width=params.s)
 
 
 @pytest.mark.parametrize("nkt", [(3, 2, 1), (4, 2, 1), (4, 3, 1), (5, 3, 2), (6, 4, 2)])
@@ -299,7 +301,7 @@ def test_peel_decode_roundtrip_all_subsets(nkt):
         ]
         for mu in range(k, n + 1):
             for responders in itertools.combinations(range(1, n + 1), mu):
-                got = decode_once(params, V, PAYLOAD_FIRST, list(responders), x, trial)
+                got = decode_once(params, V, list(responders), x, trial)
                 assert got == expected
 
 
@@ -314,19 +316,19 @@ def test_row_order_swap_preserves_roundtrip():
     ]
     for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
         for mu in (2, 3, 4):
-            got = decode_once(params, V, order, list(range(1, mu + 1)), x, 3)
+            got = decode_once(replace(params, row_order=order), V, list(range(1, mu + 1)), x, 3)
             assert got == expected
 
 
 def test_peel_decode_zero_data():
-    params, V, order = example2()
+    params, V = example2()
     x = [0] * params.x_length
-    got = decode_once(params, V, order, [1, 2, 3], x, 0)
+    got = decode_once(params, V, [1, 2, 3], x, 0)
     assert got == [(0,)] * params.alpha_prime
 
 
 def test_peel_decode_needs_k_responders():
-    params, V, order = example2()
+    params, V = example2()
     with pytest.raises(InsufficientResponders):
         peel_decode(params, V, [1], {1: []}, width=1)
 
@@ -334,7 +336,7 @@ def test_peel_decode_needs_k_responders():
 def test_peel_decode_refuses_a_column_of_the_wrong_width():
     # A responder's columns are packed into one int of lanes, so a short or
     # long column would shift every lane after it; it is refused instead.
-    params, V, _ = example2()
+    params, V = example2()
     prefix = params.prefix_cols(2)
     good = {sid: [(0, 0)] * prefix for sid in (1, 2)}
     assert peel_decode(params, V, [1, 2], good, width=2) == [(0, 0)] * params.alpha_prime

@@ -1,14 +1,15 @@
 import argparse
+import itertools
+import json
 
 import pytest
 
-from staircase_pir import cli
+from staircase_pir import cli, protocol
 from staircase_pir.errors import SearchSpaceTooLarge
-from staircase_pir.examples import example2
+from staircase_pir.examples import example1, example2
 from staircase_pir.field import Matrix, PrimeField
-from staircase_pir.params import SchemeParams
+from staircase_pir.params import RANDOMNESS_FIRST, SchemeParams
 from staircase_pir.protocol import default_encoding_matrix
-from staircase_pir.staircase import RANDOMNESS_FIRST
 from staircase_pir.verify import (
     EXHAUSTIVE_CAP,
     exhaustive_space,
@@ -23,7 +24,7 @@ from staircase_pir.verify import (
 def small_instance():
     # Smallest nontrivial instance whose full randomness space (3^8 = 6561
     # assignments, 78,732 sub-query expansions) fits under the exhaustive cap.
-    params = SchemeParams(n=3, k=2, t=1, m=2, q=3)
+    params = SchemeParams(n=3, k=2, t=1, m=2, q=3, row_order=RANDOMNESS_FIRST)
     V = Matrix(PrimeField(3), [[1, 0, 0], [1, 1, 0], [1, 2, 1]])
     return params, V
 
@@ -31,7 +32,7 @@ def small_instance():
 class TestExhaustivePrivacy:
     def test_passes(self):
         params, V = small_instance()
-        report = verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST)
+        report = verify_privacy_exhaustive(params, V)
         assert report.ok
         assert len(report.verdicts) == 3  # one per single-server subset
         # Each server's view is uniform: every observable equally likely.
@@ -43,24 +44,24 @@ class TestExhaustivePrivacy:
         # Zeroing one randomness vector leaks the index to some server.
         params, V = small_instance()
         report = verify_privacy_exhaustive(
-            params, V, RANDOMNESS_FIRST, mutate_zero_randomness=0
+            params, V, mutate_zero_randomness=0
         )
         assert not report.ok
 
     def test_single_file_trivially_private(self):
-        params = SchemeParams(n=3, k=2, t=1, m=1, q=3)
+        params = SchemeParams(n=3, k=2, t=1, m=1, q=3, row_order=RANDOMNESS_FIRST)
         _, V = small_instance()
-        assert verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST).ok
+        assert verify_privacy_exhaustive(params, V).ok
 
     def test_space_does_not_grow_with_s(self):
         # Queries have one coefficient per slab, so s=3 enumerates the same
         # 3^8 assignments as s=1 (per-symbol queries would need 3^24).
         base, V = small_instance()
-        params = SchemeParams(n=3, k=2, t=1, m=2, q=3, s=3)
+        params = SchemeParams(n=3, k=2, t=1, m=2, q=3, s=3, row_order=RANDOMNESS_FIRST)
         assert exhaustive_space(params) == exhaustive_space(base) == 3**8
-        assert verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST).ok
+        assert verify_privacy_exhaustive(params, V).ok
         assert not verify_privacy_exhaustive(
-            params, V, RANDOMNESS_FIRST, mutate_zero_randomness=0
+            params, V, mutate_zero_randomness=0
         ).ok
 
     def test_cap_bounds_expansions_not_assignments(self):
@@ -75,7 +76,7 @@ class TestExhaustivePrivacy:
             verify_privacy_exhaustive(params, default_encoding_matrix(params))
 
     def test_large_space_rejected(self):
-        params, V, _ = example2()
+        params, V = example2()
         assert params.q ** (params.randomness_count * params.x_length) > EXHAUSTIVE_CAP
         with pytest.raises(SearchSpaceTooLarge):
             verify_privacy_exhaustive(params, V)
@@ -91,9 +92,16 @@ class TestRankPrivacy:
         assert report.mode == "rank"
 
     def test_mutation_control_fails(self):
-        params, V, order = example2()
-        assert verify_privacy_rank(params, V, order).ok
-        assert not verify_privacy_rank(params, V, order, mutate_zero_randomness=0).ok
+        params, V = example2()
+        assert verify_privacy_rank(params, V).ok
+        assert not verify_privacy_rank(params, V, mutate_zero_randomness=0).ok
+
+    @pytest.mark.parametrize("example", [example1, example2])
+    def test_examples_are_private_in_their_own_row_order(self, example):
+        # Example 1's lower-triangular V leaks the file to server 1 unless
+        # randomness is above payload; its params say so.
+        params, V = example()
+        assert verify_privacy_rank(params, V).ok
 
     def test_agrees_with_exhaustive_oracle(self):
         # On the instance small enough to brute-force, both verdicts match,
@@ -101,30 +109,56 @@ class TestRankPrivacy:
         params, V = small_instance()
         for mutation in (None, 0, 1):
             rank_ok = verify_privacy_rank(
-                params, V, RANDOMNESS_FIRST, mutate_zero_randomness=mutation
+                params, V, mutate_zero_randomness=mutation
             ).ok
             exhaustive_ok = verify_privacy_exhaustive(
-                params, V, RANDOMNESS_FIRST, mutate_zero_randomness=mutation
+                params, V, mutate_zero_randomness=mutation
             ).ok
             assert rank_ok == exhaustive_ok
 
 
 class TestRobustness:
     def test_example2_all_subsets(self):
-        params, V, order = example2()
-        report = verify_robustness(params, V, trials=3, seed=1, row_order=order)
+        params, V = example2()
+        report = verify_robustness(params, V, trials=3, seed=1)
         assert report.ok
         assert report.subsets_checked == 11  # C(4,2)+C(4,3)+C(4,4)
         assert report.failures == []
 
     def test_trials_validated(self):
-        params, V, order = example2()
+        params, V = example2()
         with pytest.raises(ValueError):
-            verify_robustness(params, V, trials=0, row_order=order)
+            verify_robustness(params, V, trials=0)
+
+
+def test_a_wrong_decode_fails_robustness_for_every_subset_file_and_trial(
+        monkeypatch, capsys):
+    decode_file = protocol.decode_file
+
+    def off_by_one(params, *args):
+        decoded = decode_file(params, *args)
+        decoded[0] = (decoded[0] + 1) % params.q
+        return decoded
+
+    monkeypatch.setattr(protocol, "decode_file", off_by_one)
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=5)
+    V = default_encoding_matrix(params)
+    report = verify_robustness(params, V, trials=2, seed=1)
+    subsets = [subset for size in (2, 3, 4)
+               for subset in itertools.combinations(range(1, 5), size)]
+    assert report.failures == [
+        (subset, i, trial) for trial in (0, 1) for i in (1, 2) for subset in subsets]
+    code = cli.main(["--format", "json-lines", "verify", "--n", "4", "--k", "2", "--t", "1",
+                     "--m", "2", "--q", "5", "--trials", "1"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 1
+    assert [rec["subset"] for rec in records
+            if rec["mode"] == "robustness" and rec["verdict"] == "FAIL"] == [
+        "all-subsets>=k", *("+".join(map(str, subset)) for i in (1, 2) for subset in subsets)]
 
 
 def test_rates_table():
-    params, _, _ = example2()
+    params, _ = example2()
     rows = verify_rates(params)
     assert [(mu, sym, str(rate)) for mu, sym, rate, _, _ in rows] == [
         (2, 12, "1/2"),
@@ -137,7 +171,7 @@ def test_rates_table():
 def test_report_rendering(capsys):
     # A report's records, as `staircase-pir verify` writes them.
     params, V = small_instance()
-    report = verify_privacy_exhaustive(params, V, RANDOMNESS_FIRST)
+    report = verify_privacy_exhaustive(params, V)
     rows = cli._privacy_records(report)
     cli._emit(argparse.Namespace(format="text"), rows, cli._verify_text)
     text = capsys.readouterr().out
