@@ -18,6 +18,7 @@ from .protocol import (
     capacity_finite,
     decode_file,
     default_encoding_matrix,
+    local_responses,
     make_queries,
     plan_download,
     server_respond,
@@ -48,6 +49,7 @@ __all__ = [
     "default_encoding_matrix",
     "encode_shares",
     "generate_randomness",
+    "local_responses",
     "make_queries",
     "peel_decode",
     "plan_download",

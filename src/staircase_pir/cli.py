@@ -108,11 +108,8 @@ def cmd_demo(args) -> int:
     for mu in [args.mu] if args.mu is not None else range(params.k, params.n + 1):
         responders = list(range(1, mu + 1))
         plan = protocol.plan_download(params, responders)
-        responses = {
-            sid: protocol.server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-            for sid in responders
-        }
-        decoded = protocol.decode_file(params, V, plan, responses)
+        decoded = protocol.decode_file(
+            params, V, plan, protocol.local_responses(db, queries, plan))
         records.append({"mu": mu, "responders": responders, "symbols": plan.total_symbols,
                         "rate": plan.rate, "decoded": decoded == db.file_content(args.i)})
 

@@ -54,10 +54,6 @@ class OutOfRange(StaircasePIRError, ValueError):
     or a deadline that is not positive."""
 
 
-class ColumnOutOfRange(StaircasePIRError):
-    """A fetch referenced a sub-query column that does not exist."""
-
-
 class InsufficientResponders(StaircasePIRError):
     """Fewer than k servers responded; the user must keep waiting."""
 

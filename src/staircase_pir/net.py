@@ -28,8 +28,10 @@ again when one drops. Every plan it makes is a protocol.DownloadPlan.
   each way per server.
 - The client waits for acknowledgements as protocol.ResponderWait
   decides: a server settles when its acknowledgement arrives or its
-  connection fails. A server that refuses its QUERY ends the retrieval
-  at once.
+  connection fails. A server whose connection fails after its
+  acknowledgement, before the wait ends, is dropped and no longer counts
+  toward the servers waited for. A server that refuses its QUERY ends
+  the retrieval at once.
 - When the wait ends, the plan is made again for the responders the
   wait chose, and each is sent a FETCH for the prefix columns it lacks,
   if any. A responder whose FETCH fails, or whose round trip outlives
@@ -264,8 +266,8 @@ class PIRServer:
                 raise MalformedFrame("FETCH with nothing to answer")
             conn.since_query += len(held) - len(conn.pending)
             conn.pending = []
-            return wire.encode_response(self.params.q, protocol.server_respond(
-                self.database, protocol.Query(held), range(len(held))))
+            return wire.encode_response(
+                self.params.q, protocol.server_respond(self.database, held))
         return wire.encode_error(wire.ERR_MALFORMED, f"unexpected type {msg_type}")
 
 
@@ -358,7 +360,6 @@ class _Retrieval:
     HandshakeMismatch as soon as a server refuses its QUERY, and
     InsufficientResponders if fewer than k servers acknowledged theirs by
     the end of the wait, or fewer than k responders are left after drops.
-    `responders` holds the servers the wait chose once it has ended.
     """
 
     def __init__(self, queries, V: Matrix, wait: protocol.ResponderWait):
@@ -373,7 +374,6 @@ class _Retrieval:
         self.peers = [_Peer(sid) for sid in range(1, params.n + 1)]
         self.up: List[_Peer] = []  # connected, in the order their connects completed
         self.plan: Optional[protocol.DownloadPlan] = None  # the servers fetched from
-        self.responders: Optional[List[int]] = None  # None: still waiting
         self.connects = 0
 
     def run(self, endpoints: Sequence[Tuple[str, int]]):
@@ -393,16 +393,16 @@ class _Retrieval:
         for peer in list(self.up):
             self._query(peer)
         until = self.start + self.wait.deadline  # the wait's end; then only FETCH expiries
-        while self.responders is None or any(
+        while self.wait.chosen is None or any(
                 len(self.peers[sid - 1].slabs) < self.plan.prefix_cols
                 for sid in self.plan.responders):
             now = time.monotonic()
-            if self.responders is None and (self.wait.done or now >= until):
-                self.responders = self.wait.responders()
+            if self.wait.chosen is None and (self.wait.done or now >= until):
+                responders = self.wait.responders()
                 for peer in self.peers:
-                    if peer.sid not in self.responders:
+                    if peer.sid not in responders:
                         peer.close(self.sel)
-                self._replan(self.responders)
+                self._replan(responders)
                 until = math.inf
                 continue
             pending = [key.data for key in self.sel.get_map().values()]  # a reply due
@@ -452,24 +452,26 @@ class _Retrieval:
         return True
 
     def _fail(self, peer: _Peer, exc: Exception) -> None:
-        """A connection failed. After its server's acknowledgement, the server
-        is dropped, and once the wait is over the plan is made again without
-        it. Before, a refused QUERY ends the retrieval, a reused socket that
-        failed before any reply is replaced by a fresh connect, and anything
-        else settles the server as failed."""
+        """A connection failed. A reused socket that failed before any reply
+        is replaced by a fresh connect, and a QUERY refused before any
+        acknowledgement ends the retrieval. Anything else settles the server
+        as failed, dropped if it had acknowledged; then the first plan is
+        made if it can be, or, once the wait is over, the plan is made again
+        without the server."""
         peer.close(self.sel)
-        if peer.sid in self.wait.arrived:
-            if self.responders is not None:
-                self._replan(self.plan.responders)
-        elif isinstance(exc, HandshakeMismatch):
-            raise exc
-        elif peer.reused and not peer.received:  # stale: the server may be up
+        arrived = peer.sid in self.wait.arrived
+        if peer.reused and not peer.received:  # stale: the server may be up
             peer.asked = 0  # what the stale socket was sent goes out again
-            self._connect(peer)
-        else:
-            outcome = "refused" if isinstance(exc, ConnectionRefusedError) else "error"
-            self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
+            return self._connect(peer)
+        if isinstance(exc, HandshakeMismatch) and not arrived:
+            raise exc
+        outcome = ("dropped-mid-fetch" if arrived
+                   else "refused" if isinstance(exc, ConnectionRefusedError) else "error")
+        self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
+        if self.wait.chosen is None:
             self._plan()
+        else:
+            self._replan(self.plan.responders)
 
     def _plan(self) -> None:
         """Make the first plan, unless there is one, once `target`
@@ -498,7 +500,7 @@ class _Retrieval:
         # Encoded only now, so a server that is down costs no upload.
         peer.out = memoryview(wire.encode_query(
             self.params, self.fingerprint, peer.sid,
-            self.queries[peer.sid - 1].subqueries[: self.first]))
+            self.queries[peer.sid - 1].prefix(self.first)))
         self._request(peer)
 
     def _step(self, peer: _Peer, mask: int) -> None:
@@ -551,13 +553,12 @@ class _Retrieval:
         lacks come back."""
         held, plan = len(peer.slabs), self.plan
         if plan and peer.sid in plan.responders and not peer.asked and held < plan.prefix_cols:
-            query = self.queries[peer.sid - 1]
-            query.expand_to(plan.prefix_cols)
             peer.asked = plan.prefix_cols - held
             if peer.sid in self.wait.arrived:  # else from its acknowledgement
                 peer.expires = time.monotonic() + self.wait.deadline
+            subqueries = self.queries[peer.sid - 1].prefix(plan.prefix_cols)
             peer.out = memoryview(bytes(peer.out) + wire.encode_fetch(
-                self.params, query.subqueries[max(held, self.first) : plan.prefix_cols]))
+                self.params, subqueries[max(held, self.first) :]))
         if peer.out:
             try:
                 peer.watch(self.sel, _READ if peer.flush() else _WRITE)
@@ -595,9 +596,11 @@ def retrieve(
     decodes from those that did. It also stops waiting once every server
     has settled, so a server whose connection is refused or broken costs
     nothing, and only a silent one costs the deadline; it is then "late".
-    A responder whose FETCH fails, or whose FETCH round trip as a whole
-    takes longer than `deadline_s` (however its bytes trickle in), is
-    dropped, and the others are fetched from.
+    A server whose connection fails after it acknowledged, before the wait
+    ends, is dropped and no longer counts toward `wait_for`, so the client
+    waits on for another. A responder whose FETCH fails, or whose FETCH
+    round trip as a whole takes longer than `deadline_s` (however its
+    bytes trickle in), is dropped, and the others are fetched from.
 
     Before anything is sent, it raises ValueError unless there are n
     endpoints, all different, and OutOfRange for a `wait_for` outside
@@ -633,7 +636,7 @@ def retrieve(
         wait_s=wait.ended,
         symbols=plan.total_symbols,
         rate=plan.rate,
-        outcomes=wait.outcomes(run.responders, responses),
+        outcomes=wait.outcomes(responses),
         bytes_sent=sum(peer.sent for peer in run.peers),
         bytes_received=sum(peer.received for peer in run.peers),
         connects=run.connects,

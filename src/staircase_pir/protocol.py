@@ -11,7 +11,6 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from . import staircase
 from .errors import (
-    ColumnOutOfRange,
     DimensionMismatch,
     FieldTooSmall,
     FileIndexOutOfRange,
@@ -111,19 +110,22 @@ class Database:
 
 @dataclass
 class Query:
-    """One server's query: the sub-queries of its first columns, in column
-    order. expand_to expands more of them from the grid and the server's
-    row of the symbolic Q they were drawn from, so a column expanded late
-    is the one an expansion of every column gives."""
+    """One server's query, as make_queries builds it: the sub-queries of its
+    first columns expanded so far, in column order, with the grid and the
+    server's row of the symbolic Q they were drawn from. prefix expands the
+    columns it lacks from those, so a column expanded late is the one an
+    expansion of every column gives."""
 
     subqueries: list
-    grid: Optional[staircase.MessageGrid] = field(default=None, repr=False, compare=False)
-    symbolic: tuple = field(default=(), repr=False, compare=False)
+    grid: staircase.MessageGrid = field(repr=False, compare=False)
+    symbolic: tuple = field(repr=False, compare=False)
 
-    def expand_to(self, columns: int) -> None:
-        """Hold the sub-queries of the first `columns` columns."""
+    def prefix(self, columns: int) -> list:
+        """The sub-queries of the first `columns` columns, expanding those
+        not held yet."""
         for sym in self.symbolic[len(self.subqueries) : columns]:
             self.subqueries.append(self.grid.expand(sym))
+        return self.subqueries[:columns]
 
 
 def make_queries(
@@ -135,25 +137,19 @@ def make_queries(
 ) -> List[Query]:
     """Every server's query for file i, from one randomness draw and one
     grid. Only the sub-queries of the first `columns` columns (None: all
-    alpha) are expanded here; Query.expand_to expands the rest."""
+    alpha) are expanded here; Query.prefix expands the rest as they are
+    asked for."""
     randomness = staircase.generate_randomness(params, seed)
     grid = staircase.build_message_grid(params, i, randomness)
-    rows = staircase.encode_shares(params, V, grid, columns)
+    rows = staircase.encode_shares(V, grid, columns)
     symbolic = staircase.query_matrix(params, V)
     return [Query(row, grid, sym) for row, sym in zip(rows, symbolic)]
 
 
-def server_respond(
-    db: Database, query: Query, columns: Sequence[int]
-) -> List[Tuple[int, ...]]:
-    """The data's projections on the requested sub-query columns (0-based),
-    one s-symbol slab each, in `columns` order. A column the query does
-    not hold raises ColumnOutOfRange before any is projected."""
-    held = len(query.subqueries)
-    for c in columns:
-        if not 0 <= c < held:
-            raise ColumnOutOfRange(f"column {c} outside [0, {held})")
-    return [db.project(query.subqueries[c]) for c in columns]
+def server_respond(db: Database, subqueries: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """The data's projection on each sub-query it is handed, one s-symbol
+    slab each, in the order handed."""
+    return [db.project(sub) for sub in subqueries]
 
 
 @dataclass(frozen=True)
@@ -189,21 +185,34 @@ def plan_download(params: SchemeParams, responders: Sequence[int]) -> DownloadPl
     )
 
 
+def local_responses(
+    db: Database, queries: Sequence[Query], plan: DownloadPlan
+) -> Dict[int, List[Tuple[int, ...]]]:
+    """What the plan's responders answer, each server holding `db` in this
+    process: server sid's projections on the plan's prefix of its query,
+    as decode_file takes them."""
+    return {sid: server_respond(db, queries[sid - 1].prefix(plan.prefix_cols))
+            for sid in plan.responders}
+
+
 class ResponderWait:
     """Which servers a client decodes from, and when it stops waiting.
 
     The policy is two values: `wait_for`, how many servers to wait for
     (None: all n; OutOfRange outside [k, n]), and `deadline`, the longest
     to wait (math.inf: no cutoff; OutOfRange unless positive). A server
-    settles when its handshake completes (it arrives `at`) or fails
-    (`failure` names why). The wait is done once `target` servers have
-    arrived or all n have settled; it `ended` then, or at `deadline` if
-    sooner (times count from the start). The responders are the earliest
-    `target` arrivals; a wait that never ends (no deadline, and servers
-    that never settle) has none. Outcomes: "ok" (decoded from),
-    "dropped-mid-fetch" (a responder whose FETCH failed), "late"
-    (unsettled when the wait ended, or beaten by the first `target`), or
-    the failure it settled with: "refused" or "error".
+    settles when its handshake completes (it arrives `at`) or its
+    connection fails (`failure` names why); a failure after its arrival
+    takes the arrival back. The wait is done once `target` servers have
+    arrived and not failed, or all n have settled; it `ended` then, or at
+    `deadline` if sooner (times count from the start). A failure that
+    leaves the wait not done moves `ended` back to `deadline`; once the
+    responders are chosen, `ended` no longer moves. The responders are
+    the earliest `target` arrivals; a wait that never ends (no deadline,
+    and servers that never settle) has none. Outcomes: "ok" (decoded
+    from), "late" (unsettled when the wait ended, or beaten by the first
+    `target`), or the failure it settled with: "dropped-mid-fetch" (failed
+    after its acknowledgement), "refused" or "error".
     """
 
     def __init__(self, params: SchemeParams, wait_for: Optional[int], deadline: float):
@@ -217,14 +226,16 @@ class ResponderWait:
         self.ended = self.deadline = deadline
         self.arrived: Dict[int, float] = {}
         self.failures: Dict[int, str] = {}
+        self.chosen: Optional[List[int]] = None  # set by responders()
 
     def settle(self, sid: int, at: float, failure: Optional[str] = None) -> None:
         if failure is None:
             self.arrived[sid] = at
         else:
+            self.arrived.pop(sid, None)
             self.failures[sid] = failure
-        if self.done:
-            self.ended = min(self.ended, at)
+        if self.chosen is None:
+            self.ended = min(self.ended, at) if self.done else self.deadline
 
     @property
     def done(self) -> bool:
@@ -237,20 +248,17 @@ class ResponderWait:
                 f"waited for {self.target} servers with no deadline;"
                 f" only {len(self.arrived)} ever responded"
             )
-        chosen = sorted(sorted(self.arrived, key=self.arrived.get)[: self.target])
-        if len(chosen) < self.params.k:
+        self.chosen = sorted(sorted(self.arrived, key=self.arrived.get)[: self.target])
+        if len(self.chosen) < self.params.k:
             raise InsufficientResponders(
-                f"only {len(chosen)} servers responded, need {self.params.k}"
+                f"only {len(self.chosen)} servers responded, need {self.params.k}"
             )
-        return chosen
+        return self.chosen
 
-    def outcomes(self, responders: Collection[int], kept: Collection[int]) -> Dict[int, str]:
-        """Every server's outcome, once `kept` of the `responders` were decoded from."""
-        return {
-            sid: self.failures.get(sid, "late") if sid not in responders
-            else "ok" if sid in kept else "dropped-mid-fetch"
-            for sid in range(1, self.params.n + 1)
-        }
+    def outcomes(self, kept: Collection[int]) -> Dict[int, str]:
+        """Every server's outcome, once `kept` were decoded from."""
+        return {sid: "ok" if sid in kept else self.failures.get(sid, "late")
+                for sid in range(1, self.params.n + 1)}
 
 
 def decode_file(

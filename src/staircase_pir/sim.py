@@ -124,11 +124,8 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
         plan = protocol.plan_download(params, responders)
         queries = protocol.make_queries(
             params, V, 1, seed=rng.random(), columns=plan.prefix_cols)
-        responses = {
-            sid: protocol.server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-            for sid in responders
-        }
-        decoded = protocol.decode_file(params, V, plan, responses)
+        decoded = protocol.decode_file(
+            params, V, plan, protocol.local_responses(db, queries, plan))
         results.append(SimMetrics(
             realized_mu=plan.mu, wait_us=wait.ended, symbols=plan.total_symbols,
             rate=plan.rate, capacity=protocol.capacity_asymptotic(params.t, plan.mu),

@@ -250,14 +250,14 @@ def _query_matrix(params: SchemeParams, field, rows: tuple):
 
 
 def encode_shares(
-    params: SchemeParams, V: Matrix, grid: MessageGrid, columns: Optional[int] = None
+    V: Matrix, grid: MessageGrid, columns: Optional[int] = None
 ) -> List[List[List[int]]]:
     """Rows of Q = V * M: per server, the sub-queries (or sub-shares) of its
-    first `columns` columns (None: all alpha), the deployment's symbolic Q
-    expanded with this grid's payload and randomness."""
+    first `columns` columns (None: all alpha), the symbolic Q of the grid's
+    params expanded with this grid's payload and randomness."""
     return [
         [grid.expand(sym) for sym in row[:columns]]
-        for row in query_matrix(params, V)
+        for row in query_matrix(grid.params, V)
     ]
 
 
@@ -348,8 +348,7 @@ def ss_share(
     if len(secret) != params.alpha_prime:
         raise ValueError(f"secret must have {params.alpha_prime} vectors")
     randomness = generate_randomness(params, seed, width=len(secret[0]))
-    grid = MessageGrid(params, secret, randomness)
-    return encode_shares(params, V, grid)
+    return encode_shares(V, MessageGrid(params, secret, randomness))
 
 
 def ss_reconstruct(params: SchemeParams, V: Matrix, share_prefixes) -> List[List[int]]:

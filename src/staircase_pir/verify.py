@@ -153,13 +153,8 @@ def verify_robustness(
             expected = db.file_content(i)
             for subset in subsets:
                 plan = protocol.plan_download(params, subset)
-                responses = {
-                    sid: protocol.server_respond(
-                        db, queries[sid - 1], range(plan.prefix_cols)
-                    )
-                    for sid in subset
-                }
-                got = protocol.decode_file(params, V, plan, responses)
+                got = protocol.decode_file(
+                    params, V, plan, protocol.local_responses(db, queries, plan))
                 if got != expected:
                     report.failures.append((subset, i, trial))
     return report

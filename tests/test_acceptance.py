@@ -18,9 +18,9 @@ from staircase_pir.protocol import (
     capacity_finite,
     decode_file,
     default_encoding_matrix,
+    local_responses,
     make_queries,
     plan_download,
-    server_respond,
 )
 from staircase_pir.verify import verify_privacy_exhaustive, verify_privacy_rank
 
@@ -54,7 +54,7 @@ def test_criterion_1_triple_server_golden():
         for i in range(1, m + 1):
             rnd = staircase.generate_randomness(params, trial * m + i)
             grid = staircase.build_message_grid(params, i, rnd)
-            shares = staircase.encode_shares(params, V, grid)
+            shares = staircase.encode_shares(V, grid)
             y = [
                 [sum(a * b for a, b in zip(vec, x)) % q for vec in shares[l]]
                 for l in range(3)
@@ -105,10 +105,7 @@ def test_criterion_2_four_server_golden():
                               (4, 8, Fraction(3, 4))]:
         plan = plan_download(params, list(range(1, mu + 1)))
         ok &= plan.total_symbols == symbols and plan.rate == rate
-        responses = {
-            sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-            for sid in range(1, mu + 1)
-        }
+        responses = local_responses(db, queries, plan)
         ok &= decode_file(params, V, plan, responses) == files[0]
     report(2, "4-server golden grid, 24 response vectors, rates 1/2 2/3 3/4", ok)
 
@@ -132,10 +129,7 @@ def test_criterion_3_universality():
             for mu, subset in subsets:
                 plan = plan_download(params, subset)
                 ok &= plan.rate == Fraction(mu - t, mu)
-                responses = {
-                    sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-                    for sid in subset
-                }
+                responses = local_responses(db, queries, plan)
                 ok &= decode_file(params, V, plan, responses) == expected
         assert ok, f"universality failed for (n,k,t)=({n},{k},{t})"
     report(3, "every subset decodes at rate (mu-t)/mu, 5 schemes x 50 trials", ok)

@@ -7,9 +7,9 @@ from staircase_pir import ingest
 from staircase_pir.protocol import (
     decode_file,
     default_encoding_matrix,
+    local_responses,
     make_queries,
     plan_download,
-    server_respond,
 )
 
 
@@ -52,13 +52,8 @@ def test_ingest_and_retrieve_byte_identical(q):
         assert manifest["files"][i - 1]["name"] == name
         queries = make_queries(params, V, i, seed=i)
         for mu in (2, 3, 4):
-            responders = list(range(1, mu + 1))
-            plan = plan_download(params, responders)
-            responses = {
-                sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-                for sid in responders
-            }
-            decoded = decode_file(params, V, plan, responses)
+            plan = plan_download(params, list(range(1, mu + 1)))
+            decoded = decode_file(params, V, plan, local_responses(db, queries, plan))
             assert ingest.restore_file(decoded, manifest, i) == data
 
 

@@ -202,6 +202,35 @@ def test_retrieve_replans_when_a_responder_drops_mid_fetch(cluster321):
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "dropped-mid-fetch"}
 
 
+def test_a_responder_that_drops_before_the_wait_ends_no_longer_counts(
+        cluster321, monkeypatch):
+    # Server 1 acknowledges, then closes; servers 2 and 3 answer their QUERY
+    # 50 and 100 ms late. The drop takes server 1 out of the wait, so the
+    # client waits on for server 3 and decodes from 2 and 3.
+    params, V, files, servers, endpoints = cluster321
+    delays = {id(servers[1]): 0.05, id(servers[2]): 0.1}
+    dispatch = net.PIRServer._dispatch
+
+    def delayed(self, conn, msg_type, payload):
+        if msg_type == wire.MSG_QUERY:
+            time.sleep(delays.get(id(self), 0))
+        return dispatch(self, conn, msg_type, payload)
+
+    monkeypatch.setattr(net.PIRServer, "_dispatch", delayed)
+    stub = serve_stub()
+    try:
+        decoded, metrics = retrieve(
+            [stub.server_address] + endpoints[1:], params, V, 1,
+            wait_for=2, deadline_s=5, seed=4,
+        )
+    finally:
+        shutdown([stub])
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "dropped-mid-fetch", 2: "ok", 3: "ok"}
+    assert metrics.realized_mu == 2
+    # The wait ended when server 3 arrived, not at the drop or the deadline.
+    assert 0.1 <= metrics.wait_s < 5
+
 def test_retrieve_drops_a_responder_that_stalls_on_fetch(cluster321):
     params, V, files, _, endpoints = cluster321
     stub = serve_stub(_StallOnFetch)
@@ -313,6 +342,42 @@ def test_retrieve_tries_each_address_of_a_host_name(cluster321, monkeypatch):
     assert decoded == files[1]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
 
+
+def test_a_name_that_does_not_resolve_settles_its_server_as_an_error(
+        cluster321, monkeypatch):
+    params, V, files, _, endpoints = cluster321
+    getaddrinfo = socket.getaddrinfo
+
+    def unresolved_third(host, port, *args):
+        if port == endpoints[2][1]:
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return getaddrinfo(host, port, *args)
+
+    monkeypatch.setattr(socket, "getaddrinfo", unresolved_third)
+    decoded, metrics = retrieve(endpoints, params, V, 1, seed=3)
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "error"}
+
+
+def test_an_address_that_fails_at_once_falls_back_to_the_next(
+        cluster321, monkeypatch, tmp_path):
+    params, V, files, _, endpoints = cluster321
+    getaddrinfo = socket.getaddrinfo
+    missing = str(tmp_path / "missing.sock")
+
+    def unix_path_first(host, port, *args):
+        # A Unix socket path that does not exist, before the third server's
+        # own address: its connect fails without waiting.
+        found = getaddrinfo(host, port, *args)
+        if port == endpoints[2][1]:
+            return [(socket.AF_UNIX, socket.SOCK_STREAM, 0, "", missing)] + found
+        return found
+
+    monkeypatch.setattr(socket, "getaddrinfo", unix_path_first)
+    decoded, metrics = retrieve(endpoints, params, V, 2, seed=5)
+    assert decoded == files[1]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
+    assert metrics.connects == params.n + 1
 
 def test_server_survives_a_fault_on_one_connection(cluster321, monkeypatch, capsys):
     params, V, files, _, endpoints = cluster321
@@ -453,6 +518,16 @@ def test_server_answers_hostile_query_header(cluster321, field, value):
     assert msg_type == wire.MSG_ERROR
     assert wire.decode_error(reply)[0] == wire.ERR_HANDSHAKE
 
+
+def test_server_answers_a_frame_of_unknown_type_with_an_error(cluster321):
+    params, V, files, _, endpoints = cluster321
+    with socket.create_connection(endpoints[0], timeout=2) as sock:
+        msg_type, reply = exchange(sock, wire.pack_frame(9, b""))
+        assert msg_type == wire.MSG_ERROR
+        assert wire.decode_error(reply) == (wire.ERR_MALFORMED, "unexpected type 9")
+        send_query(sock, params, V, 1)  # the connection still serves
+    decoded, _ = retrieve(endpoints, params, V, 2, seed=1)
+    assert decoded == files[1]
 
 def test_new_query_replaces_what_the_server_holds(cluster321):
     params, V, files, _, endpoints = cluster321

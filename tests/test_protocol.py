@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase_pir.errors import (
-    ColumnOutOfRange,
     DimensionMismatch,
     InsufficientResponders,
     InvalidThreshold,
@@ -26,6 +25,7 @@ from staircase_pir.protocol import (
     capacity_finite,
     decode_file,
     default_encoding_matrix,
+    local_responses,
     make_queries,
     plan_download,
     server_respond,
@@ -278,18 +278,12 @@ class TestRetrieval:
             # All three servers answer: one response each.
             plan = plan_download(params, [1, 2, 3])
             assert plan.total_symbols == 3
-            responses = {
-                sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-                for sid in (1, 2, 3)
-            }
+            responses = local_responses(db, queries, plan)
             assert decode_file(params, V, plan, responses) == files[i - 1]
             # One straggler: four responses from the survivors.
             plan = plan_download(params, [1, 2])
             assert plan.total_symbols == 4
-            responses = {
-                sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-                for sid in (1, 2)
-            }
+            responses = local_responses(db, queries, plan)
             assert decode_file(params, V, plan, responses) == files[i - 1]
 
     def test_example2_all_subsets(self):
@@ -299,10 +293,7 @@ class TestRetrieval:
         for mu in (2, 3, 4):
             for subset in itertools.combinations(range(1, 5), mu):
                 plan = plan_download(params, subset)
-                responses = {
-                    sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-                    for sid in subset
-                }
+                responses = local_responses(db, queries, plan)
                 assert decode_file(params, V, plan, responses) == files[1]
 
     def test_different_seeds_same_file(self):
@@ -311,10 +302,7 @@ class TestRetrieval:
         for seed in (10, 11):
             queries = make_queries(params, V, 1, seed=seed)
             plan = plan_download(params, [1, 3, 4])
-            responses = {
-                sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-                for sid in (1, 3, 4)
-            }
+            responses = local_responses(db, queries, plan)
             assert decode_file(params, V, plan, responses) == files[0]
         q1 = make_queries(params, V, 1, seed=10)
         q2 = make_queries(params, V, 1, seed=11)
@@ -325,37 +313,41 @@ class TestRetrieval:
         db, _ = random_db(params, 5)
         queries = make_queries(params, V, 1, seed=0)
         plan = plan_download(params, [1, 2, 3])
-        responses = {
-            sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-            for sid in (1, 2)
-        }
+        responses = local_responses(db, queries, plan)
+        del responses[3]
         with pytest.raises(MissingResponse):
             decode_file(params, V, plan, responses)
         # Every responder present, one of them a slab short of the prefix.
-        responses[3] = server_respond(db, queries[2], range(plan.prefix_cols - 1))
+        responses[3] = server_respond(db, queries[2].prefix(plan.prefix_cols - 1))
         with pytest.raises(MissingResponse):
             decode_file(params, V, plan, responses)
         responses[3].append(db.project(queries[2].subqueries[plan.prefix_cols - 1]))
         assert decode_file(params, V, plan, responses) == db.file_content(1)
 
-    def test_server_respond_returns_columns_in_the_order_asked(self):
+    def test_server_respond_keeps_the_order_of_the_sub_queries_it_is_handed(self):
         params, V = example2()
         db, _ = random_db(params, 7)
-        (query, *_) = make_queries(params, V, 1, seed=0)
-        assert server_respond(db, query, [3, 1]) == [
-            db.project(query.subqueries[3]), db.project(query.subqueries[1])]
-        assert server_respond(db, query, []) == []
+        subqueries = make_queries(params, V, 1, seed=0)[0].subqueries
+        handed = [subqueries[3], subqueries[1], subqueries[3]]
+        answers = server_respond(db, handed)
+        assert answers == [db.project(sub) for sub in handed]
+        assert server_respond(db, handed[::-1]) == answers[::-1]
+        assert server_respond(db, []) == []
 
-    def test_server_respond_column_bounds(self):
+    def test_local_responses_answer_each_responder_with_its_prefix(self):
         params, V = example2()
-        db, _ = random_db(params, 6)
-        queries = make_queries(params, V, 1, seed=0)
-        assert len(server_respond(db, queries[0], range(6))) == 6
-        with pytest.raises(ColumnOutOfRange):
-            server_respond(db, queries[0], [6])
-        prefix = make_queries(params, V, 1, seed=0, columns=2)
-        with pytest.raises(ColumnOutOfRange):
-            server_respond(db, prefix[0], [2])
+        db, files = random_db(params, 6)
+        full = make_queries(params, V, 1, seed=3)
+        for subset in ([1, 2], [1, 3, 4], [1, 2, 3, 4]):
+            queries = make_queries(params, V, 1, seed=3, columns=1)
+            plan = plan_download(params, subset)
+            responses = local_responses(db, queries, plan)
+            assert sorted(responses) == subset
+            for sid, slabs in responses.items():
+                assert len(slabs) == plan.prefix_cols
+                assert slabs == [db.project(sub)
+                                 for sub in full[sid - 1].subqueries[: plan.prefix_cols]]
+            assert decode_file(params, V, plan, responses) == files[0]
 
     @pytest.mark.parametrize("columns", [1, 2, 3, 6])
     def test_late_columns_are_those_of_a_full_expansion(self, columns):
@@ -367,8 +359,9 @@ class TestRetrieval:
         assert [len(query.subqueries) for query in prefix] == [columns] * params.n
         for query, whole in zip(prefix, full):
             assert query.subqueries == whole.subqueries[:columns]
-            query.expand_to(columns + 1)
-            query.expand_to(params.alpha)
+            assert query.prefix(columns + 1) == whole.subqueries[: columns + 1]
+            assert query.prefix(params.alpha) == whole.subqueries
+            assert query.prefix(1) == whole.subqueries[:1]
             assert query.subqueries == whole.subqueries
 
 
@@ -446,8 +439,30 @@ def test_responder_wait_chooses_times_and_labels():
     wait.settle(2, 2.5)  # in the same batch: the wait has already ended
     assert wait.ended == 2.0
     assert wait.responders() == [1, 4]
-    assert wait.outcomes([1, 4], kept=[4]) == {
+    wait.settle(1, 3.0, "dropped-mid-fetch")
+    assert wait.outcomes(kept=[4]) == {
         1: "dropped-mid-fetch", 2: "late", 3: "refused", 4: "ok"
+    }
+
+
+def test_responder_wait_takes_back_the_arrival_of_a_server_that_fails():
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257)
+    wait = ResponderWait(params, wait_for=2, deadline=10.0)
+    wait.settle(1, 1.0)
+    wait.settle(2, 2.0)
+    assert wait.done and wait.ended == 2.0
+    # Server 1 fails after its acknowledgement: it no longer counts toward
+    # the target, and the wait that seemed over ends at the deadline again.
+    wait.settle(1, 3.0, "dropped-mid-fetch")
+    assert wait.arrived == {2: 2.0} and not wait.done and wait.ended == 10.0
+    wait.settle(3, 4.0)
+    assert wait.done and wait.ended == 4.0
+    assert wait.responders() == [2, 3]
+    # Once the responders are chosen, a drop no longer moves the end.
+    wait.settle(3, 5.0, "dropped-mid-fetch")
+    assert not wait.done and wait.ended == 4.0
+    assert wait.outcomes(kept=[2]) == {
+        1: "dropped-mid-fetch", 2: "ok", 3: "dropped-mid-fetch", 4: "late"
     }
 
 
@@ -461,7 +476,7 @@ def test_responder_wait_ends_at_the_deadline():
     wait.settle(1, 0.4)  # settled in the batch that woke after the deadline
     assert wait.ended == 0.3
     assert wait.responders() == [1, 2]
-    assert wait.outcomes([1, 2], kept=[1, 2]) == {1: "ok", 2: "ok", 3: "late"}
+    assert wait.outcomes(kept=[1, 2]) == {1: "ok", 2: "ok", 3: "late"}
 
 
 @pytest.mark.parametrize("target", [1, 5])

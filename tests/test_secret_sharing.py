@@ -12,9 +12,9 @@ from staircase_pir.protocol import (
     capacity_asymptotic,
     decode_file,
     default_encoding_matrix,
+    local_responses,
     make_queries,
     plan_download,
-    server_respond,
 )
 from staircase_pir.secret_sharing import (
     RampScheme,
@@ -155,8 +155,5 @@ def staircase_retrieve(db, i, responders, seed):
     V = default_encoding_matrix(params)
     queries = make_queries(params, V, i, seed=seed)
     plan = plan_download(params, responders)
-    responses = {
-        sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-        for sid in responders
-    }
+    responses = local_responses(db, queries, plan)
     return decode_file(params, V, plan, responses), plan.total_symbols

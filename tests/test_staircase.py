@@ -18,9 +18,9 @@ from staircase_pir.protocol import (
     Database,
     decode_file,
     default_encoding_matrix,
+    local_responses,
     make_queries,
     plan_download,
-    server_respond,
 )
 from staircase_pir.staircase import (
     PAYLOAD_FIRST,
@@ -194,7 +194,7 @@ def test_encode_shares_matches_dense_product(nkt):
                 [row[c * w : (c + 1) * w] for c in range(params.alpha)]
                 for row in V.mul(M).rows
             ]
-            assert encode_shares(ordered, V, grid) == expected
+            assert encode_shares(V, grid) == expected
 
 
 def test_query_matrix_computed_once_per_deployment():
@@ -203,7 +203,7 @@ def test_query_matrix_computed_once_per_deployment():
     assert staircase.query_matrix(params, Matrix(params.field, V.rows)) is first
     grid = build_message_grid(params, 1, generate_randomness(params, 0))
     hits = staircase._query_matrix.cache_info().hits
-    encode_shares(params, V, grid)
+    encode_shares(V, grid)
     assert staircase._query_matrix.cache_info().hits == hits + 1
 
 
@@ -227,7 +227,7 @@ def test_zero_grid_gives_zero_shares():
     zeros = [[0] * params.x_length for _ in range(params.alpha_prime)]
     rzeros = [[0] * params.x_length for _ in range(params.randomness_count)]
     grid = staircase.MessageGrid(params, zeros, rzeros)
-    shares = encode_shares(params, V, grid)
+    shares = encode_shares(V, grid)
     assert all(
         all(v == 0 for v in sub) for row in shares for sub in row
     )
@@ -238,7 +238,7 @@ def test_encode_rejects_bad_matrix():
     bad = Matrix(params.field, [[1, 1, 1, 1]] * 4)
     rnd = generate_randomness(params, 0)
     with pytest.raises(BadEncodingMatrix):
-        encode_shares(params, bad, build_message_grid(params, 1, rnd))
+        encode_shares(bad, build_message_grid(params, 1, rnd))
 
 
 def test_validate_encoding_matrix_cases():
@@ -277,7 +277,7 @@ def project(x, vec, s, q):
 def decode_once(params, V, responders, x, seed):
     rnd = generate_randomness(params, seed)
     grid = build_message_grid(params, 1, rnd)
-    shares = encode_shares(params, V, grid)
+    shares = encode_shares(V, grid)
     prefix = params.prefix_cols(len(responders))
     proj = {
         sid: [project(x, shares[sid - 1][c], params.s, params.q)
@@ -353,7 +353,7 @@ def test_decoder_ignores_columns_beyond_prefix():
     rng = random.Random(11)
     x = [rng.randrange(params.q) for _ in range(params.x_length)]
     rnd = generate_randomness(params, 5)
-    shares = encode_shares(params, V, build_message_grid(params, 1, rnd))
+    shares = encode_shares(V, build_message_grid(params, 1, rnd))
     responders = [1, 2, 3]
     prefix = params.prefix_cols(3)
     proj = {
@@ -417,15 +417,8 @@ class TestSecretSharingCodec:
         for mu in range(params.k, params.n + 1):
             for responders in itertools.combinations(range(1, params.n + 1), mu):
                 plan = plan_download(params, responders)
-                responses = {
-                    sid: server_respond(db, queries[sid - 1], range(plan.prefix_cols))
-                    for sid in responders
-                }
-                prefixes = {
-                    sid: [cols[c] for c in range(plan.prefix_cols)]
-                    for sid, cols in responses.items()
-                }
-                parts = ss_reconstruct(params, V, prefixes)
+                responses = local_responses(db, queries, plan)
+                parts = ss_reconstruct(params, V, responses)
                 decoded = decode_file(params, V, plan, responses)
                 assert [sym for part in parts for sym in part] == decoded == files[1]
 
@@ -439,7 +432,7 @@ class TestSecretSharingCodec:
         rng = random.Random(3)
         width = 2
         share = lambda secret, rnd: encode_shares(
-            params, V, staircase.MessageGrid(params, secret, rnd)
+            V, staircase.MessageGrid(params, secret, rnd)
         )
         for trial in range(20):
             mk = lambda rows: [

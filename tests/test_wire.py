@@ -570,7 +570,7 @@ def test_documented_frame_sizes():
     # payload) bytes.
     V = default_encoding_matrix(BULK)
     query = make_queries(BULK, V, 1, seed=0, columns=BULK.prefix_cols(4))[3]
-    query.expand_to(BULK.prefix_cols(2))
+    query.prefix(BULK.prefix_cols(2))
     slab = [BULK.q - 1] * BULK.s
     frames = {
         "QUERY": (wire.encode_query(BULK, bytes(32), 4, query.subqueries[:2]), (8, 905)),
