@@ -28,16 +28,18 @@ again when one drops. Every plan it makes is a protocol.DownloadPlan.
   each way per server.
 - The client waits for acknowledgements as protocol.ResponderWait
   decides: a server settles when its acknowledgement arrives or its
-  connection fails. A server whose connection fails after its
-  acknowledgement, before the wait ends, is dropped and no longer counts
-  toward the servers waited for. A server that refuses its QUERY ends
-  the retrieval at once.
-- When the wait ends, the plan is made again for the responders the
-  wait chose, and each is sent a FETCH for the prefix columns it lacks,
-  if any. A responder whose FETCH fails, or whose round trip outlives
-  the deadline, is dropped, and the plan is made again for the others.
-  The round trip counts from the server's acknowledgement, or from the
-  FETCH if that was sent after it.
+  connection fails, and the wait chooses the responders once it ends. A
+  server that refuses its QUERY ends the retrieval at once.
+- Once the wait has chosen, the plan is for the responders it chose,
+  and each is sent a FETCH for the prefix columns it lacks, if any. A
+  server whose connection fails after its acknowledgement, whether the
+  wait has ended or not, or whose FETCH round trip outlives the
+  deadline, is dropped and no longer counts toward the servers waited
+  for. A chosen one's drop reopens the wait, which chooses again at once
+  if it can, and the plan follows. The round trip counts from the
+  server's acknowledgement, or from the FETCH if that was sent after it.
+  A server not chosen stays connected until the retrieval ends, so it
+  can still arrive.
 
 A QUERY carries only the sub-queries of the prefix for the target, and
 a FETCH adds those of the columns a smaller mu, or a plan made again
@@ -356,10 +358,13 @@ class _Retrieval:
 
     run() takes the retrieval through the module's flow and returns
     (plan, responses), responses mapping each of the plan's responders to
-    the columns it answered, at least plan.prefix_cols of them. It raises
-    HandshakeMismatch as soon as a server refuses its QUERY, and
-    InsufficientResponders if fewer than k servers acknowledged theirs by
-    the end of the wait, or fewer than k responders are left after drops.
+    the columns it answered, at least plan.prefix_cols of them. _replan()
+    is the only code that makes a plan, and _request() the only code that
+    queues a frame. A server not chosen stays connected until close(), so
+    every server is either settled or still able to arrive. run() raises
+    HandshakeMismatch as soon as a server refuses its QUERY, whenever
+    that is before it returns, and InsufficientResponders if fewer than k
+    servers acknowledged theirs and did not drop by the end of the wait.
     """
 
     def __init__(self, queries, V: Matrix, wait: protocol.ResponderWait):
@@ -391,20 +396,19 @@ class _Retrieval:
         for key, _ in self.sel.select(0):
             self._connected(key.data)
         for peer in list(self.up):
-            self._query(peer)
-        until = self.start + self.wait.deadline  # the wait's end; then only FETCH expiries
-        while self.wait.chosen is None or any(
-                len(self.peers[sid - 1].slabs) < self.plan.prefix_cols
-                for sid in self.plan.responders):
+            self._request(peer)
+        while True:
             now = time.monotonic()
+            until = self.start + self.wait.deadline  # the wait's end
             if self.wait.chosen is None and (self.wait.done or now >= until):
-                responders = self.wait.responders()
-                for peer in self.peers:
-                    if peer.sid not in responders:
-                        peer.close(self.sel)
-                self._replan(responders)
-                until = math.inf
-                continue
+                self.wait.responders()
+            self._replan()
+            if self.wait.chosen is not None:
+                if all(len(self.peers[sid - 1].slabs) >= self.plan.prefix_cols
+                       for sid in self.plan.responders):
+                    return self.plan, {sid: self.peers[sid - 1].slabs
+                                       for sid in self.plan.responders}
+                until = math.inf  # only FETCH expiries
             pending = [key.data for key in self.sel.get_map().values()]  # a reply due
             for key, mask in self.sel.select(min([until] + [p.expires for p in pending]) - now):
                 self._step(key.data, mask)
@@ -412,7 +416,6 @@ class _Retrieval:
             for peer in pending:  # a FETCH that outlives its expiry fails as if timed out
                 if peer.events and peer.expires <= now:
                     self._fail(peer, TimeoutError())
-        return self.plan, {sid: self.peers[sid - 1].slabs for sid in self.plan.responders}
 
     def _connect(self, peer: _Peer, error: int = 0) -> None:
         """Start a non-blocking connect to the endpoint's next address,
@@ -455,9 +458,7 @@ class _Retrieval:
         """A connection failed. A reused socket that failed before any reply
         is replaced by a fresh connect, and a QUERY refused before any
         acknowledgement ends the retrieval. Anything else settles the server
-        as failed, dropped if it had acknowledged; then the first plan is
-        made if it can be, or, once the wait is over, the plan is made again
-        without the server."""
+        as failed, dropped if it had acknowledged; run() plans again."""
         peer.close(self.sel)
         arrived = peer.sid in self.wait.arrived
         if peer.reused and not peer.received:  # stale: the server may be up
@@ -468,49 +469,33 @@ class _Retrieval:
         outcome = ("dropped-mid-fetch" if arrived
                    else "refused" if isinstance(exc, ConnectionRefusedError) else "error")
         self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
-        if self.wait.chosen is None:
-            self._plan()
-        else:
-            self._replan(self.plan.responders)
 
-    def _plan(self) -> None:
-        """Make the first plan, unless there is one, once `target`
+    def _replan(self) -> None:
+        """Make the plan, the only code that does, and send each of its
+        responders whose QUERY has gone out the FETCH it now lacks. Until
+        the wait has chosen, the first plan is made once, when `target`
         connections are up or every connect has completed or failed: for
-        the first mu = min(target, up) to connect, if at least k."""
-        up = [peer for peer in self.up if peer.sock is not None]
-        if self.plan is None and len(up) >= self.params.k and (
-                len(up) >= self.wait.target or all(
+        the first mu = min(target, up) to connect, if at least k. Once it
+        has chosen, the plan is for the responders chosen."""
+        sids = self.wait.chosen
+        if sids is None and self.plan is None:
+            up = [peer.sid for peer in self.up if peer.sock is not None]
+            if len(up) >= self.params.k and (len(up) >= self.wait.target or all(
                     peer in self.up or peer.sid in self.wait.failures for peer in self.peers)):
-            self._replan([peer.sid for peer in up[: self.wait.target]])
-
-    def _replan(self, sids) -> None:
-        """Plan the download from the servers `sids` still connected, and
-        send each the FETCH it now lacks, or leave it to go with the QUERY."""
-        peers = [peer for peer in self.peers if peer.sid in sids and peer.sock is not None]
-        self.plan = protocol.plan_download(self.params, [peer.sid for peer in peers])
-        for peer in peers:
-            if peer.sock is not None and not peer.connecting:  # a drop may have closed it
-                self._request(peer)
-
-    def _query(self, peer: _Peer) -> None:
-        """Send the peer its QUERY, with the plan's FETCH if it is fetched
-        from; the first plan is made first if its connection allows it."""
-        self._plan()
-        peer.connecting = False
-        # Encoded only now, so a server that is down costs no upload.
-        peer.out = memoryview(wire.encode_query(
-            self.params, self.fingerprint, peer.sid,
-            self.queries[peer.sid - 1].prefix(self.first)))
-        self._request(peer)
+                sids = up[: self.wait.target]
+        if sids is None or self.plan is not None and list(self.plan.responders) == sids:
+            return
+        self.plan = protocol.plan_download(self.params, sids)
+        for sid in self.plan.responders:
+            if not self.peers[sid - 1].connecting:
+                self._request(self.peers[sid - 1])
 
     def _step(self, peer: _Peer, mask: int) -> None:
         """Move one connection on after its socket became ready."""
         try:
             if mask & _WRITE:
-                if not peer.connecting:
+                if not peer.connecting or self._connected(peer):
                     self._request(peer)
-                elif self._connected(peer):
-                    self._query(peer)
                 return
             if not peer.recv():
                 raise MalformedFrame("connection closed mid-frame")
@@ -546,11 +531,20 @@ class _Retrieval:
             peer.watch(self.sel, 0)  # idle until it is fetched from
 
     def _request(self, peer: _Peer) -> None:
-        """Queue the peer a FETCH if the plan fetches from it, it has none in
-        flight and it holds fewer than the plan's prefix columns, behind its
-        QUERY if that is not written yet; then write what it is owed. The
-        FETCH adds the sub-queries the peer was not sent; all the columns it
-        lacks come back."""
+        """Queue the peer its frames, the only code that does, and write what
+        it is owed. A peer just connected is sent its QUERY, once the first
+        plan is made if its connection allows it. Then a FETCH is queued
+        behind it if the plan fetches from the peer, it has none in flight
+        and it holds fewer than the plan's prefix columns. The FETCH adds
+        the sub-queries the peer was not sent; all the columns it lacks come
+        back."""
+        if peer.connecting:
+            self._replan()
+            peer.connecting = False
+            # Encoded only now, so a server that is down costs no upload.
+            peer.out = memoryview(wire.encode_query(
+                self.params, self.fingerprint, peer.sid,
+                self.queries[peer.sid - 1].prefix(self.first)))
         held, plan = len(peer.slabs), self.plan
         if plan and peer.sid in plan.responders and not peer.asked and held < plan.prefix_cols:
             peer.asked = plan.prefix_cols - held
@@ -596,23 +590,25 @@ def retrieve(
     decodes from those that did. It also stops waiting once every server
     has settled, so a server whose connection is refused or broken costs
     nothing, and only a silent one costs the deadline; it is then "late".
-    A server whose connection fails after it acknowledged, before the wait
-    ends, is dropped and no longer counts toward `wait_for`, so the client
-    waits on for another. A responder whose FETCH fails, or whose FETCH
+    A server whose connection fails after it acknowledged, or whose FETCH
     round trip as a whole takes longer than `deadline_s` (however its
-    bytes trickle in), is dropped, and the others are fetched from.
+    bytes trickle in), is dropped and no longer counts toward `wait_for`.
+    If it was a responder, the client chooses again by the same rule,
+    from the servers still connected: a server not chosen stays
+    connected until the retrieval ends.
 
     Before anything is sent, it raises ValueError unless there are n
     endpoints, all different, and OutOfRange for a `wait_for` outside
     [k, n] or a `deadline_s` outside (0, MAX_DEADLINE_S]. Endpoints are
     compared as given: two spellings of one host, such as "localhost" and
     "127.0.0.1", are not caught. It raises HandshakeMismatch as soon as a
-    server refuses its QUERY, and InsufficientResponders if fewer than k
-    servers acknowledged by the end of the wait, or fewer than k
-    responders are left after drops.
+    server refuses its QUERY, whenever that arrives before the retrieval
+    ends, and InsufficientResponders if fewer than k servers acknowledged
+    and did not drop by the end of the wait.
 
     The connections of the responders it decodes from stay open for the
-    next retrieval to the same endpoints; every other one is closed.
+    next retrieval to the same endpoints; every other one is closed when
+    it ends.
     """
     if len(endpoints) != params.n:
         raise ValueError(f"need {params.n} endpoints")

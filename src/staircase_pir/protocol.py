@@ -16,7 +16,6 @@ from .errors import (
     FileIndexOutOfRange,
     InsufficientResponders,
     InvalidThreshold,
-    MissingResponse,
     OutOfRange,
 )
 from .field import Matrix, ints_to_bytes, lane_bytes, unpack_lanes, vandermonde
@@ -206,13 +205,16 @@ class ResponderWait:
     takes the arrival back. The wait is done once `target` servers have
     arrived and not failed, or all n have settled; it `ended` then, or at
     `deadline` if sooner (times count from the start). A failure that
-    leaves the wait not done moves `ended` back to `deadline`; once the
-    responders are chosen, `ended` no longer moves. The responders are
-    the earliest `target` arrivals; a wait that never ends (no deadline,
-    and servers that never settle) has none. Outcomes: "ok" (decoded
-    from), "late" (unsettled when the wait ended, or beaten by the first
-    `target`), or the failure it settled with: "dropped-mid-fetch" (failed
-    after its acknowledgement), "refused" or "error".
+    leaves the wait not done moves `ended` back to `deadline`. Once the
+    responders are chosen, `ended` no longer moves until a chosen one
+    fails: that clears `chosen`, and the wait runs on by the same rules.
+    A late arrival, or the failure of a server not chosen, leaves the
+    choice alone. The responders are the earliest `target` arrivals; a
+    wait that never ends (no deadline, and servers that never settle) has
+    none. Outcomes: "ok" (decoded from), "late" (unsettled when the wait
+    ended, or beaten by the first `target`), or the failure it settled
+    with: "dropped-mid-fetch" (failed after its acknowledgement),
+    "refused" or "error".
     """
 
     def __init__(self, params: SchemeParams, wait_for: Optional[int], deadline: float):
@@ -226,7 +228,7 @@ class ResponderWait:
         self.ended = self.deadline = deadline
         self.arrived: Dict[int, float] = {}
         self.failures: Dict[int, str] = {}
-        self.chosen: Optional[List[int]] = None  # set by responders()
+        self.chosen: Optional[List[int]] = None  # set by responders(); a chosen failure clears it
 
     def settle(self, sid: int, at: float, failure: Optional[str] = None) -> None:
         if failure is None:
@@ -234,6 +236,8 @@ class ResponderWait:
         else:
             self.arrived.pop(sid, None)
             self.failures[sid] = failure
+            if sid in (self.chosen or ()):
+                self.chosen = None
         if self.chosen is None:
             self.ended = min(self.ended, at) if self.done else self.deadline
 
@@ -271,13 +275,8 @@ def decode_file(
 
     responses: server id -> its s-symbol slabs of columns 0, 1, ...; each
     of the plan's responders must supply at least plan.prefix_cols of
-    them, or MissingResponse is raised.
+    them, or staircase.peel_decode raises MissingResponse.
     """
-    for sid in plan.responders:
-        got = len(responses.get(sid, ()))
-        if got < plan.prefix_cols:
-            raise MissingResponse(
-                f"server {sid} sent {got} of {plan.prefix_cols} prefix columns")
     parts = staircase.peel_decode(params, V, list(plan.responders), responses, width=params.s)
     return [sym for part in parts for sym in part]
 

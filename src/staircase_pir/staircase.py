@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     FileIndexOutOfRange,
     InsufficientResponders,
+    MissingResponse,
     OutOfRange,
 )
 from .field import (Matrix, ints_from_bytes, lane_bytes, pack_lanes, prefix_invertible,
@@ -272,8 +273,9 @@ def peel_decode(
 
     responders: 1-based server ids, exactly mu of them.
     projections: mapping server id -> its values of columns 0, 1, ..., at
-    least prefix_cols(mu) of them, each a length-`width` sequence of
-    symbols (projections for PIR, sub-share vectors for secret sharing).
+    least prefix_cols(mu) of them (MissingResponse if a responder has
+    fewer, or none), each a length-`width` sequence of symbols
+    (projections for PIR, sub-share vectors for secret sharing).
 
     Returns the alpha' payload values in order. Each level runs on packed
     lanes: a responder's block is one int, a known replica is subtracted as
@@ -290,10 +292,9 @@ def peel_decode(
     q = params.q
     prefix = params.prefix_cols(mu)
     for sid in responders:
-        if len(projections[sid]) < prefix:
-            raise OutOfRange(
-                f"server {sid} supplied {len(projections[sid])} columns, need {prefix}"
-            )
+        got = len(projections.get(sid, ()))
+        if got < prefix:
+            raise MissingResponse(f"server {sid} sent {got} of {prefix} prefix columns")
         if any(len(value) != width for value in projections[sid][:prefix]):
             raise DimensionMismatch(f"server {sid} supplied a column not of width {width}")
     A_inv = _system_inverse(params, tuple(map(tuple, V.rows)), tuple(responders))

@@ -189,6 +189,28 @@ def test_exhaustive_skip_is_quick(capsys):
     assert "exhaustive privacy skipped: 4687500 sub-query expansions" in out
 
 
+def test_verify_exhaustive_within_the_cap(capsys):
+    # 3,750 sub-query expansions: under the cap, so every subset is run.
+    code, out, _ = run(capsys, "verify", "--exhaustive", "--n", "3", "--k", "2",
+                       "--t", "1", "--m", "1", "--q", "5")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert [row[0] for row in rows if row[1:3] == ["exhaustive", "pass"]] == ["1", "2", "3"]
+    assert "FAIL" not in out and "skipped" not in out
+
+
+def test_simulate_deterministic_latency(capsys):
+    # Every server answers in exactly 10 ms, so every wait is 10 ms.
+    code, out, _ = run(capsys, "--format", "json-lines", "simulate", "--n", "3", "--k", "2",
+                       "--t", "1", "--latency", "deterministic", "--latency-ms", "10",
+                       "--reps", "5")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["wait_for"] for rec in records] == [2, 3]
+    assert all(rec["mean_wait_ms"] == 10.0 and rec["success_fraction"] == 1.0
+               for rec in records)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["params", "--n", "4"])  # missing required flags
@@ -276,6 +298,27 @@ def test_every_command_in_every_format(command, fmt, capsys, monkeypatch, reques
         assert rows and all(len(row) == len(header) for row in rows)
     else:
         assert out.strip()
+
+
+def test_serve_writes_a_manifest_that_retrieve_reads(deployment, capsys, monkeypatch):
+    data, _, endpoints = deployment
+
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(net.PIRServer, "serve_forever", interrupted)
+    manifest = data.parent / "served.json"
+    code, _, _ = run(capsys, "serve", "--n", "3", "--k", "2", "--t", "1",
+                     "--listen", "127.0.0.1:0", "--data-dir", str(data),
+                     "--manifest", str(manifest))
+    assert code == 0
+    assert ingest.read_manifest(str(manifest))["m"] == len(FILES)
+    monkeypatch.undo()
+    out_path = data.parent / "out.bin"
+    code, _, _ = run(capsys, "retrieve", "--manifest", str(manifest),
+                     "--endpoints", ",".join(endpoints), "--i", "2", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == FILES["b.txt"]
 
 
 def test_retrieve_record_names_a_refused_server(deployment, capsys):

@@ -70,6 +70,30 @@ class _DropOnFetch(socketserver.BaseRequestHandler):
             read_frame(reader)
 
 
+class _AckLateDropOnFetch(socketserver.BaseRequestHandler):
+    """Acknowledges a QUERY 30 ms late, then closes the connection when the
+    FETCH comes."""
+
+    def handle(self):
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            read_frame(reader)
+            time.sleep(0.03)
+            self.request.sendall(wire.encode_response(257, []))
+            read_frame(reader)
+
+
+class _DropSoonAfterFetch(socketserver.BaseRequestHandler):
+    """Acknowledges a QUERY, then closes the connection 50 ms after the
+    FETCH comes."""
+
+    def handle(self):
+        with self.request.makefile("rb") as reader, suppress(StaircasePIRError, OSError):
+            read_frame(reader)
+            self.request.sendall(wire.encode_response(257, []))
+            read_frame(reader)
+            time.sleep(0.05)
+
+
 class _StallOnFetch(socketserver.BaseRequestHandler):
     """Acknowledges a QUERY, then leaves the FETCH unanswered until released."""
 
@@ -231,6 +255,65 @@ def test_a_responder_that_drops_before_the_wait_ends_no_longer_counts(
     # The wait ended when server 3 arrived, not at the drop or the deadline.
     assert 0.1 <= metrics.wait_s < 5
 
+
+def delay_queries(monkeypatch, delays):
+    """Make each server in `delays` answer every QUERY that many seconds late."""
+    dispatch = net.PIRServer._dispatch
+
+    def delayed(self, conn, msg_type, payload):
+        if msg_type == wire.MSG_QUERY:
+            time.sleep(delays.get(self, 0))
+        return dispatch(self, conn, msg_type, payload)
+
+    monkeypatch.setattr(net.PIRServer, "_dispatch", delayed)
+
+
+def test_a_chosen_responder_that_drops_is_replaced_by_a_server_not_chosen(
+        cluster321, monkeypatch):
+    # Server 1 acknowledges 30 ms late and closes on its FETCH; server 3
+    # answers its QUERY 100 ms late. The wait chooses [1, 2] at 30 ms, and
+    # server 1's drop reopens the choice: server 3, still connected,
+    # arrives and is fetched from in its place.
+    params, V, files, servers, endpoints = cluster321
+    delay_queries(monkeypatch, {servers[2]: 0.1})
+    stub = serve_stub(_AckLateDropOnFetch)
+    try:
+        decoded, metrics = retrieve(
+            [stub.server_address] + endpoints[1:], params, V, 1,
+            wait_for=2, deadline_s=5, seed=4,
+        )
+    finally:
+        shutdown([stub])
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "dropped-mid-fetch", 2: "ok", 3: "ok"}
+    assert 0.1 <= metrics.wait_s < 5
+
+
+def test_a_reopened_wait_decodes_from_as_many_servers_as_it_waited_for(monkeypatch):
+    # (4,2,1), waiting for 3: server 1 closes 50 ms after its FETCH comes,
+    # once the wait has chosen [1, 2, 3]; server 4 answers its QUERY 200 ms
+    # late. The reopened wait waits for server 4 and decodes at mu = 3.
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
+    V = default_encoding_matrix(params)
+    rng = random.Random(2)
+    files = [[rng.randrange(params.q) for _ in range(params.file_symbols)]
+             for _ in range(params.m)]
+    servers, endpoints = start_cluster(params, V, files, count=3)
+    delay_queries(monkeypatch, {servers[2]: 0.2})
+    stub = serve_stub(_DropSoonAfterFetch)
+    try:
+        decoded, metrics = retrieve(
+            [stub.server_address] + endpoints, params, V, 2,
+            wait_for=3, deadline_s=5, seed=8,
+        )
+    finally:
+        shutdown(servers + [stub])
+    assert decoded == files[1]
+    assert metrics.realized_mu == 3
+    assert metrics.rate == Fraction(2, 3)
+    assert metrics.outcomes == {1: "dropped-mid-fetch", 2: "ok", 3: "ok", 4: "ok"}
+
+
 def test_retrieve_drops_a_responder_that_stalls_on_fetch(cluster321):
     params, V, files, _, endpoints = cluster321
     stub = serve_stub(_StallOnFetch)
@@ -378,6 +461,42 @@ def test_an_address_that_fails_at_once_falls_back_to_the_next(
     assert decoded == files[1]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
     assert metrics.connects == params.n + 1
+
+def test_an_address_whose_connect_raises_falls_back_to_the_next(cluster321, monkeypatch):
+    params, V, files, _, endpoints = cluster321
+    getaddrinfo = socket.getaddrinfo
+
+    def long_path_first(host, port, *args):
+        # A Unix socket path longer than any the kernel takes, before the
+        # third server's own address: connect_ex raises rather than returns.
+        found = getaddrinfo(host, port, *args)
+        if port == endpoints[2][1]:
+            return [(socket.AF_UNIX, socket.SOCK_STREAM, 0, "", "/" + "x" * 200)] + found
+        return found
+
+    monkeypatch.setattr(socket, "getaddrinfo", long_path_first)
+    decoded, metrics = retrieve(endpoints, params, V, 1, seed=6)
+    assert decoded == files[0]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
+    assert metrics.connects == params.n + 1
+
+
+def test_a_write_that_fails_settles_its_server_as_an_error(cluster321, monkeypatch):
+    params, V, files, _, endpoints = cluster321
+    net._keep_idle((), {})  # fresh connections: a reused one would reconnect
+    flush = net._Conn.flush
+
+    def failing_third(self):
+        if isinstance(self, net._Peer) and self.sid == 3:
+            raise ConnectionResetError("connection reset by peer")
+        return flush(self)
+
+    monkeypatch.setattr(net._Conn, "flush", failing_third)
+    decoded, metrics = retrieve(endpoints, params, V, 2, seed=7)
+    assert decoded == files[1]
+    assert metrics.realized_mu == 2
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "error"}
+
 
 def test_server_survives_a_fault_on_one_connection(cluster321, monkeypatch, capsys):
     params, V, files, _, endpoints = cluster321

@@ -458,12 +458,29 @@ def test_responder_wait_takes_back_the_arrival_of_a_server_that_fails():
     wait.settle(3, 4.0)
     assert wait.done and wait.ended == 4.0
     assert wait.responders() == [2, 3]
-    # Once the responders are chosen, a drop no longer moves the end.
+    # A chosen server's drop reopens the choice, and the end moves as before.
     wait.settle(3, 5.0, "dropped-mid-fetch")
-    assert not wait.done and wait.ended == 4.0
+    assert wait.chosen is None and wait.ended == 10.0
     assert wait.outcomes(kept=[2]) == {
         1: "dropped-mid-fetch", 2: "ok", 3: "dropped-mid-fetch", 4: "late"
     }
+
+
+def test_responder_wait_reopens_its_choice_only_when_a_chosen_server_fails():
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257)
+    wait = ResponderWait(params, wait_for=2, deadline=10.0)
+    wait.settle(1, 1.0)
+    wait.settle(2, 2.0)
+    assert wait.responders() == [1, 2]
+    # A late arrival, or the failure of a server not chosen, leaves the choice.
+    wait.settle(3, 3.0)
+    wait.settle(4, 4.0, "refused")
+    assert wait.chosen == [1, 2] and wait.ended == 2.0
+    # A chosen server's failure clears it; two live arrivals remain, so the
+    # wait is still done and its end stays where it was.
+    wait.settle(1, 5.0, "dropped-mid-fetch")
+    assert wait.chosen is None and wait.done and wait.ended == 2.0
+    assert wait.responders() == [2, 3]
 
 
 def test_responder_wait_ends_at_the_deadline():

@@ -10,6 +10,7 @@ from staircase_pir.errors import (
     DimensionMismatch,
     FileIndexOutOfRange,
     InsufficientResponders,
+    MissingResponse,
 )
 from staircase_pir.examples import example1, example2, format_coeffs
 from staircase_pir.field import Matrix
@@ -389,6 +390,15 @@ class TestSecretSharingCodec:
                     sid: shares[sid - 1][:prefix] for sid in subset
                 }
                 assert ss_reconstruct(params, V, prefixes) == secret
+
+    def test_reconstruct_refuses_a_prefix_one_sub_share_short(self):
+        params, V, secret = self.make()
+        shares = ss_share(params, V, secret, seed=9)
+        prefix = params.prefix_cols(3)
+        prefixes = {sid: shares[sid - 1][:prefix] for sid in (1, 2, 3)}
+        prefixes[2] = prefixes[2][:-1]
+        with pytest.raises(MissingResponse):
+            ss_reconstruct(params, V, prefixes)
 
     def test_unit_secret_matches_pir_grid(self):
         # The part selectors of file i, shared with a seed, are that seed's
