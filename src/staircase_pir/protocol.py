@@ -275,9 +275,12 @@ def decode_file(
 
     responses: server id -> its s-symbol slabs of columns 0, 1, ...; each
     of the plan's responders must supply at least plan.prefix_cols of
-    them, or staircase.peel_decode raises MissingResponse.
+    them, or staircase.peel_decode raises MissingResponse, and all of one
+    width, or it raises DimensionMismatch. That width is s wherever a
+    response comes from: wire.decode_response slices every column at s and
+    local_responses projects s-symbol slabs.
     """
-    parts = staircase.peel_decode(params, V, list(plan.responders), responses, width=params.s)
+    parts = staircase.peel_decode(params, V, list(plan.responders), responses)
     return [sym for part in parts for sym in part]
 
 

@@ -10,14 +10,14 @@ The staircase instance of that construction is the package's PIR path:
 `protocol.decode_file` reconstructs from the responders' prefix
 projections (as `staircase.ss_reconstruct` does from prefix sub-shares).
 
-This module keeps the contrast: a ramp scheme, PIR on it, and its rate
-when more than k servers answer. Each ramp share is downloaded whole, so
-mu responders give rate (k-t)/mu instead of the capacity 1 - t/mu.
+This module keeps the contrast: a ramp scheme, PIR on it
+(`ramp_retrieve`), and that PIR's rate when more than k servers answer
+(`nonuniversality_demo`). Each ramp share is downloaded whole, so mu
+responders give rate (k-t)/mu instead of the capacity 1 - t/mu.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -33,10 +33,13 @@ class RampScheme:
 
     A secret is k-t vectors over GF(q), all of one length, mixed with t
     randomness vectors of that length; each share is one such vector.
-    V is the power-form Vandermonde on points 1..n. Construction asserts
-    both defining properties instead of assuming them: every k-row
-    submatrix is invertible (reconstruction) and every t-row submatrix of
-    the last t columns is invertible (secrecy).
+    V is the power-form Vandermonde matrix on the distinct nonzero points
+    1..n over a prime q > n, which has both defining properties by
+    construction, so none is checked. Any k rows of V are a k x k
+    Vandermonde matrix on distinct points, hence invertible
+    (reconstruction). Any t rows of its last t columns are a t x t
+    Vandermonde matrix on distinct points with row p scaled by p^(k-t),
+    which is nonzero, hence invertible too (secrecy).
     """
 
     def __init__(self, params: SchemeParams):
@@ -44,12 +47,6 @@ class RampScheme:
         if params.q <= params.n:
             raise OutOfRange(f"ramp scheme needs q > n, got q={params.q}")
         self.V = vandermonde(params.field, list(range(1, params.n + 1)), params.k)
-        n, k, t = params.n, params.k, params.t
-        for rows in itertools.combinations(range(n), k):
-            assert self.V.submatrix(rows, range(k)).rank() == k, "MDS violated"
-        for rows in itertools.combinations(range(n), t):
-            sub = self.V.submatrix(rows, range(k - t, k))
-            assert sub.rank() == t, "secrecy submatrix singular"
 
     def share(self, secret, randomness) -> List[List[int]]:
         """Per server, its share of `secret` under `randomness`."""
@@ -71,62 +68,49 @@ class RampScheme:
         return A.solve(rhs).rows[: k - self.params.t]
 
 
-class SSPIRAdapter:
-    """PIR on a ramp scheme, over `protocol.Database`.
+def ramp_retrieve(scheme: RampScheme, db: Database, i: int, responders: Sequence[int],
+                  seed=None):
+    """PIR on a ramp scheme: (file i's symbols, symbols downloaded).
 
     The query for file i shares its alpha' part selectors, the slab unit
     vectors of `staircase.expand_unit`, in alpha groups of k-t, each group
-    under its own t randomness vectors. A server gets one sub-query per
-    group and answers each with one projection.
+    under its own t randomness vectors. Every responder gets one sub-query
+    per group and its whole share, one projection per group, is
+    downloaded; the file is decoded from the first k responders.
+    InsufficientResponders below k; ValueError if `db` has other
+    parameters than `scheme`.
     """
-
-    def __init__(self, scheme: RampScheme, db: Database):
-        if db.params != scheme.params:
-            raise ValueError("database and scheme have different parameters")
-        self.scheme = scheme
-        self.db = db
-
-    def retrieve(self, i: int, responders: Sequence[int], seed=None):
-        """Every responder's projection of every group's share; decoded
-        from the first k of them. Returns (file symbols, downloaded symbols)."""
-        p = self.db.params
-        w, t = p.k - p.t, p.t
-        selectors = [staircase.expand_unit(p, c, i) for c in range(1, p.alpha_prime + 1)]
-        randomness = staircase.generate_randomness(p, seed)  # t * alpha vectors
-        file_symbols: List[int] = []
-        for g in range(p.alpha):
-            shares = self.scheme.share(
-                selectors[g * w : (g + 1) * w], randomness[g * t : (g + 1) * t]
-            )
-            answers = {sid: self.db.project(shares[sid - 1]) for sid in responders}
-            for part in self.scheme.reconstruct(answers):
-                file_symbols.extend(part)
-        return file_symbols, len(responders) * p.alpha * p.s
+    p = db.params
+    if p != scheme.params:
+        raise ValueError("database and scheme have different parameters")
+    if len(responders) < p.k:
+        raise InsufficientResponders(f"{len(responders)} responders < k={p.k}")
+    w, t = p.k - p.t, p.t
+    selectors = [staircase.expand_unit(p, c, i) for c in range(1, p.alpha_prime + 1)]
+    randomness = staircase.generate_randomness(p, seed)  # t * alpha vectors
+    file_symbols: List[int] = []
+    for g in range(p.alpha):
+        shares = scheme.share(selectors[g * w : (g + 1) * w], randomness[g * t : (g + 1) * t])
+        answers = {sid: db.project(shares[sid - 1]) for sid in responders}
+        for part in scheme.reconstruct(answers):
+            file_symbols.extend(part)
+    return file_symbols, len(responders) * p.alpha * p.s
 
 
-def sspir_retrieve(adapter: SSPIRAdapter, i: int, responders: Sequence[int], seed=None):
-    """Worst-case retrieval: full shares from exactly k responders.
-
-    Returns (file symbols, downloaded symbol count).
-    """
-    k = adapter.scheme.params.k
-    if len(responders) < k:
-        raise InsufficientResponders(f"{len(responders)} responders < k={k}")
-    return adapter.retrieve(i, sorted(responders)[:k], seed)
-
-
-def nonuniversality_demo(adapter: SSPIRAdapter, i: int, mu: int, seed=None) -> Fraction:
-    """Rate of a worst-case scheme forced to hear from mu responders.
+def nonuniversality_demo(scheme: RampScheme, db: Database, i: int, mu: int,
+                         seed=None) -> Fraction:
+    """Rate of ramp PIR forced to hear from mu responders, servers 1..mu.
 
     Every responder's full share is downloaded, yet only k-share-worth of
     information is useful, so the rate degrades to (k-t)/mu instead of
-    tracking the capacity 1 - t/mu.
+    tracking the capacity 1 - t/mu. OutOfRange outside [k, n]; a wrong
+    decode raises RuntimeError.
     """
-    params = adapter.scheme.params
+    params = scheme.params
     if not params.k <= mu <= params.n:
         raise OutOfRange(f"mu={mu} outside [{params.k}, {params.n}]")
-    got, downloaded = adapter.retrieve(i, range(1, mu + 1), seed)
-    expected = adapter.db.file_content(i)
+    got, downloaded = ramp_retrieve(scheme, db, i, range(1, mu + 1), seed)
+    expected = db.file_content(i)
     if got != expected:
         raise RuntimeError(f"ramp decode of file {i} from {mu} responders failed")
     return Fraction(len(expected), downloaded)

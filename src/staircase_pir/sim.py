@@ -29,28 +29,37 @@ UNRESPONSIVE = math.inf
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-server response latency distribution, in milliseconds."""
+    """Per-server response latency distribution, in milliseconds.
+
+    A model checks itself when built, by the factories or directly: a
+    deterministic delay or an exponential mean must be positive and
+    finite, an unresponsive model needs a p in [0, 1] and a fallback
+    model, and any other kind is refused (ValueError in every case).
+    """
 
     kind: str  # "deterministic" | "exponential" | "unresponsive"
     value: float = 0.0  # delay for deterministic, mean for exponential, p for unresponsive
     fallback: Optional["LatencyModel"] = None
 
+    def __post_init__(self):
+        if self.kind == "unresponsive":
+            if not (0 <= self.value <= 1 and isinstance(self.fallback, LatencyModel)):
+                raise ValueError("an unresponsive model needs a p in [0, 1] and a fallback")
+        elif self.kind not in ("deterministic", "exponential"):
+            raise ValueError(f"unknown latency kind {self.kind!r}")
+        elif not 0 < self.value < math.inf:  # NaN too
+            raise ValueError(f"{self.kind} latency must be positive and finite")
+
     @classmethod
     def deterministic(cls, delay_ms: float) -> "LatencyModel":
-        if not 0 < delay_ms < math.inf:  # NaN too
-            raise ValueError("delay must be positive and finite")
         return cls("deterministic", delay_ms)
 
     @classmethod
     def exponential(cls, mean_ms: float) -> "LatencyModel":
-        if not 0 < mean_ms < math.inf:  # NaN too
-            raise ValueError("mean must be positive and finite")
         return cls("exponential", mean_ms)
 
     @classmethod
     def unresponsive(cls, p: float, fallback: "LatencyModel") -> "LatencyModel":
-        if not 0 <= p <= 1:
-            raise ValueError("p must be in [0, 1]")
         return cls("unresponsive", p, fallback)
 
     def sample_us(self, rng: random.Random) -> float:
@@ -59,11 +68,7 @@ class LatencyModel:
             return int(round(self.value * 1000))
         if self.kind == "exponential":
             return max(1, int(round(rng.expovariate(1.0 / self.value) * 1000)))
-        if self.kind == "unresponsive":
-            if rng.random() < self.value:
-                return UNRESPONSIVE
-            return self.fallback.sample_us(rng)
-        raise ValueError(f"unknown latency kind {self.kind}")
+        return UNRESPONSIVE if rng.random() < self.value else self.fallback.sample_us(rng)
 
 
 @dataclass(frozen=True)

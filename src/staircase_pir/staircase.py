@@ -30,7 +30,6 @@ from .errors import (
     FileIndexOutOfRange,
     InsufficientResponders,
     MissingResponse,
-    OutOfRange,
 )
 from .field import (Matrix, ints_from_bytes, lane_bytes, pack_lanes, prefix_invertible,
                     unpack_lanes)
@@ -97,7 +96,6 @@ def grid_layout(params: SchemeParams) -> GridLayout:
                 cells[r][col_base + cc] = rand_next
                 rand_next += 1
         col_base += cols[j - 1]
-    assert rand_next == params.alpha_prime + params.randomness_count
     return GridLayout(params, tuple(map(tuple, cells)))
 
 
@@ -267,15 +265,16 @@ def peel_decode(
     V: Matrix,
     responders: Sequence[int],
     projections,
-    width: int = 1,
 ) -> List[tuple]:
-    """Level-by-level decoder.
+    """Level-by-level decoder, the one decoder of both views of the code.
 
     responders: 1-based server ids, exactly mu of them.
     projections: mapping server id -> its values of columns 0, 1, ..., at
     least prefix_cols(mu) of them (MissingResponse if a responder has
-    fewer, or none), each a length-`width` sequence of symbols
-    (projections for PIR, sub-share vectors for secret sharing).
+    fewer, or none), each a sequence of symbols: s-symbol projections for
+    PIR, sub-share vectors for secret sharing. Their width is that of the
+    first responder's first column; a prefix column of any other width
+    raises DimensionMismatch.
 
     Returns the alpha' payload values in order. Each level runs on packed
     lanes: a responder's block is one int, a known replica is subtracted as
@@ -285,9 +284,7 @@ def peel_decode(
     mu = len(responders)
     if mu < params.k:
         raise InsufficientResponders(f"got {mu} responders, need >= {params.k}")
-    if mu > params.n:
-        raise OutOfRange(f"got {mu} responders for n={params.n}")
-    j = params.level_for(mu)
+    j = params.level_for(mu)  # OutOfRange for mu > n
     layout = grid_layout(params)
     q = params.q
     prefix = params.prefix_cols(mu)
@@ -295,6 +292,8 @@ def peel_decode(
         got = len(projections.get(sid, ()))
         if got < prefix:
             raise MissingResponse(f"server {sid} sent {got} of {prefix} prefix columns")
+    width = len(projections[responders[0]][0])
+    for sid in responders:
         if any(len(value) != width for value in projections[sid][:prefix]):
             raise DimensionMismatch(f"server {sid} supplied a column not of width {width}")
     A_inv = _system_inverse(params, tuple(map(tuple, V.rows)), tuple(responders))
@@ -356,11 +355,10 @@ def ss_reconstruct(params: SchemeParams, V: Matrix, share_prefixes) -> List[List
     """Reconstruct the secret from prefix sub-shares of any d in [k, n] servers.
 
     share_prefixes: mapping server id -> list of sub-share vectors (the
-    first alpha'/alpha_j sub-shares of that server's share).
+    first alpha'/alpha_j sub-shares of that server's share). This is
+    `peel_decode` over sub-share vectors, the call `protocol.decode_file`
+    makes over s-symbol projections; sub-shares of more than one length
+    raise DimensionMismatch there.
     """
-    widths = {len(v) for subs in share_prefixes.values() for v in subs}
-    if len(widths) != 1:
-        raise ValueError("sub-shares must share one length")
-    width = widths.pop()
-    decoded = peel_decode(params, V, sorted(share_prefixes), share_prefixes, width=width)
+    decoded = peel_decode(params, V, sorted(share_prefixes), share_prefixes)
     return [list(v) for v in decoded]

@@ -184,7 +184,6 @@ def test_criterion_6_capacity():
 def test_criterion_7_nonuniversality_contrast():
     from staircase_pir.secret_sharing import (
         RampScheme,
-        SSPIRAdapter,
         nonuniversality_demo,
     )
 
@@ -195,9 +194,9 @@ def test_criterion_7_nonuniversality_contrast():
         [rng.randrange(params.q) for _ in range(params.file_symbols)]
         for _ in range(2)
     ]
-    adapter = SSPIRAdapter(scheme, Database.from_files(params, files))
-    ramp_at_2 = nonuniversality_demo(adapter, 1, 2)
-    ramp_at_4 = nonuniversality_demo(adapter, 1, 4)
+    db = Database.from_files(params, files)
+    ramp_at_2 = nonuniversality_demo(scheme, db, 1, 2)
+    ramp_at_4 = nonuniversality_demo(scheme, db, 1, 4)
     stair_at_4 = plan_download(params, [1, 2, 3, 4]).rate
     ok = (
         ramp_at_2 == Fraction(1, 2)

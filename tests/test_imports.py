@@ -25,3 +25,14 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names | {"staircase_pir"}
     }
     assert not outside
+
+
+def test_package_has_no_assert_statement():
+    # A check is an exception, not an assert, which `python -O` strips.
+    asserts = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts

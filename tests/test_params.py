@@ -48,6 +48,8 @@ def test_validation_errors():
         SchemeParams(n=3, k=2, t=1, m=1, q=6)
     with pytest.raises(ValueError):
         SchemeParams(n=3, k=2, t=1, m=0, q=5)
+    with pytest.raises(ValueError):
+        SchemeParams(n=3, k=2, t=1, m=1, q=5, s=0)
 
 
 def test_small_field_blocks_default_matrix_only():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from staircase_pir.errors import (
     DimensionMismatch,
+    FileIndexOutOfRange,
     InsufficientResponders,
     InvalidThreshold,
     MissingResponse,
@@ -224,7 +225,7 @@ class TestLaneKernels:
             sid: [tuple(v) for v in vectors(data.draw, params.prefix_cols(mu), width, 2 * q - 1)]
             for sid in responders
         }
-        assert peel_decode(params, V, responders, projections, width) == naive_peel(
+        assert peel_decode(params, V, responders, projections) == naive_peel(
             params, V, responders, projections, width)
 
     @pytest.mark.parametrize("width", PROJECTION_WIDTHS)
@@ -237,7 +238,7 @@ class TestLaneKernels:
             for responders in itertools.combinations(range(1, params.n + 1), mu):
                 projections = {sid: [(q - 1,) * width] * params.prefix_cols(mu)
                                for sid in responders}
-                assert peel_decode(params, V, responders, projections, width) == naive_peel(
+                assert peel_decode(params, V, responders, projections) == naive_peel(
                     params, V, responders, projections, width)
 
     def test_wide_field_peels_past_eight_byte_lanes(self):
@@ -251,7 +252,7 @@ class TestLaneKernels:
         projections = {sid: [(rng.randrange(q), rng.randrange(q))
                              for _ in range(params.prefix_cols(mu))]
                        for sid in (2, 4)}
-        assert peel_decode(params, V, [2, 4], projections, 2) == naive_peel(
+        assert peel_decode(params, V, [2, 4], projections) == naive_peel(
             params, V, [2, 4], projections, 2)
 
 
@@ -510,3 +511,21 @@ def test_responder_wait_without_deadline_that_never_ends_has_no_responders():
     assert not wait.done and math.isinf(wait.ended)
     with pytest.raises(InsufficientResponders):
         wait.responders()
+
+
+P_CHECKS = SchemeParams(n=4, k=2, t=1, m=2, q=257)
+
+
+@pytest.mark.parametrize("error, call", [
+    (ValueError, lambda p: Database(p, [0] * (p.x_length - 1))),
+    (ValueError, lambda p: Database.from_files(p, [[0] * p.file_symbols])),
+    (ValueError, lambda p: Database.from_files(
+        p, [[0] * p.file_symbols, [0] * (p.file_symbols + 1)])),
+    (FileIndexOutOfRange, lambda p: Database(p, [0] * p.x_length).file_content(0)),
+    (InvalidThreshold, lambda p: capacity_finite(2, 2, 2)),
+    (ValueError, lambda p: capacity_finite(0, 1, 2)),
+], ids=["x-length", "file-count", "file-length", "file-0", "capacity-t-ge-k",
+        "capacity-m-0"])
+def test_protocol_refuses_bad_input(error, call):
+    with pytest.raises(error):
+        call(P_CHECKS)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from staircase_pir.errors import InsufficientResponders, NotEnoughShares
+from staircase_pir.field import prefix_invertible
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
     Database,
@@ -18,9 +19,8 @@ from staircase_pir.protocol import (
 )
 from staircase_pir.secret_sharing import (
     RampScheme,
-    SSPIRAdapter,
     nonuniversality_demo,
-    sspir_retrieve,
+    ramp_retrieve,
 )
 
 
@@ -66,6 +66,14 @@ class TestRampScheme:
                 hists.append(counter)
             assert hists[0] == hists[1]
 
+    @pytest.mark.parametrize("n, k, t, q", [(3, 2, 1, 5), (4, 2, 1, 7), (4, 2, 1, 257)])
+    def test_matrix_reconstructs_from_any_k_rows_and_hides_from_any_t(self, n, k, t, q):
+        # Construction checks neither: both follow from V being Vandermonde
+        # on distinct nonzero points.
+        scheme = RampScheme(SchemeParams(n=n, k=k, t=t, m=1, q=q))
+        assert prefix_invertible(scheme.V, [k])
+        assert prefix_invertible(scheme.V.submatrix(range(n), range(k - t, k)), [t])
+
     def test_linearity(self):
         scheme = ramp321()
         q = 5
@@ -91,35 +99,41 @@ def ramp_adapter(n=3, k=2, t=1, q=5, m=2, s=1, seed=0):
     scheme = RampScheme(params)
     rng = random.Random(seed)
     files = [[rng.randrange(q) for _ in range(params.file_symbols)] for _ in range(m)]
-    return SSPIRAdapter(scheme, Database.from_files(params, files)), files
+    return scheme, Database.from_files(params, files), files
 
 
 class TestSSPIR:
     def test_ramp_retrieval_all_subsets(self):
-        adapter, files = ramp_adapter()
+        scheme, db, files = ramp_adapter()
         for i in (1, 2):
             for subset in itertools.combinations(range(1, 4), 2):
-                got, downloaded = sspir_retrieve(adapter, i, list(subset), seed=i)
+                got, downloaded = ramp_retrieve(scheme, db, i, list(subset), seed=i)
                 assert got == files[i - 1]
                 assert Fraction(len(got), downloaded) == Fraction(1, 2)
 
     def test_ramp_requires_k(self):
-        adapter, _ = ramp_adapter()
+        scheme, db, _ = ramp_adapter()
         with pytest.raises(InsufficientResponders):
-            sspir_retrieve(adapter, 1, [2])
+            ramp_retrieve(scheme, db, 1, [2])
+
+    def test_ramp_refuses_a_database_of_other_params(self):
+        scheme, _, _ = ramp_adapter()
+        _, other, _ = ramp_adapter(m=3)
+        with pytest.raises(ValueError):
+            ramp_retrieve(scheme, other, 1, [1, 2])
 
     def test_nonuniversality_rates(self):
-        adapter, _ = ramp_adapter(n=4, k=2, t=1, q=7)
-        assert nonuniversality_demo(adapter, 1, 2) == Fraction(1, 2)
-        assert nonuniversality_demo(adapter, 1, 4) == Fraction(1, 4)
-        assert nonuniversality_demo(adapter, 1, 4) < capacity_asymptotic(1, 4)
+        scheme, db, _ = ramp_adapter(n=4, k=2, t=1, q=7)
+        assert nonuniversality_demo(scheme, db, 1, 2) == Fraction(1, 2)
+        assert nonuniversality_demo(scheme, db, 1, 4) == Fraction(1, 4)
+        assert nonuniversality_demo(scheme, db, 1, 4) < capacity_asymptotic(1, 4)
 
     def test_nonuniversality_demo_raises_on_a_wrong_decode(self, monkeypatch):
         # An exception, not an assert, so that `python -O` keeps the check.
-        adapter, files = ramp_adapter(n=4, k=2, t=1, q=7)
-        monkeypatch.setattr(adapter.db, "file_content", lambda i: files[i % 2])
+        scheme, db, files = ramp_adapter(n=4, k=2, t=1, q=7)
+        monkeypatch.setattr(db, "file_content", lambda i: files[i % 2])
         with pytest.raises(RuntimeError):
-            nonuniversality_demo(adapter, 1, 3)
+            nonuniversality_demo(scheme, db, 1, 3)
 
     # The staircase side of the contrast is the PIR path itself.
 

@@ -43,6 +43,16 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel.exponential(value)
 
+    @pytest.mark.parametrize("args", [
+        ("deterministic", -1.0), ("exponential", 0.0), ("unresponsive", 0.0),
+        ("unresponsive", 2.0, LatencyModel.deterministic(1)), ("bogus",),
+    ], ids=["negative-delay", "zero-mean", "no-fallback", "p-above-1", "unknown-kind"])
+    def test_built_directly_a_model_checks_itself(self, args):
+        # Built without a factory, a bad model is refused at once, not when
+        # (or after) it is sampled.
+        with pytest.raises(ValueError):
+            LatencyModel(*args)
+
     def test_deterministic_sample(self):
         import random
 
@@ -250,3 +260,8 @@ class TestResponderPolicy:
         metrics = run_simulation(config)
         assert len(metrics) == 5 and all(m.success for m in metrics)
         assert len(built) == 1
+
+
+def test_sim_config_needs_one_latency_model_per_server():
+    with pytest.raises(ValueError):
+        SimConfig(params=params421(), latencies=det_latencies(1, 2, 3))

@@ -26,11 +26,13 @@ from staircase_pir.protocol import (
 from staircase_pir.staircase import (
     PAYLOAD_FIRST,
     RANDOMNESS_FIRST,
+    MessageGrid,
     build_message_grid,
     encode_shares,
     generate_randomness,
     grid_layout,
     peel_decode,
+    query_matrix,
     ss_reconstruct,
     ss_share,
     validate_encoding_matrix,
@@ -285,7 +287,7 @@ def decode_once(params, V, responders, x, seed):
               for c in range(prefix)]
         for sid in responders
     }
-    return peel_decode(params, V, responders, proj, width=params.s)
+    return peel_decode(params, V, responders, proj)
 
 
 @pytest.mark.parametrize("nkt", [(3, 2, 1), (4, 2, 1), (4, 3, 1), (5, 3, 2), (6, 4, 2)])
@@ -331,7 +333,7 @@ def test_peel_decode_zero_data():
 def test_peel_decode_needs_k_responders():
     params, V = example2()
     with pytest.raises(InsufficientResponders):
-        peel_decode(params, V, [1], {1: []}, width=1)
+        peel_decode(params, V, [1], {1: []})
 
 
 def test_peel_decode_refuses_a_column_of_the_wrong_width():
@@ -340,11 +342,34 @@ def test_peel_decode_refuses_a_column_of_the_wrong_width():
     params, V = example2()
     prefix = params.prefix_cols(2)
     good = {sid: [(0, 0)] * prefix for sid in (1, 2)}
-    assert peel_decode(params, V, [1, 2], good, width=2) == [(0, 0)] * params.alpha_prime
+    assert peel_decode(params, V, [1, 2], good) == [(0, 0)] * params.alpha_prime
     for bad in ((0,), (0, 0, 0)):
         projections = {**good, 2: [(0, 0)] * (prefix - 1) + [bad]}
         with pytest.raises(DimensionMismatch):
-            peel_decode(params, V, [1, 2], projections, width=2)
+            peel_decode(params, V, [1, 2], projections)
+
+
+# Every (n, k, t) with 2 <= n <= 6 and 1 <= t < k <= n.
+SWEEP_SCHEMES = [(n, k, t) for n in range(2, 7) for k in range(2, n + 1) for t in range(1, k)]
+
+
+def test_peel_decode_is_exact_on_the_symbolic_sub_queries():
+    # Each column of the symbolic Q is a coefficient vector over (payloads,
+    # randomness). Decoding is linear, so peeling those vectors yields the
+    # payload unit vectors iff every responder set decodes any data exactly.
+    subsets = 0
+    for n, k, t in SWEEP_SCHEMES:
+        params = SchemeParams(n=n, k=k, t=t, m=1, q=257)
+        V = default_encoding_matrix(params)
+        Q = query_matrix(params, V)
+        basis = params.alpha_prime + params.randomness_count
+        units = [tuple(int(b == c) for b in range(basis)) for c in range(params.alpha_prime)]
+        for mu in range(k, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), mu):
+                got = peel_decode(params, V, subset, {sid: Q[sid - 1] for sid in subset})
+                assert got == units, (n, k, t, subset)
+                subsets += 1
+    assert (len(SWEEP_SCHEMES), subsets) == (35, 351)
 
 
 def test_decoder_ignores_columns_beyond_prefix():
@@ -473,3 +498,21 @@ class TestSecretSharingCodec:
         for d in range(params.k, params.n + 1):
             prefix = params.prefix_cols(d)
             assert d * prefix == d * params.alpha_prime // (d - params.t)
+
+
+@pytest.mark.parametrize("error, call", [
+    (ValueError, lambda p, V: MessageGrid(
+        p, [[0]] * (p.alpha_prime - 1), [[0]] * p.randomness_count)),
+    (ValueError, lambda p, V: MessageGrid(
+        p, [[0]] * p.alpha_prime, [[0]] * (p.randomness_count + 1))),
+    (ValueError, lambda p, V: MessageGrid(
+        p, [[0]] * p.alpha_prime, [[0]] * (p.randomness_count - 1) + [[0, 0]])),
+    (DimensionMismatch, lambda p, V: validate_encoding_matrix(
+        V.submatrix(range(p.n), range(p.n - 1)), p)),
+    (ValueError, lambda p, V: ss_share(p, V, [[0]] * (p.alpha_prime + 1), seed=0)),
+], ids=["payload-count", "randomness-count", "two-lengths", "non-square-V",
+        "secret-count"])
+def test_staircase_refuses_bad_input(error, call):
+    params, V = example2()
+    with pytest.raises(error):
+        call(params, V)

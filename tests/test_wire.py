@@ -593,3 +593,25 @@ def test_documented_frame_sizes():
     assert (up, down) == (3684, 644)
     assert "3,684 bytes up" in net.__doc__ and "644 bytes down" in net.__doc__
     assert "3,684 bytes up and 644 down" in readme
+
+
+
+def _encode_query(fingerprint=bytes(32), count=1, length=None):
+    """A QUERY for FETCH_PARAMS' server 1 of `count` zero sub-queries of
+    `length` symbols each; with the defaults it is well formed."""
+    sub = [0] * (FETCH_PARAMS.query_length if length is None else length)
+    return wire.encode_query(FETCH_PARAMS, fingerprint, 1, [sub] * count)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _encode_query(fingerprint=bytes(31)),
+    lambda: _encode_query(count=0),
+    lambda: _encode_query(count=FETCH_PARAMS.alpha + 1),
+    lambda: _encode_query(length=FETCH_PARAMS.query_length - 1),
+    lambda: wire.pack_varints([2**64]),
+], ids=["fingerprint-31", "no-sub-query", "alpha-plus-1", "short-sub-query",
+        "varint-2**64"])
+def test_wire_refuses_bad_input(call):
+    assert _encode_query()  # the defaults encode
+    with pytest.raises(ValueError):
+        call()
