@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .errors import InvalidK, InvalidThreshold, OutOfRange
+from .errors import FileIndexOutOfRange, InvalidK, InvalidThreshold, OutOfRange
 from .field import PrimeField, is_prime
 from .errors import NotPrime
 
@@ -120,7 +120,16 @@ class SchemeParams:
         return _field_cache(self.q)
 
     def slab_index(self, part: int, i: int) -> int:
-        """Data slab holding part c (1-based) of file i (1-based)."""
+        """Data slab holding part c (1-based) of file i (1-based): the
+        position of that part's selector in a sub-query.
+
+        FileIndexOutOfRange for i outside [1, m], OutOfRange for a part
+        outside [1, alpha'].
+        """
+        if not 1 <= i <= self.m:
+            raise FileIndexOutOfRange(f"file index {i} outside [1, {self.m}]")
+        if not 1 <= part <= self.alpha_prime:
+            raise OutOfRange(f"part {part} outside [1, {self.alpha_prime}]")
         return (part - 1) * self.m + (i - 1)
 
 

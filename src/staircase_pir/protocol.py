@@ -13,7 +13,6 @@ from . import staircase
 from .errors import (
     DimensionMismatch,
     FieldTooSmall,
-    FileIndexOutOfRange,
     InsufficientResponders,
     InvalidThreshold,
     OutOfRange,
@@ -84,8 +83,7 @@ class Database:
         return tuple(unpack_lanes(packed, self.params.s, self._lane_bytes, self.params.q))
 
     def file_content(self, i: int) -> List[int]:
-        if not 1 <= i <= self.params.m:
-            raise FileIndexOutOfRange(f"file index {i} outside [1, {self.params.m}]")
+        """File i's symbols; FileIndexOutOfRange (from slab_index) outside [1, m]."""
         slab_index = self.params.slab_index
         return [sym for c in range(1, self.params.alpha_prime + 1)
                 for sym in self._lanes(self._slabs[slab_index(c, i)])]
@@ -137,7 +135,10 @@ def make_queries(
     """Every server's query for file i, from one randomness draw and one
     grid. Only the sub-queries of the first `columns` columns (None: all
     alpha) are expanded here; Query.prefix expands the rest as they are
-    asked for."""
+    asked for. The grid holds file i's part selectors as slab positions
+    and draws each randomness vector when a column first reads it, so
+    with columns=prefix_cols(n) only block 1's t * block_cols[0] vectors
+    are drawn before anything is sent."""
     randomness = staircase.generate_randomness(params, seed)
     grid = staircase.build_message_grid(params, i, randomness)
     rows = staircase.encode_shares(V, grid, columns)

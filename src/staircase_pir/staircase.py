@@ -14,20 +14,27 @@ for a zero cell. Every cell is thus a unit vector over that basis, and
 the symbolic Q = V*M is computed once per (params, V); a query set
 expands it with its own payload and randomness. The decoder only needs
 the layout, never the randomness.
+
+A query expands only what it sends. Its payload, file i's part
+selectors, are unit vectors, so the grid holds each as its slab position
+and adds its coefficient there; only dense vectors (the randomness, or a
+secret) are multiplied out. The randomness is drawn vector by vector,
+when an expanded column first reads it: the columns of block 1, all a
+decoder reads from n responders, use the first t * block_cols[0] vectors.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     BadEncodingMatrix,
     DimensionMismatch,
-    FileIndexOutOfRange,
     InsufficientResponders,
     MissingResponse,
 )
@@ -99,25 +106,55 @@ def grid_layout(params: SchemeParams) -> GridLayout:
     return GridLayout(params, tuple(map(tuple, cells)))
 
 
+class RandomVectors(Sequence):
+    """`count` randomness vectors of `width` symbols, each drawn when first
+    read.
+
+    Reading vector u draws every vector up to u not drawn yet, in index
+    order, with `draw`, and keeps them: the vectors are those an eager
+    draw of all of them in order gives, whichever is read first. It takes
+    no lock: one thread reads it, as one retrieval's loop does.
+    """
+
+    def __init__(self, draw: Callable[[], List[int]], count: int, width: int):
+        self.width = width
+        self._draw = draw
+        self._count = count
+        self._drawn: List[List[int]] = []
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[u] for u in range(*index.indices(self._count))]
+        u = range(self._count)[index]  # IndexError outside, negative from the end
+        while len(self._drawn) <= u:
+            self._drawn.append(self._draw())
+        return self._drawn[u]
+
+
 def generate_randomness(
     params: SchemeParams, seed, width: Optional[int] = None
-) -> List[List[int]]:
-    """t*alpha vectors with entries uniform over GF(q).
+) -> RandomVectors:
+    """t*alpha vectors with entries uniform over GF(q), each drawn when
+    first read (see RandomVectors).
 
-    With a seed they are deterministic (tests, the simulator). With seed
-    None they come from the OS CSPRNG: some sub-queries carry randomness
+    With a seed they are deterministic (tests, the simulator): one
+    random.Random(seed) draws them in index order. With seed None each
+    comes from the OS CSPRNG: some sub-queries carry randomness
     unmasked (server 1's in example 1), and a server that could predict
     the generator from them would learn the other servers' masks.
     The default width is one entry per slab, the length of a sub-query.
     """
     width = params.query_length if width is None else width
     q = params.q
-    count = params.randomness_count
     if seed is None:
-        flat = _os_symbols(q, count * width)
-        return [flat[u * width : (u + 1) * width] for u in range(count)]
-    rng = random.Random(seed)
-    return [[rng.randrange(q) for _ in range(width)] for _ in range(count)]
+        draw = lambda: _os_symbols(q, width)
+    else:
+        rng = random.Random(seed)
+        draw = lambda: [rng.randrange(q) for _ in range(width)]
+    return RandomVectors(draw, params.randomness_count, width)
 
 
 def _os_symbols(q: int, count: int) -> List[int]:
@@ -142,21 +179,27 @@ def expand_unit(params: SchemeParams, part: int, i: int) -> List[int]:
     The unit vector at that part's slab: the slab-wise projection on it
     returns the part's s symbols.
     """
-    if not 1 <= i <= params.m:
-        raise FileIndexOutOfRange(f"file index {i} outside [1, {params.m}]")
     vec = [0] * params.query_length
     vec[params.slab_index(part, i)] = 1
     return vec
 
 
 class MessageGrid:
-    """The n x alpha staircase grid with its payload and randomness, which
-    stay fixed once built: expand packs each basis vector once and keeps it."""
+    """The n x alpha staircase grid with its payload and randomness.
+
+    A payload entry is a dense vector, or an int: the position of the one
+    1 of a unit vector, as build_message_grid gives each part selector.
+    The randomness is any sequence of dense vectors, a RandomVectors draw
+    included, which is read only as expand needs it. The vectors are read
+    when first used, so they must not change once the grid is built.
+    `payload` and `randomness` read as dense vectors, built (and drawn)
+    when read.
+    """
 
     def __init__(
         self,
         params: SchemeParams,
-        payload: Sequence[Sequence[int]],
+        payload: Sequence[Union[int, Sequence[int]]],
         randomness: Sequence[Sequence[int]],
     ):
         if len(payload) != params.alpha_prime:
@@ -167,43 +210,83 @@ class MessageGrid:
             raise ValueError(
                 f"need {params.randomness_count} randomness vectors, got {len(randomness)}"
             )
-        widths = {len(v) for v in list(payload) + list(randomness)}
+        # A RandomVectors draw has one width by construction; reading each
+        # vector's length would draw it.
+        widths = ({randomness.width} if isinstance(randomness, RandomVectors)
+                  else {len(v) for v in randomness})
+        widths |= {len(v) for v in payload if not isinstance(v, int)}
         if len(widths) != 1:
             raise ValueError("payload and randomness vectors must share one length")
+        self.width = widths.pop()
+        if not all(0 <= v < self.width for v in payload if isinstance(v, int)):
+            raise ValueError(f"a unit position lies outside [0, {self.width})")
         self.params = params
         self.layout = grid_layout(params)
-        self.payload = [list(v) for v in payload]
-        self.randomness = [list(v) for v in randomness]
-        self.width = widths.pop()
+        self._payload = list(payload)
+        self._randomness = randomness
         basis = len(payload) + len(randomness)
-        self._lane_bytes = lane_bytes(basis * (params.q - 1) ** 2)
+        # Basis indices of the unit payload entries, with their positions,
+        # and of the dense vectors, which alone are packed and multiplied.
+        self._units = {b: v for b, v in enumerate(payload) if isinstance(v, int)}
+        self._dense = [b for b in range(basis) if b not in self._units]
+        self._lane_bytes = lane_bytes(len(self._dense) * (params.q - 1) ** 2)
         self._packed: List[Optional[int]] = [None] * basis
+
+    @property
+    def payload(self) -> List[List[int]]:
+        """The alpha' payload vectors, dense: a unit position as its vector."""
+        def dense(v):
+            if not isinstance(v, int):
+                return list(v)
+            unit = [0] * self.width
+            unit[v] = 1
+            return unit
+        return [dense(v) for v in self._payload]
+
+    @property
+    def randomness(self) -> List[List[int]]:
+        """The t*alpha randomness vectors, every one drawn."""
+        return [list(v) for v in self._randomness]
+
+    def _pack(self, b: int) -> int:
+        """Dense basis vector b packed into lanes, reduced mod q only if
+        some entry lies outside [0, q)."""
+        k = len(self._payload)
+        raw = self._payload[b] if b < k else self._randomness[b - k]
+        q = self.params.q
+        if raw and not 0 <= min(raw) <= max(raw) < q:
+            raw = [v % q for v in raw]
+        return pack_lanes(raw, self._lane_bytes)
 
     def expand(self, coeffs: Sequence[int]) -> List[int]:
         """Turn a coefficient vector over (payloads, randomness) into a concrete
-        vector over GF(q): one sum of packed basis vectors, each reduced mod q
-        and packed when first used. A lane stays <= (alpha' + t*alpha)(q-1)^2."""
+        vector over GF(q): one sum of the packed dense basis vectors, each
+        packed when first used, then each unit term's coefficient added at
+        its position. A lane stays <= (dense vectors)(q-1)^2."""
         q = self.params.q
         packed = self._packed
         total = 0
-        for b, coef in enumerate(coeffs):
-            coef %= q
+        for b in self._dense:
+            coef = coeffs[b] % q
             if coef:
                 vec = packed[b]
                 if vec is None:
-                    raw = (self.payload + self.randomness)[b]
-                    vec = packed[b] = pack_lanes([v % q for v in raw], self._lane_bytes)
+                    vec = packed[b] = self._pack(b)
                 total += coef * vec
-        return unpack_lanes(total, self.width, self._lane_bytes, q)
+        out = unpack_lanes(total, self.width, self._lane_bytes, q)
+        for b, pos in self._units.items():
+            coef = coeffs[b] % q
+            if coef:
+                out[pos] = (out[pos] + coef) % q
+        return out
 
 
 def build_message_grid(
     params: SchemeParams, file_index: int, randomness: Sequence[Sequence[int]]
 ) -> MessageGrid:
-    """PIR grid: payload = the alpha' part selectors of file `file_index`."""
-    payload = [
-        expand_unit(params, c, file_index) for c in range(1, params.alpha_prime + 1)
-    ]
+    """PIR grid: payload = the alpha' part selectors of file `file_index`,
+    each as its slab position (FileIndexOutOfRange outside [1, m])."""
+    payload = [params.slab_index(c, file_index) for c in range(1, params.alpha_prime + 1)]
     return MessageGrid(params, payload, randomness)
 
 

@@ -84,10 +84,7 @@ def verify_privacy_exhaustive(
     sym = staircase.query_matrix(params, V)
     rand_vecs = params.randomness_count
     vec_len = params.query_length
-    zeros = [(0,) * vec_len] * rand_vecs
-
     files = range(1, params.m + 1)
-    payloads = [staircase.build_message_grid(params, i, zeros).payload for i in files]
     report = PrivacyReport(params=params, mode="exhaustive", histograms={
         subset: {i: {} for i in files}
         for subset in itertools.combinations(range(1, params.n + 1), params.t)
@@ -95,10 +92,10 @@ def verify_privacy_exhaustive(
     for flat in itertools.product(range(params.q), repeat=rand_vecs * vec_len):
         rvecs = [flat[u * vec_len : (u + 1) * vec_len] for u in range(rand_vecs)]
         if mutate_zero_randomness is not None:
-            rvecs[mutate_zero_randomness] = zeros[0]
-        for i, payload in zip(files, payloads):
+            rvecs[mutate_zero_randomness] = (0,) * vec_len
+        for i in files:
             # One grid per assignment and file; each server's view is expanded once.
-            grid = staircase.MessageGrid(params, payload, rvecs)
+            grid = staircase.build_message_grid(params, i, rvecs)
             views = [[tuple(grid.expand(coeffs)) for coeffs in row] for row in sym]
             for subset, hists in report.histograms.items():
                 key = tuple(sub for sid in subset for sub in views[sid - 1])

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from staircase_pir.errors import FieldTooSmall, InvalidK, InvalidThreshold, NotPrime
+from staircase_pir.errors import (FieldTooSmall, FileIndexOutOfRange, InvalidK, InvalidThreshold,
+                                  NotPrime, OutOfRange)
 from staircase_pir.params import PAYLOAD_FIRST, RANDOMNESS_FIRST, SchemeParams
 from staircase_pir.protocol import default_encoding_matrix
+from staircase_pir.staircase import expand_unit
 
 
 def test_example2_derivation():
@@ -84,6 +86,20 @@ def test_prefix_cols():
     assert p.prefix_cols(4) == 2
     assert p.prefix_cols(3) == 3
     assert p.prefix_cols(2) == 6  # all alpha columns
+
+
+def test_slab_index_refuses_a_part_or_file_out_of_range():
+    p = SchemeParams(n=4, k=2, t=1, m=2, q=5)
+    assert [p.slab_index(c, i) for c in range(1, p.alpha_prime + 1) for i in (1, 2)] == list(
+        range(p.query_length))
+    for part in (0, p.alpha_prime + 1):
+        with pytest.raises(OutOfRange):
+            p.slab_index(part, 1)
+        with pytest.raises(OutOfRange):
+            expand_unit(p, part, 1)
+    for i in (0, p.m + 1):
+        with pytest.raises(FileIndexOutOfRange):
+            p.slab_index(1, i)
 
 
 def test_derived_values_are_computed_once(monkeypatch):

@@ -31,7 +31,9 @@ from staircase_pir.protocol import (
     plan_download,
     server_respond,
 )
-from staircase_pir.staircase import MessageGrid, grid_layout, peel_decode, query_matrix
+from staircase_pir import staircase
+from staircase_pir.staircase import (MessageGrid, build_message_grid, grid_layout, peel_decode,
+                                     query_matrix)
 
 
 def random_db(params, seed):
@@ -202,6 +204,21 @@ class TestLaneKernels:
         for coeffs in [*query_matrix(params, V)[0][:2], *drawn, [q] + [1] * (basis - 1)]:
             assert grid.expand(coeffs) == naive_expand(grid, coeffs)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_expand_of_a_selector_grid_matches_per_symbol_reference(self, data):
+        # build_message_grid holds the selectors as slab positions; the
+        # randomness entries are in [0, 2q), reduced or packed as given.
+        q = data.draw(st.sampled_from(PROJECTION_FIELDS))
+        params, V = kernel_scheme(q)
+        i = data.draw(st.integers(1, params.m))
+        randomness = vectors(data.draw, params.randomness_count, params.query_length, 2 * q - 1)
+        grid = build_message_grid(params, i, randomness)
+        basis = params.alpha_prime + params.randomness_count
+        symbolic = [sym for row in query_matrix(params, V) for sym in row]
+        for coeffs in [*symbolic, *vectors(data.draw, 2, basis, q), [q - 1] * basis, [q] * basis]:
+            assert grid.expand(coeffs) == naive_expand(grid, coeffs)
+
     @pytest.mark.parametrize("width", PROJECTION_WIDTHS)
     @pytest.mark.parametrize("q", PROJECTION_FIELDS)
     def test_expand_worst_case_fills_its_lanes(self, q, width):
@@ -364,6 +381,42 @@ class TestRetrieval:
             assert query.prefix(params.alpha) == whole.subqueries
             assert query.prefix(1) == whole.subqueries[:1]
             assert query.subqueries == whole.subqueries
+
+    def test_seeded_prefix_by_prefix_expansion_matches_a_full_one(self):
+        # The randomness is drawn as columns read it; a seeded draw gives
+        # the same vectors whichever prefix first reads them.
+        for n in range(2, 6):
+            for k in range(2, n + 1):
+                for t in range(1, k):
+                    params = SchemeParams(n=n, k=k, t=t, m=2, q=257)
+                    V = default_encoding_matrix(params)
+                    full = make_queries(params, V, 2, seed=7)
+                    queries = make_queries(params, V, 2, seed=7,
+                                           columns=params.prefix_cols(n))
+                    for mu in range(n, k - 1, -1):
+                        for query in queries:
+                            query.prefix(params.prefix_cols(mu))
+                    assert [query.subqueries for query in queries] == [
+                        query.subqueries for query in full]
+
+    def test_a_query_draws_only_the_randomness_its_columns_read(self, monkeypatch):
+        # Bulk's shape: block 1's two columns read 2 of the 6 randomness
+        # vectors; the other columns draw the rest, in index order.
+        params = SchemeParams(n=4, k=2, t=1, m=64, q=257, s=64)
+        V = default_encoding_matrix(params)
+        drawn = []
+        real = staircase._os_symbols
+
+        def counted(q, count):
+            drawn.append(real(q, count))
+            return drawn[-1]
+
+        monkeypatch.setattr(staircase, "_os_symbols", counted)
+        queries = make_queries(params, V, 5, columns=params.prefix_cols(params.n))
+        assert len(drawn) == params.t * params.block_cols[0] == 2
+        queries[0].prefix(params.alpha)
+        assert len(drawn) == params.randomness_count == 6
+        assert queries[0].grid.randomness == drawn
 
 
 class TestDownloadPlan:

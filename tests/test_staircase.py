@@ -98,9 +98,9 @@ def test_each_unit_appears_once_in_block_one():
 
 def test_generate_randomness_deterministic():
     params = SchemeParams(n=4, k=2, t=1, m=2, q=5)
-    a = generate_randomness(params, 123)
-    b = generate_randomness(params, 123)
-    c = generate_randomness(params, 124)
+    a = list(generate_randomness(params, 123))
+    b = list(generate_randomness(params, 123))
+    c = list(generate_randomness(params, 124))
     assert a == b
     assert a != c
     assert len(a) == 6
@@ -110,8 +110,8 @@ def test_generate_randomness_deterministic():
 
 def test_unseeded_randomness_in_range_and_fresh():
     params = SchemeParams(n=4, k=2, t=1, m=8, q=257, s=4)
-    a = generate_randomness(params, None)
-    b = generate_randomness(params, None)
+    a = list(generate_randomness(params, None))
+    b = list(generate_randomness(params, None))
     assert len(a) == params.randomness_count
     assert all(len(v) == params.query_length for v in a)
     assert all(0 <= sym < params.q for v in a + b for sym in v)
