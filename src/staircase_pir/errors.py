@@ -9,10 +9,6 @@ class NotPrime(StaircasePIRError):
     """The requested field modulus is not a prime number."""
 
 
-class DivisionByZero(StaircasePIRError):
-    """Division or inversion of the zero element."""
-
-
 class DuplicatePoint(StaircasePIRError):
     """Vandermonde evaluation points must be pairwise distinct."""
 

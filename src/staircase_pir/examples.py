@@ -11,22 +11,22 @@ from .field import Matrix, vandermonde
 from .params import RANDOMNESS_FIRST, SchemeParams
 
 
-def example1(m: int = 2, s: int = 1) -> Tuple[SchemeParams, Matrix]:
+def example1(m: int = 2) -> Tuple[SchemeParams, Matrix]:
     """(3,2,1) over GF(5) with the lower-triangular encoding matrix.
 
     Its params put randomness above payload in every block, which is what
     makes queries to server 1 pure randomness under this matrix; with the
     payload first, server 1 would see file selectors in the clear.
     """
-    params = SchemeParams(n=3, k=2, t=1, m=m, q=5, s=s, row_order=RANDOMNESS_FIRST)
+    params = SchemeParams(n=3, k=2, t=1, m=m, q=5, row_order=RANDOMNESS_FIRST)
     V = Matrix(params.field, [[1, 0, 0], [1, 1, 0], [1, 2, 1]])
     return params, V
 
 
-def example2(m: int = 2, s: int = 1) -> Tuple[SchemeParams, Matrix]:
+def example2(m: int = 2) -> Tuple[SchemeParams, Matrix]:
     """(4,2,1) over GF(5) with the 4x4 power Vandermonde on points 1..4, in
     the default payload-first row order."""
-    params = SchemeParams(n=4, k=2, t=1, m=m, q=5, s=s)
+    params = SchemeParams(n=4, k=2, t=1, m=m, q=5)
     V = vandermonde(params.field, [1, 2, 3, 4], 4)
     return params, V
 

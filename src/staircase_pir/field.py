@@ -16,14 +16,7 @@ import itertools
 import struct
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    DuplicatePoint,
-    NotPrime,
-    Singular,
-    ZeroPoint,
-)
+from .errors import DimensionMismatch, DuplicatePoint, NotPrime, Singular, ZeroPoint
 
 
 def is_prime(q: int) -> bool:
@@ -53,14 +46,14 @@ def ints_to_bytes(values: Sequence[int], width: int) -> bytes:
     return b"".join(v.to_bytes(width, "little") for v in values)
 
 
-def ints_from_bytes(data: bytes, width: int, count: int, offset: int = 0) -> Tuple[int, ...]:
-    """Inverse of ints_to_bytes for `count` fields starting at `offset`."""
+def ints_from_bytes(data: bytes, width: int, count: int) -> Tuple[int, ...]:
+    """Inverse of ints_to_bytes for the first `count` fields of `data`."""
     code = _STRUCT_CODES.get(width)
     if code is not None:
-        return struct.unpack_from(f"<{count}{code}", data, offset)
+        return struct.unpack_from(f"<{count}{code}", data)
     return tuple(
         int.from_bytes(data[pos : pos + width], "little")
-        for pos in range(offset, offset + count * width, width)
+        for pos in range(0, count * width, width)
     )
 
 
@@ -101,14 +94,6 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.q})"
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise DivisionByZero("inverse of 0")
-        return pow(a, self.q - 2, self.q)
-
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.q)
 
@@ -147,10 +132,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:

@@ -158,10 +158,16 @@ class PIRServer:
     The connection is the session: a FETCH is answered with the
     projections of the sub-queries sent over it since its latest QUERY
     and not yet answered (see the wire module).
+
+    It raises ValueError unless `database` holds data of `params`: the
+    same n, k, t, m, q and s. The row order may differ, since a server
+    never reads it.
     """
 
     def __init__(self, address, database: protocol.Database, params: SchemeParams,
                  V: Matrix):
+        if any(getattr(database.params, name) != getattr(params, name) for name in "nktmqs"):
+            raise ValueError(f"database of {database.params} served as {params}")
         self.database = database
         self.params = params
         self.fingerprint = protocol.matrix_fingerprint(params, V)
@@ -579,10 +585,10 @@ def retrieve(
     i: int,
     wait_for: Optional[int] = None,
     deadline_s: float = 1.0,
-    seed=None,
 ) -> Tuple[List[int], RetrievalMetrics]:
     """File i, from the servers at `endpoints`, one per server id, and what
-    the retrieval did; the module docstring describes the flow.
+    the retrieval did; the module docstring describes the flow. Its query
+    randomness is drawn from the OS CSPRNG and cannot be seeded.
 
     The policy is two values, as protocol.ResponderWait defines them: the
     client waits for the first `wait_for` servers (None: all n) to
@@ -618,8 +624,7 @@ def retrieve(
     wait = protocol.ResponderWait(params, wait_for, deadline_s)  # refuses deadline_s <= 0
     if deadline_s > MAX_DEADLINE_S:
         raise OutOfRange(f"deadline_s must be at most {MAX_DEADLINE_S}, got {deadline_s}")
-    queries = protocol.make_queries(
-        params, V, i, seed=seed, columns=params.prefix_cols(wait.target))
+    queries = protocol.make_queries(params, V, i, columns=params.prefix_cols(wait.target))
     run = _Retrieval(queries, V, wait)
     decoded = None
     try:

@@ -68,17 +68,16 @@ class RampScheme:
         return A.solve(rhs).rows[: k - self.params.t]
 
 
-def ramp_retrieve(scheme: RampScheme, db: Database, i: int, responders: Sequence[int],
-                  seed=None):
+def ramp_retrieve(scheme: RampScheme, db: Database, i: int, responders: Sequence[int]):
     """PIR on a ramp scheme: (file i's symbols, symbols downloaded).
 
     The query for file i shares its alpha' part selectors, the slab unit
     vectors of `staircase.expand_unit`, in alpha groups of k-t, each group
-    under its own t randomness vectors. Every responder gets one sub-query
-    per group and its whole share, one projection per group, is
-    downloaded; the file is decoded from the first k responders.
-    InsufficientResponders below k; ValueError if `db` has other
-    parameters than `scheme`.
+    under its own t randomness vectors, drawn all at once from the OS
+    CSPRNG. Every responder gets one sub-query per group and its whole
+    share, one projection per group, is downloaded; the file is decoded
+    from the first k responders. InsufficientResponders below k;
+    ValueError if `db` has other parameters than `scheme`.
     """
     p = db.params
     if p != scheme.params:
@@ -87,7 +86,7 @@ def ramp_retrieve(scheme: RampScheme, db: Database, i: int, responders: Sequence
         raise InsufficientResponders(f"{len(responders)} responders < k={p.k}")
     w, t = p.k - p.t, p.t
     selectors = [staircase.expand_unit(p, c, i) for c in range(1, p.alpha_prime + 1)]
-    randomness = staircase.generate_randomness(p, seed)  # t * alpha vectors
+    randomness = list(staircase.generate_randomness(p, None))  # t * alpha vectors
     file_symbols: List[int] = []
     for g in range(p.alpha):
         shares = scheme.share(selectors[g * w : (g + 1) * w], randomness[g * t : (g + 1) * t])
@@ -97,8 +96,7 @@ def ramp_retrieve(scheme: RampScheme, db: Database, i: int, responders: Sequence
     return file_symbols, len(responders) * p.alpha * p.s
 
 
-def nonuniversality_demo(scheme: RampScheme, db: Database, i: int, mu: int,
-                         seed=None) -> Fraction:
+def nonuniversality_demo(scheme: RampScheme, db: Database, i: int, mu: int) -> Fraction:
     """Rate of ramp PIR forced to hear from mu responders, servers 1..mu.
 
     Every responder's full share is downloaded, yet only k-share-worth of
@@ -109,7 +107,7 @@ def nonuniversality_demo(scheme: RampScheme, db: Database, i: int, mu: int,
     params = scheme.params
     if not params.k <= mu <= params.n:
         raise OutOfRange(f"mu={mu} outside [{params.k}, {params.n}]")
-    got, downloaded = ramp_retrieve(scheme, db, i, range(1, mu + 1), seed)
+    got, downloaded = ramp_retrieve(scheme, db, i, range(1, mu + 1))
     expected = db.file_content(i)
     if got != expected:
         raise RuntimeError(f"ramp decode of file {i} from {mu} responders failed")

@@ -7,8 +7,9 @@ cutoff). Latency is modeled per whole server response: once a
 server answers, all of its prefix columns are fetchable, so none drops
 mid-fetch. The simulated clock is integer microseconds and events are
 ordered by (time, server id), so runs are fully deterministic under a
-fixed seed. Every repetition retrieves file 1: which file is requested
-changes neither the wait nor the download plan.
+fixed seed. Every repetition retrieves file 1 under the scheme's
+default encoding matrix: neither which file is requested nor V changes
+the wait or the download plan.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import List, Optional, Sequence
 
 from . import protocol
 from .errors import InsufficientResponders
-from .field import Matrix
 from .params import SchemeParams
 
 UNRESPONSIVE = math.inf
@@ -103,10 +103,9 @@ class SimMetrics:
     success: bool
 
 
-def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMetrics]:
+def run_simulation(config: SimConfig) -> List[SimMetrics]:
     params = config.params
-    if V is None:
-        V = protocol.default_encoding_matrix(params)
+    V = protocol.default_encoding_matrix(params)
     rng = random.Random(config.seed)
     db = protocol.Database(params, [rng.randrange(params.q) for _ in range(params.x_length)])
     expected = db.file_content(1)
@@ -139,13 +138,13 @@ def run_simulation(config: SimConfig, V: Optional[Matrix] = None) -> List[SimMet
     return results
 
 
-def sweep(configs: Sequence[SimConfig], V: Optional[Matrix] = None) -> List[dict]:
+def sweep(configs: Sequence[SimConfig]) -> List[dict]:
     """One summary record per config, keyed config_id, wait_for,
     deadline_ms, repetitions, mean_wait_ms, mean_symbols, rate and
     success_fraction; deterministic under fixed seeds."""
     records = []
     for idx, config in enumerate(configs):
-        metrics = run_simulation(config, V)
+        metrics = run_simulation(config)
         ok = [m for m in metrics if m.success]
         # A config with no decoded run has no wait or rate: None, not NaN,
         # which JSON lacks.

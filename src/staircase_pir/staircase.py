@@ -125,9 +125,7 @@ class RandomVectors(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[u] for u in range(*index.indices(self._count))]
+    def __getitem__(self, index: int) -> List[int]:
         u = range(self._count)[index]  # IndexError outside, negative from the end
         while len(self._drawn) <= u:
             self._drawn.append(self._draw())
@@ -140,12 +138,13 @@ def generate_randomness(
     """t*alpha vectors with entries uniform over GF(q), each drawn when
     first read (see RandomVectors).
 
-    With a seed they are deterministic (tests, the simulator): one
-    random.Random(seed) draws them in index order. With seed None each
-    comes from the OS CSPRNG: some sub-queries carry randomness
-    unmasked (server 1's in example 1), and a server that could predict
-    the generator from them would learn the other servers' masks.
-    The default width is one entry per slab, the length of a sub-query.
+    With a seed they are deterministic (the simulator, verify, cli demo;
+    net.retrieve passes none): one random.Random(seed) draws them in
+    index order. With seed None each comes from the OS CSPRNG: some
+    sub-queries carry randomness unmasked (server 1's in example 1), and
+    a server that could predict the generator from them would learn the
+    other servers' masks. The default width is one entry per slab, the
+    length of a sub-query.
     """
     width = params.query_length if width is None else width
     q = params.q
@@ -192,8 +191,6 @@ class MessageGrid:
     The randomness is any sequence of dense vectors, a RandomVectors draw
     included, which is read only as expand needs it. The vectors are read
     when first used, so they must not change once the grid is built.
-    `payload` and `randomness` read as dense vectors, built (and drawn)
-    when read.
     """
 
     def __init__(
@@ -231,22 +228,6 @@ class MessageGrid:
         self._dense = [b for b in range(basis) if b not in self._units]
         self._lane_bytes = lane_bytes(len(self._dense) * (params.q - 1) ** 2)
         self._packed: List[Optional[int]] = [None] * basis
-
-    @property
-    def payload(self) -> List[List[int]]:
-        """The alpha' payload vectors, dense: a unit position as its vector."""
-        def dense(v):
-            if not isinstance(v, int):
-                return list(v)
-            unit = [0] * self.width
-            unit[v] = 1
-            return unit
-        return [dense(v) for v in self._payload]
-
-    @property
-    def randomness(self) -> List[List[int]]:
-        """The t*alpha randomness vectors, every one drawn."""
-        return [list(v) for v in self._randomness]
 
     def _pack(self, b: int) -> int:
         """Dense basis vector b packed into lanes, reduced mod q only if

@@ -12,6 +12,11 @@ are checked as exact finite facts on concrete instances:
 * robustness -- decode every file from every responder subset of size >= k
   over repeated random data and randomness;
 * rate accounting -- exact rational comparison against 1 - t/mu.
+
+Both privacy oracles read the symbolic queries through
+`staircase.query_matrix` and take no mutation option: a test shows they
+can fail by patching that one function, zeroing a randomness coefficient
+in every sub-query.
 """
 
 from __future__ import annotations
@@ -67,16 +72,8 @@ def exhaustive_work(params: SchemeParams) -> int:
     return exhaustive_space(params) * params.m * params.n * params.alpha
 
 
-def verify_privacy_exhaustive(
-    params: SchemeParams,
-    V: Matrix,
-    mutate_zero_randomness: Optional[int] = None,
-) -> PrivacyReport:
-    """Enumerate ALL randomness assignments; exact multiset equality across i.
-
-    mutate_zero_randomness forces randomness vector u (0-based) to zero in
-    every assignment -- a mutation control that must break the verdict.
-    """
+def verify_privacy_exhaustive(params: SchemeParams, V: Matrix) -> PrivacyReport:
+    """Enumerate ALL randomness assignments; exact multiset equality across i."""
     work = exhaustive_work(params)
     if work > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
@@ -91,8 +88,6 @@ def verify_privacy_exhaustive(
     })
     for flat in itertools.product(range(params.q), repeat=rand_vecs * vec_len):
         rvecs = [flat[u * vec_len : (u + 1) * vec_len] for u in range(rand_vecs)]
-        if mutate_zero_randomness is not None:
-            rvecs[mutate_zero_randomness] = (0,) * vec_len
         for i in files:
             # One grid per assignment and file; each server's view is expanded once.
             grid = staircase.build_message_grid(params, i, rvecs)
@@ -105,26 +100,14 @@ def verify_privacy_exhaustive(
     return report
 
 
-def verify_privacy_rank(
-    params: SchemeParams,
-    V: Matrix,
-    mutate_zero_randomness: Optional[int] = None,
-) -> PrivacyReport:
+def verify_privacy_rank(params: SchemeParams, V: Matrix) -> PrivacyReport:
     """Full-rank randomness coefficients for every t-subset's sub-queries."""
     sym = staircase.query_matrix(params, V)
     ap = params.alpha_prime
-    ta = params.randomness_count
     report = PrivacyReport(params=params, mode="rank")
     for subset in itertools.combinations(range(1, params.n + 1), params.t):
-        rows = []
-        for sid in subset:
-            for coeffs in sym[sid - 1]:
-                rrow = list(coeffs[ap:])
-                if mutate_zero_randomness is not None:
-                    rrow[mutate_zero_randomness] = 0
-                rows.append(rrow)
-        mat = Matrix(params.field, rows)
-        report.verdicts[subset] = mat.rank() == ta
+        rows = [coeffs[ap:] for sid in subset for coeffs in sym[sid - 1]]
+        report.verdicts[subset] = Matrix(params.field, rows).rank() == params.randomness_count
     return report
 
 

@@ -150,7 +150,7 @@ def pack_frame(msg_type: int, payload: bytes) -> bytes:
     return frame_header(msg_type, len(payload)) + payload
 
 
-def _check_header(header, max_payload: Optional[int]) -> Optional[Tuple[int, int, int]]:
+def _check_header(header, max_payload: int) -> Optional[Tuple[int, int, int]]:
     """(message type, payload length, header size) of the frame header at
     the front of `header`; None until all of it is there; MalformedFrame
     as soon as enough of it is there to refuse it."""
@@ -165,19 +165,19 @@ def _check_header(header, max_payload: Optional[int]) -> Optional[Tuple[int, int
     if found is None:
         return None
     length, size = found
-    if max_payload is not None and length > max_payload:
+    if length > max_payload:
         raise MalformedFrame(f"payload of {length} bytes exceeds {max_payload}")
     return msg_type, length, size
 
 
-def split_frame(buf: bytearray, max_payload: Optional[int] = None
-                ) -> Optional[Tuple[int, bytes]]:
+def split_frame(buf: bytearray, max_payload: int) -> Optional[Tuple[int, bytes]]:
     """Take the first whole frame off the front of `buf`: (type, payload),
     or None, leaving `buf` as it was, until all of it has arrived.
 
-    The header is checked as soon as its bytes are in `buf`, so a header
-    announcing more than `max_payload` bytes is rejected before any of the
-    payload arrives.
+    The cap is required: the header is checked as soon as its bytes are in
+    `buf`, so a header announcing more than `max_payload` bytes is rejected
+    before any of the payload arrives, and no peer can make its reader
+    buffer more than that.
     """
     found = _check_header(buf, max_payload)
     if found is None:

@@ -4,7 +4,12 @@ from staircase_pir import wire
 from staircase_pir.errors import MalformedFrame
 
 
-def read_frame(reader, max_payload=None):
+# A cap no header can exceed (a varint is below 2**64): a frame split under
+# it is refused for its header, never for its length.
+ANY_LENGTH = 2**64
+
+
+def read_frame(reader, max_payload=ANY_LENGTH):
     """(type, payload) of the next frame of a file-like object with .read(n).
 
     It reads through wire.split_frame a byte at a time, so it reads

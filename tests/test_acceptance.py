@@ -6,7 +6,10 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the verdict lines.
 import itertools
 import random
 import threading
+from contextlib import nullcontext
 from fractions import Fraction
+
+from patches import randomness_zeroed
 
 from staircase_pir import ingest, net, sim, staircase
 from staircase_pir.examples import example1, example2, format_coeffs
@@ -144,9 +147,8 @@ def small_exhaustive_instance():
 def test_criterion_4_privacy_exhaustive():
     params, V = small_exhaustive_instance()
     clean = verify_privacy_exhaustive(params, V)
-    mutated = verify_privacy_exhaustive(
-        params, V, mutate_zero_randomness=0
-    )
+    with randomness_zeroed(0):
+        mutated = verify_privacy_exhaustive(params, V)
     ok = clean.ok and not mutated.ok
     report(4, "exhaustive query-distribution equality + mutation control", ok)
 
@@ -156,16 +158,15 @@ def test_criterion_5_privacy_rank():
     for n, k, t in [(3, 2, 1), (4, 2, 1), (4, 3, 1), (5, 3, 2), (6, 4, 2)]:
         params = SchemeParams(n=n, k=k, t=t, m=2, q=257)
         ok &= verify_privacy_rank(params, default_encoding_matrix(params)).ok
-    # Agreement with the exhaustive oracle on the brute-forceable instance.
+    # Agreement with the exhaustive oracle on the brute-forceable instance:
+    # both pass it clean, and both fail it with r_1 zeroed.
     params, V = small_exhaustive_instance()
-    for mutation in (None, 0):
-        rank_ok = verify_privacy_rank(
-            params, V, mutate_zero_randomness=mutation
-        ).ok
-        exh_ok = verify_privacy_exhaustive(
-            params, V, mutate_zero_randomness=mutation
-        ).ok
-        ok &= rank_ok == exh_ok
+    verdicts = []
+    for mutation in (nullcontext(), randomness_zeroed(0)):
+        with mutation:
+            verdicts.append((verify_privacy_rank(params, V).ok,
+                             verify_privacy_exhaustive(params, V).ok))
+    ok &= verdicts == [(True, True), (False, False)]
     report(5, "full-rank randomness coefficients for every t-subset", ok)
 
 
@@ -235,7 +236,7 @@ def test_criterion_9_socket_end_to_end():
     servers = [net.serve("127.0.0.1", 0, db, params, V) for _ in range(3)]
     endpoints = [srv.server_address for srv in servers]
     try:
-        decoded, metrics = net.retrieve(endpoints, params, V, 1, seed=1)
+        decoded, metrics = net.retrieve(endpoints, params, V, 1)
         all_alive_ok = (
             ingest.restore_file(decoded, manifest, 1) == payload
             and metrics.rate == Fraction(2, 3)
@@ -244,7 +245,7 @@ def test_criterion_9_socket_end_to_end():
         servers[2].shutdown()
         servers[2].server_close()
         decoded, metrics = net.retrieve(
-            endpoints, params, V, 1, deadline_s=0.5, seed=2
+            endpoints, params, V, 1, deadline_s=0.5
         )
         degraded_ok = (
             ingest.restore_file(decoded, manifest, 1) == payload

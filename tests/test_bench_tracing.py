@@ -59,7 +59,7 @@ def traced_retrieval(tracing, down):
         tracer.install()
         # Through the module, as the benchmark calls it: the tracer wraps
         # module attributes, not names imported before it was installed.
-        decoded, metrics = net.retrieve(endpoints, params, V, 2, seed=3)
+        decoded, metrics = net.retrieve(endpoints, params, V, 2)
     finally:
         tracer.uninstall()
         for srv in servers[: params.n - down]:

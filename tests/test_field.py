@@ -3,13 +3,7 @@ import random
 
 import pytest
 
-from staircase_pir.errors import (
-    DivisionByZero,
-    DuplicatePoint,
-    NotPrime,
-    Singular,
-    ZeroPoint,
-)
+from staircase_pir.errors import DuplicatePoint, NotPrime, Singular, ZeroPoint
 from staircase_pir.field import (
     Matrix,
     PrimeField,
@@ -33,20 +27,21 @@ def test_field_construction():
 
 
 def test_gf5_arithmetic():
+    # Through the 1 x 1 matrices the package multiplies and inverts.
     f = PrimeField(5)
-    assert f.mul(4, 4) == 1
-    assert f.inv(2) == 3
-    with pytest.raises(DivisionByZero):
-        f.inv(0)
+    assert Matrix(f, [[4]]).mul(Matrix(f, [[4]])).rows == [[1]]
+    assert Matrix(f, [[2]]).inverse().rows == [[3]]
+    with pytest.raises(Singular):
+        Matrix(f, [[5]]).inverse()
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 101])
 def test_fermat_little_theorem(q):
-    # a^(q-1) = 1 for every nonzero a.
+    # a^(q-1) = 1 for every nonzero a, and a times its inverse is 1.
     f = PrimeField(q)
     for a in range(1, q):
         assert f.pow(a, q - 1) == 1
-        assert f.mul(a, f.inv(a)) == 1
+        assert Matrix(f, [[a]]).mul(Matrix(f, [[a]]).inverse()).rows == [[1]]
 
 
 def test_vandermonde_gf5_golden():
@@ -149,7 +144,7 @@ def test_matrix_mul_and_rank():
     A = Matrix(f, [[1, 2], [3, 4]])
     B = Matrix(f, [[0, 1], [1, 0]])
     assert A.mul(B).rows == [[2, 1], [4, 3]]
-    assert Matrix.zero(f, 3, 3).rank() == 0
+    assert Matrix(f, [[0] * 3] * 3).rank() == 0
     assert Matrix.identity(f, 3).rank() == 3
 
 

@@ -10,21 +10,23 @@ import threading
 import time
 import warnings
 from contextlib import suppress
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from framing import read_frame
+from patches import seed_every_draw
 from staircase_pir.errors import (
     HandshakeMismatch,
     InsufficientResponders,
     OutOfRange,
     StaircasePIRError,
 )
-from staircase_pir import net, protocol, wire
+from staircase_pir import net, protocol, staircase, wire
 from staircase_pir.examples import example1
 from staircase_pir.net import SHUTDOWN_POLL_S, retrieve, serve
-from staircase_pir.params import SchemeParams
+from staircase_pir.params import PAYLOAD_FIRST, SchemeParams
 from staircase_pir.protocol import (
     Database,
     default_encoding_matrix,
@@ -184,7 +186,7 @@ def cluster321():
 def test_retrieve_all_servers(cluster321):
     params, V, files, _, endpoints = cluster321
     for i in (1, 2):
-        decoded, metrics = retrieve(endpoints, params, V, i, seed=i)
+        decoded, metrics = retrieve(endpoints, params, V, i)
         assert decoded == files[i - 1]
         assert metrics.realized_mu == 3
         assert metrics.rate == Fraction(2, 3)
@@ -194,7 +196,7 @@ def test_retrieve_survives_dead_server(cluster321):
     params, V, files, servers, endpoints = cluster321
     servers[2].shutdown()
     servers[2].server_close()
-    decoded, metrics = retrieve(endpoints, params, V, 1, deadline_s=0.5, seed=3)
+    decoded, metrics = retrieve(endpoints, params, V, 1, deadline_s=0.5)
     assert decoded == files[0]
     assert metrics.realized_mu == 2
     assert metrics.rate == Fraction(1, 2)
@@ -204,7 +206,7 @@ def test_retrieve_returns_once_every_server_settled(cluster321):
     params, V, files, servers, endpoints = cluster321
     shutdown(servers[2:])
     start = time.monotonic()
-    decoded, metrics = retrieve(endpoints, params, V, 1, deadline_s=5, seed=3)
+    decoded, metrics = retrieve(endpoints, params, V, 1, deadline_s=5)
     assert time.monotonic() - start < 1
     assert decoded == files[0]
     assert metrics.realized_mu == 2
@@ -216,7 +218,7 @@ def test_retrieve_replans_when_a_responder_drops_mid_fetch(cluster321):
     stub = serve_stub()
     try:
         decoded, metrics = retrieve(
-            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5, seed=6
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5
         )
     finally:
         shutdown([stub])
@@ -245,7 +247,7 @@ def test_a_responder_that_drops_before_the_wait_ends_no_longer_counts(
     try:
         decoded, metrics = retrieve(
             [stub.server_address] + endpoints[1:], params, V, 1,
-            wait_for=2, deadline_s=5, seed=4,
+            wait_for=2, deadline_s=5,
         )
     finally:
         shutdown([stub])
@@ -280,7 +282,7 @@ def test_a_chosen_responder_that_drops_is_replaced_by_a_server_not_chosen(
     try:
         decoded, metrics = retrieve(
             [stub.server_address] + endpoints[1:], params, V, 1,
-            wait_for=2, deadline_s=5, seed=4,
+            wait_for=2, deadline_s=5,
         )
     finally:
         shutdown([stub])
@@ -304,7 +306,7 @@ def test_a_reopened_wait_decodes_from_as_many_servers_as_it_waited_for(monkeypat
     try:
         decoded, metrics = retrieve(
             [stub.server_address] + endpoints, params, V, 2,
-            wait_for=3, deadline_s=5, seed=8,
+            wait_for=3, deadline_s=5,
         )
     finally:
         shutdown(servers + [stub])
@@ -320,7 +322,7 @@ def test_retrieve_drops_a_responder_that_stalls_on_fetch(cluster321):
     try:
         start = time.monotonic()
         decoded, metrics = retrieve(
-            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=0.3, seed=5
+            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=0.3
         )
         elapsed = time.monotonic() - start
     finally:
@@ -339,7 +341,7 @@ def test_retrieve_bounds_a_trickled_fetch_by_the_deadline(cluster321):
     try:
         start = time.monotonic()
         decoded, metrics = retrieve(
-            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=0.3, seed=5
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=0.3
         )
         elapsed = time.monotonic() - start
     finally:
@@ -358,7 +360,7 @@ def test_retrieve_refuses_a_reply_larger_than_any_response(cluster321):
     try:
         start = time.monotonic()
         decoded, metrics = retrieve(
-            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=3, seed=5
+            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=3
         )
         elapsed = time.monotonic() - start
     finally:
@@ -382,7 +384,7 @@ def test_idle_connections_do_not_pin_server_threads(cluster321):
                 idle[-1].sendall(half_header)
         # The server accepts connections in order, so it holds all 20 by
         # the time it answers this retrieval.
-        decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
+        decoded, _ = retrieve(endpoints, params, V, 1)
         assert decoded == files[0]
         assert threading.active_count() <= before
     finally:
@@ -401,7 +403,7 @@ def test_query_encoded_only_for_servers_that_accept(cluster321, monkeypatch):
         return encode_query(*args)
 
     monkeypatch.setattr(wire, "encode_query", counting)
-    decoded, metrics = retrieve(endpoints, params, V, 1, seed=2)
+    decoded, metrics = retrieve(endpoints, params, V, 1)
     assert decoded == files[0]
     assert sorted(encoded) == [1, 2]
     assert metrics.outcomes[3] == "refused"
@@ -421,7 +423,7 @@ def test_retrieve_tries_each_address_of_a_host_name(cluster321, monkeypatch):
 
     monkeypatch.setattr(socket, "getaddrinfo", dead_address_first)
     named = [("localhost", port) for _, port in endpoints]
-    decoded, metrics = retrieve(named, params, V, 2, seed=1)
+    decoded, metrics = retrieve(named, params, V, 2)
     assert decoded == files[1]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
 
@@ -437,7 +439,7 @@ def test_a_name_that_does_not_resolve_settles_its_server_as_an_error(
         return getaddrinfo(host, port, *args)
 
     monkeypatch.setattr(socket, "getaddrinfo", unresolved_third)
-    decoded, metrics = retrieve(endpoints, params, V, 1, seed=3)
+    decoded, metrics = retrieve(endpoints, params, V, 1)
     assert decoded == files[0]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "error"}
 
@@ -457,7 +459,7 @@ def test_an_address_that_fails_at_once_falls_back_to_the_next(
         return found
 
     monkeypatch.setattr(socket, "getaddrinfo", unix_path_first)
-    decoded, metrics = retrieve(endpoints, params, V, 2, seed=5)
+    decoded, metrics = retrieve(endpoints, params, V, 2)
     assert decoded == files[1]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
     assert metrics.connects == params.n + 1
@@ -475,7 +477,7 @@ def test_an_address_whose_connect_raises_falls_back_to_the_next(cluster321, monk
         return found
 
     monkeypatch.setattr(socket, "getaddrinfo", long_path_first)
-    decoded, metrics = retrieve(endpoints, params, V, 1, seed=6)
+    decoded, metrics = retrieve(endpoints, params, V, 1)
     assert decoded == files[0]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
     assert metrics.connects == params.n + 1
@@ -492,7 +494,7 @@ def test_a_write_that_fails_settles_its_server_as_an_error(cluster321, monkeypat
         return flush(self)
 
     monkeypatch.setattr(net._Conn, "flush", failing_third)
-    decoded, metrics = retrieve(endpoints, params, V, 2, seed=7)
+    decoded, metrics = retrieve(endpoints, params, V, 2)
     assert decoded == files[1]
     assert metrics.realized_mu == 2
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "error"}
@@ -506,9 +508,9 @@ def test_server_survives_a_fault_on_one_connection(cluster321, monkeypatch, caps
 
     monkeypatch.setattr(protocol, "server_respond", faulty)
     with pytest.raises(InsufficientResponders):
-        retrieve(endpoints, params, V, 1, seed=0)
+        retrieve(endpoints, params, V, 1)
     monkeypatch.undo()
-    decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
+    decoded, _ = retrieve(endpoints, params, V, 1)
     assert decoded == files[0]
     assert "RuntimeError: projection fault" in capsys.readouterr().err
 
@@ -531,7 +533,7 @@ def test_retrieve_raises_when_drops_leave_fewer_than_k(cluster321):
         with pytest.raises(InsufficientResponders):
             retrieve(
                 endpoints[:1] + [stub.server_address for stub in stubs],
-                params, V, 1, deadline_s=5, seed=7,
+                params, V, 1, deadline_s=5,
             )
     finally:
         shutdown(stubs)
@@ -555,7 +557,7 @@ def test_retrieve_replans_under_frequent_thread_switches():
         for trial in range(20):
             i = trial % params.m + 1
             decoded, metrics = retrieve(
-                endpoints + [stub.server_address], params, V, i, deadline_s=5, seed=trial
+                endpoints + [stub.server_address], params, V, i, deadline_s=5
             )
             assert decoded == files[i - 1]
             assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok", 4: "dropped-mid-fetch"}
@@ -568,7 +570,7 @@ def test_retrieve_replans_under_frequent_thread_switches():
 def test_retrieve_wait_for_reports_the_rest_late(cluster321):
     params, V, files, _, endpoints = cluster321
     decoded, metrics = retrieve(
-        endpoints, params, V, 1, wait_for=2, seed=8
+        endpoints, params, V, 1, wait_for=2
     )
     assert decoded == files[0]
     assert sorted(metrics.outcomes.values()) == ["late", "ok", "ok"]
@@ -577,7 +579,7 @@ def test_retrieve_wait_for_reports_the_rest_late(cluster321):
 def test_retrieve_wait_for_subset(cluster321):
     params, V, files, _, endpoints = cluster321
     decoded, metrics = retrieve(
-        endpoints, params, V, 2, wait_for=2, seed=4
+        endpoints, params, V, 2, wait_for=2
     )
     assert decoded == files[1]
     assert metrics.realized_mu == 2
@@ -590,7 +592,7 @@ def test_retrieve_insufficient_responders(cluster321):
         srv.shutdown()
         srv.server_close()
     with pytest.raises(InsufficientResponders):
-        retrieve(endpoints, params, V, 1, deadline_s=0.3, seed=0)
+        retrieve(endpoints, params, V, 1, deadline_s=0.3)
 
 
 def test_handshake_rejects_mismatched_params(cluster321):
@@ -598,7 +600,7 @@ def test_handshake_rejects_mismatched_params(cluster321):
     other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
     W = default_encoding_matrix(other)
     with pytest.raises(HandshakeMismatch):
-        retrieve(endpoints, other, W, 1, deadline_s=0.5, seed=0)
+        retrieve(endpoints, other, W, 1, deadline_s=0.5)
 
 
 def test_refused_handshakes_close_their_sockets(cluster321):
@@ -608,7 +610,7 @@ def test_refused_handshakes_close_their_sockets(cluster321):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(HandshakeMismatch):
-            retrieve(endpoints, other, W, 1, deadline_s=0.5, seed=0)
+            retrieve(endpoints, other, W, 1, deadline_s=0.5)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -645,7 +647,7 @@ def test_server_answers_a_frame_of_unknown_type_with_an_error(cluster321):
         assert msg_type == wire.MSG_ERROR
         assert wire.decode_error(reply) == (wire.ERR_MALFORMED, "unexpected type 9")
         send_query(sock, params, V, 1)  # the connection still serves
-    decoded, _ = retrieve(endpoints, params, V, 2, seed=1)
+    decoded, _ = retrieve(endpoints, params, V, 2)
     assert decoded == files[1]
 
 def test_new_query_replaces_what_the_server_holds(cluster321):
@@ -692,7 +694,7 @@ def test_server_refuses_oversized_frame(cluster321, excess):
         # and no payload: the server closes without waiting for one.
         sock.sendall(wire.frame_header(wire.MSG_QUERY, length))
         assert sock.recv(1) == b""
-    decoded, _ = retrieve(endpoints, params, V, 1, seed=0)
+    decoded, _ = retrieve(endpoints, params, V, 1)
     assert decoded == files[0]
 
 
@@ -741,7 +743,8 @@ def server421():
 
 def fetch_frame(params, count, subqueries):
     """A FETCH of `count` whose payload carries `subqueries`."""
-    _, body = wire.split_frame(bytearray(wire.encode_fetch(params, subqueries)))
+    _, body = wire.split_frame(bytearray(wire.encode_fetch(params, subqueries)),
+                               wire.max_request_payload(params))
     return wire.pack_frame(wire.MSG_FETCH, wire.pack_varints([count]) + body[1:])
 
 
@@ -829,10 +832,11 @@ def test_replan_tops_up_only_the_columns_the_survivors_lack(cluster321, monkeypa
         return dispatch(self, conn, msg_type, payload)
 
     monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
+    seed_every_draw(monkeypatch, 6)  # the queries below are seed 6's
     stub = serve_stub()
     try:
         decoded, metrics = retrieve(
-            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5, seed=6
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5
         )
     finally:
         shutdown([stub])
@@ -864,7 +868,7 @@ def test_retrieve_reports_the_deadline_it_waited_out(cluster321):
     with socket.create_server(("127.0.0.1", 0)) as silent:
         start = time.monotonic()
         decoded, metrics = retrieve(
-            endpoints[:2] + [silent.getsockname()], params, V, 1, deadline_s=0.3, seed=2
+            endpoints[:2] + [silent.getsockname()], params, V, 1, deadline_s=0.3
         )
         elapsed = time.monotonic() - start
     assert decoded == files[0]
@@ -879,7 +883,7 @@ def test_a_hung_connect_holds_back_no_other_query(cluster321):
         # The connection above fills its accept queue, so the retrieval's
         # connect never completes and no plan is made before the deadline.
         decoded, metrics = retrieve(
-            endpoints[:2] + [full.getsockname()], params, V, 1, deadline_s=0.3, seed=2
+            endpoints[:2] + [full.getsockname()], params, V, 1, deadline_s=0.3
         )
     assert decoded == files[0]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "late"}
@@ -904,7 +908,7 @@ def test_retrieval_bytes_are_the_frames_encoded(cluster321, monkeypatch, down):
     for kind in frames:
         name = f"encode_{kind}"
         monkeypatch.setattr(wire, name, counting(kind, getattr(wire, name)))
-    decoded, metrics = retrieve(endpoints, params, V, 2, seed=3)
+    decoded, metrics = retrieve(endpoints, params, V, 2)
     assert decoded == files[1]
     assert metrics.realized_mu == params.n - down
     assert frames["query"] and frames["fetch"] and frames["response"]
@@ -922,10 +926,10 @@ def test_second_retrieval_reuses_every_connection(cluster321, monkeypatch):
         return accept(self, sel)
 
     monkeypatch.setattr(net.PIRServer, "_accept", counting)
-    _, first = retrieve(endpoints, params, V, 1, seed=1)
+    _, first = retrieve(endpoints, params, V, 1)
     assert first.connects == params.n and len(accepts) == params.n
     del accepts[:]
-    decoded, second = retrieve(endpoints, params, V, 2, seed=2)
+    decoded, second = retrieve(endpoints, params, V, 2)
     assert decoded == files[1]
     assert second.connects == 0 and accepts == []
     assert second.outcomes == {1: "ok", 2: "ok", 3: "ok"}
@@ -933,7 +937,7 @@ def test_second_retrieval_reuses_every_connection(cluster321, monkeypatch):
 
 def test_a_stale_connection_is_replaced_by_a_fresh_connect(cluster321, monkeypatch):
     params, V, files, servers, endpoints = cluster321
-    retrieve(endpoints, params, V, 1, seed=1)
+    retrieve(endpoints, params, V, 1)
     shutdown(servers[2:])
     encoded = []
     encode_query = wire.encode_query
@@ -945,7 +949,7 @@ def test_a_stale_connection_is_replaced_by_a_fresh_connect(cluster321, monkeypat
     monkeypatch.setattr(wire, "encode_query", counting)
     # The server closed its idle connection, which the client sees before
     # sending a QUERY over it; the fresh connect is refused.
-    decoded, metrics = retrieve(endpoints, params, V, 2, seed=2)
+    decoded, metrics = retrieve(endpoints, params, V, 2)
     assert decoded == files[1]
     assert sorted(encoded) == [1, 2]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "refused"}
@@ -953,7 +957,7 @@ def test_a_stale_connection_is_replaced_by_a_fresh_connect(cluster321, monkeypat
     port = endpoints[2][1]
     restarted = serve("127.0.0.1", port, Database.from_files(params, files), params, V)
     try:
-        decoded, metrics = retrieve(endpoints, params, V, 1, seed=3)
+        decoded, metrics = retrieve(endpoints, params, V, 1)
     finally:
         shutdown([restarted])
     assert decoded == files[0]
@@ -963,7 +967,7 @@ def test_a_stale_connection_is_replaced_by_a_fresh_connect(cluster321, monkeypat
 
 def test_a_reused_connection_that_fails_falls_back_to_a_fresh_one(cluster321, monkeypatch):
     params, V, files, servers, endpoints = cluster321
-    retrieve(endpoints, params, V, 1, seed=1)
+    retrieve(endpoints, params, V, 1)
     dispatch = net.PIRServer._dispatch
 
     def breaks_reused(self, conn, msg_type, payload):
@@ -974,7 +978,7 @@ def test_a_reused_connection_that_fails_falls_back_to_a_fresh_one(cluster321, mo
         return dispatch(self, conn, msg_type, payload)
 
     monkeypatch.setattr(net.PIRServer, "_dispatch", breaks_reused)
-    decoded, metrics = retrieve(endpoints, params, V, 2, seed=2)
+    decoded, metrics = retrieve(endpoints, params, V, 2)
     assert decoded == files[1]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
     assert metrics.connects == 1
@@ -986,19 +990,19 @@ def idle_endpoints(endpoints):
 
 def test_a_retrieval_that_raises_keeps_no_connection(cluster321):
     params, V, _, _, endpoints = cluster321
-    retrieve(endpoints, params, V, 1, seed=1)
+    retrieve(endpoints, params, V, 1)
     assert idle_endpoints(endpoints) == set(endpoints)
     other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
     with pytest.raises(HandshakeMismatch):
-        retrieve(endpoints, other, default_encoding_matrix(other), 1, seed=0)
+        retrieve(endpoints, other, default_encoding_matrix(other), 1)
     assert idle_endpoints(endpoints) == set()
     # Server 1 answers in full, but the two stubs drop mid-fetch.
-    retrieve(endpoints, params, V, 1, seed=1)
+    retrieve(endpoints, params, V, 1)
     stubs = [serve_stub() for _ in range(2)]
     try:
         with pytest.raises(InsufficientResponders):
             retrieve(endpoints[:1] + [stub.server_address for stub in stubs],
-                     params, V, 1, deadline_s=5, seed=7)
+                     params, V, 1, deadline_s=5)
     finally:
         shutdown(stubs)
     assert tuple(endpoints[0]) not in net._idle
@@ -1006,7 +1010,7 @@ def test_a_retrieval_that_raises_keeps_no_connection(cluster321):
 
 def test_only_the_responders_decoded_from_are_kept(cluster321):
     params, V, files, _, endpoints = cluster321
-    decoded, metrics = retrieve(endpoints, params, V, 1, wait_for=2, seed=8)
+    decoded, metrics = retrieve(endpoints, params, V, 1, wait_for=2)
     assert decoded == files[0]
     ok = {tuple(endpoints[sid - 1]) for sid, out in metrics.outcomes.items() if out == "ok"}
     assert len(ok) == 2
@@ -1023,7 +1027,7 @@ def test_idle_connections_are_bounded_by_the_latest_retrieval():
         for i in range(5):
             servers, endpoints = start_cluster(params, V, files)
             try:
-                decoded, _ = retrieve(endpoints, params, V, 1, seed=i)
+                decoded, _ = retrieve(endpoints, params, V, 1)
             finally:
                 shutdown(servers)
             assert decoded == files[0]
@@ -1069,7 +1073,7 @@ def test_each_side_writes_once_per_server(cluster321, monkeypatch):
     # A QUERY goes out with its FETCH, and the server answers both in one
     # reply: on reused connections that is one write each way per server.
     params, V, files, _, endpoints = cluster321
-    retrieve(endpoints, params, V, 1, seed=1)
+    retrieve(endpoints, params, V, 1)
     writes, reads = {}, {}
     flush, recv = net._Conn.flush, net._Conn.recv
 
@@ -1082,7 +1086,7 @@ def test_each_side_writes_once_per_server(cluster321, monkeypatch):
 
     monkeypatch.setattr(net._Conn, "flush", counting(writes, flush))
     monkeypatch.setattr(net._Conn, "recv", counting(reads, recv))
-    decoded, metrics = retrieve(endpoints, params, V, 2, seed=2)
+    decoded, metrics = retrieve(endpoints, params, V, 2)
     monkeypatch.undo()
     assert decoded == files[1]
     assert metrics.connects == 0
@@ -1112,7 +1116,7 @@ def test_wait_for_pipelines_only_wait_for_fetches(cluster321, monkeypatch):
     monkeypatch.setattr(wire, "decode_response", decoding)
     for i in (1, 2):  # fresh connections, then reused ones
         del events[:]
-        decoded, metrics = retrieve(endpoints, params, V, i, wait_for=2, seed=i)
+        decoded, metrics = retrieve(endpoints, params, V, i, wait_for=2)
         assert decoded == files[i - 1]
         assert metrics.realized_mu == 2
         assert "ack" in events
@@ -1125,7 +1129,7 @@ def test_a_refused_handshake_with_a_fetch_behind_it_projects_nothing(
     # FETCH adding a column. Over connections reused from a retrieval that
     # succeeded, the QUERY is refused: the FETCH behind it tops up nothing.
     params, V, _, servers, endpoints = cluster321
-    retrieve(endpoints, params, V, 1, seed=1)
+    retrieve(endpoints, params, V, 1)
     shutdown(servers[2:])
     projected = spied_projections[0]
     received = {id(srv): [] for srv in servers}
@@ -1140,7 +1144,7 @@ def test_a_refused_handshake_with_a_fetch_behind_it_projects_nothing(
     monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
     other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
     with pytest.raises(HandshakeMismatch):
-        retrieve(endpoints, other, default_encoding_matrix(other), 1, seed=0)
+        retrieve(endpoints, other, default_encoding_matrix(other), 1)
     # The first refusal ends the retrieval, so the other server may still be answering.
     end = time.monotonic() + 5
     while any(len(received[id(srv)]) < 2 for srv in servers[:2]) and time.monotonic() < end:
@@ -1184,9 +1188,9 @@ def test_each_side_writes_once_per_responder_with_a_server_refused(cluster321, m
     # before any QUERY goes out, so the plan, for mu = 2, is made first and
     # each responder's QUERY carries its FETCH.
     params, V, files, servers, endpoints = cluster321
-    retrieve(endpoints, params, V, 1, seed=1)
+    retrieve(endpoints, params, V, 1)
     shutdown(servers[2:])
-    retrieve(endpoints, params, V, 2, seed=2)  # drops server 3's stale idle socket
+    retrieve(endpoints, params, V, 2)  # drops server 3's stale idle socket
     writes, reads = {}, {}
     flush, recv = net._Conn.flush, net._Conn.recv
 
@@ -1199,7 +1203,7 @@ def test_each_side_writes_once_per_responder_with_a_server_refused(cluster321, m
 
     monkeypatch.setattr(net._Conn, "flush", counting(writes, flush))
     monkeypatch.setattr(net._Conn, "recv", counting(reads, recv))
-    decoded, metrics = retrieve(endpoints, params, V, 1, seed=3)
+    decoded, metrics = retrieve(endpoints, params, V, 1)
     monkeypatch.undo()
     assert decoded == files[0]
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "refused"}
@@ -1224,7 +1228,7 @@ def test_a_refused_query_ends_the_retrieval_at_once(cluster321):
             mixed = [endpoints[0], mismatched.server_address, silent.getsockname()]
             start = time.monotonic()
             with pytest.raises(HandshakeMismatch):
-                retrieve(mixed, params, V, 1, deadline_s=3, seed=0)
+                retrieve(mixed, params, V, 1, deadline_s=3)
             elapsed = time.monotonic() - start
             gc.collect()
     finally:
@@ -1250,7 +1254,7 @@ def test_retrieve_reports_a_query_refused_as_malformed_as_an_error(cluster321):
     stub = serve_stub(_MalformedOnQuery)
     try:
         decoded, metrics = retrieve(
-            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=5, seed=4
+            endpoints[:2] + [stub.server_address], params, V, 1, deadline_s=5
         )
     finally:
         shutdown([stub])
@@ -1264,7 +1268,7 @@ def test_retrieve_drops_a_responder_that_answers_a_column_short(cluster321):
     stub = serve_stub(_ShortOnFetch)
     try:
         decoded, metrics = retrieve(
-            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5, seed=4
+            endpoints[:2] + [stub.server_address], params, V, 2, deadline_s=5
         )
     finally:
         shutdown([stub])
@@ -1292,9 +1296,10 @@ def test_example1_sends_server_1_the_same_sub_queries_for_every_file(monkeypatch
         return dispatch(self, conn, msg_type, payload)
 
     monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
+    seed_every_draw(monkeypatch, 7)  # the same randomness for both files
     try:
         for i in (1, 2):
-            decoded, _ = retrieve(endpoints, params, V, i, deadline_s=5, seed=7)
+            decoded, _ = retrieve(endpoints, params, V, i, deadline_s=5)
             assert decoded == files[i - 1]
     finally:
         shutdown(servers)
@@ -1377,3 +1382,63 @@ def test_client_resumes_a_query_its_socket_took_only_part_of(monkeypatch):
     assert metrics.outcomes == {1: "ok", 2: "ok", 3: "ok"}
     assert elapsed < 1
     assert 3 in resumed
+
+
+@pytest.mark.parametrize("name,value", [("n", 5), ("k", 2), ("t", 2), ("m", 3), ("q", 263), ("s", 3)])
+def test_a_server_refuses_a_database_of_other_params(name, value):
+    # A server whose database has another q would answer every QUERY, and a
+    # client would decode a wrong file with every outcome "ok".
+    params = SchemeParams(n=4, k=3, t=1, m=2, q=257, s=2)
+    db = Database(params, [0] * params.x_length)
+    served = replace(params, **{name: value})
+    with pytest.raises(ValueError):
+        serve("127.0.0.1", 0, db, served, default_encoding_matrix(served))
+
+
+def test_a_server_serves_a_database_of_another_row_order():
+    # A server never reads the row order, so it may differ from the client's.
+    params, V = example1()
+    files = [[1, 2], [3, 4]]
+    db = Database.from_files(replace(params, row_order=PAYLOAD_FIRST), files)
+    servers = [serve("127.0.0.1", 0, db, params, V) for _ in range(params.n)]
+    try:
+        decoded, _ = retrieve([srv.server_address for srv in servers], params, V, 2)
+    finally:
+        shutdown(servers)
+    assert decoded == files[1]
+
+
+def test_a_retrieval_draws_its_randomness_from_the_os(monkeypatch):
+    # All four up: the QUERYs carry block 1, whose columns read 2 of the 6
+    # randomness vectors, each one _os_symbols call.
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
+    V = default_encoding_matrix(params)
+    files = [[i] * params.file_symbols for i in range(params.m)]
+    servers, endpoints = start_cluster(params, V, files)
+    calls = []
+    real = staircase._os_symbols
+    monkeypatch.setattr(staircase, "_os_symbols", lambda *args: calls.append(args) or real(*args))
+    try:
+        decoded, metrics = retrieve(endpoints, params, V, 1)
+    finally:
+        shutdown(servers)
+    assert decoded == files[0] and metrics.realized_mu == params.n
+    assert len(calls) == params.t * params.block_cols[0] == 2
+
+
+def test_retrievals_of_one_file_over_a_reused_connection_send_fresh_sub_queries(
+        cluster321, monkeypatch):
+    params, V, files, servers, endpoints = cluster321
+    received = []
+    dispatch = net.PIRServer._dispatch
+
+    def recording(self, conn, msg_type, payload):
+        if self is servers[0] and msg_type == wire.MSG_QUERY:
+            received.append(wire.decode_query(payload, params, FP321)[1])
+        return dispatch(self, conn, msg_type, payload)
+
+    monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
+    runs = [retrieve(endpoints, params, V, 1) for _ in range(2)]
+    assert [decoded for decoded, _ in runs] == [files[0]] * 2
+    assert runs[1][1].connects == 0  # every connection reused
+    assert len(received) == 2 and received[0] != received[1]

@@ -124,20 +124,15 @@ class TestProjection:
                 db.project([1] * length)
 
 
-def naive_expand(grid, coeffs):
-    """MessageGrid.expand symbol by symbol: out = sum_b coeffs[b] * basis_b mod q."""
-    p, q = grid.params, grid.params.q
-    out = [0] * grid.width
-    for c, coef in enumerate(coeffs[: p.alpha_prime]):
+def naive_expand(q, basis, coeffs):
+    """MessageGrid.expand symbol by symbol: out = sum_b coeffs[b] * basis[b]
+    mod q, over the dense basis (payloads, then randomness) a grid was built
+    from."""
+    out = [0] * len(basis[0])
+    for coef, vec in zip(coeffs, basis):
         if coef:
-            for pos, v in enumerate(grid.payload[c]):
-                if v:
-                    out[pos] = (out[pos] + coef * v) % q
-    for u, coef in enumerate(coeffs[p.alpha_prime :]):
-        if coef:
-            vec = grid.randomness[u]
-            for pos in range(grid.width):
-                out[pos] = (out[pos] + coef * vec[pos]) % q
+            for pos, v in enumerate(vec):
+                out[pos] = (out[pos] + coef * v) % q
     return out
 
 
@@ -197,12 +192,13 @@ class TestLaneKernels:
         q = data.draw(st.sampled_from(PROJECTION_FIELDS))
         width = data.draw(st.sampled_from(PROJECTION_WIDTHS))
         params, V = kernel_scheme(q)
-        grid = MessageGrid(params, vectors(data.draw, params.alpha_prime, width, 2 * q - 1),
-                           vectors(data.draw, params.randomness_count, width, 2 * q - 1))
+        payload = vectors(data.draw, params.alpha_prime, width, 2 * q - 1)
+        randomness = vectors(data.draw, params.randomness_count, width, 2 * q - 1)
+        grid = MessageGrid(params, payload, randomness)
         basis = params.alpha_prime + params.randomness_count
         drawn = vectors(data.draw, 2, basis, q)
         for coeffs in [*query_matrix(params, V)[0][:2], *drawn, [q] + [1] * (basis - 1)]:
-            assert grid.expand(coeffs) == naive_expand(grid, coeffs)
+            assert grid.expand(coeffs) == naive_expand(q, payload + randomness, coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -214,10 +210,11 @@ class TestLaneKernels:
         i = data.draw(st.integers(1, params.m))
         randomness = vectors(data.draw, params.randomness_count, params.query_length, 2 * q - 1)
         grid = build_message_grid(params, i, randomness)
+        selectors = [staircase.expand_unit(params, c, i) for c in range(1, params.alpha_prime + 1)]
         basis = params.alpha_prime + params.randomness_count
         symbolic = [sym for row in query_matrix(params, V) for sym in row]
         for coeffs in [*symbolic, *vectors(data.draw, 2, basis, q), [q - 1] * basis, [q] * basis]:
-            assert grid.expand(coeffs) == naive_expand(grid, coeffs)
+            assert grid.expand(coeffs) == naive_expand(q, selectors + randomness, coeffs)
 
     @pytest.mark.parametrize("width", PROJECTION_WIDTHS)
     @pytest.mark.parametrize("q", PROJECTION_FIELDS)
@@ -228,7 +225,8 @@ class TestLaneKernels:
                            [[q - 1] * width] * params.randomness_count)
         basis = params.alpha_prime + params.randomness_count
         expected = [basis * (q - 1) ** 2 % q] * width
-        assert grid.expand([q - 1] * basis) == expected == naive_expand(grid, [q - 1] * basis)
+        dense = [[q - 1] * width] * basis
+        assert grid.expand([q - 1] * basis) == expected == naive_expand(q, dense, [q - 1] * basis)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -416,7 +414,10 @@ class TestRetrieval:
         assert len(drawn) == params.t * params.block_cols[0] == 2
         queries[0].prefix(params.alpha)
         assert len(drawn) == params.randomness_count == 6
-        assert queries[0].grid.randomness == drawn
+        # Basis vector alpha' + u, expanded, is randomness vector u.
+        basis = params.alpha_prime + params.randomness_count
+        units = [[int(b == params.alpha_prime + u) for b in range(basis)] for u in range(6)]
+        assert [queries[0].grid.expand(e) for e in units] == drawn
 
 
 class TestDownloadPlan:

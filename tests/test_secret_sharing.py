@@ -107,7 +107,7 @@ class TestSSPIR:
         scheme, db, files = ramp_adapter()
         for i in (1, 2):
             for subset in itertools.combinations(range(1, 4), 2):
-                got, downloaded = ramp_retrieve(scheme, db, i, list(subset), seed=i)
+                got, downloaded = ramp_retrieve(scheme, db, i, list(subset))
                 assert got == files[i - 1]
                 assert Fraction(len(got), downloaded) == Fraction(1, 2)
 

@@ -187,8 +187,10 @@ def test_encode_shares_matches_dense_product(nkt):
         w = params.query_length
         for order in (PAYLOAD_FIRST, RANDOMNESS_FIRST):
             ordered = replace(params, row_order=order)
-            grid = build_message_grid(ordered, 2, generate_randomness(params, s))
-            basis = grid.payload + grid.randomness
+            randomness = generate_randomness(params, s)
+            grid = build_message_grid(ordered, 2, randomness)
+            basis = [staircase.expand_unit(params, c, 2)
+                     for c in range(1, params.alpha_prime + 1)] + list(randomness)
             M = Matrix(params.field, [
                 [sym for index in row for sym in ([0] * w if index is None else basis[index])]
                 for row in grid.layout.cells

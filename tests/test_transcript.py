@@ -10,12 +10,17 @@ per server:
 - every byte that is not a query symbol is the same for every i;
 - the symbols received are exactly the rows of make_queries(params, V, i,
   seed=S) for the columns sent, the rows the rank proof covers.
+
+net.retrieve takes no seed; each recorded retrieval draws its randomness
+with seed S by patching staircase.generate_randomness, which
+make_queries calls.
 """
 
 import random
 import threading
 
 import pytest
+from patches import seed_every_draw
 
 from staircase_pir import net, wire
 from staircase_pir.params import SchemeParams
@@ -45,11 +50,12 @@ def record_retrieval(monkeypatch, V, files, i, down):
         return dispatch(self, conn, msg_type, payload)
 
     monkeypatch.setattr(net.PIRServer, "_dispatch", recording)
+    seed_every_draw(monkeypatch, SEED)
     try:
         for srv in servers[PARAMS.n - down:]:
             srv.shutdown()
             srv.server_close()
-        decoded, metrics = net.retrieve(endpoints, PARAMS, V, i, deadline_s=5, seed=SEED)
+        decoded, metrics = net.retrieve(endpoints, PARAMS, V, i, deadline_s=5)
     finally:
         monkeypatch.undo()
         threads = [threading.Thread(target=srv.shutdown) for srv in servers[: PARAMS.n - down]]

@@ -1,8 +1,10 @@
 import argparse
 import itertools
 import json
+from contextlib import nullcontext
 
 import pytest
+from patches import randomness_zeroed
 
 from staircase_pir import cli, protocol
 from staircase_pir.errors import SearchSpaceTooLarge
@@ -43,9 +45,8 @@ class TestExhaustivePrivacy:
     def test_mutation_control_fails(self):
         # Zeroing one randomness vector leaks the index to some server.
         params, V = small_instance()
-        report = verify_privacy_exhaustive(
-            params, V, mutate_zero_randomness=0
-        )
+        with randomness_zeroed(0):
+            report = verify_privacy_exhaustive(params, V)
         assert not report.ok
 
     def test_single_file_trivially_private(self):
@@ -60,9 +61,8 @@ class TestExhaustivePrivacy:
         params = SchemeParams(n=3, k=2, t=1, m=2, q=3, s=3, row_order=RANDOMNESS_FIRST)
         assert exhaustive_space(params) == exhaustive_space(base) == 3**8
         assert verify_privacy_exhaustive(params, V).ok
-        assert not verify_privacy_exhaustive(
-            params, V, mutate_zero_randomness=0
-        ).ok
+        with randomness_zeroed(0):
+            assert not verify_privacy_exhaustive(params, V).ok
 
     def test_cap_bounds_expansions_not_assignments(self):
         # Every assignment makes n servers * m * alpha = 12 expansions,
@@ -94,7 +94,8 @@ class TestRankPrivacy:
     def test_mutation_control_fails(self):
         params, V = example2()
         assert verify_privacy_rank(params, V).ok
-        assert not verify_privacy_rank(params, V, mutate_zero_randomness=0).ok
+        with randomness_zeroed(0):
+            assert not verify_privacy_rank(params, V).ok
 
     @pytest.mark.parametrize("example", [example1, example2])
     def test_examples_are_private_in_their_own_row_order(self, example):
@@ -107,13 +108,10 @@ class TestRankPrivacy:
         # On the instance small enough to brute-force, both verdicts match,
         # with and without the mutation.
         params, V = small_instance()
-        for mutation in (None, 0, 1):
-            rank_ok = verify_privacy_rank(
-                params, V, mutate_zero_randomness=mutation
-            ).ok
-            exhaustive_ok = verify_privacy_exhaustive(
-                params, V, mutate_zero_randomness=mutation
-            ).ok
+        for mutation in (nullcontext(), randomness_zeroed(0), randomness_zeroed(1)):
+            with mutation:
+                rank_ok = verify_privacy_rank(params, V).ok
+                exhaustive_ok = verify_privacy_exhaustive(params, V).ok
             assert rank_ok == exhaustive_ok
 
 

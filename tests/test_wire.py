@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framing import read_frame
+from framing import ANY_LENGTH, read_frame
 from staircase_pir import net, wire
 from staircase_pir.errors import HandshakeMismatch, MalformedFrame, StaircasePIRError
 from staircase_pir.params import SchemeParams
@@ -65,10 +65,10 @@ def test_split_frame_waits_for_a_whole_frame():
     frame = wire.pack_frame(wire.MSG_FETCH, b"abcdef")
     for cut in (0, 5, 6, len(frame) - 1):  # partial header, then partial payload
         buf = bytearray(frame[:cut])
-        assert wire.split_frame(buf) is None
+        assert wire.split_frame(buf, ANY_LENGTH) is None
         assert buf == frame[:cut]
     buf = bytearray(frame)
-    assert wire.split_frame(buf) == (wire.MSG_FETCH, b"abcdef")
+    assert wire.split_frame(buf, ANY_LENGTH) == (wire.MSG_FETCH, b"abcdef")
     assert buf == b""
 
 
@@ -76,9 +76,9 @@ def test_split_frame_takes_off_two_frames_from_one_buffer():
     first = wire.pack_frame(wire.MSG_QUERY, b"one")
     second = wire.pack_frame(wire.MSG_FETCH, b"")
     buf = bytearray(first + second + second[:3])
-    assert wire.split_frame(buf) == (wire.MSG_QUERY, b"one")
-    assert wire.split_frame(buf) == (wire.MSG_FETCH, b"")
-    assert wire.split_frame(buf) is None
+    assert wire.split_frame(buf, ANY_LENGTH) == (wire.MSG_QUERY, b"one")
+    assert wire.split_frame(buf, ANY_LENGTH) == (wire.MSG_FETCH, b"")
+    assert wire.split_frame(buf, ANY_LENGTH) is None
     assert buf == second[:3]
 
 
@@ -87,6 +87,8 @@ def test_split_frame_refuses_oversized_header_before_payload():
     with pytest.raises(MalformedFrame):
         wire.split_frame(bytearray(frame[:14]), max_payload=99)  # the header only
     assert wire.split_frame(bytearray(frame), max_payload=100) == (wire.MSG_QUERY, b"x" * 100)
+    with pytest.raises(TypeError):  # no frame is split without a cap
+        wire.split_frame(bytearray(frame))
 
 
 def test_split_frame_checks_the_header_like_read_frame():
@@ -94,7 +96,7 @@ def test_split_frame_checks_the_header_like_read_frame():
         frame = bytearray(wire.pack_frame(wire.MSG_FETCH, b"payload"))
         frame[index] = value
         with pytest.raises(MalformedFrame):
-            wire.split_frame(bytearray(frame[:14]))
+            wire.split_frame(bytearray(frame[:14]), ANY_LENGTH)
 
 
 @pytest.mark.parametrize("q,width", [(2, 1), (5, 1), (257, 2), (65537, 3), (2**31 - 1, 4)])
@@ -221,7 +223,7 @@ def decodes_or_refuses(decode, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=200), st.sampled_from([None, 0, 64]))
+@given(st.binary(max_size=200), st.sampled_from([ANY_LENGTH, 0, 64]))
 def test_fuzz_read_frame(data, cap):
     decodes_or_refuses(read_frame, io.BytesIO(data), cap)
 
@@ -235,7 +237,7 @@ def test_fuzz_read_frame_lengths(length, tail):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=200), st.sampled_from([None, 0, 64]), st.integers(1, 40))
+@given(st.binary(max_size=200), st.sampled_from([ANY_LENGTH, 0, 64]), st.integers(1, 40))
 def test_fuzz_split_frame(data, cap, chunk):
     # Fed in chunks, the splitter takes off the frames it takes off the
     # whole buffer, and refuses exactly where it refuses that.
@@ -497,7 +499,7 @@ def test_overlong_varints_are_refused(varint):
         wire.decode_error(varint + b"message")
     header = wire.frame_header(wire.MSG_FETCH, 0)[:-1] + varint
     with pytest.raises(MalformedFrame):
-        wire.split_frame(bytearray(header))
+        wire.split_frame(bytearray(header), ANY_LENGTH)
     with pytest.raises(MalformedFrame):
         roundtrip(header + bytes(16))
 
@@ -512,7 +514,7 @@ def test_truncated_varints_are_refused(varint):
         wire.decode_error(varint)
     # A frame header whose length has not all arrived waits for the rest.
     header = wire.frame_header(wire.MSG_FETCH, 0)[:-1] + varint
-    assert wire.split_frame(bytearray(header)) is None
+    assert wire.split_frame(bytearray(header), ANY_LENGTH) is None
     with pytest.raises(MalformedFrame):
         roundtrip(header)
 
@@ -523,7 +525,7 @@ def test_version_2_frames_are_refused(payload):
     with pytest.raises(MalformedFrame):
         roundtrip(frame)
     with pytest.raises(MalformedFrame):
-        wire.split_frame(bytearray(frame))
+        wire.split_frame(bytearray(frame), ANY_LENGTH)
 
 
 @pytest.mark.parametrize("msg_type", [wire.MSG_QUERY, wire.MSG_FETCH, wire.MSG_RESPONSE])
@@ -533,7 +535,7 @@ def test_version_3_frames_are_refused(msg_type):
     with pytest.raises(MalformedFrame, match="version 3"):
         roundtrip(frame)
     with pytest.raises(MalformedFrame, match="version 3"):
-        wire.split_frame(bytearray(frame))
+        wire.split_frame(bytearray(frame), ANY_LENGTH)
 
 
 @pytest.mark.parametrize("msg_type", [wire.MSG_FETCH, wire.MSG_RESPONSE])
@@ -544,7 +546,7 @@ def test_version_4_frames_are_refused(msg_type):
     with pytest.raises(MalformedFrame, match="version 4"):
         roundtrip(frame)
     with pytest.raises(MalformedFrame, match="version 4"):
-        wire.split_frame(bytearray(frame))
+        wire.split_frame(bytearray(frame), ANY_LENGTH)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 257, 65537, 2**31 - 1])
