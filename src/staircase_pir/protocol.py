@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -45,22 +46,27 @@ class Database:
     Part c of file i is slab ((c-1)*m + i-1); this is exactly the layout
     the part selectors index into. Each slab is packed once, when the
     database is built, as one int of s lanes, lane `off` holding symbol
-    `off` of the slab. A lane is wide enough for a sum of query_length
-    products of two symbols, so a linear combination of slabs with
-    coefficients in GF(q) never carries between lanes.
+    `off` of the slab. A lane is `lane_width(params)` bytes, wide enough
+    for a sum of query_length products of two symbols, so a linear
+    combination of slabs with coefficients in GF(q) never carries between
+    lanes.
+
+    Every constructor ends in one slab cut: each file's symbols as W-byte
+    little-endian lanes, W = lane_width(params), of which slab (c, i) is
+    bytes [(c-1)*s*W, c*s*W) of file i's. `ingest` splits file bytes
+    straight into those lanes (`from_lanes`); `Database(params, x)` and
+    `from_files` pack symbol lists into them, reduced mod q only if some
+    symbol lies outside [0, q).
     """
 
     def __init__(self, params: SchemeParams, x: Sequence[int]):
         if len(x) != params.x_length:
             raise ValueError(f"x must have {params.x_length} symbols, got {len(x)}")
-        self.params = params
-        self._lane_bytes = width = lane_bytes(params.query_length * (params.q - 1) ** 2)
-        raw = ints_to_bytes([v % params.q for v in x], width)
-        step = params.s * width
-        self._slabs = [
-            int.from_bytes(raw[pos : pos + step], "little")
-            for pos in range(0, len(raw), step)
-        ]
+        s, m = params.s, params.m
+        files: List[List[int]] = [[] for _ in range(m)]
+        for j, pos in enumerate(range(0, len(x), s)):  # slab j: part j // m + 1 of file j % m + 1
+            files[j % m].extend(x[pos : pos + s])
+        self._cut(params, self._pack_files(params, files))
 
     @classmethod
     def from_files(cls, params: SchemeParams, files: Sequence[Sequence[int]]) -> "Database":
@@ -71,12 +77,38 @@ class Database:
                 raise ValueError(
                     f"file {i} must have {params.file_symbols} symbols, got {len(content)}"
                 )
-        s = params.s
-        x: List[int] = []
-        for pos in range(0, params.file_symbols, s):  # part by part, file by file
-            for content in files:
-                x.extend(content[pos : pos + s])
-        return cls(params, x)
+        return cls.from_lanes(params, cls._pack_files(params, files))
+
+    @classmethod
+    def from_lanes(cls, params: SchemeParams, lanes: Sequence[bytes]) -> "Database":
+        """The database whose file i has the file_symbols lanes lanes[i-1],
+        each lane_width(params) bytes, little-endian, holding a symbol in
+        [0, q)."""
+        db = cls.__new__(cls)
+        db._cut(params, lanes)
+        return db
+
+    @staticmethod
+    def lane_width(params: SchemeParams) -> int:
+        """Bytes per lane: enough for query_length * (q-1)^2."""
+        return lane_bytes(params.query_length * (params.q - 1) ** 2)
+
+    @classmethod
+    def _pack_files(cls, params: SchemeParams, files: Sequence[Sequence[int]]) -> List[bytes]:
+        q, width = params.q, cls.lane_width(params)
+        return [ints_to_bytes(f if 0 <= min(f) <= max(f) < q else [v % q for v in f], width)
+                for f in files]
+
+    def _cut(self, params: SchemeParams, lanes: Sequence[bytes]) -> None:
+        width = self.lane_width(params)
+        size = params.file_symbols * width
+        if len(lanes) != params.m or any(len(f) != size for f in lanes):
+            raise ValueError(f"need {params.m} files of {size} lane bytes")
+        self.params = params
+        self._lane_bytes = width
+        step = params.s * width
+        self._slabs = [int.from_bytes(f[pos : pos + step], "little")
+                       for pos in range(0, size, step) for f in lanes]
 
     def _lanes(self, packed: int) -> Tuple[int, ...]:
         """The s lanes of a packed slab, or of a sum of them, mod q."""
@@ -100,9 +132,9 @@ class Database:
                 f"sub-query must have {p.query_length} coefficients, got {len(qvec)}"
             )
         q = p.q
-        return self._lanes(sum(
-            (coef % q) * slab for coef, slab in zip(qvec, self._slabs) if coef
-        ))
+        if not 0 <= min(qvec) <= max(qvec) < q:
+            qvec = [coef % q for coef in qvec]
+        return self._lanes(sum(map(operator.mul, qvec, self._slabs)))
 
 
 @dataclass

@@ -98,9 +98,11 @@ class TestProjection:
         symbol = st.integers(0, q - 1)
         x = data.draw(st.lists(symbol, min_size=params.x_length, max_size=params.x_length))
         db = Database(params, x)
+        # Coefficients outside [0, q), negative and >= q, are taken mod q.
+        coef = st.one_of(symbol, st.integers(-3 * q, -1), st.integers(q, 3 * q))
         for _ in range(2):  # the slabs packed at construction serve every call
             qvec = data.draw(
-                st.lists(symbol, min_size=params.query_length, max_size=params.query_length)
+                st.lists(coef, min_size=params.query_length, max_size=params.query_length)
             )
             assert db.project(qvec) == naive_project(params, x, qvec)
 
