@@ -18,18 +18,22 @@ again when one drops. Every plan it makes is a protocol.DownloadPlan.
   its connection is up, never held back for another server. A reused
   connection that fails before its first reply is replaced by one fresh
   connect, whose failure alone settles the server.
-- The first plan is for mu = min(target, servers connected), target
-  being wait_for or n, made once target servers are connected or every
-  connect has completed or failed. The first mu to connect are sent the
-  plan's FETCH in the same write as their QUERY, or at once if their
-  QUERY went out before it. A server answers the frames it has read together, so
+- One rule, protocol.ResponderWait's, chooses both the first plan and
+  the responders. Connections settle a wait of their own, with the same
+  target (wait_for or n) and no deadline: a server arrives when its idle
+  connection is taken or its connect completes, and fails as it fails
+  the acknowledgement wait. Once that wait is done with at least k
+  arrived, the first plan is for its responders, the first mu =
+  min(target, servers connected) to connect. They are sent the plan's
+  FETCH in the same write as their QUERY, or at once if their QUERY went
+  out before it. A server answers the frames it has read together, so
   the acknowledgement and the RESPONSE come back in one write: with
   every connection reused and every server up, a retrieval is one write
   each way per server.
 - The client waits for acknowledgements as protocol.ResponderWait
   decides: a server settles when its acknowledgement arrives or its
-  connection fails, and the wait chooses the responders once it ends. A
-  server that refuses its QUERY ends the retrieval at once.
+  connection fails, and the wait chooses the responders once it has
+  `ended`. A server that refuses its QUERY ends the retrieval at once.
 - Once the wait has chosen, the plan is for the responders it chose,
   and each is sent a FETCH for the prefix columns it lacks, if any. A
   server whose connection fails after its acknowledgement, whether the
@@ -351,9 +355,8 @@ class _Peer(_Conn):
         super().__init__()
         self.sid = sid
         self.endpoint: tuple = ()
-        self.addrs: Optional[list] = None  # addresses not yet tried; None: unresolved
+        self.addrs: Optional[list] = None  # addresses not yet tried; None: its socket was idle
         self.connecting = False  # its socket has not been sent a QUERY yet
-        self.reused = False  # its socket was idle, kept from a past retrieval
         self.slabs: List[tuple] = []  # the columns it answered, in order
         self.asked = 0  # columns of the FETCH in flight
         self.expires = math.inf  # when the FETCH in flight fails
@@ -364,7 +367,10 @@ class _Retrieval:
 
     run() takes the retrieval through the module's flow and returns
     (plan, responses), responses mapping each of the plan's responders to
-    the columns it answered, at least plan.prefix_cols of them. _replan()
+    the columns it answered, at least plan.prefix_cols of them. Two
+    protocol.ResponderWait instances make every decision: `links`, settled
+    by connections, chooses the first plan, and `wait`, settled by
+    acknowledgements, chooses the responders and ends the wait. _replan()
     is the only code that makes a plan, and _request() the only code that
     queues a frame. A server not chosen stays connected until close(), so
     every server is either settled or still able to arrive. run() raises
@@ -373,17 +379,19 @@ class _Retrieval:
     servers acknowledged theirs and did not drop by the end of the wait.
     """
 
-    def __init__(self, queries, V: Matrix, wait: protocol.ResponderWait):
+    def __init__(self, i: int, V: Matrix, wait: protocol.ResponderWait):
         self.params = params = wait.params
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         self.max_reply = wire.max_reply_payload(params)
-        self.queries = queries
         self.first = params.prefix_cols(wait.target)  # the columns a QUERY carries
+        self.queries = protocol.make_queries(params, V, i, columns=self.first)
         self.wait = wait
+        # Connections settle a wait of their own, with no deadline: its
+        # responders, once it is done, are the first plan's.
+        self.links = protocol.ResponderWait(params, wait.target, math.inf)
         self.sel = selectors.DefaultSelector()
         self.start = time.monotonic()
         self.peers = [_Peer(sid) for sid in range(1, params.n + 1)]
-        self.up: List[_Peer] = []  # connected, in the order their connects completed
         self.plan: Optional[protocol.DownloadPlan] = None  # the servers fetched from
         self.connects = 0
 
@@ -395,20 +403,20 @@ class _Retrieval:
             if peer.sock is None:
                 self._connect(peer)
             else:
-                peer.reused = peer.connecting = True
-                self.up.append(peer)
+                peer.connecting = True
+                self.links.settle(peer.sid, 0.0)
         # A pass that does not wait: the connects that have completed or
         # failed by now (on loopback, every one) count toward the first plan.
         for key, _ in self.sel.select(0):
             self._connected(key.data)
-        for peer in list(self.up):
-            self._request(peer)
+        for sid in list(self.links.arrived):
+            self._request(self.peers[sid - 1])
         while True:
             now = time.monotonic()
-            until = self.start + self.wait.deadline  # the wait's end
-            if self.wait.chosen is None and (self.wait.done or now >= until):
+            if self.wait.chosen is None and now - self.start >= self.wait.ended:
                 self.wait.responders()
             self._replan()
+            until = self.start + self.wait.ended
             if self.wait.chosen is not None:
                 if all(len(self.peers[sid - 1].slabs) >= self.plan.prefix_cols
                        for sid in self.plan.responders):
@@ -427,7 +435,7 @@ class _Retrieval:
         """Start a non-blocking connect to the endpoint's next address,
         resolved on the first call, as socket.create_connection does."""
         if peer.addrs is None:
-            peer.reused = False
+            peer.addrs = []  # resolved, or failed to: a failure now settles the server
             try:
                 peer.addrs = socket.getaddrinfo(*peer.endpoint, 0, socket.SOCK_STREAM)
             except OSError as exc:
@@ -456,8 +464,8 @@ class _Retrieval:
             peer.close(self.sel)
             self._connect(peer, error)
             return False
-        if peer not in self.up:
-            self.up.append(peer)
+        if peer.sid not in self.links.arrived:  # a stale socket's replacement keeps its place
+            self.links.settle(peer.sid, time.monotonic() - self.start)
         return True
 
     def _fail(self, peer: _Peer, exc: Exception) -> None:
@@ -467,28 +475,25 @@ class _Retrieval:
         as failed, dropped if it had acknowledged; run() plans again."""
         peer.close(self.sel)
         arrived = peer.sid in self.wait.arrived
-        if peer.reused and not peer.received:  # stale: the server may be up
+        if peer.addrs is None and not peer.received:  # a stale idle socket: the server may be up
             peer.asked = 0  # what the stale socket was sent goes out again
             return self._connect(peer)
         if isinstance(exc, HandshakeMismatch) and not arrived:
             raise exc
         outcome = ("dropped-mid-fetch" if arrived
                    else "refused" if isinstance(exc, ConnectionRefusedError) else "error")
-        self.wait.settle(peer.sid, time.monotonic() - self.start, outcome)
+        for wait in (self.wait, self.links):
+            wait.settle(peer.sid, time.monotonic() - self.start, outcome)
 
     def _replan(self) -> None:
         """Make the plan, the only code that does, and send each of its
         responders whose QUERY has gone out the FETCH it now lacks. Until
-        the wait has chosen, the first plan is made once, when `target`
-        connections are up or every connect has completed or failed: for
-        the first mu = min(target, up) to connect, if at least k. Once it
-        has chosen, the plan is for the responders chosen."""
-        sids = self.wait.chosen
-        if sids is None and self.plan is None:
-            up = [peer.sid for peer in self.up if peer.sock is not None]
-            if len(up) >= self.params.k and (len(up) >= self.wait.target or all(
-                    peer in self.up or peer.sid in self.wait.failures for peer in self.peers)):
-                sids = up[: self.wait.target]
+        the wait has chosen, the first plan is made once, for the
+        responders of `links` once it is done with at least k arrived.
+        Once the wait has chosen, the plan is for the responders chosen."""
+        sids, links = self.wait.chosen, self.links
+        if sids is None and not self.plan and links.done and len(links.arrived) >= links.params.k:
+            sids = links.responders()
         if sids is None or self.plan is not None and list(self.plan.responders) == sids:
             return
         self.plan = protocol.plan_download(self.params, sids)
@@ -624,8 +629,7 @@ def retrieve(
     wait = protocol.ResponderWait(params, wait_for, deadline_s)  # refuses deadline_s <= 0
     if deadline_s > MAX_DEADLINE_S:
         raise OutOfRange(f"deadline_s must be at most {MAX_DEADLINE_S}, got {deadline_s}")
-    queries = protocol.make_queries(params, V, i, columns=params.prefix_cols(wait.target))
-    run = _Retrieval(queries, V, wait)
+    run = _Retrieval(i, V, wait)
     decoded = None
     try:
         plan, responses = run.run(endpoints)

@@ -207,13 +207,17 @@ class DownloadPlan:
 
 
 def plan_download(params: SchemeParams, responders: Sequence[int]) -> DownloadPlan:
-    mu = len(set(responders))
-    if mu < params.k:
-        raise InsufficientResponders(f"{mu} responders < k={params.k}")
+    """The plan for the distinct server ids in `responders`: OutOfRange
+    for an id outside [1, n], InsufficientResponders for fewer than k."""
+    sids = tuple(sorted(set(responders)))
+    if any(not 1 <= sid <= params.n for sid in sids):
+        raise OutOfRange(f"responder ids {list(sids)} not all in [1, {params.n}]")
+    if len(sids) < params.k:
+        raise InsufficientResponders(f"{len(sids)} responders < k={params.k}")
     return DownloadPlan(
         params=params,
-        responders=tuple(sorted(set(responders))),
-        prefix_cols=params.prefix_cols(mu),  # OutOfRange for mu > n
+        responders=sids,
+        prefix_cols=params.prefix_cols(len(sids)),
     )
 
 
@@ -285,12 +289,12 @@ class ResponderWait:
                 f"waited for {self.target} servers with no deadline;"
                 f" only {len(self.arrived)} ever responded"
             )
-        self.chosen = sorted(sorted(self.arrived, key=self.arrived.get)[: self.target])
-        if len(self.chosen) < self.params.k:
+        chosen = sorted(sorted(self.arrived, key=self.arrived.get)[: self.target])
+        if len(chosen) < self.params.k:  # no choice stands
             raise InsufficientResponders(
-                f"only {len(self.chosen)} servers responded, need {self.params.k}"
-            )
-        return self.chosen
+                f"only {len(chosen)} servers responded, need {self.params.k}")
+        self.chosen = chosen
+        return chosen
 
     def outcomes(self, kept: Collection[int]) -> Dict[int, str]:
         """Every server's outcome, once `kept` were decoded from."""

@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientResponders,
     MissingResponse,
+    OutOfRange,
 )
 from .field import (Matrix, ints_from_bytes, lane_bytes, pack_lanes, prefix_invertible,
                     unpack_lanes)
@@ -332,7 +333,8 @@ def peel_decode(
 ) -> List[tuple]:
     """Level-by-level decoder, the one decoder of both views of the code.
 
-    responders: 1-based server ids, exactly mu of them.
+    responders: 1-based server ids, exactly mu of them (OutOfRange for an
+    id outside [1, n]).
     projections: mapping server id -> its values of columns 0, 1, ..., at
     least prefix_cols(mu) of them (MissingResponse if a responder has
     fewer, or none), each a sequence of symbols: s-symbol projections for
@@ -346,6 +348,8 @@ def peel_decode(
     responders, so a lane stays <= mu (q-1)^2 (1 + (n-mu)(q-1)).
     """
     mu = len(responders)
+    if any(not 1 <= sid <= params.n for sid in responders):
+        raise OutOfRange(f"responder ids {list(responders)} not all in [1, {params.n}]")
     if mu < params.k:
         raise InsufficientResponders(f"got {mu} responders, need >= {params.k}")
     j = params.level_for(mu)  # OutOfRange for mu > n

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from staircase_pir.errors import DuplicatePoint, NotPrime, Singular, ZeroPoint
+from staircase_pir.errors import DimensionMismatch, DuplicatePoint, NotPrime, Singular, ZeroPoint
 from staircase_pir.field import (
     Matrix,
     PrimeField,
@@ -121,6 +121,24 @@ def test_singular_raises():
     with pytest.raises(Singular):
         A.solve(Matrix.identity(f, 2))
     assert A.rank() == 1
+
+
+F5 = PrimeField(5)
+SQUARE = Matrix(F5, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Matrix(F5, [[1, 2], [3]]),
+    lambda: SQUARE.mul(Matrix(F5, [[1, 2, 3]])),
+    lambda: Matrix(F5, [[1, 2, 3], [4, 5, 6]]).solve(Matrix.identity(F5, 2)),
+    lambda: SQUARE.solve(Matrix.identity(F5, 3)),
+    lambda: prefix_invertible(SQUARE, [0]),
+    lambda: prefix_invertible(SQUARE, [3]),
+], ids=["ragged-rows", "mul-shape", "solve-non-square", "solve-rhs-rows",
+        "prefix-size-0", "prefix-size-above-n"])
+def test_matrix_refuses_mismatched_shapes(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_prefix_invertible_repeated_row():

@@ -57,6 +57,11 @@ def test_bits_per_symbol(q, b):
     assert ingest.bits_per_symbol(q) == b
 
 
+def test_bits_per_symbol_refuses_q_below_2():
+    with pytest.raises(ValueError):
+        ingest.bits_per_symbol(1)
+
+
 @pytest.mark.parametrize("q", [2**31 - 1, 65537, 257, 131, 17, 5, 3, 2])
 def test_pack_unpack_roundtrip(q):
     rng = random.Random(q)

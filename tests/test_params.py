@@ -102,6 +102,15 @@ def test_slab_index_refuses_a_part_or_file_out_of_range():
             p.slab_index(1, i)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: p.mu(0), lambda p: p.mu(p.h + 1),
+    lambda p: p.level_for(p.k - 1), lambda p: p.level_for(p.n + 1),
+], ids=["level-0", "level-above-h", "mu-below-k", "mu-above-n"])
+def test_level_and_responder_count_out_of_range(call):
+    with pytest.raises(OutOfRange):
+        call(SchemeParams(n=4, k=2, t=1, m=2, q=5))
+
+
 def test_derived_values_are_computed_once(monkeypatch):
     calls = []
     lcm = math.lcm

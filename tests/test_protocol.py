@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
+                                 rule)
 
 from staircase_pir.errors import (
     DimensionMismatch,
@@ -437,6 +439,19 @@ class TestDownloadPlan:
         with pytest.raises(InsufficientResponders):
             plan_download(params, [1])
 
+    @pytest.mark.parametrize("ids", [[0, 2], [2, 4], [-1, 1, 2]])
+    def test_refuses_responder_ids_outside_one_to_n(self, ids):
+        # Id 0 once indexed server n's query and V's last row, so the file
+        # decoded right under a wrong label; id n+1 raised a bare IndexError.
+        params = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=2)
+        V = default_encoding_matrix(params)
+        shares = staircase.ss_share(params, V, [[1, 2]] * params.alpha_prime, seed=1)
+        prefix = params.prefix_cols(len(ids))
+        with pytest.raises(OutOfRange):
+            plan_download(params, ids)
+        with pytest.raises(OutOfRange):
+            staircase.ss_reconstruct(params, V, {sid: shares[(sid - 1) % 3][:prefix] for sid in ids})
+
     def test_plan_independent_of_file_index(self):
         # The plan type has no file-index field at all; identical inputs
         # give identical plans.
@@ -569,6 +584,90 @@ def test_responder_wait_without_deadline_that_never_ends_has_no_responders():
         wait.responders()
 
 
+class ResponderWaitMachine(RuleBasedStateMachine):
+    """ResponderWait under any order of arrivals, failures before or after
+    arriving, clock ticks and choices, against a model that keeps the live
+    arrivals in the order they came."""
+
+    @initialize(scheme=st.sampled_from([(3, 2, 1), (4, 2, 1), (5, 3, 2), (6, 4, 2)]),
+                data=st.data())
+    def start(self, scheme, data):
+        n, k, t = scheme
+        self.params = SchemeParams(n=n, k=k, t=t, m=1, q=257)
+        target = data.draw(st.integers(k, n), label="wait_for")
+        deadline = data.draw(st.sampled_from([0.5, 2.0, math.inf]), label="deadline")
+        self.wait = ResponderWait(self.params, target, deadline)
+        self.now = 0.0
+        self.order = []  # live arrivals, earliest first
+        self.failures = {}
+        self.choice = self.ended = None  # the choice standing, and `ended` when it was made
+
+    def unsettled(self):
+        return [sid for sid in range(1, self.params.n + 1)
+                if sid not in self.order and sid not in self.failures]
+
+    @precondition(lambda self: self.unsettled())
+    @rule(data=st.data())
+    def arrive(self, data):
+        sid = data.draw(st.sampled_from(self.unsettled()), label="arrives")
+        self.wait.settle(sid, self.now)
+        self.order.append(sid)
+
+    def settle_failure(self, sid, failure):
+        self.wait.settle(sid, self.now, failure)
+        self.failures[sid] = failure
+        if sid in self.order:
+            self.order.remove(sid)
+        if sid in (self.choice or ()):
+            self.choice = None
+
+    @precondition(lambda self: self.unsettled())
+    @rule(data=st.data(), failure=st.sampled_from(["refused", "error"]))
+    def fail_before_arriving(self, data, failure):
+        self.settle_failure(data.draw(st.sampled_from(self.unsettled()), label="fails"), failure)
+
+    @precondition(lambda self: self.order)
+    @rule(data=st.data())
+    def drop(self, data):
+        self.settle_failure(data.draw(st.sampled_from(self.order), label="drops"),
+                            "dropped-mid-fetch")
+
+    @rule(dt=st.sampled_from([0.0, 0.25, 1.0]))
+    def tick(self, dt):
+        self.now += dt
+
+    @precondition(lambda self: self.choice is None)
+    @rule()
+    def choose(self):
+        if math.isinf(self.wait.ended) or len(self.order) < self.params.k:
+            with pytest.raises(InsufficientResponders):
+                self.wait.responders()
+            return
+        self.choice = sorted(self.order[: self.wait.target])
+        self.ended = self.wait.ended
+        assert self.wait.responders() == self.choice
+
+    @invariant()
+    def follows_the_rules(self):
+        wait, n = self.wait, self.params.n
+        assert list(wait.arrived) == self.order and wait.failures == self.failures
+        assert set(wait.chosen or ()) <= set(wait.arrived)
+        assert wait.chosen == self.choice
+        if self.choice is not None:
+            assert wait.ended == self.ended
+        assert wait.done == (len(self.order) >= wait.target
+                             or len(self.order) + len(self.failures) == n)
+        kept = self.choice or []
+        assert wait.outcomes(kept) == {
+            sid: "ok" if sid in kept else self.failures.get(sid, "late")
+            for sid in range(1, n + 1)}
+
+
+TestResponderWaitMachine = ResponderWaitMachine.TestCase
+TestResponderWaitMachine.settings = settings(max_examples=100, stateful_step_count=30,
+                                             deadline=None)
+
+
 P_CHECKS = SchemeParams(n=4, k=2, t=1, m=2, q=257)
 
 
@@ -577,10 +676,12 @@ P_CHECKS = SchemeParams(n=4, k=2, t=1, m=2, q=257)
     (ValueError, lambda p: Database.from_files(p, [[0] * p.file_symbols])),
     (ValueError, lambda p: Database.from_files(
         p, [[0] * p.file_symbols, [0] * (p.file_symbols + 1)])),
+    (ValueError, lambda p: Database.from_lanes(
+        p, [bytes(p.file_symbols * Database.lane_width(p) - 1)] * p.m)),
     (FileIndexOutOfRange, lambda p: Database(p, [0] * p.x_length).file_content(0)),
     (InvalidThreshold, lambda p: capacity_finite(2, 2, 2)),
     (ValueError, lambda p: capacity_finite(0, 1, 2)),
-], ids=["x-length", "file-count", "file-length", "file-0", "capacity-t-ge-k",
+], ids=["x-length", "file-count", "file-length", "lane-bytes", "file-0", "capacity-t-ge-k",
         "capacity-m-0"])
 def test_protocol_refuses_bad_input(error, call):
     with pytest.raises(error):

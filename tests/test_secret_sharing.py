@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from staircase_pir.errors import InsufficientResponders, NotEnoughShares
+from staircase_pir.errors import InsufficientResponders, NotEnoughShares, OutOfRange
 from staircase_pir.field import prefix_invertible
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
@@ -121,6 +121,18 @@ class TestSSPIR:
         _, other, _ = ramp_adapter(m=3)
         with pytest.raises(ValueError):
             ramp_retrieve(scheme, other, 1, [1, 2])
+
+    @pytest.mark.parametrize("error, call", [
+        (OutOfRange, lambda s, db: RampScheme(SchemeParams(n=3, k=2, t=1, m=2, q=3))),
+        (ValueError, lambda s, db: s.share([[0]] * 2, [[0]])),
+        (ValueError, lambda s, db: s.share([[0]], [])),
+        (OutOfRange, lambda s, db: nonuniversality_demo(s, db, 1, 1)),
+        (OutOfRange, lambda s, db: nonuniversality_demo(s, db, 1, 4)),
+    ], ids=["q-le-n", "secret-count", "randomness-count", "mu-below-k", "mu-above-n"])
+    def test_ramp_refuses_bad_input(self, error, call):
+        scheme, db, _ = ramp_adapter()
+        with pytest.raises(error):
+            call(scheme, db)
 
     def test_nonuniversality_rates(self):
         scheme, db, _ = ramp_adapter(n=4, k=2, t=1, q=7)

@@ -509,10 +509,11 @@ class TestSecretSharingCodec:
         p, [[0]] * p.alpha_prime, [[0]] * (p.randomness_count + 1))),
     (ValueError, lambda p, V: MessageGrid(
         p, [[0]] * p.alpha_prime, [[0]] * (p.randomness_count - 1) + [[0, 0]])),
+    (ValueError, lambda p, V: MessageGrid(p, [1] * p.alpha_prime, [[0]] * p.randomness_count)),
     (DimensionMismatch, lambda p, V: validate_encoding_matrix(
         V.submatrix(range(p.n), range(p.n - 1)), p)),
     (ValueError, lambda p, V: ss_share(p, V, [[0]] * (p.alpha_prime + 1), seed=0)),
-], ids=["payload-count", "randomness-count", "two-lengths", "non-square-V",
+], ids=["payload-count", "randomness-count", "two-lengths", "unit-position", "non-square-V",
         "secret-count"])
 def test_staircase_refuses_bad_input(error, call):
     params, V = example2()
