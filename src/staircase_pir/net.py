@@ -53,12 +53,17 @@ file. On the bulk benchmark's (4,2,1) GF(257) scheme with all four
 servers up, a retrieval sends each server a 913-byte QUERY and an 8-byte
 FETCH in one write (3,684 bytes up), and reads back an 8-byte
 acknowledgement and a 153-byte RESPONSE in one write (644 bytes down).
+Over the connections it kept, the next retrieval's QUERY goes without its
+head, 874 bytes (3,528 bytes up).
 
 The connections of the responders a retrieval decoded from stay open, at
-most n, for the next retrieval to the same endpoints. Each QUERY replaces
-what its connection held, with fresh randomness: a server can link the
-retrievals over one connection, as their source address lets it, but no
-query depends on i.
+most n, for the next retrieval to the same endpoints, each with the head
+(params and matrix fingerprint) its server accepted. A QUERY over a kept
+connection with the same head carries a 0 byte in its place; every other
+QUERY, a fresh connection's included, carries its head, which the server
+checks. Each QUERY replaces what its connection held, with fresh
+randomness: a server can link the retrievals over one connection, as
+their source address lets it, but no query depends on i.
 """
 
 from __future__ import annotations
@@ -105,7 +110,8 @@ class _Conn:
         self.inbuf = bytearray()
         self.out = memoryview(b"")
         self.events = 0  # what the selector watches it for; 0: unregistered
-        self.pending: Optional[list] = None  # a server's unanswered sub-queries; None: no QUERY
+        # A server's unanswered sub-queries; None: no QUERY accepted, or the latest refused.
+        self.pending: Optional[list] = None
         self.since_query = 0  # sub-queries a server was sent since the latest QUERY
         self.sent = self.received = 0  # bytes, over every socket it has had
 
@@ -265,9 +271,13 @@ class PIRServer:
 
     def _dispatch(self, conn: _Conn, msg_type: int, payload: bytes) -> bytes:
         if msg_type == wire.MSG_QUERY:
-            conn.pending = None  # a refused QUERY leaves a FETCH behind it nothing to top up
-            _, conn.pending = wire.decode_query(payload, self.params, self.fingerprint)
-            conn.since_query = len(conn.pending)
+            # A refused QUERY leaves a FETCH behind it nothing to top up, and
+            # its connection no head accepted: pending is None until one is.
+            accepted, conn.pending = conn.pending is not None, None
+            server_id, pending = wire.decode_query(payload, self.params, self.fingerprint)
+            if server_id is None and not accepted:
+                raise MalformedFrame("QUERY with no head on a connection that accepted none")
+            conn.pending, conn.since_query = pending, len(pending)
             return wire.encode_response(self.params.q, [])
         if msg_type == wire.MSG_FETCH:
             # Each sub-query costs a projection: all are refused before any.
@@ -316,32 +326,34 @@ class RetrievalMetrics:
     connects: int = 0
 
 
-# Idle connections kept for the next retrieval: (host, port) -> socket.
-_idle: Dict[tuple, socket.socket] = {}
+# Idle connections kept for the next retrieval: (host, port) -> (socket,
+# the (params, fingerprint) of the QUERY head its server accepted).
+_idle: Dict[tuple, Tuple[socket.socket, tuple]] = {}
 _idle_lock = threading.Lock()
 
 
-def _take_idle(endpoint: tuple) -> Optional[socket.socket]:
-    """The idle socket to `endpoint`, unless its peer closed or wrote to it."""
+def _take_idle(endpoint: tuple) -> tuple:
+    """(the idle socket to `endpoint`, the head its server accepted), unless
+    its peer closed or wrote to it; else (None, None)."""
     with _idle_lock:
-        sock = _idle.pop(endpoint, None)
+        sock, head = _idle.pop(endpoint, (None, None))
     if sock is not None:
         try:
             sock.recv(1, socket.MSG_PEEK)  # EOF, stray data or an error: stale
         except BlockingIOError:
-            return sock
+            return sock, head
         except OSError:
             pass
         sock.close()
-    return None
+    return None, None
 
 
-def _keep_idle(endpoints: Sequence[tuple], kept: Dict[tuple, socket.socket]) -> None:
+def _keep_idle(endpoints: Sequence[tuple], kept: Dict[tuple, tuple]) -> None:
     """Keep `kept` idle, and no other socket but those to `endpoints`."""
     with _idle_lock:
         stale = [_idle.pop(ep) for ep in list(_idle) if ep not in endpoints or ep in kept]
         _idle.update(kept)
-    for sock in stale:
+    for sock, _ in stale:
         sock.close()
 
 
@@ -356,6 +368,7 @@ class _Peer(_Conn):
         self.sid = sid
         self.endpoint: tuple = ()
         self.addrs: Optional[list] = None  # addresses not yet tried; None: its socket was idle
+        self.head: Optional[tuple] = None  # the QUERY head its idle socket's server accepted
         self.connecting = False  # its socket has not been sent a QUERY yet
         self.slabs: List[tuple] = []  # the columns it answered, in order
         self.asked = 0  # columns of the FETCH in flight
@@ -399,7 +412,7 @@ class _Retrieval:
         """(plan, responses), as the class docstring says."""
         for peer, endpoint in zip(self.peers, endpoints):
             peer.endpoint = tuple(endpoint[:2])
-            peer.sock = _take_idle(peer.endpoint)
+            peer.sock, peer.head = _take_idle(peer.endpoint)
             if peer.sock is None:
                 self._connect(peer)
             else:
@@ -552,10 +565,12 @@ class _Retrieval:
         if peer.connecting:
             self._replan()
             peer.connecting = False
-            # Encoded only now, so a server that is down costs no upload.
+            # Encoded only now, so a server that is down costs no upload. An
+            # idle socket whose server accepted this head is not sent it again.
+            head = peer.addrs is not None or peer.head != (self.params, self.fingerprint)
             peer.out = memoryview(wire.encode_query(
                 self.params, self.fingerprint, peer.sid,
-                self.queries[peer.sid - 1].prefix(self.first)))
+                self.queries[peer.sid - 1].prefix(self.first), head))
         held, plan = len(peer.slabs), self.plan
         if plan and peer.sid in plan.responders and not peer.asked and held < plan.prefix_cols:
             peer.asked = plan.prefix_cols - held
@@ -576,7 +591,8 @@ class _Retrieval:
         for peer in self.peers:
             if keep and peer.sid in self.plan.responders and not (
                     peer.asked or peer.inbuf or peer.out):  # idle, so unwatched
-                kept[peer.endpoint], peer.sock = peer.sock, None
+                kept[peer.endpoint] = peer.sock, (self.params, self.fingerprint)
+                peer.sock = None
             peer.close(self.sel)
         self.sel.close()
         if kept:

@@ -14,10 +14,12 @@ bits, which must be 0. For q=257 that is 9 bits a symbol, a byte plane
 and one bit plane; for q=5, 3 bit planes.
 
 Message types:
-  1 QUERY    params n,k,t,m,q,s (varints), V fingerprint (32 bytes),
-             server id (varint), count (varint), then the sub-queries of
-             columns 0..count-1, query_length = alpha'*m symbols each, as
-             one block. A count outside [1, alpha] is refused unread.
+  1 QUERY    its head: params n,k,t,m,q,s (varints), V fingerprint (32
+             bytes) and server id (varint), or a 0 byte in its place on a
+             connection that accepted it; then count (varint), then the
+             sub-queries of columns 0..count-1, query_length = alpha'*m
+             symbols each, as one block. A count outside [1, alpha] is
+             refused unread.
   2 FETCH    count (varint), then the sub-queries of the next count
              columns, as one block.
   3 RESPONSE count (varint), then the s symbols of each of count columns,
@@ -25,7 +27,9 @@ Message types:
   4 ERROR    code (varint), UTF-8 message of at most ERROR_TEXT_BYTES
              bytes.
 
-The connection is the session. A server holds the sub-queries it was sent
+The connection is the session. A connection has accepted a head while
+its latest QUERY was accepted; a server refuses a QUERY with no head on
+any other. A server holds the sub-queries it was sent
 over a connection since its latest QUERY and has not answered yet. It
 answers a FETCH with the projections of all of them, the QUERY's first,
 and then holds none. Before any projection it refuses a FETCH on a
@@ -35,10 +39,12 @@ past alpha, and one that leaves nothing to answer.
 A client sends a QUERY with the columns its download at the hoped-for
 responder count reads. Its FETCH adds the columns a smaller responder
 count reads, if fewer servers answer. A frame's size depends only on the
-params, the server id and how many sub-queries and columns it carries.
+params, the server id and how many sub-queries and columns it carries,
+and on whether its connection already accepted a head; never on the file.
 On the bulk benchmark's (4,2,1) GF(257) scheme, 64 files of 384 bytes and
 s=64, all four servers up:
   QUERY of 2 columns            8 + 905 bytes (768 symbols in 864 bytes)
+  the same with no head         8 + 866
   FETCH adding none             7 + 1
   acknowledgement               7 + 1
   RESPONSE of 2 columns         8 + 145 (128 symbols in 144 bytes)
@@ -48,8 +54,9 @@ each RESPONSE carries 6 columns, 8 + 433.
 Version 1 sent one coefficient per database symbol and every symbol as a
 u64; version 2 sent ceil(b/8) bytes a symbol and u64 integers; version 3
 sent every sub-query in the QUERY and none in a FETCH; version 4 named a
-u32 session id in every FETCH and RESPONSE and the columns in a FETCH.
-Version 5 frames are the only ones read.
+u32 session id in every FETCH and RESPONSE and the columns in a FETCH;
+version 5 sent the head in every QUERY. Version 6 frames are the only
+ones read.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from .field import ints_from_bytes, ints_to_bytes
 from .params import SchemeParams
 
 MAGIC = b"SPIR"
-VERSION = 5
+VERSION = 6
 
 MSG_QUERY = 1
 MSG_FETCH = 2
@@ -335,22 +342,26 @@ def max_reply_payload(params: SchemeParams) -> int:
 
 
 def encode_query(
-    params: SchemeParams, fingerprint: bytes, server_id: int, subqueries
+    params: SchemeParams, fingerprint: bytes, server_id: int, subqueries, head: bool = True
 ) -> bytes:
-    """A QUERY carrying `subqueries`, those of columns 0, 1, ... in order."""
+    """A QUERY carrying `subqueries`, those of columns 0, 1, ... in order;
+    without `head`, for a connection that accepted it, a 0 byte in place
+    of the params, fingerprint and server id."""
     if len(fingerprint) != 32:
         raise ValueError("fingerprint must be 32 bytes")
     if not 1 <= len(subqueries) <= params.alpha:
         raise ValueError(f"need 1 to {params.alpha} sub-queries")
-    head = _query_prefix(params, fingerprint) + pack_varints([server_id, len(subqueries)])
-    return pack_frame(MSG_QUERY, head + _pack_subqueries(subqueries, params))
+    opening = _query_prefix(params, fingerprint) + _varint_bytes(server_id) if head else b"\0"
+    return pack_frame(MSG_QUERY, opening + _varint_bytes(len(subqueries))
+                      + _pack_subqueries(subqueries, params))
 
 
 def decode_query(
     payload: bytes, params: SchemeParams, fingerprint: bytes
-) -> Tuple[int, List[List[int]]]:
+) -> Tuple[Optional[int], List[List[int]]]:
     """Decode a QUERY for a server holding `params` and the matrix with
-    `fingerprint`; returns (server id, sub-queries).
+    `fingerprint`; returns (server id, sub-queries), the id None for a
+    QUERY with no head, which only a connection that accepted one may take.
 
     The untrusted header fields and fingerprint are compared with the
     server's own before anything is derived from them, and any difference
@@ -358,14 +369,18 @@ def decode_query(
     any symbol is read.
     """
     prefix = _query_prefix(params, fingerprint)
-    if not payload.startswith(prefix):  # find out what differs
+    if payload[:1] == b"\0":  # no head: a head opens with n >= 2
+        server_id, off = None, 1
+    elif payload.startswith(prefix):
+        server_id, off = _unpack_varint(payload, len(prefix))
+    else:  # find out what differs
         header, off = _unpack_varints(payload, 6)
         if header != [params.n, params.k, params.t, params.m, params.q, params.s]:
             raise HandshakeMismatch(f"scheme parameters mismatch: {header}")
         if off + 32 > len(payload):
             raise MalformedFrame("missing fingerprint")
         raise HandshakeMismatch("encoding matrix mismatch")
-    (server_id, count), off = _unpack_varints(payload, 2, len(prefix))
+    count, off = _unpack_varint(payload, off)
     if not 1 <= count <= params.alpha:
         raise MalformedFrame(f"QUERY of {count} sub-queries, outside [1, {params.alpha}]")
     return server_id, _unpack_subqueries(payload, count, params, off)

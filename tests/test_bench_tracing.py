@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from staircase_pir import net
+from staircase_pir import net, wire
 from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import Database, default_encoding_matrix
 
@@ -35,9 +35,10 @@ def load_tracing():
 HARNESS_LAYERS = {"net.handshake_wait_ms", "ingest.ingest_dir_s", "trace.overhead_pct"}
 
 
-def traced_retrieval(tracing, down):
-    """(spans, decoded, file, metrics, params) of one traced retrieval of
-    file 2 from a fresh cluster whose last `down` servers refuse."""
+def traced_retrieval(tracing, down, count=1):
+    """(spans, decoded, file, metrics, params) of the last of `count`
+    traced retrievals of file 2, one after another from a fresh cluster
+    whose last `down` servers refuse."""
     params = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=2)
     V = default_encoding_matrix(params)
     rng = random.Random(0)
@@ -55,17 +56,18 @@ def traced_retrieval(tracing, down):
         srv.server_close()
     tracer = tracing.Tracer()
     try:
-        tracer.retrieval = 1
         tracer.install()
-        # Through the module, as the benchmark calls it: the tracer wraps
-        # module attributes, not names imported before it was installed.
-        decoded, metrics = net.retrieve(endpoints, params, V, 2)
+        for retrieval in range(1, count + 1):
+            tracer.retrieval = retrieval
+            # Through the module, as the benchmark calls it: the tracer wraps
+            # module attributes, not names imported before it was installed.
+            decoded, metrics = net.retrieve(endpoints, params, V, 2)
     finally:
         tracer.uninstall()
         for srv in servers[: params.n - down]:
             srv.shutdown()
             srv.server_close()
-    spans = tracing.by_retrieval(tracer.spans)[1]
+    spans = tracing.by_retrieval(tracer.spans)[count]
     return spans, decoded, files[1], metrics, params
 
 
@@ -114,3 +116,17 @@ def test_traced_retrieval_with_a_refused_server_counts_every_byte():
     # their prefix up from prefix_cols(3) to prefix_cols(2) columns.
     assert layers["wire.frames.query"] == layers["wire.frames.ack"] == 2
     assert layers["wire.frames.fetch"] == layers["wire.frames.response"] == 2
+
+
+def test_a_traced_retrieval_over_reused_connections_counts_every_byte():
+    # The second retrieval's QUERY goes without its head, and is still
+    # encoded by wire.encode_query, where the tracer counts its bytes.
+    tracing = load_tracing()
+    spans, decoded, expected_file, metrics, params = traced_retrieval(tracing, 0, count=2)
+    assert decoded == expected_file
+    assert metrics.connects == 0
+    assert tracing.upload_download(spans) == (metrics.bytes_sent, metrics.bytes_received)
+    columns = [[0] * params.query_length] * params.prefix_cols(params.n)
+    headless = len(wire.encode_query(params, bytes(32), 1, columns, False))
+    queries = [sp.attrs["bytes"] for sp in spans if sp.name == "wire.encode_query"]
+    assert queries == [headless] * params.n

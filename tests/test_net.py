@@ -25,6 +25,7 @@ from staircase_pir.errors import (
 )
 from staircase_pir import net, protocol, staircase, wire
 from staircase_pir.examples import example1
+from staircase_pir.field import vandermonde
 from staircase_pir.net import SHUTDOWN_POLL_S, retrieve, serve
 from staircase_pir.params import PAYLOAD_FIRST, SchemeParams
 from staircase_pir.protocol import (
@@ -603,6 +604,19 @@ def test_handshake_rejects_mismatched_params(cluster321):
         retrieve(endpoints, other, W, 1, deadline_s=0.5)
 
 
+def test_a_reused_connection_sends_another_matrix_its_head(cluster321):
+    # The kept connections accepted V's head; a QUERY for another matrix
+    # of the same params carries its own head, and is refused.
+    params, V, files, _, endpoints = cluster321
+    retrieve(endpoints, params, V, 1)
+    W = vandermonde(params.field, list(range(2, params.n + 2)), params.n)
+    with pytest.raises(HandshakeMismatch):
+        retrieve(endpoints, params, W, 1)
+    assert idle_endpoints(endpoints) == set()
+    decoded, _ = retrieve(endpoints, params, V, 2)
+    assert decoded == files[1]
+
+
 def test_refused_handshakes_close_their_sockets(cluster321):
     params, _, _, _, endpoints = cluster321
     other = SchemeParams(n=3, k=2, t=1, m=2, q=257, s=1)
@@ -820,6 +834,37 @@ def test_server_refuses_a_query_count_outside_1_to_alpha(
     assert msg_type == wire.MSG_RESPONSE
     assert len(wire.decode_response(reply, params.s, params.q)[1]) == 3
     assert spied_projections == [3]
+
+
+def headless_query(params, V, count):
+    """A QUERY of the first `count` sub-queries of server 1's query for
+    file 1, with no head."""
+    query = make_queries(params, V, 1, seed=0)[0]
+    return wire.encode_query(params, matrix_fingerprint(params, V), 1,
+                             query.subqueries[:count], False)
+
+
+def test_server_refuses_a_first_query_with_no_head(server421, spied_projections):
+    params, V, endpoint = server421
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        assert_refused(sock, headless_query(params, V, 2))
+        # The FETCH behind it tops up nothing.
+        assert_refused(sock, wire.encode_fetch(params, []))
+    assert spied_projections == [0]
+
+
+def test_a_refused_head_leaves_its_connection_none_accepted(server421, spied_projections):
+    params, V, endpoint = server421
+    with socket.create_connection(endpoint, timeout=2) as sock:
+        send_query(sock, params, V, 2)
+        assert exchange(sock, headless_query(params, V, 2)) == (
+            wire.MSG_RESPONSE, wire.pack_varints([0]))
+        other = wire.encode_query(params, bytes(32), 1, [[0] * params.query_length])
+        msg_type, reply = exchange(sock, other)
+        assert (msg_type, wire.decode_error(reply)[0]) == (wire.MSG_ERROR, wire.ERR_HANDSHAKE)
+        assert_refused(sock, headless_query(params, V, 2))
+        assert_refused(sock, wire.encode_fetch(params, []))
+    assert spied_projections == [0]
 
 
 def test_replan_tops_up_only_the_columns_the_survivors_lack(cluster321, monkeypatch):

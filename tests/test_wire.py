@@ -132,6 +132,27 @@ def test_query_roundtrip():
     assert subqueries == query.subqueries
 
 
+def test_query_without_its_head_roundtrip():
+    # A connection that accepted the head is sent a 0 byte in its place.
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
+    V = default_encoding_matrix(params)
+    fp = matrix_fingerprint(params, V)
+    query = make_queries(params, V, 1, seed=0)[2]
+    msg_type, payload = roundtrip(wire.encode_query(params, fp, 3, query.subqueries[:2], False))
+    assert msg_type == wire.MSG_QUERY
+    assert payload[:2] == wire.pack_varints([0, 2])
+    assert len(payload) == 2 + wire.symbols_size(2 * params.query_length, params.q)
+    assert wire.decode_query(payload, params, fp) == (None, query.subqueries[:2])
+
+
+def test_query_without_its_head_refuses_a_count_outside_1_to_alpha_unread():
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
+    fp = matrix_fingerprint(params, default_encoding_matrix(params))
+    for count in (0, params.alpha + 1):
+        with pytest.raises(MalformedFrame, match="outside"):
+            wire.decode_query(wire.pack_varints([0, count]), params, fp)
+
+
 def test_query_rejects_out_of_field_symbols():
     params = SchemeParams(n=3, k=2, t=1, m=1, q=5)
     V = default_encoding_matrix(params)
@@ -549,6 +570,17 @@ def test_version_4_frames_are_refused(msg_type):
         wire.split_frame(bytearray(frame), ANY_LENGTH)
 
 
+@pytest.mark.parametrize("msg_type", [wire.MSG_QUERY, wire.MSG_FETCH, wire.MSG_RESPONSE])
+def test_version_5_frames_are_refused(msg_type):
+    # Version 5 framed like version 6; its QUERY always opened with its head.
+    payload = wire.pack_varints([3, 2, 1, 2, 257, 2])
+    frame = struct.pack("<4sBB", wire.MAGIC, 5, msg_type) + wire.pack_varints([6]) + payload
+    with pytest.raises(MalformedFrame, match="version 5"):
+        roundtrip(frame)
+    with pytest.raises(MalformedFrame, match="version 5"):
+        wire.split_frame(bytearray(frame), ANY_LENGTH)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 257, 65537, 2**31 - 1])
 def test_max_request_payload_is_the_largest_query(q):
     params = SchemeParams(n=4, k=2, t=1, m=3, q=q, s=5)
@@ -576,6 +608,9 @@ def test_documented_frame_sizes():
     slab = [BULK.q - 1] * BULK.s
     frames = {
         "QUERY": (wire.encode_query(BULK, bytes(32), 4, query.subqueries[:2]), (8, 905)),
+        # Over a connection that accepted the head: a 0 byte in its place.
+        "QUERY, no head": (wire.encode_query(BULK, bytes(32), 4, query.subqueries[:2], False),
+                           (8, 866)),
         "FETCH": (wire.encode_fetch(BULK, []), (7, 1)),
         "ack": (wire.encode_response(BULK.q, []), (7, 1)),
         "RESPONSE": (wire.encode_response(BULK.q, [slab] * 2), (8, 145)),
@@ -595,6 +630,9 @@ def test_documented_frame_sizes():
     assert (up, down) == (3684, 644)
     assert "3,684 bytes up" in net.__doc__ and "644 bytes down" in net.__doc__
     assert "3,684 bytes up and 644 down" in readme
+    # Every later retrieval over the connections the first one kept.
+    assert 4 * (sizes["QUERY, no head"] + sizes["FETCH"]) == 3528
+    assert "3,528 bytes up" in net.__doc__ and "3,528 bytes up and 644 down" in readme
 
 
 
