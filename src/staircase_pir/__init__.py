@@ -4,8 +4,9 @@ A user queries n replicas of an m-file database and retrieves a file
 from any mu in [k, n] responses at download rate 1 - t/mu, keeping the
 requested index private against any t colluding servers. The package
 also exposes the underlying communication-efficient secret sharing
-codec, verification oracles for the privacy/robustness/rate claims, a
-straggler simulator and a socket demo.
+codec, the ramp-scheme PIR baseline whose rate does not improve past k
+responders (`RampScheme`, `ramp_retrieve`), verification oracles for the
+privacy/robustness/rate claims, a straggler simulator and a socket demo.
 """
 
 from .errors import StaircasePIRError
@@ -23,6 +24,7 @@ from .protocol import (
     plan_download,
     server_respond,
 )
+from .secret_sharing import RampScheme, ramp_retrieve
 from .staircase import (
     MessageGrid,
     build_message_grid,
@@ -40,6 +42,7 @@ __all__ = [
     "Matrix",
     "MessageGrid",
     "PrimeField",
+    "RampScheme",
     "SchemeParams",
     "StaircasePIRError",
     "build_message_grid",
@@ -53,6 +56,7 @@ __all__ = [
     "make_queries",
     "peel_decode",
     "plan_download",
+    "ramp_retrieve",
     "server_respond",
     "ss_reconstruct",
     "ss_share",

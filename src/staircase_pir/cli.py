@@ -196,10 +196,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params_from(args)
-    if args.latency == "exponential":
-        model = sim.LatencyModel.exponential(args.latency_ms)
-    else:
-        model = sim.LatencyModel.deterministic(args.latency_ms)
+    model = sim.LatencyModel(args.latency, args.latency_ms)
     # One config for the policy given; with neither value, one per mu in [k, n].
     if args.mu is not None or args.deadline_ms is not None:
         mus = [args.mu]

@@ -397,7 +397,7 @@ class _Retrieval:
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         self.max_reply = wire.max_reply_payload(params)
         self.first = params.prefix_cols(wait.target)  # the columns a QUERY carries
-        self.queries = protocol.make_queries(params, V, i, columns=self.first)
+        self.queries = protocol.make_queries(params, V, i)
         self.wait = wait
         # Connections settle a wait of their own, with no deadline: its
         # responders, once it is done, are the first plan's.

@@ -140,10 +140,10 @@ class Database:
 @dataclass
 class Query:
     """One server's query, as make_queries builds it: the sub-queries of its
-    first columns expanded so far, in column order, with the grid and the
-    server's row of the symbolic Q they were drawn from. prefix expands the
-    columns it lacks from those, so a column expanded late is the one an
-    expansion of every column gives."""
+    first columns expanded so far (block 1's at first), in column order,
+    with the grid and the server's row of the symbolic Q they were drawn
+    from. prefix expands the columns it lacks from those, so a column
+    expanded late is the one an expansion of every column gives."""
 
     subqueries: list
     grid: staircase.MessageGrid = field(repr=False, compare=False)
@@ -157,23 +157,17 @@ class Query:
         return self.subqueries[:columns]
 
 
-def make_queries(
-    params: SchemeParams,
-    V: Matrix,
-    i: int,
-    seed=None,
-    columns: Optional[int] = None,
-) -> List[Query]:
+def make_queries(params: SchemeParams, V: Matrix, i: int, seed=None) -> List[Query]:
     """Every server's query for file i, from one randomness draw and one
-    grid. Only the sub-queries of the first `columns` columns (None: all
-    alpha) are expanded here; Query.prefix expands the rest as they are
-    asked for. The grid holds file i's part selectors as slab positions
-    and draws each randomness vector when a column first reads it, so
-    with columns=prefix_cols(n) only block 1's t * block_cols[0] vectors
-    are drawn before anything is sent."""
+    grid. Only block 1 is expanded here, the prefix_cols(n) columns every
+    download reads (a decoder at mu = n reads no more); Query.prefix
+    expands each later column when it is sent or answered. The grid holds
+    file i's part selectors as slab positions and draws each randomness
+    vector when a column first reads it, so only block 1's
+    t * block_cols[0] vectors are drawn before anything is sent."""
     randomness = staircase.generate_randomness(params, seed)
     grid = staircase.build_message_grid(params, i, randomness)
-    rows = staircase.encode_shares(V, grid, columns)
+    rows = staircase.encode_shares(V, grid, params.prefix_cols(params.n))
     symbolic = staircase.query_matrix(params, V)
     return [Query(row, grid, sym) for row, sym in zip(rows, symbolic)]
 

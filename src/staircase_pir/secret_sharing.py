@@ -10,22 +10,21 @@ The staircase instance of that construction is the package's PIR path:
 `protocol.decode_file` reconstructs from the responders' prefix
 projections (as `staircase.ss_reconstruct` does from prefix sub-shares).
 
-This module keeps the contrast: a ramp scheme, PIR on it
-(`ramp_retrieve`), and that PIR's rate when more than k servers answer
-(`nonuniversality_demo`). Each ramp share is downloaded whole, so mu
-responders give rate (k-t)/mu instead of the capacity 1 - t/mu.
+This module keeps the contrast: a ramp scheme (`RampScheme`) and PIR on
+it (`ramp_retrieve`), which returns the symbols it downloaded. Each ramp
+share is downloaded whole, so mu responders give rate
+file_symbols / downloaded = (k-t)/mu instead of the capacity 1 - t/mu.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from . import staircase
-from .errors import InsufficientResponders, NotEnoughShares, OutOfRange
+from .errors import NotEnoughShares, OutOfRange
 from .field import Matrix, vandermonde
 from .params import SchemeParams
-from .protocol import Database
+from .protocol import Database, plan_download
 
 
 class RampScheme:
@@ -58,13 +57,16 @@ class RampScheme:
         return self.V.mul(Matrix(self.params.field, list(secret) + list(randomness))).rows
 
     def reconstruct(self, shares: Dict[int, Sequence[int]]) -> List[List[int]]:
-        """The secret's k-t vectors from any >= k shares, keyed by server id."""
-        k = self.params.k
+        """The secret's k-t vectors from any >= k shares, keyed by server id
+        (OutOfRange for an id outside [1, n])."""
+        k, n = self.params.k, self.params.n
         if len(shares) < k:
             raise NotEnoughShares(f"got {len(shares)} shares, need {k}")
-        sids = sorted(shares)[:k]
-        A = self.V.submatrix([sid - 1 for sid in sids], range(k))
-        rhs = Matrix(self.params.field, [list(shares[sid]) for sid in sids])
+        sids = sorted(shares)
+        if not 1 <= sids[0] <= sids[-1] <= n:
+            raise OutOfRange(f"server ids {sids} not all in [1, {n}]")
+        A = self.V.submatrix([sid - 1 for sid in sids[:k]], range(k))
+        rhs = Matrix(self.params.field, [list(shares[sid]) for sid in sids[:k]])
         return A.solve(rhs).rows[: k - self.params.t]
 
 
@@ -74,41 +76,24 @@ def ramp_retrieve(scheme: RampScheme, db: Database, i: int, responders: Sequence
     The query for file i shares its alpha' part selectors, the slab unit
     vectors of `staircase.expand_unit`, in alpha groups of k-t, each group
     under its own t randomness vectors, drawn all at once from the OS
-    CSPRNG. Every responder gets one sub-query per group and its whole
-    share, one projection per group, is downloaded; the file is decoded
-    from the first k responders. InsufficientResponders below k;
-    ValueError if `db` has other parameters than `scheme`.
+    CSPRNG. Every responder, each distinct server id in `responders`,
+    gets one sub-query per group and its whole share, one projection per
+    group, is downloaded; the file is decoded from the first k responders.
+    As plan_download: OutOfRange for an id outside [1, n],
+    InsufficientResponders for fewer than k. ValueError if `db` has other
+    parameters than `scheme`.
     """
     p = db.params
     if p != scheme.params:
         raise ValueError("database and scheme have different parameters")
-    if len(responders) < p.k:
-        raise InsufficientResponders(f"{len(responders)} responders < k={p.k}")
+    sids = plan_download(p, responders).responders
     w, t = p.k - p.t, p.t
     selectors = [staircase.expand_unit(p, c, i) for c in range(1, p.alpha_prime + 1)]
     randomness = list(staircase.generate_randomness(p, None))  # t * alpha vectors
     file_symbols: List[int] = []
     for g in range(p.alpha):
         shares = scheme.share(selectors[g * w : (g + 1) * w], randomness[g * t : (g + 1) * t])
-        answers = {sid: db.project(shares[sid - 1]) for sid in responders}
+        answers = {sid: db.project(shares[sid - 1]) for sid in sids}
         for part in scheme.reconstruct(answers):
             file_symbols.extend(part)
-    return file_symbols, len(responders) * p.alpha * p.s
-
-
-def nonuniversality_demo(scheme: RampScheme, db: Database, i: int, mu: int) -> Fraction:
-    """Rate of ramp PIR forced to hear from mu responders, servers 1..mu.
-
-    Every responder's full share is downloaded, yet only k-share-worth of
-    information is useful, so the rate degrades to (k-t)/mu instead of
-    tracking the capacity 1 - t/mu. OutOfRange outside [k, n]; a wrong
-    decode raises RuntimeError.
-    """
-    params = scheme.params
-    if not params.k <= mu <= params.n:
-        raise OutOfRange(f"mu={mu} outside [{params.k}, {params.n}]")
-    got, downloaded = ramp_retrieve(scheme, db, i, range(1, mu + 1))
-    expected = db.file_content(i)
-    if got != expected:
-        raise RuntimeError(f"ramp decode of file {i} from {mu} responders failed")
-    return Fraction(len(expected), downloaded)
+    return file_symbols, len(sids) * p.alpha * p.s

@@ -31,10 +31,12 @@ UNRESPONSIVE = math.inf
 class LatencyModel:
     """Per-server response latency distribution, in milliseconds.
 
-    A model checks itself when built, by the factories or directly: a
-    deterministic delay or an exponential mean must be positive and
-    finite, an unresponsive model needs a p in [0, 1] and a fallback
-    model, and any other kind is refused (ValueError in every case).
+    A model is built from its kind and value, as in
+    LatencyModel("exponential", 10.0) or LatencyModel("unresponsive", p,
+    fallback), and checks itself then: a deterministic delay or an
+    exponential mean must be positive and finite, an unresponsive model
+    needs a p in [0, 1] and a fallback model, and any other kind is
+    refused (ValueError in every case).
     """
 
     kind: str  # "deterministic" | "exponential" | "unresponsive"
@@ -49,18 +51,6 @@ class LatencyModel:
             raise ValueError(f"unknown latency kind {self.kind!r}")
         elif not 0 < self.value < math.inf:  # NaN too
             raise ValueError(f"{self.kind} latency must be positive and finite")
-
-    @classmethod
-    def deterministic(cls, delay_ms: float) -> "LatencyModel":
-        return cls("deterministic", delay_ms)
-
-    @classmethod
-    def exponential(cls, mean_ms: float) -> "LatencyModel":
-        return cls("exponential", mean_ms)
-
-    @classmethod
-    def unresponsive(cls, p: float, fallback: "LatencyModel") -> "LatencyModel":
-        return cls("unresponsive", p, fallback)
 
     def sample_us(self, rng: random.Random) -> float:
         """Latency in integer microseconds (or inf if never responding)."""
@@ -99,7 +89,6 @@ class SimMetrics:
     wait_us: float
     symbols: int
     rate: Optional[Fraction]
-    capacity: Optional[Fraction]
     success: bool
 
 
@@ -123,17 +112,15 @@ def run_simulation(config: SimConfig) -> List[SimMetrics]:
         try:
             responders = wait.responders()
         except InsufficientResponders:
-            results.append(SimMetrics(len(wait.arrived), wait.ended, 0, None, None, False))
+            results.append(SimMetrics(len(wait.arrived), wait.ended, 0, None, False))
             continue
         plan = protocol.plan_download(params, responders)
-        queries = protocol.make_queries(
-            params, V, 1, seed=rng.random(), columns=plan.prefix_cols)
+        queries = protocol.make_queries(params, V, 1, seed=rng.random())
         decoded = protocol.decode_file(
             params, V, plan, protocol.local_responses(db, queries, plan))
         results.append(SimMetrics(
             realized_mu=plan.mu, wait_us=wait.ended, symbols=plan.total_symbols,
-            rate=plan.rate, capacity=protocol.capacity_asymptotic(params.t, plan.mu),
-            success=decoded == expected,
+            rate=plan.rate, success=decoded == expected,
         ))
     return results
 

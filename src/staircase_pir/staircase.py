@@ -219,7 +219,6 @@ class MessageGrid:
         if not all(0 <= v < self.width for v in payload if isinstance(v, int)):
             raise ValueError(f"a unit position lies outside [0, {self.width})")
         self.params = params
-        self.layout = grid_layout(params)
         self._payload = list(payload)
         self._randomness = randomness
         basis = len(payload) + len(randomness)

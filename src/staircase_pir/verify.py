@@ -38,7 +38,6 @@ EXHAUSTIVE_CAP = 10**6
 
 @dataclass
 class PrivacyReport:
-    params: SchemeParams
     mode: str  # "exhaustive" or "rank"
     verdicts: Dict[tuple, bool] = field(default_factory=dict)
     histograms: Optional[dict] = None  # exhaustive mode: subset -> i -> Counter
@@ -50,10 +49,7 @@ class PrivacyReport:
 
 @dataclass
 class RobustnessReport:
-    params: SchemeParams
-    trials: int
     failures: List[tuple] = field(default_factory=list)  # (subset, i, trial)
-    subsets_checked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -82,7 +78,7 @@ def verify_privacy_exhaustive(params: SchemeParams, V: Matrix) -> PrivacyReport:
     rand_vecs = params.randomness_count
     vec_len = params.query_length
     files = range(1, params.m + 1)
-    report = PrivacyReport(params=params, mode="exhaustive", histograms={
+    report = PrivacyReport(mode="exhaustive", histograms={
         subset: {i: {} for i in files}
         for subset in itertools.combinations(range(1, params.n + 1), params.t)
     })
@@ -104,7 +100,7 @@ def verify_privacy_rank(params: SchemeParams, V: Matrix) -> PrivacyReport:
     """Full-rank randomness coefficients for every t-subset's sub-queries."""
     sym = staircase.query_matrix(params, V)
     ap = params.alpha_prime
-    report = PrivacyReport(params=params, mode="rank")
+    report = PrivacyReport(mode="rank")
     for subset in itertools.combinations(range(1, params.n + 1), params.t):
         rows = [coeffs[ap:] for sid in subset for coeffs in sym[sid - 1]]
         report.verdicts[subset] = Matrix(params.field, rows).rank() == params.randomness_count
@@ -118,13 +114,12 @@ def verify_robustness(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    report = RobustnessReport(params=params, trials=trials)
+    report = RobustnessReport()
     subsets = [
         subset
         for size in range(params.k, params.n + 1)
         for subset in itertools.combinations(range(1, params.n + 1), size)
     ]
-    report.subsets_checked = len(subsets)
     for trial in range(trials):
         x = [rng.randrange(params.q) for _ in range(params.x_length)]
         db = protocol.Database(params, x)

@@ -140,8 +140,8 @@ def _unpack_varint(data: bytes, off: int) -> Tuple[int, int]:
     return found
 
 
-def _unpack_varints(data: bytes, count: int, off: int = 0) -> Tuple[List[int], int]:
-    values = []
+def _unpack_varints(data: bytes, count: int) -> Tuple[List[int], int]:
+    values, off = [], 0
     for _ in range(count):
         value, off = _unpack_varint(data, off)
         values.append(value)

@@ -6,6 +6,7 @@ from pathlib import Path
 import staircase_pir
 
 PACKAGE = Path(staircase_pir.__file__).parent
+BENCH = Path(__file__).parents[1] / "bench"
 
 
 def _absolute_imports(path):
@@ -43,8 +44,13 @@ def test_package_has_no_assert_statement():
 # for a reason of its own.
 NO_CALLER_NEEDED = {
     "Database.from_files": "README's library entry: a database from lists of symbols",
-    "nonuniversality_demo": "the ramp baseline's contrast with the staircase's universal rate",
-    "LatencyModel.unresponsive": "the simulator's silent server, a model built by hand",
+}
+
+# Fields no package module and nothing under bench/ reads as an attribute,
+# each read another way.
+READ_OTHERWISE = {
+    "RetrievalMetrics.bytes_sent": "`cli retrieve` emits every field through vars(metrics)",
+    "RetrievalMetrics.bytes_received": "`cli retrieve` emits every field through vars(metrics)",
 }
 
 
@@ -60,6 +66,11 @@ def _names(tree, strings=False):
             yield node.value
 
 
+def _parse(directory):
+    """The tree of each module in `directory`."""
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))]
+
+
 def _definitions(node, prefix=""):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -72,10 +83,10 @@ def _definitions(node, prefix=""):
 def test_every_function_and_class_has_a_production_caller():
     # A production caller is another package function or bench/; a name in
     # __all__ is the library's, and dunders are called by Python itself.
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    trees = _parse(PACKAGE)
     named = Counter(name for tree in trees for name in _names(tree))
-    for path in sorted((Path(__file__).parents[1] / "bench").glob("*.py")):
-        named.update(_names(ast.parse(path.read_text(), str(path)), strings=True))
+    for tree in _parse(BENCH):
+        named.update(_names(tree, strings=True))
     uncalled = {
         qualified
         for tree in trees
@@ -85,3 +96,34 @@ def test_every_function_and_class_has_a_production_caller():
         and named[node.name] == sum(name == node.name for name in _names(node))
     }
     assert uncalled == set(NO_CALLER_NEEDED)
+
+
+def _fields(tree):
+    """(Class.NAME, NAME) for every field of a package class: each name a
+    dataclass body declares, and each `self.NAME` its methods assign. A
+    NamedTuple, read by unpacking, is no dataclass and assigns none."""
+    for qualified, node in _definitions(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")
+               for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{qualified}.{stmt.target.id}", stmt.target.id
+        for method in node.body:
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(method):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        yield f"{qualified}.{sub.attr}", sub.attr
+
+
+def test_every_field_is_read():
+    # A field that nothing in the package or bench/ reads is one the
+    # package keeps for no caller.
+    trees = _parse(PACKAGE)
+    read = {node.attr for tree in trees + _parse(BENCH) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {qualified for tree in trees for qualified, name in _fields(tree)
+              if name not in read}
+    assert unread == set(READ_OTHERWISE)

@@ -668,7 +668,8 @@ def test_new_query_replaces_what_the_server_holds(cluster321):
     params, V, files, _, endpoints = cluster321
     db = Database.from_files(params, files)
     fp = matrix_fingerprint(params, V)
-    first, second = (make_queries(params, V, i, seed=i)[0].subqueries for i in (1, 2))
+    first, second = (make_queries(params, V, i, seed=i)[0].prefix(params.alpha)
+                     for i in (1, 2))
     with socket.create_connection(endpoints[0], timeout=2) as sock:
         for subqueries in (first[:2], second[:1]):
             msg_type, ack = exchange(sock, wire.encode_query(params, fp, 1, subqueries))
@@ -732,7 +733,7 @@ def send_query(sock, params, V, count):
     sub-queries."""
     query = make_queries(params, V, 1, seed=0)[0]
     frame = wire.encode_query(
-        params, matrix_fingerprint(params, V), 1, query.subqueries[:count])
+        params, matrix_fingerprint(params, V), 1, query.prefix(params.alpha)[:count])
     assert exchange(sock, frame) == (wire.MSG_RESPONSE, wire.pack_varints([0]))
     return query
 
@@ -841,7 +842,7 @@ def headless_query(params, V, count):
     file 1, with no head."""
     query = make_queries(params, V, 1, seed=0)[0]
     return wire.encode_query(params, matrix_fingerprint(params, V), 1,
-                             query.subqueries[:count], False)
+                             query.prefix(params.alpha)[:count], False)
 
 
 def test_server_refuses_a_first_query_with_no_head(server421, spied_projections):
@@ -890,7 +891,7 @@ def test_replan_tops_up_only_the_columns_the_survivors_lack(cluster321, monkeypa
     first, full = params.prefix_cols(3), params.prefix_cols(2)
     fp = matrix_fingerprint(params, V)
     for sid, srv in enumerate(servers[:2], start=1):
-        expected = make_queries(params, V, 2, seed=6)[sid - 1].subqueries
+        expected = make_queries(params, V, 2, seed=6)[sid - 1].prefix(params.alpha)
         (_, query), (_, fetch), (_, top_up) = received[id(srv)]
         assert wire.decode_query(query, params, fp)[1] == expected[:first]
         assert wire.decode_fetch(fetch, params, first) == []
@@ -960,6 +961,35 @@ def test_retrieval_bytes_are_the_frames_encoded(cluster321, monkeypatch, down):
     assert metrics.bytes_sent == frames["query"] + frames["fetch"]
     assert metrics.bytes_received == frames["response"] + frames["error"]
 
+
+
+@pytest.mark.parametrize("wait_for", [2, None])
+def test_a_retrieval_expands_only_the_sub_queries_it_sends(monkeypatch, wait_for):
+    # (4,2,1) with 2 of its 4 servers refused: block 1's 2 columns are
+    # expanded for every server (8), and the other 4 only for the 2 that
+    # connect (8 more), whether the retrieval waits for 2 or for all 4.
+    params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
+    V = default_encoding_matrix(params)
+    rng = random.Random(0)
+    files = [[rng.randrange(params.q) for _ in range(params.file_symbols)]
+             for _ in range(params.m)]
+    servers, endpoints = start_cluster(params, V, files)
+    shutdown(servers[2:])
+    expanded = []
+    expand = staircase.MessageGrid.expand
+
+    def counting(grid, coeffs):
+        expanded.append(coeffs)
+        return expand(grid, coeffs)
+
+    monkeypatch.setattr(staircase.MessageGrid, "expand", counting)
+    try:
+        decoded, metrics = retrieve(endpoints, params, V, 2, wait_for=wait_for)
+    finally:
+        shutdown(servers[:2])
+    assert decoded == files[1]
+    assert metrics.outcomes == {1: "ok", 2: "ok", 3: "refused", 4: "refused"}
+    assert len(expanded) == 16
 
 def test_second_retrieval_reuses_every_connection(cluster321, monkeypatch):
     params, V, files, _, endpoints = cluster321
@@ -1214,9 +1244,9 @@ def test_server_batches_stay_under_two_largest_replies(server421, monkeypatch):
         return flush(conn)
 
     monkeypatch.setattr(net._Conn, "flush", recording)
-    query = make_queries(params, V, 1, seed=0)[0]
-    pair = (wire.encode_query(params, matrix_fingerprint(params, V), 1, query.subqueries[:2])
-            + wire.encode_fetch(params, query.subqueries[2:]))
+    subqueries = make_queries(params, V, 1, seed=0)[0].prefix(params.alpha)
+    pair = (wire.encode_query(params, matrix_fingerprint(params, V), 1, subqueries[:2])
+            + wire.encode_fetch(params, subqueries[2:]))
     reply = (wire.encode_response(params.q, [])
              + wire.encode_response(params.q, [[0] * params.s] * params.alpha))
     with socket.create_connection(endpoint, timeout=2) as sock:
@@ -1366,10 +1396,10 @@ def test_server_resumes_a_reply_its_socket_took_only_part_of(monkeypatch):
     V = default_encoding_matrix(params)
     rng = random.Random(0)
     files = [[rng.randrange(params.q) for _ in range(params.file_symbols)]]
-    query = make_queries(params, V, 1, seed=0)[0]
+    subqueries = make_queries(params, V, 1, seed=0)[0].prefix(params.alpha)
     db = Database.from_files(params, files)
     reply = (wire.encode_response(params.q, [])
-             + wire.encode_response(params.q, [db.project(sub) for sub in query.subqueries]))
+             + wire.encode_response(params.q, [db.project(sub) for sub in subqueries]))
     resumed = []
     serve_conn = net.PIRServer._serve
 
@@ -1388,8 +1418,8 @@ def test_server_resumes_a_reply_its_socket_took_only_part_of(monkeypatch):
             start = time.monotonic()
             sock.sendall(
                 wire.encode_query(params, matrix_fingerprint(params, V), 1,
-                                  query.subqueries[:2])
-                + wire.encode_fetch(params, query.subqueries[2:]))
+                                  subqueries[:2])
+                + wire.encode_fetch(params, subqueries[2:]))
             with sock.makefile("rb") as reader:
                 received = reader.read(len(reply))
             elapsed = time.monotonic() - start

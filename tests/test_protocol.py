@@ -47,6 +47,13 @@ def random_db(params, seed):
     return Database.from_files(params, files), files
 
 
+def eager_queries(params, V, i, seed):
+    """Every column of every server's query for file i, expanded at once
+    from make_queries' seeded draw and grid."""
+    grid = build_message_grid(params, i, staircase.generate_randomness(params, seed))
+    return staircase.encode_shares(V, grid)
+
+
 class TestDatabase:
     def test_layout_roundtrip(self):
         params = SchemeParams(n=4, k=2, t=1, m=3, q=257, s=2)
@@ -284,8 +291,9 @@ class TestRetrieval:
         digest = hashlib.sha256()
         for i in range(1, params.m + 1):
             for query in make_queries(params, V, i, seed=11):
-                assert len(query.subqueries) == params.alpha
-                for sub in query.subqueries:
+                subqueries = query.prefix(params.alpha)
+                assert len(subqueries) == params.alpha
+                for sub in subqueries:
                     digest.update((",".join(map(str, sub)) + ";").encode())
         assert digest.hexdigest() == (
             "23b55e5ea4e144489b70f33a18a4d0d449ddef784cc165c7bc41dfc7a6c6c891")
@@ -326,7 +334,7 @@ class TestRetrieval:
             assert decode_file(params, V, plan, responses) == files[0]
         q1 = make_queries(params, V, 1, seed=10)
         q2 = make_queries(params, V, 1, seed=11)
-        assert q1[0].subqueries != q2[0].subqueries
+        assert q1[0].prefix(params.alpha) != q2[0].prefix(params.alpha)
 
     def test_missing_response_detected(self):
         params, V = example2()
@@ -347,7 +355,7 @@ class TestRetrieval:
     def test_server_respond_keeps_the_order_of_the_sub_queries_it_is_handed(self):
         params, V = example2()
         db, _ = random_db(params, 7)
-        subqueries = make_queries(params, V, 1, seed=0)[0].subqueries
+        subqueries = make_queries(params, V, 1, seed=0)[0].prefix(params.alpha)
         handed = [subqueries[3], subqueries[1], subqueries[3]]
         answers = server_respond(db, handed)
         assert answers == [db.project(sub) for sub in handed]
@@ -357,32 +365,33 @@ class TestRetrieval:
     def test_local_responses_answer_each_responder_with_its_prefix(self):
         params, V = example2()
         db, files = random_db(params, 6)
-        full = make_queries(params, V, 1, seed=3)
+        full = eager_queries(params, V, 1, seed=3)
         for subset in ([1, 2], [1, 3, 4], [1, 2, 3, 4]):
-            queries = make_queries(params, V, 1, seed=3, columns=1)
+            queries = make_queries(params, V, 1, seed=3)
             plan = plan_download(params, subset)
             responses = local_responses(db, queries, plan)
             assert sorted(responses) == subset
             for sid, slabs in responses.items():
                 assert len(slabs) == plan.prefix_cols
                 assert slabs == [db.project(sub)
-                                 for sub in full[sid - 1].subqueries[: plan.prefix_cols]]
+                                 for sub in full[sid - 1][: plan.prefix_cols]]
             assert decode_file(params, V, plan, responses) == files[0]
 
     @pytest.mark.parametrize("columns", [1, 2, 3, 6])
     def test_late_columns_are_those_of_a_full_expansion(self, columns):
         # One randomness draw and one grid: columns expanded later, one at
-        # a time or all at once, are those make_queries expands for all.
+        # a time or all at once, are those of an expansion of all of them.
         params, V = example2()
-        full = make_queries(params, V, 2, seed=9)
-        prefix = make_queries(params, V, 2, seed=9, columns=columns)
-        assert [len(query.subqueries) for query in prefix] == [columns] * params.n
-        for query, whole in zip(prefix, full):
-            assert query.subqueries == whole.subqueries[:columns]
-            assert query.prefix(columns + 1) == whole.subqueries[: columns + 1]
-            assert query.prefix(params.alpha) == whole.subqueries
-            assert query.prefix(1) == whole.subqueries[:1]
-            assert query.subqueries == whole.subqueries
+        full = eager_queries(params, V, 2, seed=9)
+        queries = make_queries(params, V, 2, seed=9)
+        assert [len(query.subqueries) for query in queries] == (
+            [params.prefix_cols(params.n)] * params.n)
+        for query, whole in zip(queries, full):
+            assert query.prefix(columns) == whole[:columns]
+            assert query.prefix(columns + 1) == whole[: columns + 1]
+            assert query.prefix(params.alpha) == whole
+            assert query.prefix(1) == whole[:1]
+            assert query.subqueries == whole
 
     def test_seeded_prefix_by_prefix_expansion_matches_a_full_one(self):
         # The randomness is drawn as columns read it; a seeded draw gives
@@ -392,14 +401,12 @@ class TestRetrieval:
                 for t in range(1, k):
                     params = SchemeParams(n=n, k=k, t=t, m=2, q=257)
                     V = default_encoding_matrix(params)
-                    full = make_queries(params, V, 2, seed=7)
-                    queries = make_queries(params, V, 2, seed=7,
-                                           columns=params.prefix_cols(n))
+                    full = eager_queries(params, V, 2, seed=7)
+                    queries = make_queries(params, V, 2, seed=7)
                     for mu in range(n, k - 1, -1):
                         for query in queries:
                             query.prefix(params.prefix_cols(mu))
-                    assert [query.subqueries for query in queries] == [
-                        query.subqueries for query in full]
+                    assert [query.subqueries for query in queries] == full
 
     def test_a_query_draws_only_the_randomness_its_columns_read(self, monkeypatch):
         # Bulk's shape: block 1's two columns read 2 of the 6 randomness
@@ -414,7 +421,7 @@ class TestRetrieval:
             return drawn[-1]
 
         monkeypatch.setattr(staircase, "_os_symbols", counted)
-        queries = make_queries(params, V, 5, columns=params.prefix_cols(params.n))
+        queries = make_queries(params, V, 5)
         assert len(drawn) == params.t * params.block_cols[0] == 2
         queries[0].prefix(params.alpha)
         assert len(drawn) == params.randomness_count == 6

@@ -17,11 +17,7 @@ from staircase_pir.protocol import (
     make_queries,
     plan_download,
 )
-from staircase_pir.secret_sharing import (
-    RampScheme,
-    nonuniversality_demo,
-    ramp_retrieve,
-)
+from staircase_pir.secret_sharing import RampScheme, ramp_retrieve
 
 
 def ramp321():
@@ -126,8 +122,8 @@ class TestSSPIR:
         (OutOfRange, lambda s, db: RampScheme(SchemeParams(n=3, k=2, t=1, m=2, q=3))),
         (ValueError, lambda s, db: s.share([[0]] * 2, [[0]])),
         (ValueError, lambda s, db: s.share([[0]], [])),
-        (OutOfRange, lambda s, db: nonuniversality_demo(s, db, 1, 1)),
-        (OutOfRange, lambda s, db: nonuniversality_demo(s, db, 1, 4)),
+        (InsufficientResponders, lambda s, db: ramp_retrieve(s, db, 1, [1])),
+        (OutOfRange, lambda s, db: ramp_retrieve(s, db, 1, [1, 2, 3, 4])),
     ], ids=["q-le-n", "secret-count", "randomness-count", "mu-below-k", "mu-above-n"])
     def test_ramp_refuses_bad_input(self, error, call):
         scheme, db, _ = ramp_adapter()
@@ -135,17 +131,35 @@ class TestSSPIR:
             call(scheme, db)
 
     def test_nonuniversality_rates(self):
-        scheme, db, _ = ramp_adapter(n=4, k=2, t=1, q=7)
-        assert nonuniversality_demo(scheme, db, 1, 2) == Fraction(1, 2)
-        assert nonuniversality_demo(scheme, db, 1, 4) == Fraction(1, 4)
-        assert nonuniversality_demo(scheme, db, 1, 4) < capacity_asymptotic(1, 4)
-
-    def test_nonuniversality_demo_raises_on_a_wrong_decode(self, monkeypatch):
-        # An exception, not an assert, so that `python -O` keeps the check.
         scheme, db, files = ramp_adapter(n=4, k=2, t=1, q=7)
-        monkeypatch.setattr(db, "file_content", lambda i: files[i % 2])
-        with pytest.raises(RuntimeError):
-            nonuniversality_demo(scheme, db, 1, 3)
+        rates = {}
+        for mu in (2, 4):
+            got, downloaded = ramp_retrieve(scheme, db, 1, range(1, mu + 1))
+            assert got == files[0]
+            rates[mu] = Fraction(len(got), downloaded)
+        assert rates == {2: Fraction(1, 2), 4: Fraction(1, 4)}
+        assert rates[4] < capacity_asymptotic(1, 4)
+
+    @pytest.mark.parametrize("responders, error", [
+        ([0, 1], OutOfRange), ([0, 4], OutOfRange), ([1, 5], OutOfRange),
+        ([1, 1], InsufficientResponders),
+    ], ids=["server-0", "server-0-and-n", "above-n", "repeated-below-k"])
+    def test_ramp_refuses_server_ids_outside_the_scheme(self, responders, error):
+        # Server 0 would read share -1 (server n's), and server n+1 none.
+        scheme, db, _ = ramp_adapter(n=4, k=2, t=1, q=257, m=2, s=2)
+        with pytest.raises(error):
+            ramp_retrieve(scheme, db, 1, responders)
+
+    def test_ramp_counts_a_repeated_server_once(self):
+        scheme, db, files = ramp_adapter(n=4, k=2, t=1, q=257, m=2, s=2)
+        assert ramp_retrieve(scheme, db, 1, [1, 1, 2]) == (files[0], 24)
+
+    @pytest.mark.parametrize("sids", [(0, 1), (1, 4), (2, 0, 3)])
+    def test_reconstruct_refuses_server_ids_outside_the_scheme(self, sids):
+        scheme = ramp321()
+        shares = scheme.share([[1, 2]], [[3, 4]])
+        with pytest.raises(OutOfRange):
+            scheme.reconstruct({sid: shares[sid % 3] for sid in sids})
 
     # The staircase side of the contrast is the PIR path itself.
 

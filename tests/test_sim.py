@@ -24,47 +24,46 @@ def params421():
 
 
 def det_latencies(*delays_ms):
-    return tuple(LatencyModel.deterministic(d) for d in delays_ms)
+    return tuple(LatencyModel("deterministic", d) for d in delays_ms)
 
 
 class TestLatencyModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LatencyModel.deterministic(0)
+            LatencyModel("deterministic", 0)
         with pytest.raises(ValueError):
-            LatencyModel.exponential(-1)
+            LatencyModel("exponential", -1)
         with pytest.raises(ValueError):
-            LatencyModel.unresponsive(1.5, LatencyModel.deterministic(1))
+            LatencyModel("unresponsive", 1.5, LatencyModel("deterministic", 1))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_latency_must_be_finite(self, value):
         with pytest.raises(ValueError):
-            LatencyModel.deterministic(value)
+            LatencyModel("deterministic", value)
         with pytest.raises(ValueError):
-            LatencyModel.exponential(value)
+            LatencyModel("exponential", value)
 
     @pytest.mark.parametrize("args", [
         ("deterministic", -1.0), ("exponential", 0.0), ("unresponsive", 0.0),
-        ("unresponsive", 2.0, LatencyModel.deterministic(1)), ("bogus",),
+        ("unresponsive", 2.0, LatencyModel("deterministic", 1)), ("bogus",),
     ], ids=["negative-delay", "zero-mean", "no-fallback", "p-above-1", "unknown-kind"])
     def test_built_directly_a_model_checks_itself(self, args):
-        # Built without a factory, a bad model is refused at once, not when
-        # (or after) it is sampled.
+        # A bad model is refused when built, not when (or after) it is sampled.
         with pytest.raises(ValueError):
             LatencyModel(*args)
 
     def test_deterministic_sample(self):
         import random
 
-        model = LatencyModel.deterministic(2.5)
+        model = LatencyModel("deterministic", 2.5)
         assert model.sample_us(random.Random(0)) == 2500
 
     def test_unresponsive_extremes(self):
         import random
 
         rng = random.Random(0)
-        always = LatencyModel.unresponsive(1.0, LatencyModel.deterministic(1))
-        never = LatencyModel.unresponsive(0.0, LatencyModel.deterministic(1))
+        always = LatencyModel("unresponsive", 1.0, LatencyModel("deterministic", 1))
+        never = LatencyModel("unresponsive", 0.0, LatencyModel("deterministic", 1))
         assert math.isinf(always.sample_us(rng))
         assert never.sample_us(rng) == 1000
 
@@ -85,10 +84,10 @@ class TestWaitForStrategy:
             assert m.symbols == 9
 
     def test_unresponsive_servers_fail_run(self):
-        dead = LatencyModel.unresponsive(1.0, LatencyModel.deterministic(1))
+        dead = LatencyModel("unresponsive", 1.0, LatencyModel("deterministic", 1))
         config = SimConfig(
             params=params421(),
-            latencies=(LatencyModel.deterministic(1), dead, dead, dead),
+            latencies=(LatencyModel("deterministic", 1), dead, dead, dead),
             wait_for=2,
         )
         (m,) = run_simulation(config)
@@ -136,14 +135,15 @@ class TestExponential:
         for wf in (2, 3, 4):
             config = SimConfig(
                 params=params,
-                latencies=tuple(LatencyModel.exponential(10) for _ in range(4)),
+                latencies=tuple(LatencyModel("exponential", 10) for _ in range(4)),
                 wait_for=wf,
                 seed=42,
                 repetitions=100,
             )
             metrics = run_simulation(config)
             assert all(m.success for m in metrics)
-            assert all(m.rate == m.capacity for m in metrics)
+            assert all(m.rate == protocol.capacity_asymptotic(params.t, m.realized_mu)
+                       for m in metrics)
             means.append(sum(m.wait_us for m in metrics) / len(metrics))
         assert means[0] < means[1] < means[2]
 
@@ -151,7 +151,7 @@ class TestExponential:
 class TestSweep:
     def make_configs(self):
         params = params421()
-        lat = tuple(LatencyModel.exponential(5) for _ in range(4))
+        lat = tuple(LatencyModel("exponential", 5) for _ in range(4))
         return [
             SimConfig(params=params, latencies=lat, wait_for=wf, seed=7, repetitions=20)
             for wf in (2, 3, 4)
@@ -196,7 +196,7 @@ class TestResponderPolicy:
         assert m.wait_us == 4000  # the last settle, not the 10 ms cutoff
 
     def test_deadline_wait_runs_out_with_a_silent_server(self):
-        dead = LatencyModel.unresponsive(1.0, LatencyModel.deterministic(1))
+        dead = LatencyModel("unresponsive", 1.0, LatencyModel("deterministic", 1))
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2, 3) + (dead,),
@@ -231,7 +231,7 @@ class TestResponderPolicy:
 
     def test_wait_for_that_never_ends_fails_run(self):
         # Two servers answer, but the client waits for 3 with no deadline.
-        dead = LatencyModel.unresponsive(1.0, LatencyModel.deterministic(1))
+        dead = LatencyModel("unresponsive", 1.0, LatencyModel("deterministic", 1))
         config = SimConfig(
             params=params421(),
             latencies=det_latencies(1, 2) + (dead, dead),

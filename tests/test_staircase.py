@@ -155,7 +155,7 @@ def test_unseeded_queries_do_not_use_mersenne_twister(monkeypatch):
     monkeypatch.setattr(random, "Random", refuse)
     queries = make_queries(params, V, 1)
     assert len(queries) == params.n
-    assert all(0 <= sym < params.q for qr in queries for sub in qr.subqueries for sym in sub)
+    assert all(0 <= sym < params.q for qr in queries for sub in qr.prefix(params.alpha) for sym in sub)
 
 
 def test_encoding_matrix_checked_once_per_params_and_matrix(monkeypatch):
@@ -193,7 +193,7 @@ def test_encode_shares_matches_dense_product(nkt):
                      for c in range(1, params.alpha_prime + 1)] + list(randomness)
             M = Matrix(params.field, [
                 [sym for index in row for sym in ([0] * w if index is None else basis[index])]
-                for row in grid.layout.cells
+                for row in grid_layout(ordered).cells
             ])
             expected = [
                 [row[c * w : (c + 1) * w] for c in range(params.alpha)]
@@ -437,7 +437,7 @@ class TestSecretSharingCodec:
         ]
         via_ss = ss_share(params, V, units, seed=4)
         via_pir = make_queries(params, V, 1, seed=4)
-        assert via_ss == [query.subqueries for query in via_pir]
+        assert via_ss == [query.prefix(params.alpha) for query in via_pir]
 
     def test_reconstruct_from_projections_matches_decode_file(self):
         # The responders' prefix projections are prefix sub-shares of the

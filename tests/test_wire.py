@@ -115,7 +115,8 @@ def test_max_request_payload_is_the_query():
     params = SchemeParams(n=4, k=2, t=1, m=3, q=65537, s=5)
     V = default_encoding_matrix(params)
     query = make_queries(params, V, 2, seed=0)[0]
-    frame = wire.encode_query(params, matrix_fingerprint(params, V), 1, query.subqueries)
+    frame = wire.encode_query(params, matrix_fingerprint(params, V), 1,
+                              query.prefix(params.alpha))
     assert len(roundtrip(frame)[1]) == wire.max_request_payload(params)
 
 
@@ -123,13 +124,13 @@ def test_query_roundtrip():
     params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=2)
     V = default_encoding_matrix(params)
     fp = matrix_fingerprint(params, V)
-    query = make_queries(params, V, 1, seed=0)[2]
-    frame = wire.encode_query(params, fp, 3, query.subqueries)
+    sent = make_queries(params, V, 1, seed=0)[2].prefix(params.alpha)
+    frame = wire.encode_query(params, fp, 3, sent)
     msg_type, payload = roundtrip(frame)
     assert msg_type == wire.MSG_QUERY
     server_id, subqueries = wire.decode_query(payload, params, fp)
     assert server_id == 3
-    assert subqueries == query.subqueries
+    assert subqueries == sent
 
 
 def test_query_without_its_head_roundtrip():
@@ -158,7 +159,7 @@ def test_query_rejects_out_of_field_symbols():
     V = default_encoding_matrix(params)
     fp = matrix_fingerprint(params, V)
     query = make_queries(params, V, 1, seed=0)[0]
-    bad = [list(sub) for sub in query.subqueries]
+    bad = [list(sub) for sub in query.prefix(params.alpha)]
     bad[0][0] = 5  # == q
     frame = wire.encode_query(params, fp, 1, bad)
     with pytest.raises(MalformedFrame):
@@ -170,7 +171,7 @@ def test_query_rejects_trailing_bytes():
     V = default_encoding_matrix(params)
     fp = matrix_fingerprint(params, V)
     query = make_queries(params, V, 1, seed=0)[0]
-    frame = wire.encode_query(params, fp, 1, query.subqueries)
+    frame = wire.encode_query(params, fp, 1, query.prefix(params.alpha))
     with pytest.raises(MalformedFrame):
         wire.decode_query(roundtrip(frame)[1] + b"\x00", params, fp)
 
@@ -181,7 +182,8 @@ def test_query_symbols_are_compact():
     params = SchemeParams(n=4, k=2, t=1, m=2, q=257, s=9)
     V = default_encoding_matrix(params)
     query = make_queries(params, V, 1, seed=0)[0]
-    frame = wire.encode_query(params, matrix_fingerprint(params, V), 1, query.subqueries)
+    frame = wire.encode_query(params, matrix_fingerprint(params, V), 1,
+                              query.prefix(params.alpha))
     symbols = params.alpha * params.query_length
     # Varints 4, 2, 1, 2, 257 (2 bytes), 9; fingerprint; varints 1, alpha.
     head = 7 + 32 + 2
@@ -193,7 +195,7 @@ def test_query_rejects_truncation():
     V = default_encoding_matrix(params)
     fp = matrix_fingerprint(params, V)
     query = make_queries(params, V, 1, seed=0)[0]
-    payload = roundtrip(wire.encode_query(params, fp, 1, query.subqueries))[1]
+    payload = roundtrip(wire.encode_query(params, fp, 1, query.prefix(params.alpha)))[1]
     for cut in (1, 2, 3, len(payload) - 45):  # the last leaves 4 symbol bytes
         with pytest.raises(MalformedFrame):
             wire.decode_query(payload[:-cut], params, fp)
@@ -313,7 +315,7 @@ def test_fetch_roundtrip():
 def test_fetch_carries_the_sub_queries_of_the_columns_it_adds():
     params = FETCH_PARAMS
     V = default_encoding_matrix(params)
-    subqueries = make_queries(params, V, 2, seed=0)[1].subqueries
+    subqueries = make_queries(params, V, 2, seed=0)[1].prefix(params.alpha)
     # A connection sent 2 sub-queries is sent those of columns 2, 3 and 4.
     frame = wire.encode_fetch(params, subqueries[2:5])
     payload = roundtrip(frame)[1]
@@ -603,7 +605,7 @@ def test_documented_frame_sizes():
     # The sizes the wire module, README and net document, as (header,
     # payload) bytes.
     V = default_encoding_matrix(BULK)
-    query = make_queries(BULK, V, 1, seed=0, columns=BULK.prefix_cols(4))[3]
+    query = make_queries(BULK, V, 1, seed=0)[3]
     query.prefix(BULK.prefix_cols(2))
     slab = [BULK.q - 1] * BULK.s
     frames = {
