@@ -9,7 +9,10 @@ or per retrieval, so an idle peer holds a buffer, not a thread.
 Each server holds the replicated database and answers QUERY/FETCH
 frames. A retrieval applies one rule: decode from the mu servers that
 respond, reading the first prefix_cols(mu) columns of each, and apply it
-again when one drops. Every plan it makes is a protocol.DownloadPlan.
+again when one drops. Every decision of it lives in protocol.Retrieval,
+which has no socket and no clock; the client's loop only moves bytes,
+turning socket events into the core's events and the frames it queues
+into writes.
 
 - The client takes each server's idle connection, or starts a connect
   to it, and makes one selector pass that does not wait: the connects
@@ -17,33 +20,25 @@ again when one drops. Every plan it makes is a protocol.DownloadPlan.
   known before any QUERY goes out. Each server is sent its QUERY once
   its connection is up, never held back for another server. A reused
   connection that fails before its first reply is replaced by one fresh
-  connect, whose failure alone settles the server.
-- One rule, protocol.ResponderWait's, chooses both the first plan and
-  the responders. Connections settle a wait of their own, with the same
-  target (wait_for or n) and no deadline: a server arrives when its idle
-  connection is taken or its connect completes, and fails as it fails
-  the acknowledgement wait. Once that wait is done with at least k
-  arrived, the first plan is for its responders, the first mu =
-  min(target, servers connected) to connect. They are sent the plan's
-  FETCH in the same write as their QUERY, or at once if their QUERY went
-  out before it. A server answers the frames it has read together, so
-  the acknowledgement and the RESPONSE come back in one write: with
-  every connection reused and every server up, a retrieval is one write
-  each way per server.
-- The client waits for acknowledgements as protocol.ResponderWait
-  decides: a server settles when its acknowledgement arrives or its
-  connection fails, and the wait chooses the responders once it has
-  `ended`. A server that refuses its QUERY ends the retrieval at once.
-- Once the wait has chosen, the plan is for the responders it chose,
-  and each is sent a FETCH for the prefix columns it lacks, if any. A
-  server whose connection fails after its acknowledgement, whether the
-  wait has ended or not, or whose FETCH round trip outlives the
-  deadline, is dropped and no longer counts toward the servers waited
-  for. A chosen one's drop reopens the wait, which chooses again at once
-  if it can, and the plan follows. The round trip counts from the
-  server's acknowledgement, or from the FETCH if that was sent after it.
-  A server not chosen stays connected until the retrieval ends, so it
-  can still arrive.
+  connect, whose failure alone reaches the core.
+- The core chooses the first plan by protocol.ResponderWait's rule, over
+  connections: a server arrives when its idle connection is taken or its
+  connect completes. The first plan's responders, the first mu =
+  min(target, servers connected) to connect, are sent its FETCH in the
+  same write as their QUERY, or at once if their QUERY went out before
+  it. A server answers the frames it has read together, so the
+  acknowledgement and the RESPONSE come back in one write: with every
+  connection reused and every server up, a retrieval is one write each
+  way per server.
+- The core waits for acknowledgements by the same rule, and chooses the
+  responders once the wait has ended. A server that refuses its QUERY
+  ends the retrieval at once.
+- The plan is then for the responders chosen, and each is sent a FETCH
+  for the prefix columns it lacks, if any. A server whose connection
+  fails after its acknowledgement, or whose FETCH round trip outlives the
+  deadline, is dropped; a chosen one's drop reopens the wait, which
+  chooses again, and the plan follows. A server not chosen stays
+  connected until the retrieval ends, so it can still arrive.
 
 A QUERY carries only the sub-queries of the prefix for the target, and
 a FETCH adds those of the columns a smaller mu, or a plan made again
@@ -70,7 +65,6 @@ from __future__ import annotations
 
 import atexit
 import errno
-import math
 import selectors
 import socket
 import threading
@@ -370,25 +364,24 @@ class _Peer(_Conn):
         self.addrs: Optional[list] = None  # addresses not yet tried; None: its socket was idle
         self.head: Optional[tuple] = None  # the QUERY head its idle socket's server accepted
         self.connecting = False  # its socket has not been sent a QUERY yet
-        self.slabs: List[tuple] = []  # the columns it answered, in order
-        self.asked = 0  # columns of the FETCH in flight
-        self.expires = math.inf  # when the FETCH in flight fails
 
 
 class _Retrieval:
-    """One retrieval's connections, download plan and selector loop.
+    """One retrieval's connections and selector loop around its
+    protocol.Retrieval core, which makes every decision.
 
-    run() takes the retrieval through the module's flow and returns
-    (plan, responses), responses mapping each of the plan's responders to
-    the columns it answered, at least plan.prefix_cols of them. Two
-    protocol.ResponderWait instances make every decision: `links`, settled
-    by connections, chooses the first plan, and `wait`, settled by
-    acknowledgements, chooses the responders and ends the wait. _replan()
-    is the only code that makes a plan, and _request() the only code that
-    queues a frame. A server not chosen stays connected until close(), so
-    every server is either settled or still able to arrive. run() raises
-    HandshakeMismatch as soon as a server refuses its QUERY, whenever
-    that is before it returns, and InsufficientResponders if fewer than k
+    run() takes the retrieval through the module's flow and returns what
+    the core's tick() returns once done: (plan, responses), responses
+    mapping each of the plan's responders to the columns it answered. The
+    loop only moves bytes. It turns connects, frames, failures and
+    wake-ups into the core's events, at times in seconds from the start,
+    and writes the frames the core queues, each server's in one write per
+    batch. Two rules are its own, since they are about sockets: an
+    endpoint's addresses are tried in turn, and a reused socket that fails
+    before any reply is replaced by one fresh connect (the core is told to
+    resend), whose failure alone is reported. run() raises
+    HandshakeMismatch as soon as a server refuses its QUERY, whenever that
+    is before it returns, and InsufficientResponders if fewer than k
     servers acknowledged theirs and did not drop by the end of the wait.
     """
 
@@ -396,17 +389,14 @@ class _Retrieval:
         self.params = params = wait.params
         self.fingerprint = protocol.matrix_fingerprint(params, V)
         self.max_reply = wire.max_reply_payload(params)
-        self.first = params.prefix_cols(wait.target)  # the columns a QUERY carries
-        self.queries = protocol.make_queries(params, V, i)
-        self.wait = wait
-        # Connections settle a wait of their own, with no deadline: its
-        # responders, once it is done, are the first plan's.
-        self.links = protocol.ResponderWait(params, wait.target, math.inf)
+        self.core = protocol.Retrieval(wait, protocol.make_queries(params, V, i))
         self.sel = selectors.DefaultSelector()
         self.start = time.monotonic()
         self.peers = [_Peer(sid) for sid in range(1, params.n + 1)]
-        self.plan: Optional[protocol.DownloadPlan] = None  # the servers fetched from
         self.connects = 0
+
+    def _now(self) -> float:
+        return time.monotonic() - self.start
 
     def run(self, endpoints: Sequence[Tuple[str, int]]):
         """(plan, responses), as the class docstring says."""
@@ -417,32 +407,25 @@ class _Retrieval:
                 self._connect(peer)
             else:
                 peer.connecting = True
-                self.links.settle(peer.sid, 0.0)
+                self.core.connected(peer.sid, 0.0)
         # A pass that does not wait: the connects that have completed or
         # failed by now (on loopback, every one) count toward the first plan.
         for key, _ in self.sel.select(0):
             self._connected(key.data)
-        for sid in list(self.links.arrived):
-            self._request(self.peers[sid - 1])
+        for sid in list(self.core.links.arrived):
+            self._query(self.peers[sid - 1])
         while True:
-            now = time.monotonic()
-            if self.wait.chosen is None and now - self.start >= self.wait.ended:
-                self.wait.responders()
-            self._replan()
-            until = self.start + self.wait.ended
-            if self.wait.chosen is not None:
-                if all(len(self.peers[sid - 1].slabs) >= self.plan.prefix_cols
-                       for sid in self.plan.responders):
-                    return self.plan, {sid: self.peers[sid - 1].slabs
-                                       for sid in self.plan.responders}
-                until = math.inf  # only FETCH expiries
-            pending = [key.data for key in self.sel.get_map().values()]  # a reply due
-            for key, mask in self.sel.select(min([until] + [p.expires for p in pending]) - now):
+            now = self._now()
+            done = self.core.tick(now)
+            self._send()
+            if done:
+                return done
+            for key, mask in self.sel.select(self.core.wakeup - now):
                 self._step(key.data, mask)
-            now = time.monotonic()
-            for peer in pending:  # a FETCH that outlives its expiry fails as if timed out
-                if peer.events and peer.expires <= now:
-                    self._fail(peer, TimeoutError())
+            now = self._now()
+            for sid, expiry in list(self.core.expires.items()):
+                if expiry <= now:  # a FETCH that outlives its expiry fails as if timed out
+                    self._fail(self.peers[sid - 1], TimeoutError())
 
     def _connect(self, peer: _Peer, error: int = 0) -> None:
         """Start a non-blocking connect to the endpoint's next address,
@@ -477,49 +460,27 @@ class _Retrieval:
             peer.close(self.sel)
             self._connect(peer, error)
             return False
-        if peer.sid not in self.links.arrived:  # a stale socket's replacement keeps its place
-            self.links.settle(peer.sid, time.monotonic() - self.start)
+        self.core.connected(peer.sid, self._now())
         return True
 
     def _fail(self, peer: _Peer, exc: Exception) -> None:
-        """A connection failed. A reused socket that failed before any reply
-        is replaced by a fresh connect, and a QUERY refused before any
-        acknowledgement ends the retrieval. Anything else settles the server
-        as failed, dropped if it had acknowledged; run() plans again."""
+        """A connection failed: a reused socket that failed before any reply
+        is replaced by a fresh connect, and any other failure goes to the
+        core."""
         peer.close(self.sel)
-        arrived = peer.sid in self.wait.arrived
         if peer.addrs is None and not peer.received:  # a stale idle socket: the server may be up
-            peer.asked = 0  # what the stale socket was sent goes out again
+            self.core.resend(peer.sid)
             return self._connect(peer)
-        if isinstance(exc, HandshakeMismatch) and not arrived:
-            raise exc
-        outcome = ("dropped-mid-fetch" if arrived
-                   else "refused" if isinstance(exc, ConnectionRefusedError) else "error")
-        for wait in (self.wait, self.links):
-            wait.settle(peer.sid, time.monotonic() - self.start, outcome)
-
-    def _replan(self) -> None:
-        """Make the plan, the only code that does, and send each of its
-        responders whose QUERY has gone out the FETCH it now lacks. Until
-        the wait has chosen, the first plan is made once, for the
-        responders of `links` once it is done with at least k arrived.
-        Once the wait has chosen, the plan is for the responders chosen."""
-        sids, links = self.wait.chosen, self.links
-        if sids is None and not self.plan and links.done and len(links.arrived) >= links.params.k:
-            sids = links.responders()
-        if sids is None or self.plan is not None and list(self.plan.responders) == sids:
-            return
-        self.plan = protocol.plan_download(self.params, sids)
-        for sid in self.plan.responders:
-            if not self.peers[sid - 1].connecting:
-                self._request(self.peers[sid - 1])
+        self.core.failed(peer.sid, self._now(), exc)
 
     def _step(self, peer: _Peer, mask: int) -> None:
         """Move one connection on after its socket became ready."""
         try:
             if mask & _WRITE:
-                if not peer.connecting or self._connected(peer):
-                    self._request(peer)
+                if not peer.connecting:
+                    peer.watch(self.sel, _READ if peer.flush() else _WRITE)
+                elif self._connected(peer):
+                    self._query(peer)
                 return
             if not peer.recv():
                 raise MalformedFrame("connection closed mid-frame")
@@ -532,54 +493,43 @@ class _Retrieval:
         except (OSError, StaircasePIRError) as exc:
             self._fail(peer, exc)
 
+    def _query(self, peer: _Peer) -> None:
+        peer.connecting = False
+        self.core.query(peer.sid, self._now())
+        self._send()
+
     def _on_frame(self, peer: _Peer, msg_type: int, payload: bytes) -> None:
         if msg_type == wire.MSG_ERROR:
             code, message = wire.decode_error(payload)
             if code == wire.ERR_HANDSHAKE:
                 raise HandshakeMismatch(message)
             raise StaircasePIRError(message)
-        if peer.sid not in self.wait.arrived:
+        if peer.sid not in self.core.wait.arrived:
             wire.decode_response(payload, 0, self.params.q)  # the acknowledgement
-            now = time.monotonic()
-            self.wait.settle(peer.sid, now - self.start)
-            if peer.asked:  # its FETCH went with the QUERY: the round trip starts now
-                peer.expires = now + self.wait.deadline
+            self.core.acked(peer.sid, self._now())
         else:
             _, slabs = wire.decode_response(payload, self.params.s, self.params.q)
-            if len(slabs) != peer.asked:
-                raise MalformedFrame(f"{len(slabs)} columns for a FETCH of {peer.asked}")
-            peer.slabs.extend(slabs)
-            peer.asked, peer.expires = 0, math.inf
-            self._request(peer)
-        if not peer.asked:
+            self.core.answered(peer.sid, slabs, self._now())
+            self._send()
+        if peer.sid not in self.core.asked:
             peer.watch(self.sel, 0)  # idle until it is fetched from
 
-    def _request(self, peer: _Peer) -> None:
-        """Queue the peer its frames, the only code that does, and write what
-        it is owed. A peer just connected is sent its QUERY, once the first
-        plan is made if its connection allows it. Then a FETCH is queued
-        behind it if the plan fetches from the peer, it has none in flight
-        and it holds fewer than the plan's prefix columns. The FETCH adds
-        the sub-queries the peer was not sent; all the columns it lacks come
-        back."""
-        if peer.connecting:
-            self._replan()
-            peer.connecting = False
-            # Encoded only now, so a server that is down costs no upload. An
-            # idle socket whose server accepted this head is not sent it again.
-            head = peer.addrs is not None or peer.head != (self.params, self.fingerprint)
-            peer.out = memoryview(wire.encode_query(
-                self.params, self.fingerprint, peer.sid,
-                self.queries[peer.sid - 1].prefix(self.first), head))
-        held, plan = len(peer.slabs), self.plan
-        if plan and peer.sid in plan.responders and not peer.asked and held < plan.prefix_cols:
-            peer.asked = plan.prefix_cols - held
-            if peer.sid in self.wait.arrived:  # else from its acknowledgement
-                peer.expires = time.monotonic() + self.wait.deadline
-            subqueries = self.queries[peer.sid - 1].prefix(plan.prefix_cols)
-            peer.out = memoryview(bytes(peer.out) + wire.encode_fetch(
-                self.params, subqueries[max(held, self.first) :]))
-        if peer.out:
+    def _send(self) -> None:
+        """Encode the frames the core queued, and write each server's in
+        one write. A QUERY, encoded only now so that a server that is down
+        costs no upload, starts what its socket is sent, and goes without
+        its head over an idle socket whose server accepted this one."""
+        touched = {}
+        for sid, first, subqueries in self.core.outbox:
+            peer = touched[sid] = self.peers[sid - 1]
+            if first:
+                peer.out = memoryview(bytes(peer.out) + wire.encode_fetch(self.params, subqueries))
+            else:
+                head = peer.addrs is not None or peer.head != (self.params, self.fingerprint)
+                peer.out = memoryview(wire.encode_query(
+                    self.params, self.fingerprint, sid, subqueries, head))
+        self.core.outbox.clear()
+        for peer in touched.values():
             try:
                 peer.watch(self.sel, _READ if peer.flush() else _WRITE)
             except OSError as exc:
@@ -589,8 +539,8 @@ class _Retrieval:
         """Close every connection but, with `keep`, the quiet ones decoded from."""
         kept = {}
         for peer in self.peers:
-            if keep and peer.sid in self.plan.responders and not (
-                    peer.asked or peer.inbuf or peer.out):  # idle, so unwatched
+            if keep and peer.sid in self.core.plan.responders and not (
+                    peer.sid in self.core.asked or peer.inbuf or peer.out):  # idle, so unwatched
                 kept[peer.endpoint] = peer.sock, (self.params, self.fingerprint)
                 peer.sock = None
             peer.close(self.sel)

@@ -1,5 +1,11 @@
-"""User/server protocol layer: queries, responses, download plans, decoding
-and the capacity accounting the scheme is measured against."""
+"""User/server protocol layer: queries, responses, download plans, the
+decisions of a retrieval, decoding and the capacity accounting the scheme
+is measured against.
+
+Nothing here does I/O or reads a clock: a retrieval's decisions live in
+Retrieval, which takes timed events and queues what to send, so a socket
+loop (net) and a virtual clock (sim) drive the same code.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +20,10 @@ from . import staircase
 from .errors import (
     DimensionMismatch,
     FieldTooSmall,
+    HandshakeMismatch,
     InsufficientResponders,
     InvalidThreshold,
+    MalformedFrame,
     OutOfRange,
 )
 from .field import Matrix, ints_to_bytes, lane_bytes, unpack_lanes, vandermonde
@@ -294,6 +302,139 @@ class ResponderWait:
         """Every server's outcome, once `kept` were decoded from."""
         return {sid: "ok" if sid in kept else self.failures.get(sid, "late")
                 for sid in range(1, self.params.n + 1)}
+
+
+class Retrieval:
+    """One retrieval's decisions, with no sockets and no clock.
+
+    A driver tells it what happens to each server, `at` a time in seconds
+    (or any unit the wait's deadline is in) from the start, and sends what
+    it queues in `outbox`: (server id, first column, sub-queries) entries,
+    a QUERY when the first column is 0 and a FETCH otherwise, each server's
+    entries in the order queued.
+
+    Two ResponderWait instances make every choice. `links`, settled by
+    connections with the same target and no deadline, chooses the first
+    plan; `wait`, settled by acknowledgements, chooses the responders and
+    ends the wait. _replan() is the only code that makes a plan, and
+    _fetch() the only code that asks a server for columns: a FETCH goes to
+    a responder of the plan whose QUERY is queued, that has no FETCH in
+    flight and holds fewer than the plan's prefix columns, and adds the
+    sub-queries it was not sent; all the columns it lacks come back. A
+    FETCH's round trip expires `wait.deadline` after it was queued, or after
+    the acknowledgement if that came later. A server not chosen stays
+    able to arrive until the retrieval ends.
+
+    - connected(sid, at): its connection is up. A connection replaced after
+      resend() keeps the server's place.
+    - query(sid, at): its connection may carry its QUERY now. The first plan
+      is made once `links` allows it; then the QUERY, the first
+      prefix_cols(target) columns, is queued, and the plan's FETCH behind
+      it if the server is a responder.
+    - acked(sid, at), answered(sid, columns, at): its acknowledgement, or
+      the columns of its FETCH (MalformedFrame for any other count).
+    - failed(sid, at, exc): its connection failed. HandshakeMismatch before
+      an acknowledgement is raised again; any other failure settles both
+      waits with the outcome ResponderWait names: "dropped-mid-fetch" once
+      acknowledged, else "refused" (ConnectionRefusedError) or "error".
+    - resend(sid): its connection is being replaced before any reply; the
+      next query() queues everything again.
+    - tick(at): chooses the responders once the wait has ended
+      (InsufficientResponders if too few remain) and plans again; returns
+      (plan, responses) once every responder holds the plan's prefix,
+      else None.
+    - wakeup: when tick() is next due if nothing else happens, the wait's
+      end or the earliest FETCH expiry; a driver fails a server whose
+      FETCH expiry passes with TimeoutError.
+    """
+
+    def __init__(self, wait: ResponderWait, queries: Sequence[Query]):
+        self.params = params = wait.params
+        self.wait = wait
+        self.links = ResponderWait(params, wait.target, math.inf)
+        self.queries = queries
+        self.first = params.prefix_cols(wait.target)  # the columns a QUERY carries
+        self.plan: Optional[DownloadPlan] = None
+        self.queried: set = set()  # servers whose current connection was queued a QUERY
+        self.asked: Dict[int, int] = {}  # columns of each FETCH in flight
+        self.expires: Dict[int, float] = {}  # when each acknowledged FETCH in flight fails
+        self.slabs: Dict[int, list] = {sid: [] for sid in range(1, params.n + 1)}
+        self.outbox: List[Tuple[int, int, list]] = []
+
+    def connected(self, sid: int, at: float) -> None:
+        if sid not in self.links.arrived:
+            self.links.settle(sid, at)
+
+    def query(self, sid: int, at: float) -> None:
+        self._replan(at)
+        self.queried.add(sid)
+        self.outbox.append((sid, 0, self.queries[sid - 1].prefix(self.first)))
+        self._fetch(sid, at)
+
+    def acked(self, sid: int, at: float) -> None:
+        self.wait.settle(sid, at)
+        if sid in self.asked:  # its FETCH went with the QUERY: the round trip starts now
+            self.expires[sid] = at + self.wait.deadline
+
+    def answered(self, sid: int, columns: Sequence[tuple], at: float) -> None:
+        if len(columns) != self.asked.get(sid, 0):
+            raise MalformedFrame(f"{len(columns)} columns for a FETCH of {self.asked.get(sid, 0)}")
+        self.slabs[sid].extend(columns)
+        self.asked.pop(sid, None)
+        self.expires.pop(sid, None)
+        self._fetch(sid, at)
+
+    def failed(self, sid: int, at: float, exc: Exception) -> None:
+        if isinstance(exc, HandshakeMismatch) and sid not in self.wait.arrived:
+            raise exc
+        outcome = ("dropped-mid-fetch" if sid in self.wait.arrived
+                   else "refused" if isinstance(exc, ConnectionRefusedError) else "error")
+        self.resend(sid)
+        for wait in (self.wait, self.links):
+            wait.settle(sid, at, outcome)
+
+    def resend(self, sid: int) -> None:
+        self.queried.discard(sid)
+        self.asked.pop(sid, None)
+        self.expires.pop(sid, None)
+
+    def tick(self, at: float):
+        if self.wait.chosen is None and at >= self.wait.ended:
+            self.wait.responders()
+        self._replan(at)
+        plan = self.plan
+        if self.wait.chosen is not None and all(
+                len(self.slabs[sid]) >= plan.prefix_cols for sid in plan.responders):
+            return plan, {sid: self.slabs[sid] for sid in plan.responders}
+
+    @property
+    def wakeup(self) -> float:
+        ended = self.wait.ended if self.wait.chosen is None else math.inf
+        return min([ended, *self.expires.values()])
+
+    def _replan(self, at: float) -> None:
+        """Until the wait has chosen, the first plan is made once, for the
+        responders of `links` once it is done with at least k arrived; then
+        the plan is for the responders chosen. Each of its responders whose
+        QUERY is queued is sent the FETCH it now lacks."""
+        sids, links = self.wait.chosen, self.links
+        if sids is None and not self.plan and links.done and len(links.arrived) >= links.params.k:
+            sids = links.responders()
+        if sids is None or self.plan is not None and list(self.plan.responders) == sids:
+            return
+        self.plan = plan_download(self.params, sids)
+        for sid in self.plan.responders:
+            if sid in self.queried:
+                self._fetch(sid, at)
+
+    def _fetch(self, sid: int, at: float) -> None:
+        held, plan = len(self.slabs[sid]), self.plan
+        if plan and sid in plan.responders and sid not in self.asked and held < plan.prefix_cols:
+            self.asked[sid] = plan.prefix_cols - held
+            if sid in self.wait.arrived:  # else from its acknowledgement
+                self.expires[sid] = at + self.wait.deadline
+            first = max(held, self.first)
+            self.outbox.append((sid, first, self.queries[sid - 1].prefix(plan.prefix_cols)[first:]))
 
 
 def decode_file(

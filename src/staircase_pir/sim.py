@@ -1,15 +1,17 @@
 """Event-driven straggler simulation of an n-server retrieval.
 
-Sampled latencies drive protocol.ResponderWait, the responder policy of
-net.retrieve, under the same two values: how many servers to wait for
-(`wait_for`, None for all n) and how long (`deadline_ms`, None for no
-cutoff). Latency is modeled per whole server response: once a
-server answers, all of its prefix columns are fetchable, so none drops
-mid-fetch. The simulated clock is integer microseconds and events are
-ordered by (time, server id), so runs are fully deterministic under a
-fixed seed. Every repetition retrieves file 1 under the scheme's
-default encoding matrix: neither which file is requested nor V changes
-the wait or the download plan.
+Sampled latencies drive protocol.Retrieval, the core whose decisions
+net.retrieve also follows, in virtual time under the same two values:
+how many servers to wait for (`wait_for`, None for all n) and how long
+(`deadline_ms`, None for no cutoff). Every server connects and is sent
+its QUERY at 0 and acknowledges at its latency. Latency is modeled per
+whole server response: once a server has acknowledged, it answers each
+FETCH at once, so all of its prefix columns are fetchable and none
+drops mid-fetch. The simulated clock is integer microseconds and
+acknowledgements are ordered by (time, server id), so runs are fully
+deterministic under a fixed seed. Every repetition retrieves file 1
+under the scheme's default encoding matrix: neither which file is
+requested nor V changes the wait or the download plan.
 """
 
 from __future__ import annotations
@@ -100,29 +102,55 @@ def run_simulation(config: SimConfig) -> List[SimMetrics]:
     expected = db.file_content(1)
     results = []
     for _ in range(config.repetitions):
-        wait = config.responder_wait()
-        arrivals = sorted(
+        acks = sorted(
             (model.sample_us(rng), sid) for sid, model in enumerate(config.latencies, 1)
         )
-        for at, sid in arrivals:
-            # An unresponsive server never settles, not even by a cutoff of inf.
-            if at == UNRESPONSIVE or at > wait.deadline:
-                break
-            wait.settle(sid, at)
+        core = protocol.Retrieval(config.responder_wait(),
+                                  protocol.make_queries(params, V, 1, seed=rng.random()))
         try:
-            responders = wait.responders()
+            plan, responses = _retrieve(core, db, acks)
         except InsufficientResponders:
-            results.append(SimMetrics(len(wait.arrived), wait.ended, 0, None, False))
+            results.append(SimMetrics(len(core.wait.arrived), core.wait.ended, 0, None, False))
             continue
-        plan = protocol.plan_download(params, responders)
-        queries = protocol.make_queries(params, V, 1, seed=rng.random())
-        decoded = protocol.decode_file(
-            params, V, plan, protocol.local_responses(db, queries, plan))
+        decoded = protocol.decode_file(params, V, plan, responses)
         results.append(SimMetrics(
-            realized_mu=plan.mu, wait_us=wait.ended, symbols=plan.total_symbols,
+            realized_mu=plan.mu, wait_us=core.wait.ended, symbols=plan.total_symbols,
             rate=plan.rate, success=decoded == expected,
         ))
     return results
+
+
+def _retrieve(core: protocol.Retrieval, db: protocol.Database, acks: list):
+    """Drive `core` through one retrieval in virtual time: every server
+    connects and is queried at 0 and acknowledges at its latency, `acks`
+    holding (latency, server id) in order. A server answers each FETCH at
+    once if it has acknowledged, or with its acknowledgement, projecting
+    what it was sent since it last answered. (plan, responses), as
+    protocol.Retrieval.tick returns them, or InsufficientResponders."""
+    held = {}  # what each server was sent and has not answered
+    for sid in range(1, core.params.n + 1):
+        core.connected(sid, 0)
+    for sid in list(core.links.arrived):
+        core.query(sid, 0)
+    at = 0
+    while True:
+        done = core.tick(at)
+        if done:
+            return done
+        for sid, first, subqueries in core.outbox:
+            held[sid] = (held.get(sid, []) if first else []) + subqueries
+        core.outbox.clear()
+        due = [sid for sid in core.asked if sid in core.wait.arrived]
+        for sid in due:
+            core.answered(sid, protocol.server_respond(db, held.pop(sid)), at)
+        if due:
+            continue
+        # An unresponsive server never acknowledges, not even at a wake-up of inf.
+        if acks and acks[0][0] <= core.wakeup and acks[0][0] != UNRESPONSIVE:
+            at, sid = acks.pop(0)
+            core.acked(sid, at)
+        else:
+            at = core.wakeup
 
 
 def sweep(configs: Sequence[SimConfig]) -> List[dict]:

@@ -29,6 +29,14 @@ def test_package_imports_only_the_standard_library():
     assert not outside
 
 
+def test_the_retrieval_core_does_no_io():
+    # protocol.Retrieval makes a retrieval's decisions for both net's socket
+    # loop and sim's virtual clock, so its module reads no clock and
+    # touches no socket or thread.
+    imported = {name.split(".")[0] for name in _absolute_imports(PACKAGE / "protocol.py")}
+    assert not imported & {"socket", "selectors", "select", "threading", "time"}
+
+
 def test_package_has_no_assert_statement():
     # A check is an exception, not an assert, which `python -O` strips.
     asserts = [

@@ -13,10 +13,13 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
 from staircase_pir.errors import (
     DimensionMismatch,
     FileIndexOutOfRange,
+    HandshakeMismatch,
     InsufficientResponders,
     InvalidThreshold,
+    MalformedFrame,
     MissingResponse,
     OutOfRange,
+    StaircasePIRError,
 )
 from staircase_pir.examples import example1, example2
 from staircase_pir.field import Matrix, lane_bytes
@@ -24,6 +27,7 @@ from staircase_pir.params import SchemeParams
 from staircase_pir.protocol import (
     Database,
     ResponderWait,
+    Retrieval,
     capacity_asymptotic,
     capacity_finite,
     decode_file,
@@ -673,6 +677,225 @@ class ResponderWaitMachine(RuleBasedStateMachine):
 TestResponderWaitMachine = ResponderWaitMachine.TestCase
 TestResponderWaitMachine.settings = settings(max_examples=100, stateful_step_count=30,
                                              deadline=None)
+
+
+def retrieval_schemes():
+    """(params, V) of the three schemes the retrieval machine drives."""
+    p421 = SchemeParams(n=4, k=2, t=1, m=2, q=257)
+    p532 = SchemeParams(n=5, k=3, t=2, m=2, q=257)
+    return [(p421, default_encoding_matrix(p421)), example1(),
+            (p532, default_encoding_matrix(p532))]
+
+
+class RetrievalMachine(RuleBasedStateMachine):
+    """protocol.Retrieval under any order of connects, queries,
+    acknowledgements, answers, failures, stale resends and time passing,
+    with the expiry wake-ups a driver gives it. Servers answer with the
+    projections of what they were sent, as PIRServer does. After every
+    step, what the core queued and chose is checked against a model of
+    what each server was sent and did. A retrieval that has ended is
+    followed by another on the same scheme."""
+
+    @initialize(scheme=st.sampled_from(range(3)), data=st.data())
+    def start(self, scheme, data):
+        self.params, self.V = retrieval_schemes()[scheme]
+        self.db, _ = random_db(self.params, scheme)
+        self.begin(data)
+
+    def begin(self, data):
+        params, V = self.params, self.V
+        target = data.draw(st.integers(params.k, params.n), label="wait_for")
+        deadline = data.draw(st.sampled_from([2.0, 5.0, math.inf]), label="deadline")
+        self.i = data.draw(st.integers(1, params.m), label="file")
+        self.reference = [query.prefix(params.alpha)
+                          for query in make_queries(params, V, self.i, seed=5)]
+        self.wait = ResponderWait(params, target, deadline)
+        self.core = Retrieval(self.wait, make_queries(params, V, self.i, seed=5))
+        self.now = 0.0
+        self.over = False
+        self.connected, self.queried = set(), set()
+        self.acked = []  # servers acknowledged and not failed, earliest first
+        self.failures = {}
+        sids = range(1, params.n + 1)
+        self.sent = dict.fromkeys(sids, 0)  # columns sent over the current connection
+        self.held = {sid: [] for sid in sids}  # sub-queries sent and not answered
+        self.answered = dict.fromkeys(sids, 0)
+        self.fetching = {}  # server -> when its FETCH in flight started, None before its ack
+
+    def servers(self, test):
+        """The servers, not failed, that pass `test`; none once over."""
+        return [sid for sid in range(1, self.params.n + 1)
+                if not self.over and sid not in self.failures and test(sid)]
+
+    def drain(self, querying=None):
+        """Check and record what the core queued: a QUERY only to the server
+        being queried, a FETCH only to a responder of the plan."""
+        plan = self.core.plan
+        for sid, first, subqueries in self.core.outbox:
+            assert sid not in self.failures
+            if first == 0:
+                assert sid == querying and self.sent[sid] == 0
+                assert len(subqueries) == self.params.prefix_cols(self.wait.target)
+            else:
+                assert sid in self.queried and sid not in self.fetching
+                assert sid in plan.responders and first == self.sent[sid]
+                assert first + len(subqueries) == plan.prefix_cols > self.answered[sid]
+                assert self.core.asked[sid] == plan.prefix_cols - self.answered[sid]
+                self.fetching[sid] = self.now if sid in self.acked else None
+            assert subqueries == self.reference[sid - 1][first : first + len(subqueries)]
+            self.sent[sid] = first + len(subqueries)
+            assert self.sent[sid] <= self.params.alpha
+            self.held[sid] += subqueries
+        self.core.outbox.clear()
+
+    def fail(self, sid, exc, label):
+        self.core.failed(sid, self.now, exc)
+        self.failures[sid] = "dropped-mid-fetch" if sid in self.acked else label
+        for group in (self.connected, self.queried):
+            group.discard(sid)
+        if sid in self.acked:
+            self.acked.remove(sid)
+        self.fetching.pop(sid, None)
+
+    def next_event(self, sid):
+        """What moves server sid on next: its connect, its QUERY, its
+        acknowledgement or its answer to a FETCH; None while it waits on
+        the client."""
+        if sid not in self.connected:
+            return self.connect
+        if sid not in self.queried:
+            return self.query
+        if sid not in self.acked:
+            return self.acknowledge
+        return self.answer if sid in self.fetching else None
+
+    def connect(self, sid):
+        self.core.connected(sid, self.now)
+        self.connected.add(sid)
+
+    def query(self, sid):
+        self.core.query(sid, self.now)
+        self.queried.add(sid)
+        self.drain(querying=sid)
+
+    def acknowledge(self, sid):
+        self.core.acked(sid, self.now)
+        self.acked.append(sid)
+        if sid in self.fetching:
+            self.fetching[sid] = self.now
+
+    def answer(self, sid):
+        columns = server_respond(self.db, self.held[sid])
+        self.core.answered(sid, columns, self.now)
+        self.answered[sid] += len(columns)
+        self.held[sid] = []
+        del self.fetching[sid]
+        self.drain()
+
+    @precondition(lambda self: self.servers(self.next_event))
+    @rule(data=st.data(), events=st.integers(1, 4))
+    def advance(self, data, events):
+        sid = data.draw(st.sampled_from(self.servers(self.next_event)), label="advances")
+        for _ in range(events):
+            if self.servers(lambda other: other == sid and self.next_event(sid)):
+                self.next_event(sid)(sid)
+
+    def can_suffer(self, kind, sid):
+        """Whether server sid can fail as `kind`: a drop after its
+        acknowledgement, a refused or broken connection at any time, a short
+        answer to a FETCH in flight, and a stale socket or a refused
+        handshake before its acknowledgement."""
+        if kind == "drop":
+            return sid in self.acked
+        if kind == "short":
+            return sid in self.acked and sid in self.fetching
+        if kind in ("stale", "handshake"):
+            return sid in self.queried and sid not in self.acked
+        return True
+
+    # At most n - k servers fail, so a retrieval can decode; too few
+    # responders come from a wait that ends first.
+    @precondition(lambda self: not self.over
+                  and len(self.failures) < self.params.n - self.params.k)
+    @rule(data=st.data(),
+          kind=st.sampled_from(["drop", "refused", "error", "short", "stale", "handshake"]))
+    def mishap(self, data, kind):
+        sids = self.servers(lambda sid: self.can_suffer(kind, sid))
+        if not sids:
+            return
+        sid = data.draw(st.sampled_from(sids), label=kind)
+        if kind == "stale":
+            # A reused socket failed before any reply: the driver connects
+            # afresh, and the core sends it everything again.
+            self.core.resend(sid)
+            for group in (self.connected, self.queried):
+                group.discard(sid)
+            self.sent[sid] = 0
+            self.held[sid] = []
+            self.fetching.pop(sid, None)
+        elif kind == "short":  # one column fewer than its FETCH asked for
+            with pytest.raises(MalformedFrame) as refused:
+                self.core.answered(sid, server_respond(self.db, self.held[sid])[:-1], self.now)
+            self.fail(sid, refused.value, "error")
+        elif kind == "handshake":
+            with pytest.raises(HandshakeMismatch):  # the retrieval ends
+                self.core.failed(sid, self.now, HandshakeMismatch("refused"))
+            self.over = True
+        else:
+            exc = ConnectionRefusedError() if kind == "refused" else OSError("broken")
+            self.fail(sid, exc, "refused" if kind == "refused" else "error")
+
+    @rule(dt=st.sampled_from([0.0, 0.0, 0.25, 1.0]))
+    def tick(self, dt):
+        # As a driver wakes: time passes, a FETCH past its expiry fails, and
+        # the core ticks.
+        if self.over:
+            return
+        assert self.core.wakeup == min(
+            [self.wait.ended if self.wait.chosen is None else math.inf]
+            + [start + self.wait.deadline for start in self.fetching.values() if start is not None])
+        self.now += dt
+        for sid, start in list(self.fetching.items()):
+            if start is not None and start + self.wait.deadline <= self.now:
+                self.fail(sid, TimeoutError(), "error")
+        try:
+            done = self.core.tick(self.now)
+        except InsufficientResponders:
+            assert self.now >= self.wait.ended and len(self.acked) < self.params.k
+            self.over = True
+            return
+        self.drain()
+        plan = self.core.plan
+        if done is not None:
+            assert done[0] is plan and list(plan.responders) == self.wait.chosen
+            assert decode_file(self.params, self.V, *done) == self.db.file_content(self.i)
+            self.over = True
+        elif self.wait.chosen is None:
+            assert self.now < self.wait.ended
+        else:  # the plan waits only on columns it has asked for
+            assert all(self.answered[sid] >= plan.prefix_cols or sid in self.fetching
+                       for sid in plan.responders)
+
+    @precondition(lambda self: self.over)
+    @rule(data=st.data())
+    def again(self, data):
+        self.begin(data)
+
+    @invariant()
+    def follows_the_rules(self):
+        wait = self.wait
+        assert set(wait.chosen or ()) <= set(self.acked)
+        assert set(self.core.expires) == {sid for sid, start in self.fetching.items()
+                                          if start is not None}
+        kept = wait.chosen or []
+        assert wait.outcomes(kept) == {
+            sid: "ok" if sid in kept else self.failures.get(sid, "late")
+            for sid in range(1, self.params.n + 1)}
+
+
+TestRetrievalMachine = RetrievalMachine.TestCase
+TestRetrievalMachine.settings = settings(max_examples=100, stateful_step_count=50,
+                                         deadline=None)
 
 
 P_CHECKS = SchemeParams(n=4, k=2, t=1, m=2, q=257)
